@@ -22,17 +22,14 @@ the base attribution exactly, which is what the collapse properties assert.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .data import FeatureSchema, Task, TensorDataset, read_payload, write_payload
+from .data import FeatureSchema, Task, TensorDataset
 from .engine import DTYPE
 from .errors import EstimatorError
 from .models import Model
@@ -54,68 +51,49 @@ class FeatureGroups:
 
     axis: GroupingAxis
     ids: tuple[int, ...]
-    t: int
-    b: int
-    cells: tuple[tuple[tuple[int, int], ...], ...]  # per group: (t_pos, b_pos)
+    mask: np.ndarray  # bool [G, T, B]; row g marks group g's cells
 
     def __post_init__(self):
-        seen = {cell for group in self.cells for cell in group}
-        if len(seen) != self.t * self.b or sum(map(len, self.cells)) != self.t * self.b:
+        if self.mask.ndim != 3 or not (self.mask.sum(axis=0) == 1).all():
             raise EstimatorError("groups must partition the grid")
-        if len(self.ids) != len(self.cells):
+        if len(self.ids) != len(self.mask):
             raise EstimatorError("one id per group required")
 
     @property
     def n_groups(self) -> int:
         return len(self.ids)
 
-    def mask_stack(self) -> np.ndarray:
-        """Boolean [G, T, B]; row g marks group g's cells."""
-        stack = np.zeros((self.n_groups, self.t, self.b), dtype=bool)
-        for gi, group in enumerate(self.cells):
-            for tp, bp in group:
-                stack[gi, tp, bp] = True
-        return stack
 
+def feature_groups(
+    grid: Union[FeatureSchema, tuple[int, int]], axis: GroupingAxis
+) -> FeatureGroups:
+    """Grouping over a schema, or over a bare (T, B) grid shape.
 
-def feature_groups(schema: FeatureSchema, axis: GroupingAxis) -> FeatureGroups:
-    """Grouping over a schema; band/step groups carry stable ids."""
-    t, b = schema.n_timesteps, schema.n_bands
-    if axis is GroupingAxis.BY_BAND:
-        ids = schema.band_ids
-        cells = tuple(
-            tuple((tp, bp) for tp in range(t)) for bp in range(b)
-        )
-    elif axis is GroupingAxis.BY_TIMESTEP:
-        ids = schema.step_ids
-        cells = tuple(
-            tuple((tp, bp) for bp in range(b)) for tp in range(t)
-        )
+    Band and step groups carry the schema's stable ids; over a bare shape
+    they carry grid positions. Singleton ids are row-major positions.
+    """
+    if isinstance(grid, FeatureSchema):
+        t, b = grid.n_timesteps, grid.n_bands
+        band_ids, step_ids = grid.band_ids, grid.step_ids
     else:
-        ids = tuple(range(t * b))
-        cells = tuple(((tp, bp),) for tp in range(t) for bp in range(b))
-    return FeatureGroups(axis=axis, ids=tuple(ids), t=t, b=b, cells=cells)
-
-
-def grid_groups(t: int, b: int, axis: GroupingAxis) -> FeatureGroups:
-    """Positional grouping for schema-less use; ids are grid positions."""
+        t, b = grid
+        band_ids, step_ids = range(b), range(t)
     if axis is GroupingAxis.BY_BAND:
-        ids = tuple(range(b))
-        cells = tuple(tuple((tp, bp) for tp in range(t)) for bp in range(b))
+        ids = band_ids
+        mask = np.eye(b, dtype=bool)[:, None, :].repeat(t, axis=1)
     elif axis is GroupingAxis.BY_TIMESTEP:
-        ids = tuple(range(t))
-        cells = tuple(tuple((tp, bp) for bp in range(b)) for tp in range(t))
+        ids = step_ids
+        mask = np.eye(t, dtype=bool)[:, :, None].repeat(b, axis=2)
     else:
-        ids = tuple(range(t * b))
-        cells = tuple(((tp, bp),) for tp in range(t) for bp in range(b))
-    return FeatureGroups(axis=axis, ids=ids, t=t, b=b, cells=cells)
+        ids = range(t * b)
+        mask = np.eye(t * b, dtype=bool).reshape(t * b, t, b)
+    return FeatureGroups(axis=axis, ids=tuple(ids), mask=mask)
 
 
 def _resolve_groups(axis_or_groups, model: Model) -> FeatureGroups:
     if isinstance(axis_or_groups, FeatureGroups):
         return axis_or_groups
-    t, b = model.input_shape
-    return grid_groups(t, b, GroupingAxis(axis_or_groups))
+    return feature_groups(model.input_shape, GroupingAxis(axis_or_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +276,7 @@ def _svs_row(
     """One sample's (scores, stderr) over group marginal contributions."""
     g = groups.n_groups
     p = n_permutations
-    masks = groups.mask_stack().reshape(g, -1)  # [G, T*B]
+    masks = groups.mask.reshape(g, -1)  # [G, T*B]
     perms = np.empty((p, g), dtype=np.int64)
     for i in range(p):
         perms[i] = rng.permutation(g)
@@ -380,7 +358,7 @@ def exact_shapley(
 
     class_idx = _predicted_classes(model, sample[None])
     ci = None if class_idx is None else int(class_idx[0])
-    masks = groups.mask_stack().reshape(g, -1)
+    masks = groups.mask.reshape(g, -1)
     n_sets = 1 << g
     subsets = np.arange(n_sets, dtype=np.int64)
     member = ((subsets[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)  # [S, G]
@@ -424,7 +402,7 @@ def _gb_rows(
     class_idx: Optional[np.ndarray],
 ) -> np.ndarray:
     """Signed group sums of the guided input gradient, chunked over samples."""
-    masks = groups.mask_stack().reshape(groups.n_groups, -1).astype(np.float64)
+    masks = groups.mask.reshape(groups.n_groups, -1).astype(np.float64)
     rows = []
     for start in range(0, len(samples), _FORWARD_CHUNK):
         chunk = samples[start:start + _FORWARD_CHUNK]
@@ -477,8 +455,6 @@ def _ensemble_rows(
     Each replica runs the base estimator on the full (noised) batch, the same
     shape the plain estimator sees, so the zero-noise collapse is bit-exact.
     """
-    if base not in ("svs", "gb"):
-        raise EstimatorError(f"unknown base estimator {base!r}")
     if base == "svs" and baseline is None:
         raise EstimatorError("svs base needs a baseline")
     t, b = model.input_shape
@@ -524,54 +500,6 @@ def _ensemble_rows(
     return sq_mean, variance
 
 
-def smoothgrad_squared(
-    base: str,
-    model: Model,
-    samples: np.ndarray,
-    axis: Union[GroupingAxis, FeatureGroups],
-    budget: ExplainBudget,
-    seed: int,
-    baseline: Optional[np.ndarray] = None,
-    sample_ids: Optional[Sequence[int]] = None,
-) -> AttributionMatrix:
-    """Mean of squared base attributions over noise-perturbed replicas."""
-    groups = _resolve_groups(axis, model)
-    samples = np.ascontiguousarray(samples, dtype=DTYPE)
-    _check_inputs(model, samples, baseline)
-    ids = _resolve_ids(sample_ids, len(samples))
-    sq_mean, _ = _ensemble_rows(
-        base, model, samples, groups, baseline, budget, seed, ids
-    )
-    return AttributionMatrix(
-        sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
-        scores=sq_mean, estimator_tag=f"sgs-{base}",
-    )
-
-
-def vargrad(
-    base: str,
-    model: Model,
-    samples: np.ndarray,
-    axis: Union[GroupingAxis, FeatureGroups],
-    budget: ExplainBudget,
-    seed: int,
-    baseline: Optional[np.ndarray] = None,
-    sample_ids: Optional[Sequence[int]] = None,
-) -> AttributionMatrix:
-    """Variance of base attributions across noise-perturbed replicas."""
-    groups = _resolve_groups(axis, model)
-    samples = np.ascontiguousarray(samples, dtype=DTYPE)
-    _check_inputs(model, samples, baseline)
-    ids = _resolve_ids(sample_ids, len(samples))
-    _, variance = _ensemble_rows(
-        base, model, samples, groups, baseline, budget, seed, ids
-    )
-    return AttributionMatrix(
-        sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
-        scores=variance, estimator_tag=f"vargrad-{base}",
-    )
-
-
 def run_estimator(
     tag: str,
     model: Model,
@@ -593,49 +521,15 @@ def run_estimator(
         kind, base = tag.split("-", 1)
         if base not in ("svs", "gb"):
             raise EstimatorError(f"unknown estimator tag {tag!r}")
-        fn = smoothgrad_squared if kind == "sgs" else vargrad
-        return fn(base, model, samples, axis, budget, seed,
-                  baseline=baseline, sample_ids=sample_ids)
+        groups = _resolve_groups(axis, model)
+        samples = np.ascontiguousarray(samples, dtype=DTYPE)
+        _check_inputs(model, samples, baseline)
+        ids = _resolve_ids(sample_ids, len(samples))
+        sq_mean, variance = _ensemble_rows(
+            base, model, samples, groups, baseline, budget, seed, ids
+        )
+        return AttributionMatrix(
+            sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
+            scores=sq_mean if kind == "sgs" else variance, estimator_tag=tag,
+        )
     raise EstimatorError(f"unknown estimator tag {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# serialization (payload + JSON sidecar)
-
-
-def save_matrix(
-    matrix: AttributionMatrix, path: str | Path, budget: Optional[ExplainBudget] = None
-) -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    write_payload(root / "scores.bin", matrix.scores, "f32")
-    meta = {
-        "sample_ids": list(matrix.sample_ids),
-        "axis": matrix.axis.value,
-        "group_ids": list(matrix.group_ids),
-        "estimator_tag": matrix.estimator_tag,
-        "has_stderr": matrix.stderr is not None,
-        "budget": None if budget is None else budget.to_dict(),
-    }
-    if matrix.stderr is not None:
-        write_payload(root / "stderr.bin", matrix.stderr, "f32")
-    tmp = root / "meta.json.tmp"
-    tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, root / "meta.json")
-
-
-def load_matrix(path: str | Path) -> AttributionMatrix:
-    root = Path(path)
-    meta = json.loads((root / "meta.json").read_text())
-    scores = read_payload(root / "scores.bin", ndim=2, kind="f32")
-    stderr = None
-    if meta["has_stderr"]:
-        stderr = read_payload(root / "stderr.bin", ndim=2, kind="f32")
-    return AttributionMatrix(
-        sample_ids=tuple(meta["sample_ids"]),
-        axis=GroupingAxis(meta["axis"]),
-        group_ids=tuple(meta["group_ids"]),
-        scores=np.array(scores, dtype=DTYPE),
-        estimator_tag=meta["estimator_tag"],
-        stderr=None if stderr is None else np.array(stderr, dtype=DTYPE),
-    )

@@ -33,7 +33,7 @@ from .roar import (
 )
 from .svg import curve_chart, save_chart
 from .synthetic import generate
-from .training import SelectionReport, resolve_workers, select_model
+from .training import SelectionReport, select_model
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
@@ -106,8 +106,7 @@ def cmd_select(cfg: RunConfig) -> Path:
     """Train the grid, rank by validation metric, emit the results table."""
     splits, head = _load_splits(cfg)
     grid = cfg.candidates(head)
-    workers = resolve_workers(cfg.workers)
-    model, report = select_model(grid, splits, workers=workers,
+    model, report = select_model(grid, splits, workers=cfg.workers or 1,
                                  include_test_metrics=True)
     out = _ensure_out(cfg)
 

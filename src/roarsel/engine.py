@@ -7,34 +7,23 @@ Guided mode changes the backward rule at ReLU nodes only: the upstream
 gradient is zeroed wherever the forward input was <= 0 or the upstream
 gradient is < 0.
 
-A Graph instance together with its activation cache is single-threaded;
-parallel workers clone the graph (parameters shared read-only).
+A Graph instance together with its activation cache is single-threaded.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
-from enum import Enum
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import read_payload, write_payload
 from .errors import GraphError
 
 DTYPE = np.float32
 
 Selector = Union[str, int, np.ndarray]
-
-
-class BackwardMode(Enum):
-    STANDARD = "standard"
-    GUIDED = "guided"
 
 
 @dataclass(frozen=True)
@@ -203,21 +192,6 @@ class Graph:
     def mark_output(self, idx: int) -> None:
         self.output = idx
 
-    def clone(self) -> "Graph":
-        """Independent execution cache; nodes and parameter arrays shared."""
-        g = object.__new__(Graph)
-        g.nodes = self.nodes
-        g.params = dict(self.params)
-        g.input_shape = self.input_shape
-        g.mask_shapes = self.mask_shapes
-        g._mask_nodes = self._mask_nodes
-        g.output = self.output
-        g.loss = self.loss
-        g._cache = None
-        g._target = None
-        g.input_node = self.input_node
-        return g
-
     # -- execution ----------------------------------------------------------
 
     def forward(
@@ -317,15 +291,13 @@ class Graph:
 
     # -- reverse mode -------------------------------------------------------
 
-    def backward(
-        self, selector: Selector = "loss", mode: BackwardMode = BackwardMode.STANDARD
-    ) -> Gradients:
+    def backward(self, selector: Selector = "loss", guided: bool = False) -> Gradients:
         """Exact reverse-mode gradients of one scalar w.r.t. input and params.
 
         ``selector`` is either ``"loss"``, an output column index (the scalar
         is the per-sample value of that column, summed over the batch), or a
         per-sample column-index array (one scalar per row, e.g. the predicted
-        class logit).
+        class logit). ``guided`` applies the guided rule at ReLU nodes.
         """
         if self._cache is None:
             raise GraphError("backward requires a prior forward")
@@ -337,7 +309,7 @@ class Graph:
             g = grads[node.idx]
             if g is None or node.op in ("input", "param", "mask"):
                 continue
-            self._propagate(node, g, grads, values, mode)
+            self._propagate(node, g, grads, values, guided)
 
         param_grads = {}
         for node in self.nodes:
@@ -354,7 +326,7 @@ class Graph:
 
     def backward_guided(self, selector: Selector) -> np.ndarray:
         """Guided-backprop gradient w.r.t. the input; parameters untouched."""
-        return self.backward(selector, mode=BackwardMode.GUIDED).input
+        return self.backward(selector, guided=True).input
 
     def _seed(self, selector, grads, values):
         if isinstance(selector, str):
@@ -388,7 +360,7 @@ class Graph:
         else:
             grads[idx] = grads[idx] + g
 
-    def _propagate(self, node, g, grads, values, mode):
+    def _propagate(self, node, g, grads, values, guided):
         op = node.op
         args = node.args
         if op == "matmul":
@@ -407,7 +379,7 @@ class Graph:
             self._accumulate(grads, args[0], DTYPE(node.attrs["scale"]) * g)
         elif op == "relu":
             x = values[args[0]]
-            if mode is BackwardMode.GUIDED:
+            if guided:
                 gx = np.where((x > 0) & (g > 0), g, DTYPE(0.0))
             else:
                 gx = np.where(x > 0, g, DTYPE(0.0))
@@ -593,31 +565,3 @@ def finite_difference_check(
         passed=worst <= tolerance,
         per_tensor=per_tensor,
     )
-
-
-# ---------------------------------------------------------------------------
-# named-tensor checkpoints (MMTS payload per tensor + JSON index)
-
-
-def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
-    """Serialize named float32 tensors as MMTS payload files."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    index = {}
-    for i, name in enumerate(sorted(tensors)):
-        fname = f"tensor{i:04d}.bin"
-        write_payload(root / fname, np.asarray(tensors[name], dtype=DTYPE), "f32")
-        index[name] = {"file": fname, "shape": list(tensors[name].shape)}
-    tmp = root / "index.json.tmp"
-    tmp.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, root / "index.json")
-
-
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    root = Path(path)
-    index = json.loads((root / "index.json").read_text())
-    out = {}
-    for name, meta in index.items():
-        arr = read_payload(root / meta["file"], ndim=len(meta["shape"]), kind="f32")
-        out[name] = np.array(arr, dtype=DTYPE)
-    return out

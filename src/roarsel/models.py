@@ -23,13 +23,12 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .data import FeatureSchema, Task
-from .engine import DTYPE, Graph, load_tensors, save_tensors
+from .engine import DTYPE, Graph
 from .errors import BuildError
 
 
@@ -70,13 +69,6 @@ class Head:
     def for_schema(cls, schema: FeatureSchema) -> "Head":
         return cls(task=schema.task, n_classes=schema.n_classes)
 
-    def to_dict(self) -> dict:
-        return {"task": self.task.value, "n_classes": self.n_classes}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Head":
-        return cls(task=Task(d["task"]), n_classes=d.get("n_classes"))
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -116,26 +108,6 @@ class ModelSpec:
     def resolved_depth(self) -> int:
         return self.depth if self.depth is not None else _DEFAULT_DEPTH[self.architecture]
 
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture.value,
-            "head": self.head.to_dict(),
-            "width": self.width,
-            "depth": self.depth,
-            "kernel_size": self.kernel_size,
-            "channels": self.channels,
-            "dense_size": self.dense_size,
-            "hidden_size": self.hidden_size,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        d["architecture"] = Architecture(d["architecture"])
-        d["head"] = Head.from_dict(d["head"])
-        return cls(**d)
-
 
 @dataclass
 class Model:
@@ -147,15 +119,9 @@ class Model:
     def forward(self, x, masks=None):
         return self.graph.forward(x, masks=masks)
 
-    def forward_loss(self, x, target, masks=None) -> float:
-        return self.graph.forward_loss(x, target, masks=masks)
-
     @property
     def n_params(self) -> int:
         return sum(p.size for p in self.graph.params.values())
-
-    def clone(self) -> "Model":
-        return Model(self.spec, self.graph.clone(), self.input_shape, list(self.notes))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +291,7 @@ def _attach_head(g, spec, last, fan, rng):
 
 
 # ---------------------------------------------------------------------------
-# dropout masks and checkpoints
+# dropout masks
 
 
 def dropout_masks(model: Model, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -339,21 +305,3 @@ def dropout_masks(model: Model, n: int, rng: np.random.Generator) -> dict[str, n
         bern = rng.random(size=(n, *shape)) < keep
         masks[name] = (bern.astype(DTYPE) / DTYPE(keep)).astype(DTYPE)
     return masks
-
-
-def save_model_params(model: Model, path: str | Path) -> None:
-    save_tensors(model.graph.params, path)
-
-
-def load_model_params(model: Model, path: str | Path) -> None:
-    """Load a checkpoint into a structurally matching model."""
-    tensors = load_tensors(path)
-    if sorted(tensors) != sorted(model.graph.params):
-        raise BuildError("checkpoint tensors do not match model parameters")
-    for name, arr in tensors.items():
-        if arr.shape != model.graph.params[name].shape:
-            raise BuildError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                f"model expects {model.graph.params[name].shape}"
-            )
-        model.graph.params[name] = arr

@@ -187,12 +187,6 @@ class DeletionCurve:
     def n_groups(self) -> int:
         return self.baseline.remaining
 
-    @property
-    def complete(self) -> bool:
-        """True when the campaign ran down to a single surviving group."""
-        last = self.records[-1] if self.records else self.baseline
-        return last.remaining == 1
-
     def all_records(self) -> tuple[CycleRecord, ...]:
         return (self.baseline, *self.records)
 
@@ -242,7 +236,6 @@ def _run_cycle(
     fit_seed = _lane_seed(seed, cycle, 0)
     model = resize_for_input(spec, t, b, fit_seed)
     model, report = train(model, cur.train, cur.validation, replace(cfg, seed=fit_seed))
-    val = evaluate(model, cur.validation)
     test = evaluate(model, cur.test)
 
     groups = feature_groups(cur.train.schema, plan.axis)
@@ -263,7 +256,7 @@ def _run_cycle(
         removed_ids=removed_ids,
         remaining=groups.n_groups,
         report=report,
-        val_metric=val,
+        val_metric=report.val_metric,
         test_metric=test,
         ranking=aggregate_rank(matrix),
     )

@@ -9,7 +9,7 @@ what makes deletion-curve behavior provable at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -15,10 +15,9 @@ influences the choice.
 from __future__ import annotations
 
 import concurrent.futures
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +63,6 @@ class TrainConfig:
 class MetricKind(str, Enum):
     ACCURACY = "accuracy"
     R2 = "r2"
-    LOSS = "loss"
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,6 @@ def select_model(
     splits: SplitTriple,
     workers: int = 1,
     include_test_metrics: bool = True,
-    on_candidate: Optional[Callable[[CandidateResult], None]] = None,
 ) -> tuple[Model, SelectionReport]:
     """Train every candidate and pick the best validation metric.
 
@@ -331,8 +328,6 @@ def select_model(
             )
         else:
             results[index] = CandidateResult(index, spec, cfg, None, None, error)
-        if on_candidate is not None:
-            on_candidate(results[index])
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -387,21 +382,3 @@ def default_grid(
             cfg = TrainConfig(learning_rate=lr, seed=seed, **overrides)
             grid.append((spec, cfg))
     return grid
-
-
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ROARSEL_WORKERS, else 1."""
-    if explicit is not None:
-        if explicit < 1:
-            raise TrainingError("workers must be positive")
-        return explicit
-    env = os.environ.get("ROARSEL_WORKERS", "").strip()
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise TrainingError(f"ROARSEL_WORKERS must be an integer, got {env!r}") from exc
-    if value < 1:
-        raise TrainingError("ROARSEL_WORKERS must be positive")
-    return value

@@ -17,10 +17,9 @@ from roarsel.attribution import (
     ExplainBudget,
     GroupingAxis,
     exact_shapley,
-    grid_groups,
-    smoothgrad_squared,
+    feature_groups,
+    run_estimator,
     svs,
-    vargrad,
 )
 from roarsel.cli import main
 from roarsel.config import section_seed
@@ -190,7 +189,7 @@ def test_sampled_shapley_matches_exact_enumeration():
         r = np.random.default_rng(42)
         samples = r.standard_normal((6, 2, 5)).astype(DTYPE)
         baseline = np.zeros((2, 5), dtype=DTYPE)
-        groups = grid_groups(2, 5, GroupingAxis.BY_BAND)
+        groups = feature_groups((2, 5), GroupingAxis.BY_BAND)
         budget = ExplainBudget(n_samples=6, n_permutations=4096)
         m = svs(model, samples, groups, baseline, budget, seed=77)
         exact = np.stack(
@@ -205,7 +204,7 @@ def test_sampled_shapley_matches_exact_enumeration():
 def test_exact_shapley_satisfies_efficiency():
     with criterion("criterion 3: exact Shapley scores sum to the prediction "
                    "gap against the baseline within 1e-4"):
-        groups = grid_groups(2, 5, GroupingAxis.BY_BAND)
+        groups = feature_groups((2, 5), GroupingAxis.BY_BAND)
         r = np.random.default_rng(8)
         baseline = (0.1 * r.standard_normal((2, 5))).astype(DTYPE)
 
@@ -263,7 +262,7 @@ def test_zero_noise_ensembles_collapse():
         r = np.random.default_rng(11)
         samples = r.standard_normal((4, 2, 5)).astype(DTYPE)
         baseline = np.zeros((2, 5), dtype=DTYPE)
-        groups = grid_groups(2, 5, GroupingAxis.BY_BAND)
+        groups = feature_groups((2, 5), GroupingAxis.BY_BAND)
         budget = ExplainBudget(n_samples=4, n_permutations=16,
                                ensemble_size=3, noise_scale=0.0)
         for base, kwargs in (("svs", {"baseline": baseline}), ("gb", {})):
@@ -272,10 +271,11 @@ def test_zero_noise_ensembles_collapse():
             else:
                 from roarsel.attribution import gb
                 plain = gb(model, samples, groups)
-            sq = smoothgrad_squared(base, model, samples, groups, budget,
-                                    seed=9, **kwargs)
+            sq = run_estimator(f"sgs-{base}", model, samples, groups, budget,
+                               seed=9, **kwargs)
             assert np.array_equal(sq.scores, plain.scores * plain.scores)
-            vg = vargrad(base, model, samples, groups, budget, seed=9, **kwargs)
+            vg = run_estimator(f"vargrad-{base}", model, samples, groups, budget,
+                               seed=9, **kwargs)
             assert np.all(vg.scores == 0.0)
 
 

@@ -12,15 +12,11 @@ from roarsel.attribution import (
     aggregate_rank,
     exact_shapley,
     feature_groups,
+    FeatureGroups,
     gb,
-    grid_groups,
-    load_matrix,
     mean_baseline,
     run_estimator,
-    save_matrix,
-    smoothgrad_squared,
     svs,
-    vargrad,
 )
 from roarsel.data import Task, delete_bands, default_schema
 from roarsel.engine import DTYPE, Graph
@@ -72,8 +68,8 @@ def test_groupings_partition_the_grid():
     schema = default_schema(3, 4, Task.REGRESSION)
     for axis in GroupingAxis:
         groups = feature_groups(schema, axis)
-        cells = [c for group in groups.cells for c in group]
-        assert sorted(cells) == [(t, b) for t in range(3) for b in range(4)]
+        assert groups.mask.shape == (groups.n_groups, 3, 4)
+        assert (groups.mask.sum(axis=0) == 1).all()
     assert feature_groups(schema, GroupingAxis.BY_BAND).n_groups == 4
     assert feature_groups(schema, GroupingAxis.BY_TIMESTEP).n_groups == 3
     assert feature_groups(schema, GroupingAxis.SINGLETON).n_groups == 12
@@ -84,13 +80,26 @@ def test_band_groups_keep_stable_ids_after_deletion():
     shrunk = delete_bands(d, {1, 3})
     groups = feature_groups(shrunk.schema, GroupingAxis.BY_BAND)
     assert groups.ids == (0, 2, 4)
-    assert groups.b == 3  # positions are current, ids are stable
+    assert groups.mask.shape[2] == 3  # positions are current, ids are stable
 
 
 def test_singleton_ids_are_row_major_positions():
-    groups = grid_groups(2, 3, GroupingAxis.SINGLETON)
+    groups = feature_groups((2, 3), GroupingAxis.SINGLETON)
     assert groups.ids == (0, 1, 2, 3, 4, 5)
-    assert groups.cells[4] == ((1, 1),)
+    assert np.argwhere(groups.mask[4]).tolist() == [[1, 1]]
+
+
+def test_feature_groups_reject_a_mask_that_is_not_a_partition():
+    good = feature_groups((2, 3), GroupingAxis.BY_BAND)
+    overlap = good.mask.copy()
+    overlap[0, 0, 1] = True
+    uncovered = good.mask.copy()
+    uncovered[2, 1, 2] = False
+    for mask in (overlap, uncovered):
+        with pytest.raises(EstimatorError, match="partition"):
+            FeatureGroups(GroupingAxis.BY_BAND, good.ids, mask)
+    with pytest.raises(EstimatorError, match="one id per group"):
+        FeatureGroups(GroupingAxis.BY_BAND, good.ids[:2], good.mask)
 
 
 # -- svs hand oracles --------------------------------------------------------
@@ -251,8 +260,8 @@ def test_sgs_zero_noise_is_elementwise_square_of_svs():
     model, samples, frozen, base = ensemble_fixture()
     quiet = budget(n_permutations=8, ensemble_size=5, noise_scale=0.0)
     base_m = svs(model, samples, GroupingAxis.BY_BAND, base, quiet, seed=1)
-    sgs = smoothgrad_squared("svs", model, samples, GroupingAxis.BY_BAND,
-                             quiet, seed=1, baseline=base)
+    sgs = run_estimator("sgs-svs", model, samples, GroupingAxis.BY_BAND,
+                        quiet, seed=1, baseline=base)
     assert sgs.scores.tobytes() == np.square(base_m.scores).tobytes()
 
 
@@ -260,8 +269,8 @@ def test_sgs_zero_noise_is_elementwise_square_of_gb():
     model, samples, frozen, base = ensemble_fixture(seed=2)
     quiet = budget(ensemble_size=5, noise_scale=0.0)
     base_m = gb(model, samples, GroupingAxis.BY_BAND)
-    sgs = smoothgrad_squared("gb", model, samples, GroupingAxis.BY_BAND,
-                             quiet, seed=1)
+    sgs = run_estimator("sgs-gb", model, samples, GroupingAxis.BY_BAND,
+                        quiet, seed=1)
     assert sgs.scores.tobytes() == np.square(base_m.scores).tobytes()
 
 
@@ -269,8 +278,8 @@ def test_sgs_single_replica_zero_noise_same_collapse():
     model, samples, frozen, base = ensemble_fixture(seed=3)
     quiet = budget(n_permutations=8, ensemble_size=1, noise_scale=0.0)
     base_m = svs(model, samples, GroupingAxis.BY_BAND, base, quiet, seed=2)
-    sgs = smoothgrad_squared("svs", model, samples, GroupingAxis.BY_BAND,
-                             quiet, seed=2, baseline=base)
+    sgs = run_estimator("sgs-svs", model, samples, GroupingAxis.BY_BAND,
+                        quiet, seed=2, baseline=base)
     assert sgs.scores.tobytes() == np.square(base_m.scores).tobytes()
 
 
@@ -278,19 +287,19 @@ def test_vargrad_zero_noise_is_exactly_zero():
     model, samples, frozen, base = ensemble_fixture(seed=4)
     quiet = budget(n_permutations=8, ensemble_size=5, noise_scale=0.0)
     for base_tag in ("svs", "gb"):
-        m = vargrad(base_tag, model, samples, GroupingAxis.BY_BAND,
-                    quiet, seed=3, baseline=base)
+        m = run_estimator(f"vargrad-{base_tag}", model, samples,
+                          GroupingAxis.BY_BAND, quiet, seed=3, baseline=base)
         assert m.scores.tobytes() == np.zeros_like(m.scores).tobytes()
 
 
 def test_noisy_ensembles_nonnegative_and_deterministic():
     model, samples, frozen, base = ensemble_fixture(seed=5)
-    for tag, fn in (("sgs", smoothgrad_squared), ("vargrad", vargrad)):
-        a = fn("gb", model, samples, GroupingAxis.BY_BAND, frozen, seed=4)
-        b_ = fn("gb", model, samples, GroupingAxis.BY_BAND, frozen, seed=4)
+    for tag in ("sgs-gb", "vargrad-gb"):
+        a = run_estimator(tag, model, samples, GroupingAxis.BY_BAND, frozen, seed=4)
+        b_ = run_estimator(tag, model, samples, GroupingAxis.BY_BAND, frozen, seed=4)
         assert (a.scores >= 0).all()
         assert a.scores.tobytes() == b_.scores.tobytes()
-        c = fn("gb", model, samples, GroupingAxis.BY_BAND, frozen, seed=5)
+        c = run_estimator(tag, model, samples, GroupingAxis.BY_BAND, frozen, seed=5)
         assert a.scores.tobytes() != c.scores.tobytes()
 
 
@@ -298,7 +307,7 @@ def test_noisy_ensemble_requires_frozen_budget():
     model, samples, _, base = ensemble_fixture(seed=6)
     loud = budget(ensemble_size=3, noise_scale=0.2)  # not frozen: no range
     with pytest.raises(EstimatorError, match="frozen"):
-        smoothgrad_squared("gb", model, samples, GroupingAxis.BY_BAND, loud, seed=0)
+        run_estimator("sgs-gb", model, samples, GroupingAxis.BY_BAND, loud, seed=0)
 
 
 # -- aggregation -------------------------------------------------------------
@@ -412,20 +421,6 @@ def test_svs_requires_baseline_via_dispatch():
     with pytest.raises(EstimatorError, match="baseline"):
         run_estimator("svs", model, samples, GroupingAxis.BY_BAND,
                       budget(n_permutations=4), seed=0)
-
-
-def test_matrix_round_trip(tmp_path):
-    model, samples, frozen, base = ensemble_fixture(seed=10)
-    m = svs(model, samples, GroupingAxis.BY_BAND, base,
-            budget(n_permutations=8), seed=1)
-    save_matrix(m, tmp_path / "attr", budget=frozen)
-    loaded = load_matrix(tmp_path / "attr")
-    assert loaded.sample_ids == m.sample_ids
-    assert loaded.axis == m.axis
-    assert loaded.group_ids == m.group_ids
-    assert loaded.estimator_tag == "svs"
-    assert loaded.scores.tobytes() == m.scores.tobytes()
-    assert loaded.stderr.tobytes() == m.stderr.tobytes()
 
 
 def test_shape_mismatch_rejected():

@@ -96,7 +96,7 @@ def test_absent_grid_expands_to_the_default_grid():
 
 def test_candidate_defaults_mirror_model_defaults():
     built = CandidateConfig(Architecture.MLP).spec(REG)
-    assert built.to_dict() == ModelSpec(Architecture.MLP, REG).to_dict()
+    assert built == ModelSpec(Architecture.MLP, REG)
 
 
 def test_candidate_learning_rate_inheritance():

@@ -5,12 +5,9 @@ import pytest
 from conftest import draw_clean_input
 
 from roarsel.engine import (
-    BackwardMode,
     DTYPE,
     Graph,
     finite_difference_check,
-    load_tensors,
-    save_tensors,
 )
 from roarsel.errors import GraphError
 
@@ -178,7 +175,7 @@ def test_guided_equals_standard_without_relu(seed):
     g.mark_output(g.matmul(g.sigmoid(h), w2))
     x = uniform(r, (4, 6), -2, 2)
     g.forward(x)
-    standard = g.backward(selector=1, mode=BackwardMode.STANDARD).input
+    standard = g.backward(selector=1).input
     g.forward(x)
     guided = g.backward_guided(selector=1)
     np.testing.assert_array_equal(standard, guided)
@@ -330,18 +327,6 @@ def test_forward_is_pure():
     assert first.tobytes() == second.tobytes()
 
 
-def test_clone_shares_parameters_but_not_cache():
-    g = build_mlp_regression()
-    c = g.clone()
-    assert c.params["w1"] is g.params["w1"]
-    x = rng(21).normal(size=(2, 5)).astype(DTYPE)
-    out_g = g.forward(x)
-    out_c = c.forward(x)
-    np.testing.assert_array_equal(out_g, out_c)
-    c.params["w1"] = np.zeros_like(c.params["w1"])
-    assert g.params["w1"].any()  # original binding untouched
-
-
 # -- error handling ----------------------------------------------------------
 
 
@@ -406,20 +391,3 @@ def test_input_batch_shape_validated():
     g = build_mlp_regression()
     with pytest.raises(GraphError, match="does not match slot"):
         g.forward(np.ones((2, 4), dtype=DTYPE))
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def test_tensor_checkpoint_round_trip(tmp_path):
-    tensors = {
-        "layer0/w": rng(0).normal(size=(3, 4)).astype(DTYPE),
-        "layer0/b": rng(1).normal(size=(4,)).astype(DTYPE),
-        "head/w": rng(2).normal(size=(4, 2, 2)).astype(DTYPE),
-    }
-    save_tensors(tensors, tmp_path / "ckpt")
-    loaded = load_tensors(tmp_path / "ckpt")
-    assert sorted(loaded) == sorted(tensors)
-    for name in tensors:
-        np.testing.assert_array_equal(loaded[name], tensors[name])
-        assert loaded[name].dtype == DTYPE

@@ -12,9 +12,7 @@ from roarsel.models import (
     ModelSpec,
     build,
     dropout_masks,
-    load_model_params,
     resize_for_input,
-    save_model_params,
 )
 
 CLS = Head(task=Task.CLASSIFICATION, n_classes=4)
@@ -250,44 +248,8 @@ def test_spec_validation():
         ModelSpec(Architecture.MLP, CLS, depth=0)
 
 
-def test_spec_dict_round_trip():
-    spec = ModelSpec(Architecture.GRU, CLS, hidden_size=16, dropout=0.2)
-    again = ModelSpec.from_dict(spec.to_dict())
-    assert again == spec
-
-
 def test_default_depths():
     assert ModelSpec(Architecture.MLP, CLS).resolved_depth == 2
     assert ModelSpec(Architecture.TEMPCNN, CLS).resolved_depth == 3
     assert ModelSpec(Architecture.GRU, CLS).resolved_depth == 1
     assert ModelSpec(Architecture.MLP, CLS, depth=5).resolved_depth == 5
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def test_checkpoint_round_trip(tmp_path):
-    m = build(ModelSpec(Architecture.TEMPCNN, CLS, **SMALL), t=6, b=3, seed=4)
-    x = batch(6, 3)
-    before = m.forward(x).copy()
-    save_model_params(m, tmp_path / "ckpt")
-    fresh = build(ModelSpec(Architecture.TEMPCNN, CLS, **SMALL), t=6, b=3, seed=99)
-    assert not np.array_equal(fresh.forward(x), before)
-    load_model_params(fresh, tmp_path / "ckpt")
-    np.testing.assert_array_equal(fresh.forward(x), before)
-
-
-def test_checkpoint_shape_mismatch_rejected(tmp_path):
-    m = build(ModelSpec(Architecture.MLP, CLS, **SMALL), t=6, b=3, seed=4)
-    save_model_params(m, tmp_path / "ckpt")
-    other = build(ModelSpec(Architecture.MLP, CLS, **SMALL), t=6, b=4, seed=4)
-    with pytest.raises(BuildError, match="shape"):
-        load_model_params(other, tmp_path / "ckpt")
-
-
-def test_checkpoint_name_mismatch_rejected(tmp_path):
-    m = build(ModelSpec(Architecture.MLP, CLS, **SMALL), t=6, b=3, seed=4)
-    save_model_params(m, tmp_path / "ckpt")
-    other = build(ModelSpec(Architecture.RNN, CLS, **SMALL), t=6, b=3, seed=4)
-    with pytest.raises(BuildError, match="do not match"):
-        load_model_params(other, tmp_path / "ckpt")

@@ -76,7 +76,6 @@ def test_five_bands_k1_runs_four_cycles():
     assert [r.cycle for r in curve.records] == [1, 2, 3, 4]
     assert all(len(r.removed_ids) == 1 for r in curve.records)
     assert curve.records[-1].remaining == 1
-    assert curve.complete
 
 
 def test_removed_plus_survivors_cover_every_group():

@@ -12,7 +12,6 @@ from roarsel.training import (
     TrainConfig,
     default_grid,
     evaluate,
-    resolve_workers,
     select_model,
     split_loss,
     train,
@@ -291,27 +290,3 @@ def test_default_grid_covers_architectures_and_rates():
     rates = {cfg.learning_rate for _, cfg in grid}
     assert rates == {1e-3, 1e-4}
     assert all(cfg.seed == 9 for _, cfg in grid)
-
-
-# -- worker resolution -------------------------------------------------------
-
-
-def test_resolve_workers_explicit_wins(monkeypatch):
-    monkeypatch.setenv("ROARSEL_WORKERS", "7")
-    assert resolve_workers(3) == 3
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.setenv("ROARSEL_WORKERS", "5")
-    assert resolve_workers() == 5
-    monkeypatch.delenv("ROARSEL_WORKERS")
-    assert resolve_workers() == 1
-
-
-def test_resolve_workers_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("ROARSEL_WORKERS", "many")
-    with pytest.raises(TrainingError, match="integer"):
-        resolve_workers()
-    monkeypatch.setenv("ROARSEL_WORKERS", "0")
-    with pytest.raises(TrainingError, match="positive"):
-        resolve_workers()
