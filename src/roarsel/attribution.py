@@ -264,43 +264,50 @@ def _check_inputs(model: Model, samples: np.ndarray, baseline: Optional[np.ndarr
 # Shapley value sampling
 
 
-def _svs_row(
+def _svs_rows(
     model: Model,
-    x: np.ndarray,
+    samples: np.ndarray,
+    ids: tuple[int, ...],
     groups: FeatureGroups,
     baseline: np.ndarray,
     n_permutations: int,
-    rng: np.random.Generator,
-    class_idx: Optional[int],
+    seed: int,
+    classes: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One sample's (scores, stderr) over group marginal contributions."""
+    """Per sample (scores, stderr) over group marginal contributions.
+
+    Each sample's permutations come from an RNG keyed by (seed, sample id),
+    and its explained class is fixed by ``classes``.
+    """
     g = groups.n_groups
     p = n_permutations
-    masks = groups.mask.reshape(g, -1)  # [G, T*B]
-    perms = np.empty((p, g), dtype=np.int64)
-    for i in range(p):
-        perms[i] = rng.permutation(g)
-    pos = np.argsort(perms, axis=1)  # pos[i, grp] = index of grp in perm i
-
-    # inclusion[i, j, grp]: group present in the j-th prefix of permutation i
+    masks = groups.mask.reshape(g, -1).astype(np.uint8)  # [G, T*B]
     prefix = np.arange(g + 1)[None, :, None]
-    inclusion = (pos[:, None, :] < prefix).astype(np.uint8)  # [p, G+1, G]
-    cell_on = inclusion @ masks.astype(np.uint8)  # [p, G+1, T*B] counts in {0, 1}
-    flat_x = x.reshape(-1)
     flat_base = baseline.reshape(-1)
-    composites = np.where(cell_on.astype(bool), flat_x, flat_base).astype(DTYPE)
-    composites = composites.reshape(p * (g + 1), *x.shape)
+    scores = np.empty((len(samples), g), dtype=DTYPE)
+    stderr = np.zeros_like(scores)
+    for i, sid in enumerate(ids):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(sid)]))
+        perms = np.empty((p, g), dtype=np.int64)
+        for j in range(p):
+            perms[j] = rng.permutation(g)
+        pos = np.argsort(perms, axis=1)  # pos[j, grp] = index of grp in perm j
 
-    values = _scalar_batch(model, composites, class_idx).reshape(p, g + 1)
-    marginals_by_step = np.diff(values, axis=1)  # [p, G] in permutation order
-    marginals = np.take_along_axis(marginals_by_step, pos, axis=1)  # by group
+        # inclusion[j, k, grp]: group present in the k-th prefix of permutation j
+        inclusion = (pos[:, None, :] < prefix).astype(np.uint8)  # [p, G+1, G]
+        cell_on = inclusion @ masks  # [p, G+1, T*B] counts in {0, 1}
+        composites = np.where(cell_on.astype(bool), samples[i].reshape(-1), flat_base)
+        composites = composites.astype(DTYPE).reshape(p * (g + 1), *samples.shape[1:])
 
-    scores = marginals.mean(axis=0)
-    if p > 1:
-        stderr = marginals.std(axis=0, ddof=1) / math.sqrt(p)
-    else:
-        stderr = np.zeros(g)
-    return scores.astype(DTYPE), stderr.astype(DTYPE)
+        ci = None if classes is None else int(classes[i])
+        values = _scalar_batch(model, composites, ci).reshape(p, g + 1)
+        marginals_by_step = np.diff(values, axis=1)  # [p, G] in permutation order
+        marginals = np.take_along_axis(marginals_by_step, pos, axis=1)  # by group
+
+        scores[i] = marginals.mean(axis=0)
+        if p > 1:
+            stderr[i] = marginals.std(axis=0, ddof=1) / math.sqrt(p)
+    return scores, stderr
 
 
 def svs(
@@ -325,16 +332,10 @@ def svs(
     baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
     _check_inputs(model, samples, baseline)
     ids = _resolve_ids(sample_ids, len(samples))
-    class_idx = _predicted_classes(model, samples)
-
-    scores = np.empty((len(samples), groups.n_groups), dtype=DTYPE)
-    stderr = np.empty_like(scores)
-    for i, sid in enumerate(ids):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(sid)]))
-        ci = None if class_idx is None else int(class_idx[i])
-        scores[i], stderr[i] = _svs_row(
-            model, samples[i], groups, baseline, budget.n_permutations, rng, ci
-        )
+    scores, stderr = _svs_rows(
+        model, samples, ids, groups, baseline, budget.n_permutations, seed,
+        _predicted_classes(model, samples),
+    )
     return AttributionMatrix(
         sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
         scores=scores, estimator_tag="svs", stderr=stderr,
@@ -485,16 +486,10 @@ def _ensemble_rows(
         if base == "gb":
             rows[r] = _gb_rows(model, noisy, groups, classes).astype(np.float64)
         else:
-            for i, sid in enumerate(ids):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([int(seed), int(sid)])
-                )
-                ci = None if classes is None else int(classes[i])
-                scores, _ = _svs_row(
-                    model, noisy[i], groups, baseline, budget.n_permutations,
-                    rng, ci,
-                )
-                rows[r, i] = scores.astype(np.float64)
+            rows[r] = _svs_rows(
+                model, noisy, ids, groups, baseline, budget.n_permutations,
+                seed, classes,
+            )[0].astype(np.float64)
     sq_mean = np.mean(rows * rows, axis=0).astype(DTYPE)
     variance = np.var(rows, axis=0).astype(DTYPE)
     return sq_mean, variance

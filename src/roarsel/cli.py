@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import RunConfig, load_config, save_effective_config, section_seed
-from .data import load_dataset, save_dataset, split_by_year
+from .data import load_dataset, save_dataset, split_by_year, write_atomic, write_json
 from .errors import ConfigError, CurveError, RoarAborted, RoarselError
 from .models import Head
 from .roar import (
@@ -49,12 +47,6 @@ def _load_splits(cfg: RunConfig):
     d = load_dataset(cfg.dataset_path)
     splits = split_by_year(d, cfg.holdout_years, seed=section_seed(cfg.seed, "split"))
     return splits, Head.for_schema(d.schema)
-
-
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +98,10 @@ def cmd_select(cfg: RunConfig) -> Path:
     """Train the grid, rank by validation metric, emit the results table."""
     splits, head = _load_splits(cfg)
     grid = cfg.candidates(head)
-    model, report = select_model(grid, splits, workers=cfg.workers or 1,
-                                 include_test_metrics=True)
+    model, report = select_model(grid, splits, include_test_metrics=True)
     out = _ensure_out(cfg)
 
-    _write_text(out / "selection.json",
-                json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out / "selection.json", report.to_dict())
     rows = _selection_rows(report)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -126,7 +116,7 @@ def cmd_select(cfg: RunConfig) -> Path:
             row["note"],
         ])
     csv_path = out / "selection.csv"
-    _write_text(csv_path, buf.getvalue())
+    write_atomic(csv_path, buf.getvalue())
 
     print(f"best: {model.spec.architecture.value} "
           f"(candidate #{report.best_index})")

@@ -10,7 +10,6 @@ default, and the persisted result is enough to reproduce the run.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -18,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .attribution import ExplainBudget
+from .data import write_json
 from .errors import ConfigError
 from .models import Architecture, Head, ModelSpec
 from .roar import DeletionPlan
@@ -121,7 +121,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     budget: ExplainBudget = field(default_factory=ExplainBudget)
     plans: tuple[DeletionPlan, ...] = ()
-    workers: Optional[int] = None
+    workers: Optional[int] = None  # accepted for existing configs; no effect
 
     def candidates(self, head: Head) -> list[tuple[ModelSpec, TrainConfig]]:
         """The selection grid; empty config grid means the default grid."""
@@ -244,6 +244,4 @@ def save_effective_config(cfg: RunConfig, path: str | Path) -> None:
     """Persist the defaults-filled config, atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    write_json(path, cfg.to_dict())

@@ -222,6 +222,26 @@ class SplitTriple:
 
 
 # ---------------------------------------------------------------------------
+# atomic writes
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    if isinstance(data, bytes):
+        tmp.write_bytes(data)
+    else:
+        tmp.write_text(data)
+    os.replace(tmp, path)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Atomic, key-sorted, two-space-indented JSON with a final newline."""
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # binary payloads
 
 
@@ -234,9 +254,7 @@ def write_payload(path: Path, arr: np.ndarray, kind: str = "f32") -> None:
     else:
         raise ValueError(f"unknown payload kind {kind!r}")
     header = MAGIC + np.array([FORMAT_VERSION, *arr.shape], dtype="<u4").tobytes()
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + data.tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, header + data.tobytes())
 
 
 def read_payload(path: Path, ndim: int, kind: str = "f32") -> np.ndarray:
@@ -293,9 +311,7 @@ def save_dataset(d: TensorDataset, path: str | Path) -> None:
         manifest["n_classes"] = d.schema.n_classes
         if d.schema.class_names is not None:
             manifest["class_names"] = list(d.schema.class_names)
-    tmp = out / "manifest.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out / "manifest")
+    write_json(out / "manifest", manifest)
     write_payload(out / "values.bin", d.values, "f32")
     write_payload(out / "targets.bin", d.targets.astype(np.float32), "f32")
     write_payload(out / "years.bin", d.years, "u32")

@@ -2,10 +2,16 @@
 
 Graphs are static: nodes are appended in topological order with shapes
 validated at build time (per-sample shapes; the batch dimension is implicit).
-``forward`` caches activations, ``backward`` walks the tape in reverse.
+Each builder method binds its node to a forward and a backward kernel next to
+its shape check, so ``forward`` and ``backward`` are two generic loops over
+the tape: ``forward`` caches activations, ``backward`` walks them in reverse.
+The batch enters through leaf slots (the input, the target, dropout masks);
+kernels see only argument values and never reference the Graph, so a dropped
+model is freed without waiting for the cyclic collector.
+
 Guided mode changes the backward rule at ReLU nodes only: the upstream
-gradient is zeroed wherever the forward input was <= 0 or the upstream
-gradient is < 0.
+gradient is clipped at zero before the standard rule, so it is zeroed
+wherever the forward input was <= 0 or the upstream gradient is < 0.
 
 A Graph instance together with its activation cache is single-threaded.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,11 +34,18 @@ Selector = Union[str, int, np.ndarray]
 
 @dataclass(frozen=True)
 class Node:
+    """One tape entry. ``fwd(values)`` computes this node's value from the
+    tape's values; ``bwd(g, y, values)`` returns one gradient, or None, per
+    entry of ``args``. Slots (input, target, masks) have neither and read
+    their value from the batch's feeds by name."""
+
     idx: int
     op: str
     args: tuple[int, ...]
     attrs: dict
     shape: tuple[int, ...]  # per-sample shape; () for scalar losses
+    fwd: Optional[Callable] = field(default=None, repr=False, compare=False)
+    bwd: Optional[Callable] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -43,34 +56,33 @@ class Gradients:
     params: dict[str, np.ndarray]
 
 
-def _prod(shape) -> int:
-    return int(math.prod(shape))
-
-
 class Graph:
-    """Static operator graph over one batched input slot plus mask slots."""
+    """Static operator graph over batched input, target and mask slots."""
 
     def __init__(self, input_shape: tuple[int, ...]):
         self.nodes: list[Node] = []
         self.params: dict[str, np.ndarray] = {}
         self.input_shape = tuple(int(s) for s in input_shape)
         self.mask_shapes: dict[str, tuple[int, ...]] = {}
-        self._mask_nodes: dict[str, int] = {}
         self.output: Optional[int] = None
         self.loss: Optional[int] = None
         self._cache: Optional[list] = None
-        self._target = None
-        self.input_node = self._add("input", (), {"name": "x"}, self.input_shape)
+        self.input_node = self._slot("input", "x", self.input_shape)
 
     # -- construction -------------------------------------------------------
+    # Kernels read argument values off the tape by index; they capture those
+    # indices and attributes, never ``self``.
 
-    def _add(self, op, args, attrs, shape) -> int:
-        node = Node(len(self.nodes), op, tuple(args), attrs, tuple(shape))
+    def _add(self, op, args, attrs, shape, fwd=None, bwd=None) -> int:
+        node = Node(len(self.nodes), op, tuple(args), attrs, tuple(shape), fwd, bwd)
         for a in node.args:
             if not 0 <= a < node.idx:
                 raise GraphError(f"node {node.idx} references unknown node {a}")
         self.nodes.append(node)
         return node.idx
+
+    def _slot(self, op: str, name: str, shape) -> int:
+        return self._add(op, (), {"name": name}, shape)
 
     def _shape(self, idx: int) -> tuple[int, ...]:
         return self.nodes[idx].shape
@@ -78,18 +90,17 @@ class Graph:
     def param(self, name: str, value: np.ndarray) -> int:
         if name in self.params:
             raise GraphError(f"duplicate parameter {name!r}")
-        arr = np.ascontiguousarray(value, dtype=DTYPE)
-        self.params[name] = arr
-        return self._add("param", (), {"name": name}, arr.shape)
+        params = self.params
+        params[name] = np.ascontiguousarray(value, dtype=DTYPE)
+        return self._add("param", (), {"name": name}, params[name].shape,
+                         lambda v: params[name])
 
     def mask_input(self, name: str, shape: tuple[int, ...]) -> int:
         """Batched auxiliary input slot (dropout masks); defaults to ones."""
         if name in self.mask_shapes:
             raise GraphError(f"duplicate mask slot {name!r}")
         self.mask_shapes[name] = tuple(shape)
-        idx = self._add("mask", (), {"name": name}, tuple(shape))
-        self._mask_nodes[name] = idx
-        return idx
+        return self._slot("mask", name, shape)
 
     def matmul(self, x: int, w: int) -> int:
         xs, ws = self._shape(x), self._shape(w)
@@ -97,40 +108,57 @@ class Graph:
             raise GraphError("matmul weight must be a 2-D parameter")
         if len(xs) != 1 or xs[0] != ws[0]:
             raise GraphError(f"matmul shape mismatch: {xs} @ {ws}")
-        return self._add("matmul", (x, w), {}, (ws[1],))
+        return self._add("matmul", (x, w), {}, (ws[1],),
+                         lambda v: v[x] @ v[w],
+                         lambda g, y, v: (g @ v[w].T, v[x].T @ g))
 
     def add(self, a: int, b: int) -> int:
-        return self._elementwise("add", a, b)
+        return self._elementwise("add", a, b, lambda v: v[a] + v[b],
+                                 lambda g, y, v: (g, _sum_to(g, v[b].shape)))
 
     def sub(self, a: int, b: int) -> int:
-        return self._elementwise("sub", a, b)
+        return self._elementwise("sub", a, b, lambda v: v[a] - v[b],
+                                 lambda g, y, v: (g, _sum_to(-g, v[b].shape)))
 
     def mul(self, a: int, b: int) -> int:
-        return self._elementwise("mul", a, b)
+        return self._elementwise(
+            "mul", a, b, lambda v: v[a] * v[b],
+            lambda g, y, v: (g * v[b], _sum_to(g * v[a], v[b].shape)),
+        )
 
-    def _elementwise(self, op: str, a: int, b: int) -> int:
+    def _elementwise(self, op: str, a: int, b: int, fwd, bwd) -> int:
         sa, sb = self._shape(a), self._shape(b)
-        if sa == sb:
-            return self._add(op, (a, b), {}, sa)
-        # parameter broadcast against trailing axes (bias add and friends)
-        if self.nodes[b].op == "param" and sa[len(sa) - len(sb):] == sb:
-            return self._add(op, (a, b), {}, sa)
+        # equal shapes, or a parameter broadcast against trailing axes (bias
+        # add and friends)
+        if sa == sb or (self.nodes[b].op == "param" and sa[len(sa) - len(sb):] == sb):
+            return self._add(op, (a, b), {}, sa, fwd, bwd)
         raise GraphError(f"{op} shape mismatch: {sa} vs {sb}")
 
     def affine(self, x: int, scale: float, shift: float = 0.0) -> int:
+        s, c = DTYPE(scale), DTYPE(shift)
         return self._add(
             "affine", (x,), {"scale": float(scale), "shift": float(shift)},
             self._shape(x),
+            lambda v: (s * v[x] + c).astype(DTYPE, copy=False),
+            lambda g, y, v: (s * g,),
         )
 
     def relu(self, x: int) -> int:
-        return self._add("relu", (x,), {}, self._shape(x))
+        return self._add("relu", (x,), {}, self._shape(x),
+                         lambda v: np.maximum(v[x], 0),
+                         lambda g, y, v: (np.where(v[x] > 0, g, DTYPE(0.0)),))
 
     def tanh(self, x: int) -> int:
-        return self._add("tanh", (x,), {}, self._shape(x))
+        return self._add("tanh", (x,), {}, self._shape(x),
+                         lambda v: np.tanh(v[x]),
+                         lambda g, y, v: (g * (1.0 - y * y),))
 
     def sigmoid(self, x: int) -> int:
-        return self._add("sigmoid", (x,), {}, self._shape(x))
+        return self._add(
+            "sigmoid", (x,), {}, self._shape(x),
+            lambda v: (1.0 / (1.0 + np.exp(-v[x].astype(np.float64)))).astype(DTYPE),
+            lambda g, y, v: (g * y * (1.0 - y),),
+        )
 
     def conv1d(self, x: int, w: int, stride: int = 1, padding: int = 0) -> int:
         xs, ws = self._shape(x), self._shape(w)
@@ -150,8 +178,11 @@ class Graph:
                 f"conv1d kernel {k} does not fit input of length {t} "
                 f"with padding {padding}"
             )
-        attrs = {"stride": stride, "padding": padding}
-        return self._add("conv1d", (x, w), attrs, (t_out, c_out))
+        return self._add(
+            "conv1d", (x, w), {"stride": stride, "padding": padding}, (t_out, c_out),
+            lambda v: _conv1d_forward(v[x], v[w], stride, padding),
+            lambda g, y, v: _conv1d_backward(v[x], v[w], g, stride, padding),
+        )
 
     def max_pool1d(self, x: int, width: int, stride: int | None = None) -> int:
         xs = self._shape(x)
@@ -162,32 +193,52 @@ class Graph:
         t_out = (t - width) // stride + 1
         if width < 1 or t_out < 1:
             raise GraphError(f"pool width {width} does not fit input of length {t}")
-        return self._add("maxpool1d", (x,), {"width": width, "stride": stride}, (t_out, c))
+        return self._add(
+            "maxpool1d", (x,), {"width": width, "stride": stride}, (t_out, c),
+            lambda v: np.ascontiguousarray(_pool_windows(v[x], width, stride).max(axis=-1)),
+            lambda g, y, v: (_maxpool_backward(v[x], g, width, stride),),
+        )
 
     def flatten(self, x: int) -> int:
-        return self._add("flatten", (x,), {}, (_prod(self._shape(x)),))
+        return self._add("flatten", (x,), {}, (math.prod(self._shape(x)),),
+                         lambda v: v[x].reshape(v[x].shape[0], -1),
+                         lambda g, y, v: (g.reshape(v[x].shape),))
 
     def slice_time(self, x: int, t: int) -> int:
         xs = self._shape(x)
         if len(xs) != 2 or not 0 <= t < xs[0]:
             raise GraphError(f"slice_time index {t} invalid for shape {xs}")
-        return self._add("slice_time", (x,), {"t": t}, (xs[1],))
+
+        def bwd(g, y, v):
+            gx = np.zeros_like(v[x])
+            gx[:, t, :] = g
+            return (gx,)
+
+        return self._add("slice_time", (x,), {"t": t}, (xs[1],),
+                         lambda v: np.ascontiguousarray(v[x][:, t, :]), bwd)
 
     def softmax_cross_entropy(self, logits: int) -> int:
         ls = self._shape(logits)
         if len(ls) != 1:
             raise GraphError(f"cross-entropy logits must be [C], got {ls}")
-        idx = self._add("softmax_xent", (logits,), {}, ())
-        self.loss = idx
-        return idx
+        return self._loss("softmax_xent", logits, _softmax_xent_forward,
+                          _softmax_xent_backward)
 
     def mean_squared_error(self, pred: int) -> int:
         ps = self._shape(pred)
         if ps not in ((), (1,)):
             raise GraphError(f"mse prediction must be scalar per sample, got {ps}")
-        idx = self._add("mse", (pred,), {}, ())
-        self.loss = idx
-        return idx
+        return self._loss("mse", pred, _mse_forward, _mse_backward)
+
+    def _loss(self, op: str, x: int, fwd, bwd) -> int:
+        """Scalar loss of ``x`` against the target slot; None without a target."""
+        t = self._slot("target", "target", ())
+        self.loss = self._add(
+            op, (x, t), {}, (),
+            lambda v: None if v[t] is None else fwd(v[x], v[t]),
+            lambda g, y, v: (bwd(g, v[x], v[t]), None),
+        )
+        return self.loss
 
     def mark_output(self, idx: int) -> None:
         self.output = idx
@@ -211,14 +262,25 @@ class Graph:
                 f"input shape {x.shape[1:]} does not match slot {self.input_shape}"
             )
         n = x.shape[0]
+        feeds = {"x": x, "target": target}
         masks = masks or {}
+        for name, shape in self.mask_shapes.items():
+            if name not in masks:
+                feeds[name] = np.ones((n, *shape), dtype=DTYPE)
+                continue
+            m = np.ascontiguousarray(masks[name], dtype=DTYPE)
+            if m.shape != (n, *shape):
+                raise GraphError(f"mask {name!r} has shape {m.shape}")
+            feeds[name] = m
         values: list = [None] * len(self.nodes)
         # divergence shows up as inf/nan in the loss; no point warning per op
         with np.errstate(over="ignore", invalid="ignore"):
             for node in self.nodes:
-                values[node.idx] = self._eval(node, values, x, n, target, masks)
+                if node.fwd is None:
+                    values[node.idx] = feeds[node.attrs["name"]]
+                else:
+                    values[node.idx] = node.fwd(values)
         self._cache = values
-        self._target = target
         if self.output is None:
             raise GraphError("graph has no marked output")
         return values[self.output]
@@ -233,61 +295,6 @@ class Graph:
             raise GraphError("graph has no loss node")
         self.forward(x, target=target, masks=masks)
         return float(self._cache[self.loss])
-
-    def _eval(self, node, values, x, n, target, masks):
-        op = node.op
-        if op == "input":
-            return x
-        if op == "param":
-            return self.params[node.attrs["name"]]
-        if op == "mask":
-            name = node.attrs["name"]
-            if name in masks:
-                m = np.ascontiguousarray(masks[name], dtype=DTYPE)
-                if m.shape != (n, *node.shape):
-                    raise GraphError(f"mask {name!r} has shape {m.shape}")
-                return m
-            return np.ones((n, *node.shape), dtype=DTYPE)
-        a = values[node.args[0]] if node.args else None
-        if op == "matmul":
-            return a @ values[node.args[1]]
-        if op == "add":
-            return a + values[node.args[1]]
-        if op == "sub":
-            return a - values[node.args[1]]
-        if op == "mul":
-            return a * values[node.args[1]]
-        if op == "affine":
-            return (
-                DTYPE(node.attrs["scale"]) * a + DTYPE(node.attrs["shift"])
-            ).astype(DTYPE, copy=False)
-        if op == "relu":
-            return np.maximum(a, 0)
-        if op == "tanh":
-            return np.tanh(a)
-        if op == "sigmoid":
-            return (1.0 / (1.0 + np.exp(-a.astype(np.float64)))).astype(DTYPE)
-        if op == "conv1d":
-            return _conv1d_forward(a, values[node.args[1]], **node.attrs)
-        if op == "maxpool1d":
-            windows = sliding_window_view(a, node.attrs["width"], axis=1)
-            windows = windows[:, :: node.attrs["stride"]]
-            return np.ascontiguousarray(windows.max(axis=-1))
-        if op == "flatten":
-            return a.reshape(n, -1)
-        if op == "slice_time":
-            return np.ascontiguousarray(a[:, node.attrs["t"], :])
-        if op == "softmax_xent":
-            if target is None:
-                return None
-            return _softmax_xent_forward(a, target)
-        if op == "mse":
-            if target is None:
-                return None
-            pred = a.reshape(n)
-            diff = pred - np.asarray(target, dtype=DTYPE)
-            return np.mean(diff * diff, dtype=DTYPE)
-        raise GraphError(f"unknown op {op!r}")
 
     # -- reverse mode -------------------------------------------------------
 
@@ -307,9 +314,14 @@ class Graph:
 
         for node in reversed(self.nodes):
             g = grads[node.idx]
-            if g is None or node.op in ("input", "param", "mask"):
+            if g is None or node.bwd is None:
                 continue
-            self._propagate(node, g, grads, values, guided)
+            if guided and node.op == "relu":
+                g = np.where(g > 0, g, DTYPE(0.0))
+            for a, ga in zip(node.args, node.bwd(g, values[node.idx], values)):
+                if ga is None:
+                    continue
+                grads[a] = ga.astype(DTYPE, copy=True) if grads[a] is None else grads[a] + ga
 
         param_grads = {}
         for node in self.nodes:
@@ -353,74 +365,6 @@ class Graph:
         else:
             raise GraphError(f"non-scalar selection: {selector!r}")
         grads[self.output] = seed
-
-    def _accumulate(self, grads, idx, g):
-        if grads[idx] is None:
-            grads[idx] = g.astype(DTYPE, copy=True)
-        else:
-            grads[idx] = grads[idx] + g
-
-    def _propagate(self, node, g, grads, values, guided):
-        op = node.op
-        args = node.args
-        if op == "matmul":
-            x, w = values[args[0]], values[args[1]]
-            self._accumulate(grads, args[0], g @ w.T)
-            self._accumulate(grads, args[1], x.T @ g)
-        elif op in ("add", "sub"):
-            self._accumulate(grads, args[0], g)
-            gb = g if op == "add" else -g
-            self._accumulate(grads, args[1], _sum_to(gb, values[args[1]].shape))
-        elif op == "mul":
-            a, b = values[args[0]], values[args[1]]
-            self._accumulate(grads, args[0], g * b)
-            self._accumulate(grads, args[1], _sum_to(g * a, b.shape))
-        elif op == "affine":
-            self._accumulate(grads, args[0], DTYPE(node.attrs["scale"]) * g)
-        elif op == "relu":
-            x = values[args[0]]
-            if guided:
-                gx = np.where((x > 0) & (g > 0), g, DTYPE(0.0))
-            else:
-                gx = np.where(x > 0, g, DTYPE(0.0))
-            self._accumulate(grads, args[0], gx)
-        elif op == "tanh":
-            y = values[node.idx]
-            self._accumulate(grads, args[0], g * (1.0 - y * y))
-        elif op == "sigmoid":
-            y = values[node.idx]
-            self._accumulate(grads, args[0], g * y * (1.0 - y))
-        elif op == "conv1d":
-            gx, gw = _conv1d_backward(
-                values[args[0]], values[args[1]], g, **node.attrs
-            )
-            self._accumulate(grads, args[0], gx)
-            self._accumulate(grads, args[1], gw)
-        elif op == "maxpool1d":
-            self._accumulate(
-                grads, args[0], _maxpool_backward(values[args[0]], g, **node.attrs)
-            )
-        elif op == "flatten":
-            self._accumulate(grads, args[0], g.reshape(values[args[0]].shape))
-        elif op == "slice_time":
-            gx = np.zeros_like(values[args[0]])
-            gx[:, node.attrs["t"], :] = g
-            self._accumulate(grads, args[0], gx)
-        elif op == "softmax_xent":
-            logits = values[args[0]]
-            probs = _softmax(logits)
-            onehot = np.zeros_like(logits)
-            onehot[np.arange(logits.shape[0]), self._target.astype(int)] = 1.0
-            gl = g * (probs - onehot) / DTYPE(logits.shape[0])
-            self._accumulate(grads, args[0], gl)
-        elif op == "mse":
-            pred = values[args[0]]
-            n = pred.shape[0]
-            diff = pred.reshape(n) - np.asarray(self._target, dtype=DTYPE)
-            gp = (g * DTYPE(2.0 / n) * diff).reshape(pred.shape)
-            self._accumulate(grads, args[0], gp)
-        else:
-            raise GraphError(f"no backward rule for op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +411,13 @@ def _conv1d_backward(x, w, g, stride, padding):
     return gx, gw
 
 
+def _pool_windows(x, width, stride):
+    return sliding_window_view(x, width, axis=1)[:, ::stride]  # [N, To, C, W]
+
+
 def _maxpool_backward(x, g, width, stride):
     n, t, c = x.shape
-    windows = sliding_window_view(x, width, axis=1)[:, ::stride]
-    winners = windows.argmax(axis=-1)  # [N, To, C]
+    winners = _pool_windows(x, width, stride).argmax(axis=-1)  # [N, To, C]
     t_out = winners.shape[1]
     gx = np.zeros_like(x)
     n_idx = np.arange(n)[:, None, None]
@@ -491,6 +438,25 @@ def _softmax_xent_forward(logits, target):
     logsum = np.log(np.exp(z).sum(axis=1))
     picked = z[np.arange(logits.shape[0]), np.asarray(target).astype(int)]
     return np.mean(logsum - picked, dtype=DTYPE)
+
+
+def _softmax_xent_backward(g, logits, target):
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(logits.shape[0]), target.astype(int)] = 1.0
+    return g * (_softmax(logits) - onehot) / DTYPE(logits.shape[0])
+
+
+def _mse_diff(pred, target):
+    return pred.reshape(pred.shape[0]) - np.asarray(target, dtype=DTYPE)
+
+
+def _mse_forward(pred, target):
+    diff = _mse_diff(pred, target)
+    return np.mean(diff * diff, dtype=DTYPE)
+
+
+def _mse_backward(g, pred, target):
+    return (g * DTYPE(2.0 / pred.shape[0]) * _mse_diff(pred, target)).reshape(pred.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -181,12 +181,20 @@ def _dense(g, rng, x, fan_in, fan_out, name):
     return g.add(g.matmul(x, w), bias)
 
 
+def _dropout(g, spec, h, site):
+    """``h`` times the mask slot ``drop<site>``; no slot at rate zero, where
+    the mask would be all ones."""
+    if spec.dropout <= 0.0:
+        return h
+    return g.mul(h, g.mask_input(f"drop{site}", g.nodes[h].shape))
+
+
 def _mlp_body(g, spec, t, b, rng):
     h = g.flatten(g.input_node)
     fan = t * b
     for i in range(spec.resolved_depth):
         h = g.relu(_dense(g, rng, h, fan, spec.width, f"layer{i}"))
-        h = g.mul(h, g.mask_input(f"drop{i}", (spec.width,)))
+        h = _dropout(g, spec, h, i)
         fan = spec.width
     return h, fan
 
@@ -205,8 +213,7 @@ def _tempcnn_body(g, spec, t, b, rng):
     h = g.flatten(h)
     fan = length * spec.channels
     h = g.relu(_dense(g, rng, h, fan, spec.dense_size, "dense"))
-    h = g.mul(h, g.mask_input("drop0", (spec.dense_size,)))
-    return h, spec.dense_size
+    return _dropout(g, spec, h, 0), spec.dense_size
 
 
 def _recurrent_body(g, spec, t, b, rng):
@@ -227,8 +234,7 @@ def _recurrent_body(g, spec, t, b, rng):
             outs.append(state[0])
         seq = outs
         in_dim = hid
-    final = g.mul(seq[-1], g.mask_input("drop0", (hid,)))
-    return final, hid
+    return _dropout(g, spec, seq[-1], 0), hid
 
 
 def _cell_params(g, rng, arch, in_dim, hid, prefix):

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -33,8 +32,8 @@ from .attribution import (
     mean_baseline,
     run_estimator,
 )
-from .data import SplitTriple, delete_bands, delete_timesteps
-from .errors import ConfigError, CurveError, EstimatorError, RoarAborted, TrainingDiverged
+from .data import SplitTriple, delete_bands, delete_timesteps, write_atomic, write_json
+from .errors import ConfigError, CurveError, RoarAborted, RoarselError
 from .models import ModelSpec, resize_for_input
 from .training import MetricValue, TrainConfig, TrainReport, evaluate, train
 
@@ -275,9 +274,9 @@ def run_roar(
 
     Each cycle retrains from fresh weights on the shrunken splits, then
     re-explains the retrained model; the new ranking alone decides the
-    next removal. Deterministic for a given seed. Training divergence or
-    an estimator failure aborts the run, carrying the partial curve on
-    the raised error.
+    next removal. Deterministic for a given seed. Any package error inside
+    a cycle (training divergence, constant targets, an estimator failure)
+    aborts the run with ``RoarAborted``, carrying the partial curve.
     """
     step = plan.step_size(feature_groups(splits.train.schema, plan.axis).n_groups)
     budget = plan.budget
@@ -289,7 +288,7 @@ def run_roar(
     while True:
         try:
             record, budget = _run_cycle(cur, spec, cfg, plan, budget, seed, cycle, removed)
-        except (TrainingDiverged, EstimatorError) as exc:
+        except RoarselError as exc:
             partial = None
             if baseline is not None:
                 partial = DeletionCurve(plan, baseline, tuple(records))
@@ -368,18 +367,12 @@ def curve_csv_text(curve: DeletionCurve) -> str:
 
 
 def save_curve_csv(curve: DeletionCurve, path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(curve_csv_text(curve))
-    os.replace(tmp, path)
+    write_atomic(path, curve_csv_text(curve))
 
 
 def save_curve(curve: DeletionCurve, path: str | Path) -> None:
     """Full structured trace as JSON, written atomically."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(curve.to_dict(), indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    write_json(path, curve.to_dict())
 
 
 def load_curve(path: str | Path) -> DeletionCurve:

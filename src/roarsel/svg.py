@@ -8,10 +8,10 @@ groups removed, with a dashed horizontal rule at the baseline metric.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .data import write_atomic
 from .roar import DeletionCurve
 
 WIDTH = 720
@@ -193,7 +193,4 @@ def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
 
 
 def save_chart(text: str, path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    write_atomic(path, text)

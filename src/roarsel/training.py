@@ -1,11 +1,11 @@
 """Mini-batch training with early stopping, metrics, and model selection.
 
-The optimizer is the adaptive-moment method with canonical defaults
-(beta1 0.9, beta2 0.999, eps 1e-8). Training is bit-deterministic per seed:
-batch shuffles, dropout masks, and parameter initialization all derive from
-fixed streams. Early stopping keeps the weights of the epoch with the lowest
-validation loss (ties keep the earlier epoch) and stops after ``patience``
-epochs without improvement.
+The optimizer is the adaptive-moment method with the canonical constants
+``BETA1`` 0.9, ``BETA2`` 0.999 and ``EPS`` 1e-8. Training is bit-deterministic
+per seed: batch shuffles, dropout masks, and parameter initialization all
+derive from fixed streams. Early stopping keeps the weights of the epoch with
+the lowest validation loss (ties keep the earlier epoch) and stops after
+``patience`` epochs without improvement.
 
 Selection trains every grid candidate, ranks by the validation metric, and
 reports test metrics for the winner only after ranking; the test split never
@@ -14,8 +14,7 @@ influences the choice.
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -33,9 +32,6 @@ class TrainConfig:
     patience: int = 10
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -47,13 +43,7 @@ class TrainConfig:
             raise TrainingError("learning rate must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -116,23 +106,27 @@ class TrainReport:
         )
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        c = self.cfg
-        b1t = 1.0 - c.beta1 ** self.t
-        b2t = 1.0 - c.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, g in grads.items():
-            m = self.m[name] = c.beta1 * self.m[name] + (1.0 - c.beta1) * g
-            v = self.v[name] = c.beta2 * self.v[name] + (1.0 - c.beta2) * (g * g)
-            update = (c.learning_rate * (m / b1t)
-                      / (np.sqrt(v / b2t) + c.eps)).astype(DTYPE)
+            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
+            update = (self.learning_rate * (m / b1t)
+                      / (np.sqrt(v / b2t) + EPS)).astype(DTYPE)
             params[name] = params[name] - update
 
 
@@ -160,7 +154,7 @@ def train(
                 f"{label} split shape {split.shape[1:]} does not match model ({t}, {b})"
             )
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 1]))
-    opt = _Adam(model.graph.params, cfg)
+    opt = _Adam(model.graph.params, cfg.learning_rate)
     graph = model.graph
     best_val = np.inf
     best_epoch = 0
@@ -291,64 +285,33 @@ class SelectionReport:
         }
 
 
-def _train_candidate(args):
-    index, spec, cfg, train_split, val_split = args
-    _, t, b = train_split.shape
-    model = build(spec, t, b, seed=cfg.seed)
-    model, report = train(model, train_split, val_split, cfg)
-    return index, model, report
-
-
 def select_model(
     grid: Sequence[tuple[ModelSpec, TrainConfig]],
     splits: SplitTriple,
-    workers: int = 1,
     include_test_metrics: bool = True,
 ) -> tuple[Model, SelectionReport]:
     """Train every candidate and pick the best validation metric.
 
-    Ties keep the earlier grid index. Per-candidate training errors are
-    recorded and the grid continues; all candidates failing is an error.
-    The test split is consulted only after ranking, and only when
-    ``include_test_metrics`` is set; it never influences the ranking.
+    Candidates train one after another. Ties keep the earlier grid index.
+    Per-candidate training errors are recorded and the grid continues; all
+    candidates failing is an error. The test split is consulted only after
+    ranking, and only when ``include_test_metrics`` is set; it never
+    influences the ranking.
     """
     if not grid:
         raise TrainingError("empty selection grid")
-    jobs = [(i, spec, cfg, splits.train, splits.validation)
-            for i, (spec, cfg) in enumerate(grid)]
-    results: dict[int, CandidateResult] = {}
+    _, t, b = splits.train.shape
+    ok: list[CandidateResult] = []
+    failed: list[CandidateResult] = []
     models: dict[int, Model] = {}
-
-    def record(index, model=None, report=None, error=None):
-        spec, cfg = grid[index]
-        if error is None:
-            models[index] = model
-            results[index] = CandidateResult(
-                index, spec, cfg, report.val_metric, report
-            )
-        else:
-            results[index] = CandidateResult(index, spec, cfg, None, None, error)
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_train_candidate, job): job[0] for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                index = futures[fut]
-                try:
-                    _, model, report = fut.result()
-                    record(index, model, report)
-                except (TrainingError, BuildError) as exc:
-                    record(index, error=str(exc))
-    else:
-        for job in jobs:
-            try:
-                _, model, report = _train_candidate(job)
-                record(job[0], model, report)
-            except (TrainingError, BuildError) as exc:
-                record(job[0], error=str(exc))
-
-    ok = [results[i] for i in sorted(results) if results[i].error is None]
-    failed = [results[i] for i in sorted(results) if results[i].error is not None]
+    for i, (spec, cfg) in enumerate(grid):
+        try:
+            model = build(spec, t, b, seed=cfg.seed)
+            models[i], report = train(model, splits.train, splits.validation, cfg)
+        except (TrainingError, BuildError) as exc:
+            failed.append(CandidateResult(i, spec, cfg, None, None, str(exc)))
+            continue
+        ok.append(CandidateResult(i, spec, cfg, report.val_metric, report))
     if not ok:
         raise TrainingError("every candidate failed: " + "; ".join(
             f"#{c.index}: {c.error}" for c in failed

@@ -1,5 +1,8 @@
 """Architecture builders: shape contracts, determinism, resize rules."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -218,15 +221,37 @@ def test_dropout_masks_are_inverted_scaled():
         assert 0.3 < (mask > 0).mean() < 0.7
 
 
-def test_dropout_changes_training_forward_only():
-    spec = ModelSpec(Architecture.MLP, REG, dropout=0.3, **SMALL)
-    m = build(spec, t=4, b=2, seed=0)
-    x = batch(4, 2)
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_dropout_changes_training_forward_only(arch):
+    # one mask slot per dropout site: each MLP hidden layer, else one
+    sites = 2 if arch is Architecture.MLP else 1
+    assert build(ModelSpec(arch, REG, **SMALL), t=6, b=2, seed=0).graph.mask_shapes == {}
+    spec = ModelSpec(arch, REG, dropout=0.3, **SMALL)
+    m = build(spec, t=6, b=2, seed=0)
+    assert sorted(m.graph.mask_shapes) == [f"drop{i}" for i in range(sites)]
+    x = batch(6, 2)
     eval_out = m.forward(x)
     masks = dropout_masks(m, 3, np.random.default_rng(1))
     train_out = m.forward(x, masks=masks)
     assert not np.array_equal(eval_out, train_out)
     np.testing.assert_array_equal(m.forward(x), eval_out)
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_used_model_is_freed_without_the_cyclic_collector(arch):
+    """Kernels never reference their Graph, so no reference cycle keeps a
+    trained-on model and its activation cache alive after the last use."""
+    m = build(ModelSpec(arch, CLS, **SMALL), t=6, b=2, seed=0)
+    m.graph.forward_loss(batch(6, 2), np.array([0, 1, 3]))
+    m.graph.backward("loss")
+    m.graph.backward_guided(np.array([2, 0, 1]))
+    ref = weakref.ref(m.graph)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- spec plumbing -----------------------------------------------------------

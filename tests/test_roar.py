@@ -6,7 +6,14 @@ from conftest import fab_curve, fab_rank, fab_record, fab_report
 from roarsel import roar
 from roarsel.attribution import ExplainBudget, GroupingAxis
 from roarsel.data import Task, split_by_year
-from roarsel.errors import ConfigError, CurveError, EstimatorError, RoarAborted, TrainingDiverged
+from roarsel.errors import (
+    ConfigError,
+    CurveError,
+    EstimatorError,
+    RoarAborted,
+    TrainingDiverged,
+    TrainingError,
+)
 from roarsel.models import Architecture, Head, ModelSpec
 from roarsel.roar import (
     CycleRecord,
@@ -127,14 +134,18 @@ def test_divergence_at_baseline_aborts_without_partial():
     assert excinfo.value.partial_curve is None
 
 
-def test_midrun_divergence_carries_partial_curve(monkeypatch):
+@pytest.mark.parametrize("error", [TrainingDiverged, TrainingError],
+                         ids=lambda e: e.__name__)
+def test_midrun_divergence_carries_partial_curve(monkeypatch, error):
+    """Any training failure after the baseline keeps the partial curve,
+    e.g. evaluate's "constant targets", not only divergence."""
     real = roar.train
     calls = {"n": 0}
 
     def flaky(model, train_split, val_split, cfg):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise TrainingDiverged("boom")
+            raise error("boom")
         return real(model, train_split, val_split, cfg)
 
     monkeypatch.setattr(roar, "train", flaky)

@@ -248,19 +248,6 @@ def test_all_candidates_failing_is_an_error():
         select_model([(bad, quick_cfg())], splits)
 
 
-def test_parallel_selection_matches_sequential():
-    splits = three_way_splits(seed=7)
-    spec_a = ModelSpec(Architecture.MLP, CLS2, **SMALL)
-    spec_b = ModelSpec(Architecture.RNN, CLS2, **SMALL)
-    grid = [(spec_a, quick_cfg(seed=1)), (spec_b, quick_cfg(seed=2))]
-    m1, r1 = select_model(grid, splits, workers=1)
-    m2, r2 = select_model(grid, splits, workers=2)
-    assert r1.best_index == r2.best_index
-    assert [c.index for c in r1.ranking] == [c.index for c in r2.ranking]
-    for name in m1.graph.params:
-        assert m1.graph.params[name].tobytes() == m2.graph.params[name].tobytes()
-
-
 class _PoisonedSplit:
     """Stands in for the test split; reading anything but the schema fails."""
 
