@@ -14,7 +14,10 @@ The explained scalar is the predicted-class logit for classification (labels
 never consulted) and the model output for regression.
 
 Determinism: every sample owns an RNG stream keyed by (seed, sample id), so
-results are independent of batching or scheduling. Ensemble noise draws from
+results are independent of batching or scheduling. Shapley sampling builds
+composites a block of samples at a time, but each sample still draws from its
+own stream and gets its own forward call of unchanged shape, so its row does
+not depend on the block size or on the batch order. Ensemble noise draws from
 streams keyed by (seed, sample id, replica) while the base estimator keeps
 the sample's own stream; with zero noise every replica therefore reproduces
 the base attribution exactly, which is what the collapse properties assert.
@@ -37,6 +40,7 @@ from .models import Model
 ESTIMATOR_TAGS = ("svs", "gb", "sgs-svs", "sgs-gb", "vargrad-svs", "vargrad-gb")
 
 _FORWARD_CHUNK = 4096
+_SVS_BLOCK_ROWS = 1024  # composite rows built per svs block
 
 
 class GroupingAxis(str, Enum):
@@ -62,6 +66,11 @@ class FeatureGroups:
     @property
     def n_groups(self) -> int:
         return len(self.ids)
+
+    @property
+    def cell_group(self) -> np.ndarray:
+        """Group index of each cell, row-major over the grid: int [T*B]."""
+        return self.mask.reshape(self.n_groups, -1).argmax(axis=0)
 
 
 def feature_groups(
@@ -276,37 +285,49 @@ def _svs_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per sample (scores, stderr) over group marginal contributions.
 
-    Each sample's permutations come from an RNG keyed by (seed, sample id),
-    and its explained class is fixed by ``classes``.
+    Composites are built and marginals post-processed for a block of samples
+    at a time (about ``_SVS_BLOCK_ROWS`` composite rows). Each sample still
+    draws its permutations from its own RNG keyed by (seed, sample id) and
+    gets its own forward call over its own P*(G+1) rows, with its explained
+    class fixed by ``classes``, so results do not depend on the block size.
     """
     g = groups.n_groups
     p = n_permutations
-    masks = groups.mask.reshape(g, -1).astype(np.uint8)  # [G, T*B]
-    prefix = np.arange(g + 1)[None, :, None]
+    n = len(samples)
+    rows = p * (g + 1)
+    per_block = max(1, _SVS_BLOCK_ROWS // rows)
+    cell_group = groups.cell_group
+    order = np.tile(np.arange(g), (p, 1))
+    prefix = np.arange(g + 1)[:, None]  # prefix k: groups at positions < k
+    flat = samples.reshape(n, 1, 1, -1)
     flat_base = baseline.reshape(-1)
-    scores = np.empty((len(samples), g), dtype=DTYPE)
+    scores = np.empty((n, g), dtype=DTYPE)
     stderr = np.zeros_like(scores)
-    for i, sid in enumerate(ids):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(sid)]))
-        perms = np.empty((p, g), dtype=np.int64)
-        for j in range(p):
-            perms[j] = rng.permutation(g)
-        pos = np.argsort(perms, axis=1)  # pos[j, grp] = index of grp in perm j
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        perms = np.stack([
+            np.random.default_rng(np.random.SeedSequence([int(seed), int(sid)]))
+            .permuted(order, axis=1)
+            for sid in ids[lo:hi]
+        ])  # [n_block, P, G]
+        pos = np.argsort(perms, axis=2)  # pos[i, j, grp] = index of grp in perm j
 
-        # inclusion[j, k, grp]: group present in the k-th prefix of permutation j
-        inclusion = (pos[:, None, :] < prefix).astype(np.uint8)  # [p, G+1, G]
-        cell_on = inclusion @ masks  # [p, G+1, T*B] counts in {0, 1}
-        composites = np.where(cell_on.astype(bool), samples[i].reshape(-1), flat_base)
-        composites = composites.astype(DTYPE).reshape(p * (g + 1), *samples.shape[1:])
+        # on[i, j, k, cell]: the cell's group lies in the k-th prefix of perm j.
+        # C order, or the broadcast picks a layout that reshape must copy.
+        on = np.less(pos[..., cell_group][:, :, None, :], prefix, order="C")
+        composites = np.where(on, flat[lo:hi], flat_base).reshape(
+            hi - lo, rows, *samples.shape[1:]
+        )
+        values = np.stack([
+            _scalar_batch(model, x, None if classes is None else int(classes[i]))
+            for i, x in enumerate(composites, start=lo)
+        ]).reshape(hi - lo, p, g + 1)
+        marginals_by_step = np.diff(values, axis=2)  # in permutation order
+        marginals = np.take_along_axis(marginals_by_step, pos, axis=2)  # by group
 
-        ci = None if classes is None else int(classes[i])
-        values = _scalar_batch(model, composites, ci).reshape(p, g + 1)
-        marginals_by_step = np.diff(values, axis=1)  # [p, G] in permutation order
-        marginals = np.take_along_axis(marginals_by_step, pos, axis=1)  # by group
-
-        scores[i] = marginals.mean(axis=0)
+        scores[lo:hi] = marginals.mean(axis=1)
         if p > 1:
-            stderr[i] = marginals.std(axis=0, ddof=1) / math.sqrt(p)
+            stderr[lo:hi] = marginals.std(axis=1, ddof=1) / math.sqrt(p)
     return scores, stderr
 
 
@@ -359,14 +380,13 @@ def exact_shapley(
 
     class_idx = _predicted_classes(model, sample[None])
     ci = None if class_idx is None else int(class_idx[0])
-    masks = groups.mask.reshape(g, -1)
     n_sets = 1 << g
     subsets = np.arange(n_sets, dtype=np.int64)
     member = ((subsets[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)  # [S, G]
-    cell_on = member.astype(np.uint8) @ masks.astype(np.uint8)  # [S, T*B]
+    cell_on = member[:, groups.cell_group]  # [S, T*B]
     composites = np.where(
-        cell_on.astype(bool), sample.reshape(-1), baseline.reshape(-1)
-    ).astype(DTYPE).reshape(n_sets, *sample.shape)
+        cell_on, sample.reshape(-1), baseline.reshape(-1)
+    ).reshape(n_sets, *sample.shape)
     values = _scalar_batch(model, composites, ci)  # [S]
 
     sizes = member.sum(axis=1)

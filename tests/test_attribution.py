@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from roarsel import attribution
 from roarsel.attribution import (
     AttributionMatrix,
     ExplainBudget,
@@ -70,6 +71,8 @@ def test_groupings_partition_the_grid():
         groups = feature_groups(schema, axis)
         assert groups.mask.shape == (groups.n_groups, 3, 4)
         assert (groups.mask.sum(axis=0) == 1).all()
+        cells = np.arange(12)
+        assert groups.mask.reshape(groups.n_groups, 12)[groups.cell_group, cells].all()
     assert feature_groups(schema, GroupingAxis.BY_BAND).n_groups == 4
     assert feature_groups(schema, GroupingAxis.BY_TIMESTEP).n_groups == 3
     assert feature_groups(schema, GroupingAxis.SINGLETON).n_groups == 12
@@ -144,6 +147,72 @@ def test_svs_deterministic_per_seed_and_keyed_by_sample_id():
     c = svs(model, x[::-1], GroupingAxis.BY_BAND, base,
             budget(n_permutations=16), seed=7, sample_ids=[1, 0])
     np.testing.assert_array_equal(c.scores[::-1], a.scores)
+
+
+def _reference_svs(model, samples, ids, groups, baseline, p, seed):
+    """svs one sample and one permutation at a time; svs must match its bytes."""
+    g = groups.n_groups
+    masks = groups.mask.reshape(g, -1).astype(np.uint8)
+    prefix = np.arange(g + 1)[None, :, None]
+    classes = None
+    if model.spec.head.task is Task.CLASSIFICATION:
+        classes = model.forward(samples).argmax(axis=1)
+    scores = np.empty((len(samples), g), dtype=DTYPE)
+    stderr = np.zeros_like(scores)
+    for i, sid in enumerate(ids):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, sid]))
+        perms = np.stack([rng.permutation(g) for _ in range(p)])
+        pos = np.argsort(perms, axis=1)
+        cell_on = (pos[:, None, :] < prefix).astype(np.uint8) @ masks
+        composites = np.where(
+            cell_on.astype(bool), samples[i].reshape(-1), baseline.reshape(-1)
+        ).astype(DTYPE).reshape(p * (g + 1), *samples.shape[1:])
+        col = 0 if classes is None else int(classes[i])
+        values = model.forward(composites)[:, col].astype(np.float64)
+        marginals = np.take_along_axis(
+            np.diff(values.reshape(p, g + 1), axis=1), pos, axis=1
+        )
+        scores[i] = marginals.mean(axis=0)
+        stderr[i] = marginals.std(axis=0, ddof=1) / math.sqrt(p)
+    return scores, stderr
+
+
+SVS_CASES = [
+    pytest.param(REG, 2, 3, GroupingAxis.BY_BAND, id="reg-bands"),
+    pytest.param(CLS, 2, 3, GroupingAxis.BY_TIMESTEP, id="cls-steps"),
+    pytest.param(REG, 3, 1, GroupingAxis.BY_BAND, id="reg-one-group"),
+    pytest.param(CLS, 3, 1, GroupingAxis.BY_BAND, id="cls-one-group"),
+]
+
+
+@pytest.mark.parametrize("block_rows", [None, 40])
+@pytest.mark.parametrize("head, t, b, axis", SVS_CASES)
+def test_svs_blocks_match_the_per_sample_reference(
+    head, t, b, axis, block_rows, monkeypatch
+):
+    """Same bytes as the per-sample loop over several blocks and a partial one."""
+    if block_rows is not None:
+        monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", block_rows)
+    model = small_mlp(head=head, t=t, b=b, seed=4)
+    groups = feature_groups((t, b), axis)
+    p = 8
+    per_block = max(1, attribution._SVS_BLOCK_ROWS // (p * (groups.n_groups + 1)))
+    n = 3 * per_block + per_block // 2 + 1
+    r = np.random.default_rng(6)
+    x = r.normal(size=(n, t, b)).astype(DTYPE)
+    base = r.normal(size=(t, b)).astype(DTYPE)
+    ids = [1000 + 3 * i for i in range(n)]
+    m = svs(model, x, groups, base, budget(n_permutations=p), seed=11, sample_ids=ids)
+    scores, stderr = _reference_svs(model, x, ids, groups, base, p, 11)
+    assert m.scores.tobytes() == scores.tobytes()
+    assert m.stderr.tobytes() == stderr.tobytes()
+
+    # a subset straddling a block boundary gets the same rows as in the full run
+    part = slice(per_block - 1, per_block + 2)
+    sub = svs(model, x[part], groups, base, budget(n_permutations=p), seed=11,
+              sample_ids=ids[part])
+    assert sub.scores.tobytes() == m.scores[part].tobytes()
+    assert sub.stderr.tobytes() == m.stderr[part].tobytes()
 
 
 # -- exact shapley -----------------------------------------------------------
