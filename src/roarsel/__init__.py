@@ -4,142 +4,25 @@ Train a baseline model, estimate feature attributions, physically delete the
 most- or least-important bands or time steps, retrain on the shrunken data,
 and repeat, recording the performance curve and extracting the sufficient
 and necessary feature sets.
+
+The package root exports what a campaign needs; everything else lives in
+its module (``roarsel.attribution``, ``roarsel.data``, ``roarsel.engine`` ...).
 """
 
-from .attribution import (
-    ESTIMATOR_TAGS,
-    AttributionMatrix,
-    ExplainBudget,
-    FeatureGroups,
-    GroupingAxis,
-    ImportanceRanking,
-    aggregate_rank,
-    exact_shapley,
-    feature_groups,
-    gb,
-    mean_baseline,
-    run_estimator,
-    svs,
-)
-from .config import RunConfig, load_config, save_effective_config, section_seed
-from .data import (
-    FeatureSchema,
-    Task,
-    TensorDataset,
-    default_schema,
-    delete_bands,
-    delete_timesteps,
-    load_dataset,
-    save_dataset,
-    split_by_year,
-)
-from .errors import (
-    BuildError,
-    ConfigError,
-    CurveError,
-    DatasetError,
-    EstimatorError,
-    GraphError,
-    RoarAborted,
-    RoarselError,
-    TrainingDiverged,
-    TrainingError,
-)
-from .models import (
-    Architecture,
-    Head,
-    Model,
-    ModelSpec,
-    resize_for_input,
-)
+from .attribution import ExplainBudget, GroupingAxis
+from .data import split_by_year
+from .models import Architecture, Head, ModelSpec
 from .roar import (
-    CycleRecord,
-    DeletionCurve,
-    DeletionOrder,
-    DeletionPlan,
-    load_curve,
-    necessary_set,
-    run_roar,
-    save_curve,
-    save_curve_csv,
-    sufficient_set,
+    DeletionOrder, DeletionPlan, load_curve, necessary_set, run_roar, sufficient_set,
 )
 from .synthetic import PlantSpec, generate
-from .training import (
-    MetricKind,
-    MetricValue,
-    SelectionReport,
-    TrainConfig,
-    TrainReport,
-    default_grid,
-    evaluate,
-    select_model,
-    train,
-)
+from .training import TrainConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ESTIMATOR_TAGS",
-    "Architecture",
-    "AttributionMatrix",
-    "BuildError",
-    "ConfigError",
-    "CurveError",
-    "CycleRecord",
-    "DatasetError",
-    "DeletionCurve",
-    "DeletionOrder",
-    "DeletionPlan",
-    "EstimatorError",
-    "ExplainBudget",
-    "FeatureGroups",
-    "FeatureSchema",
-    "GraphError",
-    "GroupingAxis",
-    "Head",
-    "ImportanceRanking",
-    "MetricKind",
-    "MetricValue",
-    "Model",
-    "ModelSpec",
-    "PlantSpec",
-    "RoarAborted",
-    "RoarselError",
-    "RunConfig",
-    "SelectionReport",
-    "Task",
-    "TensorDataset",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingDiverged",
-    "TrainingError",
-    "aggregate_rank",
-    "default_grid",
-    "default_schema",
-    "delete_bands",
-    "delete_timesteps",
-    "evaluate",
-    "exact_shapley",
-    "feature_groups",
-    "gb",
-    "generate",
-    "load_config",
-    "load_curve",
-    "load_dataset",
-    "mean_baseline",
-    "necessary_set",
-    "resize_for_input",
-    "run_estimator",
-    "run_roar",
-    "save_curve",
-    "save_curve_csv",
-    "save_dataset",
-    "save_effective_config",
-    "section_seed",
-    "select_model",
-    "split_by_year",
+    "Architecture", "DeletionOrder", "DeletionPlan", "ExplainBudget",
+    "GroupingAxis", "Head", "ModelSpec", "PlantSpec", "TrainConfig",
+    "generate", "load_curve", "necessary_set", "run_roar", "split_by_year",
     "sufficient_set",
-    "svs",
-    "train",
 ]

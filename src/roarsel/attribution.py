@@ -2,13 +2,13 @@
 
 Four estimators: Shapley value sampling (permutation Monte Carlo over feature
 groups against a reference input), guided backprop, and the SmoothGrad-squared
-and VarGrad ensembles over either base. An exact Shapley oracle enumerating
-all coalitions backs the sampling estimator for small group counts.
+and VarGrad ensembles over either base. ``run_estimator`` is the one entry to
+all of them. An exact Shapley oracle enumerating all coalitions backs the
+sampling estimator for small group counts.
 
-Grouping follows one of three axes: all bands at one time step, the full
-series of one band, or each cell on its own. Band and time-step groups carry
-the schema's stable ids so rankings stay meaningful while data shrinks;
-singleton ids are row-major positions over the current grid.
+Grouping follows one of two axes: all bands at one time step, or the full
+series of one band. Groups carry the schema's stable ids, so rankings stay
+meaningful while data shrinks.
 
 The explained scalar is the predicted-class logit for classification (labels
 never consulted) and the model output for regression.
@@ -46,12 +46,12 @@ _SVS_BLOCK_ROWS = 1024  # composite rows built per svs block
 class GroupingAxis(str, Enum):
     BY_TIMESTEP = "by_timestep"
     BY_BAND = "by_band"
-    SINGLETON = "singleton"
 
 
 @dataclass(frozen=True)
 class FeatureGroups:
-    """A partition of the T x B grid into scored groups."""
+    """A partition of the T x B grid into scored groups; ``feature_groups``
+    builds the band and time-step ones."""
 
     axis: GroupingAxis
     ids: tuple[int, ...]
@@ -78,9 +78,10 @@ def feature_groups(
 ) -> FeatureGroups:
     """Grouping over a schema, or over a bare (T, B) grid shape.
 
-    Band and step groups carry the schema's stable ids; over a bare shape
-    they carry grid positions. Singleton ids are row-major positions.
+    Groups carry the schema's stable ids; over a bare shape they carry grid
+    positions. ``axis`` may be given by its value, such as ``"by_band"``.
     """
+    axis = GroupingAxis(axis)
     if isinstance(grid, FeatureSchema):
         t, b = grid.n_timesteps, grid.n_bands
         band_ids, step_ids = grid.band_ids, grid.step_ids
@@ -90,19 +91,10 @@ def feature_groups(
     if axis is GroupingAxis.BY_BAND:
         ids = band_ids
         mask = np.eye(b, dtype=bool)[:, None, :].repeat(t, axis=1)
-    elif axis is GroupingAxis.BY_TIMESTEP:
+    else:
         ids = step_ids
         mask = np.eye(t, dtype=bool)[:, :, None].repeat(b, axis=2)
-    else:
-        ids = range(t * b)
-        mask = np.eye(t * b, dtype=bool).reshape(t * b, t, b)
     return FeatureGroups(axis=axis, ids=tuple(ids), mask=mask)
-
-
-def _resolve_groups(axis_or_groups, model: Model) -> FeatureGroups:
-    if isinstance(axis_or_groups, FeatureGroups):
-        return axis_or_groups
-    return feature_groups(model.input_shape, GroupingAxis(axis_or_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +249,17 @@ def _scalar_batch(model: Model, xs: np.ndarray, class_idx: Optional[int]) -> np.
     return np.concatenate(vals)
 
 
-def _check_inputs(model: Model, samples: np.ndarray, baseline: Optional[np.ndarray]):
+def _check_inputs(
+    model: Model,
+    samples: np.ndarray,
+    baseline: Optional[np.ndarray],
+    groups: FeatureGroups,
+):
     t, b = model.input_shape
+    if groups.mask.shape[1:] != (t, b):
+        raise EstimatorError(
+            f"groups over {groups.mask.shape[1:]} do not match model input ({t}, {b})"
+        )
     if samples.ndim != 3 or samples.shape[1:] != (t, b):
         raise EstimatorError(
             f"samples shape {samples.shape} does not match model input ({t}, {b})"
@@ -331,52 +332,16 @@ def _svs_rows(
     return scores, stderr
 
 
-def svs(
-    model: Model,
-    samples: np.ndarray,
-    axis: Union[GroupingAxis, FeatureGroups],
-    baseline: np.ndarray,
-    budget: ExplainBudget,
-    seed: int,
-    sample_ids: Optional[Sequence[int]] = None,
-) -> AttributionMatrix:
-    """Permutation-sampling Shapley estimates per sample and group.
-
-    Each permutation walks groups from the baseline toward the sample; a
-    group's marginal contribution is the change in the explained scalar when
-    its cells switch from baseline to sample values. Scores average over
-    ``budget.n_permutations`` permutations; the per-entry standard error of
-    that Monte-Carlo mean is returned alongside.
-    """
-    groups = _resolve_groups(axis, model)
-    samples = np.ascontiguousarray(samples, dtype=DTYPE)
-    baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
-    _check_inputs(model, samples, baseline)
-    ids = _resolve_ids(sample_ids, len(samples))
-    scores, stderr = _svs_rows(
-        model, samples, ids, groups, baseline, budget.n_permutations, seed,
-        _predicted_classes(model, samples),
-    )
-    return AttributionMatrix(
-        sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
-        scores=scores, estimator_tag="svs", stderr=stderr,
-    )
-
-
 def exact_shapley(
-    model: Model,
-    sample: np.ndarray,
-    axis: Union[GroupingAxis, FeatureGroups],
-    baseline: np.ndarray,
+    model: Model, sample: np.ndarray, groups: FeatureGroups, baseline: np.ndarray
 ) -> np.ndarray:
     """Exact Shapley scores over all 2^G coalitions; G capped at 12."""
-    groups = _resolve_groups(axis, model)
     g = groups.n_groups
     if g > 12:
         raise EstimatorError(f"too many groups for exact enumeration: {g} > 12")
     sample = np.ascontiguousarray(sample, dtype=DTYPE)
     baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
-    _check_inputs(model, sample[None], baseline)
+    _check_inputs(model, sample[None], baseline, groups)
 
     class_idx = _predicted_classes(model, sample[None])
     ci = None if class_idx is None else int(class_idx[0])
@@ -401,15 +366,6 @@ def exact_shapley(
         w = weights[sizes[without]]
         scores[grp] = np.sum(w * (values[idx | (1 << grp)] - values[idx]))
     return scores.astype(DTYPE)
-
-
-def _resolve_ids(sample_ids, n) -> tuple[int, ...]:
-    if sample_ids is None:
-        return tuple(range(n))
-    ids = tuple(int(s) for s in sample_ids)
-    if len(ids) != n:
-        raise EstimatorError("sample_ids length must match samples")
-    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -438,46 +394,29 @@ def _gb_rows(
     return np.concatenate(rows).astype(DTYPE)
 
 
-def gb(
-    model: Model,
-    samples: np.ndarray,
-    axis: Union[GroupingAxis, FeatureGroups],
-    sample_ids: Optional[Sequence[int]] = None,
-) -> AttributionMatrix:
-    """Guided-backprop attribution; group score sums the signed cell values."""
-    groups = _resolve_groups(axis, model)
-    samples = np.ascontiguousarray(samples, dtype=DTYPE)
-    _check_inputs(model, samples, None)
-    ids = _resolve_ids(sample_ids, len(samples))
-    class_idx = _predicted_classes(model, samples)
-    scores = _gb_rows(model, samples, groups, class_idx)
-    return AttributionMatrix(
-        sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
-        scores=scores, estimator_tag="gb",
-    )
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 
 
 def _ensemble_rows(
+    kind: str,
     base: str,
     model: Model,
     samples: np.ndarray,
+    ids: tuple[int, ...],
     groups: FeatureGroups,
     baseline: Optional[np.ndarray],
     budget: ExplainBudget,
     seed: int,
-    ids: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample: (mean of squared replica rows, variance of replica rows).
+    classes: Optional[np.ndarray],
+) -> np.ndarray:
+    """Per sample: the mean of squared replica rows (``kind`` sgs) or the
+    variance of replica rows (``kind`` vargrad).
 
     Each replica runs the base estimator on the full (noised) batch, the same
     shape the plain estimator sees, so the zero-noise collapse is bit-exact.
+    The explained class is fixed per sample, not re-chosen per noisy replica.
     """
-    if base == "svs" and baseline is None:
-        raise EstimatorError("svs base needs a baseline")
     t, b = model.input_shape
     sigma = budget.noise_scale
     if sigma > 0:
@@ -486,8 +425,6 @@ def _ensemble_rows(
                 "noisy ensembles need a frozen budget (per-feature noise range)"
             )
         scale = (sigma * budget.noise_range).astype(np.float64)
-    # the explained class is fixed per sample, not re-chosen per noisy replica
-    classes = _predicted_classes(model, samples)
     rows = np.empty(
         (budget.ensemble_size, len(samples), groups.n_groups), dtype=np.float64
     )
@@ -510,41 +447,59 @@ def _ensemble_rows(
                 model, noisy, ids, groups, baseline, budget.n_permutations,
                 seed, classes,
             )[0].astype(np.float64)
-    sq_mean = np.mean(rows * rows, axis=0).astype(DTYPE)
-    variance = np.var(rows, axis=0).astype(DTYPE)
-    return sq_mean, variance
+    if kind == "sgs":
+        return np.mean(rows * rows, axis=0).astype(DTYPE)
+    return np.var(rows, axis=0).astype(DTYPE)
 
 
 def run_estimator(
     tag: str,
     model: Model,
     samples: np.ndarray,
-    axis: Union[GroupingAxis, FeatureGroups],
+    groups: FeatureGroups,
     budget: ExplainBudget,
     seed: int,
     baseline: Optional[np.ndarray] = None,
     sample_ids: Optional[Sequence[int]] = None,
 ) -> AttributionMatrix:
-    """Dispatch on an estimator tag (svs, gb, sgs-*, vargrad-*)."""
-    if tag == "svs":
-        if baseline is None:
-            raise EstimatorError("svs needs a baseline")
-        return svs(model, samples, axis, baseline, budget, seed, sample_ids)
-    if tag == "gb":
-        return gb(model, samples, axis, sample_ids)
-    if tag.startswith("sgs-") or tag.startswith("vargrad-"):
-        kind, base = tag.split("-", 1)
-        if base not in ("svs", "gb"):
-            raise EstimatorError(f"unknown estimator tag {tag!r}")
-        groups = _resolve_groups(axis, model)
-        samples = np.ascontiguousarray(samples, dtype=DTYPE)
-        _check_inputs(model, samples, baseline)
-        ids = _resolve_ids(sample_ids, len(samples))
-        sq_mean, variance = _ensemble_rows(
-            base, model, samples, groups, baseline, budget, seed, ids
+    """Score every sample over ``groups`` with the estimator ``tag`` names.
+
+    ``svs``: each permutation walks groups from the baseline toward the
+    sample; a group's marginal contribution is the change in the explained
+    scalar when its cells switch from baseline to sample values. Scores
+    average over ``budget.n_permutations`` permutations, and the per-entry
+    standard error of that Monte-Carlo mean comes with them. ``gb``: signed
+    group sums of the guided-backprop input gradient. ``sgs-<base>`` and
+    ``vargrad-<base>``: the mean square and the variance of the base scores
+    over ``budget.ensemble_size`` noised replicas. Every svs base needs a
+    ``baseline``; rows are keyed by ``sample_ids`` (default: positions).
+    """
+    if tag not in ESTIMATOR_TAGS:
+        raise EstimatorError(f"unknown estimator tag {tag!r}")
+    kind, _, base = tag.rpartition("-")
+    if base == "svs" and baseline is None:
+        raise EstimatorError("svs needs a baseline")
+    samples = np.ascontiguousarray(samples, dtype=DTYPE)
+    if baseline is not None:
+        baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
+    _check_inputs(model, samples, baseline, groups)
+    ids = tuple(range(len(samples)) if sample_ids is None else map(int, sample_ids))
+    if len(ids) != len(samples):
+        raise EstimatorError("sample_ids length must match samples")
+    classes = _predicted_classes(model, samples)
+    stderr = None
+    if kind:
+        scores = _ensemble_rows(
+            kind, base, model, samples, ids, groups, baseline, budget, seed, classes
         )
-        return AttributionMatrix(
-            sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
-            scores=sq_mean if kind == "sgs" else variance, estimator_tag=tag,
+    elif base == "gb":
+        scores = _gb_rows(model, samples, groups, classes)
+    else:
+        scores, stderr = _svs_rows(
+            model, samples, ids, groups, baseline, budget.n_permutations, seed,
+            classes,
         )
-    raise EstimatorError(f"unknown estimator tag {tag!r}")
+    return AttributionMatrix(
+        sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
+        scores=scores, estimator_tag=tag, stderr=stderr,
+    )

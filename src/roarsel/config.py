@@ -36,10 +36,26 @@ def section_seed(seed: int, section: str) -> int:
     return int(np.random.SeedSequence([int(seed), lane]).generate_state(1)[0])
 
 
+# counts, wherever they appear; the two signal sets are lists of them
+_INT_KEYS = {"seed", "max_epochs", "patience", "batch_size", "n_samples",
+             "n_permutations", "ensemble_size", "k", "width", "depth",
+             "kernel_size", "channels", "dense_size", "hidden_size", "n", "t",
+             "b", "year_start", "n_years", "signal_bands", "signal_steps"}
+
+
 def _expect_keys(d: dict, known: set[str], where: str) -> None:
+    """Reject unknown keys, and counts given as floats or bools (a null
+    count keeps its meaning, such as "all samples" or "default depth")."""
     extra = sorted(set(d) - known)
     if extra:
         raise ConfigError(f"unknown {where} key(s): {', '.join(extra)}")
+    for key in sorted(_INT_KEYS & d.keys()):
+        value = d[key]
+        is_list = key.startswith("signal_") and isinstance(value, list)
+        items = value if is_list else [value]
+        if not all(v is None or (isinstance(v, int) and not isinstance(v, bool))
+                   for v in items):
+            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +212,7 @@ class RunConfig:
             block = dict(block)
             # a plan without its own budget shares the run-level one
             block.setdefault("budget", budget.to_dict())
+            _expect_keys(block["budget"] or {}, _BUDGET_KEYS, f"plans[{i}].budget")
             plans.append(DeletionPlan.from_dict(block))
 
         workers = d.get("workers")

@@ -98,26 +98,6 @@ class FeatureSchema:
     def step_ids(self) -> tuple[int, ...]:
         return tuple(t.step_id for t in self.timesteps)
 
-    def band_positions(self, band_ids: Iterable[int]) -> list[int]:
-        """Map stable band ids to current axis positions."""
-        lookup = {b.band_id: i for i, b in enumerate(self.bands)}
-        out = []
-        for bid in band_ids:
-            if bid not in lookup:
-                raise DatasetError(f"unknown band id {bid}")
-            out.append(lookup[bid])
-        return out
-
-    def step_positions(self, step_ids: Iterable[int]) -> list[int]:
-        """Map stable step ids to current axis positions."""
-        lookup = {t.step_id: i for i, t in enumerate(self.timesteps)}
-        out = []
-        for sid in step_ids:
-            if sid not in lookup:
-                raise DatasetError(f"unknown step id {sid}")
-            out.append(lookup[sid])
-        return out
-
 
 def _check_strictly_increasing(ids: list[int], what: str) -> None:
     if any(b <= a for a, b in zip(ids, ids[1:])):
@@ -404,35 +384,37 @@ def split_by_year(
 
 def delete_bands(d: TensorDataset, band_ids: Iterable[int]) -> TensorDataset:
     """Physically remove the given bands; survivors keep order and stable ids."""
-    ids = set(band_ids)
-    if not ids:
-        return d.take(np.arange(d.n_samples))
-    positions = d.schema.band_positions(ids)
-    if len(ids) >= d.schema.n_bands:
-        raise DatasetError("cannot delete every band")
-    keep = [i for i in range(d.schema.n_bands) if i not in set(positions)]
-    schema = replace(d.schema, bands=tuple(d.schema.bands[i] for i in keep))
-    return TensorDataset(
-        schema=schema,
-        values=d.values[:, :, keep],
-        targets=d.targets,
-        years=d.years,
-    )
+    return _delete(d, set(band_ids), "bands")
 
 
 def delete_timesteps(d: TensorDataset, step_ids: Iterable[int]) -> TensorDataset:
     """Physically remove the given time steps; symmetric to delete_bands."""
-    ids = set(step_ids)
+    return _delete(d, set(step_ids), "timesteps")
+
+
+# schema field -> (values axis, id attribute, id noun, feature noun)
+_DELETABLE = {
+    "bands": (2, "band_id", "band", "band"),
+    "timesteps": (1, "step_id", "step", "time step"),
+}
+
+
+def _delete(d: TensorDataset, ids: set[int], field: str) -> TensorDataset:
+    """The one survivor rule: keep, in order, the features not in ``ids``."""
     if not ids:
         return d.take(np.arange(d.n_samples))
-    positions = d.schema.step_positions(ids)
-    if len(ids) >= d.schema.n_timesteps:
-        raise DatasetError("cannot delete every time step")
-    keep = [i for i in range(d.schema.n_timesteps) if i not in set(positions)]
-    schema = replace(d.schema, timesteps=tuple(d.schema.timesteps[i] for i in keep))
+    axis, key, noun, whole = _DELETABLE[field]
+    features = getattr(d.schema, field)
+    known = {getattr(f, key) for f in features}
+    for fid in ids:
+        if fid not in known:
+            raise DatasetError(f"unknown {noun} id {fid}")
+    if len(ids) >= len(features):
+        raise DatasetError(f"cannot delete every {whole}")
+    keep = [i for i, f in enumerate(features) if getattr(f, key) not in ids]
     return TensorDataset(
-        schema=schema,
-        values=d.values[:, keep, :],
+        schema=replace(d.schema, **{field: tuple(features[i] for i in keep)}),
+        values=np.take(d.values, keep, axis=axis),
         targets=d.targets,
         years=d.years,
     )

@@ -457,77 +457,3 @@ def _mse_forward(pred, target):
 
 def _mse_backward(g, pred, target):
     return (g * DTYPE(2.0 / pred.shape[0]) * _mse_diff(pred, target)).reshape(pred.shape)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-@dataclass
-class FdReport:
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    per_tensor: dict[str, float] = field(default_factory=dict)
-
-
-def finite_difference_check(
-    g: Graph,
-    x: np.ndarray,
-    h: float = 1e-3,
-    tolerance: float = 1e-3,
-    selector: Selector = "loss",
-    target: np.ndarray | None = None,
-) -> FdReport:
-    """Compare reverse-mode gradients against central finite differences.
-
-    Relative error per coordinate is |a - b| / max(1, |a|, |b|); the report
-    carries the max over the input and every parameter tensor.
-    """
-    if h <= 0:
-        raise GraphError("finite differences need h > 0")
-    g.forward(x, target=target)
-    ad = g.backward(selector)
-
-    def scalar(xv) -> float:
-        out = g.forward(xv, target=target)
-        vals = g._cache
-        if isinstance(selector, str):
-            return float(vals[g.loss])
-        if isinstance(selector, (int, np.integer)):
-            return float(out[:, int(selector)].sum(dtype=np.float64))
-        return float(out[np.arange(out.shape[0]), selector.astype(int)].sum(dtype=np.float64))
-
-    per_tensor: dict[str, float] = {}
-
-    def check_tensor(arr, ad_grad, label, rebind=None):
-        worst = 0.0
-        flat = arr.reshape(-1)
-        adf = ad_grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + DTYPE(h)
-            hi = float(flat[i])
-            f_plus = scalar(x if rebind is None else rebind)
-            flat[i] = orig - DTYPE(h)
-            lo = float(flat[i])
-            f_minus = scalar(x if rebind is None else rebind)
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (hi - lo)
-            a, b = float(adf[i]), fd
-            worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-        per_tensor[label] = worst
-        return worst
-
-    worst = 0.0
-    x_work = np.array(x, dtype=DTYPE)
-    worst = max(worst, check_tensor(x_work, ad.input, "input", rebind=x_work))
-    for name in sorted(g.params):
-        worst = max(worst, check_tensor(g.params[name], ad.params[name], name))
-    g.forward(x, target=target)  # leave a clean cache behind
-    return FdReport(
-        max_rel_error=worst,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-        per_tensor=per_tensor,
-    )

@@ -49,6 +49,14 @@ _DELETE = {
 }
 
 
+def _member(enum, value, what: str):
+    try:
+        return enum(value)
+    except ValueError:
+        known = ", ".join(m.value for m in enum)
+        raise ConfigError(f"unknown {what} {value!r}; expected one of {known}") from None
+
+
 @dataclass(frozen=True)
 class DeletionPlan:
     """What to delete, in which direction, and how to score it.
@@ -66,8 +74,9 @@ class DeletionPlan:
     tolerance: float = 0.02
 
     def __post_init__(self):
-        if self.axis not in _DELETE:
-            raise ConfigError("deletion works on band or time-step groups")
+        # strings become members, so identity tests on them cannot miss
+        object.__setattr__(self, "axis", _member(GroupingAxis, self.axis, "axis"))
+        object.__setattr__(self, "order", _member(DeletionOrder, self.order, "order"))
         if self.estimator_tag not in ESTIMATOR_TAGS:
             raise ConfigError(f"unknown estimator tag {self.estimator_tag!r}")
         if self.k is not None and self.k < 1:
@@ -96,8 +105,8 @@ class DeletionPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "DeletionPlan":
         return cls(
-            axis=GroupingAxis(d["axis"]),
-            order=DeletionOrder(d["order"]),
+            axis=d["axis"],
+            order=d["order"],
             estimator_tag=d.get("estimator_tag", "svs"),
             budget=ExplainBudget.from_dict(d["budget"]) if d.get("budget") else ExplainBudget(),
             k=d.get("k"),

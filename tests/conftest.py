@@ -1,7 +1,9 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from roarsel.attribution import GroupingAxis, ImportanceRanking
+from roarsel.attribution import FeatureGroups, GroupingAxis, ImportanceRanking
 from roarsel.data import Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE
 from roarsel.roar import CycleRecord, DeletionCurve, DeletionPlan
@@ -39,6 +41,71 @@ def draw_clean_input(g, shape, seed, target=None):
         if away_from_kinks(g):
             return x
     raise AssertionError("could not sample an input away from kinks")
+
+
+@dataclass
+class FdReport:
+    max_rel_error: float
+    tolerance: float
+    passed: bool
+    per_tensor: dict[str, float] = field(default_factory=dict)
+
+
+def finite_difference_check(g, x, h=1e-3, tolerance=1e-3, selector="loss",
+                            target=None) -> FdReport:
+    """Compare reverse-mode gradients against central finite differences.
+
+    Relative error per coordinate is |a - b| / max(1, |a|, |b|); the report
+    carries the max over the input and every parameter tensor.
+    """
+    assert h > 0, "finite differences need h > 0"
+    g.forward(x, target=target)
+    ad = g.backward(selector)
+
+    def scalar(xv) -> float:
+        out = g.forward(xv, target=target)
+        if isinstance(selector, str):
+            return float(g._cache[g.loss])
+        if isinstance(selector, (int, np.integer)):
+            return float(out[:, int(selector)].sum(dtype=np.float64))
+        return float(out[np.arange(out.shape[0]), selector.astype(int)].sum(dtype=np.float64))
+
+    per_tensor: dict[str, float] = {}
+
+    def check_tensor(arr, ad_grad, label, rebind=None):
+        worst = 0.0
+        flat = arr.reshape(-1)
+        adf = ad_grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + DTYPE(h)
+            hi = float(flat[i])
+            f_plus = scalar(x if rebind is None else rebind)
+            flat[i] = orig - DTYPE(h)
+            lo = float(flat[i])
+            f_minus = scalar(x if rebind is None else rebind)
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (hi - lo)
+            a, b = float(adf[i]), fd
+            worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
+        per_tensor[label] = worst
+        return worst
+
+    x_work = np.array(x, dtype=DTYPE)
+    worst = check_tensor(x_work, ad.input, "input", rebind=x_work)
+    for name in sorted(g.params):
+        worst = max(worst, check_tensor(g.params[name], ad.params[name], name))
+    g.forward(x, target=target)  # leave a clean cache behind
+    return FdReport(max_rel_error=worst, tolerance=tolerance,
+                    passed=worst <= tolerance, per_tensor=per_tensor)
+
+
+def cell_groups(t, b) -> FeatureGroups:
+    """One group per cell of a (t, b) grid, ids row-major; the axis is only
+    a label, since no band or time-step axis groups single cells."""
+    n = t * b
+    return FeatureGroups(GroupingAxis.BY_BAND, tuple(range(n)),
+                         np.eye(n, dtype=bool).reshape(n, t, b))
 
 
 def make_dataset(n=8, t=3, b=2, task=Task.REGRESSION, n_classes=None, seed=0,

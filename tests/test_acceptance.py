@@ -11,7 +11,7 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import draw_clean_input
+from conftest import draw_clean_input, finite_difference_check
 
 from roarsel.attribution import (
     ExplainBudget,
@@ -19,7 +19,6 @@ from roarsel.attribution import (
     exact_shapley,
     feature_groups,
     run_estimator,
-    svs,
 )
 from roarsel.cli import main
 from roarsel.config import section_seed
@@ -33,7 +32,7 @@ from roarsel.data import (
     save_dataset,
     split_by_year,
 )
-from roarsel.engine import DTYPE, Graph, finite_difference_check
+from roarsel.engine import DTYPE, Graph
 from roarsel.models import Architecture, Head, ModelSpec, resize_for_input
 from roarsel.roar import DeletionOrder, DeletionPlan, run_roar, sufficient_set
 from roarsel.synthetic import PlantSpec, generate
@@ -191,7 +190,8 @@ def test_sampled_shapley_matches_exact_enumeration():
         baseline = np.zeros((2, 5), dtype=DTYPE)
         groups = feature_groups((2, 5), GroupingAxis.BY_BAND)
         budget = ExplainBudget(n_samples=6, n_permutations=4096)
-        m = svs(model, samples, groups, baseline, budget, seed=77)
+        m = run_estimator("svs", model, samples, groups, budget, seed=77,
+                          baseline=baseline)
         exact = np.stack(
             [exact_shapley(model, s, groups, baseline) for s in samples]
         ).astype(np.float64)
@@ -266,11 +266,8 @@ def test_zero_noise_ensembles_collapse():
         budget = ExplainBudget(n_samples=4, n_permutations=16,
                                ensemble_size=3, noise_scale=0.0)
         for base, kwargs in (("svs", {"baseline": baseline}), ("gb", {})):
-            if base == "svs":
-                plain = svs(model, samples, groups, baseline, budget, seed=9)
-            else:
-                from roarsel.attribution import gb
-                plain = gb(model, samples, groups)
+            plain = run_estimator(base, model, samples, groups, budget, seed=9,
+                                  **kwargs)
             sq = run_estimator(f"sgs-{base}", model, samples, groups, budget,
                                seed=9, **kwargs)
             assert np.array_equal(sq.scores, plain.scores * plain.scores)

@@ -14,17 +14,15 @@ from roarsel.attribution import (
     exact_shapley,
     feature_groups,
     FeatureGroups,
-    gb,
     mean_baseline,
     run_estimator,
-    svs,
 )
 from roarsel.data import Task, delete_bands, default_schema
 from roarsel.engine import DTYPE, Graph
 from roarsel.errors import EstimatorError
 from roarsel.models import Architecture, Head, Model, ModelSpec, build
 
-from conftest import make_dataset
+from conftest import cell_groups, make_dataset
 
 REG = Head(task=Task.REGRESSION)
 CLS = Head(task=Task.CLASSIFICATION, n_classes=3)
@@ -62,6 +60,10 @@ def budget(**kw) -> ExplainBudget:
     return ExplainBudget(**kw)
 
 
+def by_band(model: Model):
+    return feature_groups(model.input_shape, GroupingAxis.BY_BAND)
+
+
 # -- grouping ----------------------------------------------------------------
 
 
@@ -75,7 +77,6 @@ def test_groupings_partition_the_grid():
         assert groups.mask.reshape(groups.n_groups, 12)[groups.cell_group, cells].all()
     assert feature_groups(schema, GroupingAxis.BY_BAND).n_groups == 4
     assert feature_groups(schema, GroupingAxis.BY_TIMESTEP).n_groups == 3
-    assert feature_groups(schema, GroupingAxis.SINGLETON).n_groups == 12
 
 
 def test_band_groups_keep_stable_ids_after_deletion():
@@ -84,12 +85,6 @@ def test_band_groups_keep_stable_ids_after_deletion():
     groups = feature_groups(shrunk.schema, GroupingAxis.BY_BAND)
     assert groups.ids == (0, 2, 4)
     assert groups.mask.shape[2] == 3  # positions are current, ids are stable
-
-
-def test_singleton_ids_are_row_major_positions():
-    groups = feature_groups((2, 3), GroupingAxis.SINGLETON)
-    assert groups.ids == (0, 1, 2, 3, 4, 5)
-    assert np.argwhere(groups.mask[4]).tolist() == [[1, 1]]
 
 
 def test_feature_groups_reject_a_mask_that_is_not_a_partition():
@@ -112,8 +107,8 @@ def test_svs_linear_singletons_recovers_weights():
     # f = 2 x0 + 3 x1, baseline 0: every permutation yields the same marginals
     model = linear_model([2.0, 3.0])
     x = np.ones((1, 1, 2), dtype=DTYPE)
-    m = svs(model, x, GroupingAxis.SINGLETON, np.zeros((1, 2), dtype=DTYPE),
-            budget(n_permutations=16), seed=0)
+    m = run_estimator("svs", model, x, cell_groups(1, 2), budget(n_permutations=16),
+                      seed=0, baseline=np.zeros((1, 2), dtype=DTYPE))
     np.testing.assert_allclose(m.scores[0], [2.0, 3.0], atol=1e-6)
     np.testing.assert_allclose(m.stderr[0], [0.0, 0.0], atol=1e-6)
 
@@ -122,8 +117,10 @@ def test_svs_single_group_gets_full_difference():
     # both cells in one group: score = f(x) - f(baseline) = 5
     model = linear_model([2.0, 3.0])
     x = np.ones((1, 1, 2), dtype=DTYPE)
-    m = svs(model, x, GroupingAxis.BY_TIMESTEP, np.zeros((1, 2), dtype=DTYPE),
-            budget(n_permutations=8), seed=0)
+    m = run_estimator("svs", model, x,
+                      feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
+                      budget(n_permutations=8), seed=0,
+                      baseline=np.zeros((1, 2), dtype=DTYPE))
     assert m.scores.shape == (1, 1)
     assert m.scores[0, 0] == pytest.approx(5.0, abs=1e-6)
 
@@ -131,8 +128,8 @@ def test_svs_single_group_gets_full_difference():
 def test_svs_at_baseline_is_zero():
     model = small_mlp()
     base = np.random.default_rng(0).normal(size=(2, 3)).astype(DTYPE)
-    m = svs(model, base[None], GroupingAxis.SINGLETON, base,
-            budget(n_permutations=8), seed=1)
+    m = run_estimator("svs", model, base[None], cell_groups(2, 3),
+                      budget(n_permutations=8), seed=1, baseline=base)
     np.testing.assert_array_equal(m.scores, np.zeros((1, 6), dtype=DTYPE))
 
 
@@ -140,12 +137,15 @@ def test_svs_deterministic_per_seed_and_keyed_by_sample_id():
     model = small_mlp(seed=3)
     x = np.random.default_rng(1).normal(size=(2, 2, 3)).astype(DTYPE)
     base = np.zeros((2, 3), dtype=DTYPE)
-    a = svs(model, x, GroupingAxis.BY_BAND, base, budget(n_permutations=16), seed=7)
-    b = svs(model, x, GroupingAxis.BY_BAND, base, budget(n_permutations=16), seed=7)
+    groups = by_band(model)
+    a = run_estimator("svs", model, x, groups, budget(n_permutations=16), seed=7,
+                      baseline=base)
+    b = run_estimator("svs", model, x, groups, budget(n_permutations=16), seed=7,
+                      baseline=base)
     assert a.scores.tobytes() == b.scores.tobytes()
     # row for a sample depends on its id, not its batch position
-    c = svs(model, x[::-1], GroupingAxis.BY_BAND, base,
-            budget(n_permutations=16), seed=7, sample_ids=[1, 0])
+    c = run_estimator("svs", model, x[::-1], groups, budget(n_permutations=16),
+                      seed=7, baseline=base, sample_ids=[1, 0])
     np.testing.assert_array_equal(c.scores[::-1], a.scores)
 
 
@@ -202,15 +202,16 @@ def test_svs_blocks_match_the_per_sample_reference(
     x = r.normal(size=(n, t, b)).astype(DTYPE)
     base = r.normal(size=(t, b)).astype(DTYPE)
     ids = [1000 + 3 * i for i in range(n)]
-    m = svs(model, x, groups, base, budget(n_permutations=p), seed=11, sample_ids=ids)
+    m = run_estimator("svs", model, x, groups, budget(n_permutations=p), seed=11,
+                      baseline=base, sample_ids=ids)
     scores, stderr = _reference_svs(model, x, ids, groups, base, p, 11)
     assert m.scores.tobytes() == scores.tobytes()
     assert m.stderr.tobytes() == stderr.tobytes()
 
     # a subset straddling a block boundary gets the same rows as in the full run
     part = slice(per_block - 1, per_block + 2)
-    sub = svs(model, x[part], groups, base, budget(n_permutations=p), seed=11,
-              sample_ids=ids[part])
+    sub = run_estimator("svs", model, x[part], groups, budget(n_permutations=p),
+                        seed=11, baseline=base, sample_ids=ids[part])
     assert sub.scores.tobytes() == m.scores[part].tobytes()
     assert sub.stderr.tobytes() == m.stderr[part].tobytes()
 
@@ -221,7 +222,7 @@ def test_svs_blocks_match_the_per_sample_reference(
 def test_exact_shapley_linear_closed_form():
     model = linear_model([2.0, 3.0])
     x = np.array([[[1.0, 0.5]]], dtype=DTYPE)
-    scores = exact_shapley(model, x[0], GroupingAxis.SINGLETON,
+    scores = exact_shapley(model, x[0], cell_groups(1, 2),
                            np.zeros((1, 2), dtype=DTYPE))
     np.testing.assert_allclose(scores, [2.0, 1.5], atol=1e-6)
 
@@ -229,7 +230,8 @@ def test_exact_shapley_linear_closed_form():
 def test_exact_shapley_symmetry_axiom():
     model = symmetric_model()
     x = np.full((2, 1), 0.7, dtype=DTYPE)
-    scores = exact_shapley(model, x, GroupingAxis.BY_TIMESTEP,
+    scores = exact_shapley(model, x,
+                           feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
                            np.zeros((2, 1), dtype=DTYPE))
     assert scores[0] == pytest.approx(scores[1], abs=1e-6)
 
@@ -241,7 +243,7 @@ def test_exact_shapley_efficiency(head):
     r = np.random.default_rng(2)
     x = r.normal(size=(2, 3)).astype(DTYPE)
     base = r.normal(size=(2, 3)).astype(DTYPE)
-    scores = exact_shapley(model, x, GroupingAxis.SINGLETON, base)
+    scores = exact_shapley(model, x, cell_groups(2, 3), base)
     out_x = model.forward(x[None])
     col = int(out_x.argmax(axis=1)[0]) if head is CLS else 0
     f_x = float(out_x[0, col])
@@ -253,7 +255,7 @@ def test_exact_shapley_group_cap():
     model = small_mlp(t=4, b=4)
     with pytest.raises(EstimatorError, match="too many groups"):
         exact_shapley(model, np.zeros((4, 4), dtype=DTYPE),
-                      GroupingAxis.SINGLETON, np.zeros((4, 4), dtype=DTYPE))
+                      cell_groups(4, 4), np.zeros((4, 4), dtype=DTYPE))
 
 
 def test_svs_converges_to_exact():
@@ -261,9 +263,9 @@ def test_svs_converges_to_exact():
     r = np.random.default_rng(3)
     x = r.normal(size=(1, 2, 3)).astype(DTYPE)
     base = np.zeros((2, 3), dtype=DTYPE)
-    exact = exact_shapley(model, x[0], GroupingAxis.SINGLETON, base)
-    m = svs(model, x, GroupingAxis.SINGLETON, base,
-            budget(n_permutations=2048), seed=4)
+    exact = exact_shapley(model, x[0], cell_groups(2, 3), base)
+    m = run_estimator("svs", model, x, cell_groups(2, 3),
+                      budget(n_permutations=2048), seed=4, baseline=base)
     gap = np.abs(m.scores[0].astype(np.float64) - exact.astype(np.float64))
     bound = np.maximum(4.0 * m.stderr[0].astype(np.float64), 1e-4)
     assert (gap <= bound).all(), (gap, m.stderr[0])
@@ -274,10 +276,12 @@ def test_svs_standard_error_shrinks_with_permutations():
     model = small_mlp(seed=8)
     x = np.random.default_rng(5).normal(size=(1, 2, 3)).astype(DTYPE)
     base = np.zeros((2, 3), dtype=DTYPE)
-    se16 = svs(model, x, GroupingAxis.SINGLETON, base,
-               budget(n_permutations=16), seed=9).stderr.mean()
-    se256 = svs(model, x, GroupingAxis.SINGLETON, base,
-                budget(n_permutations=256), seed=9).stderr.mean()
+    se16 = run_estimator("svs", model, x, cell_groups(2, 3),
+                         budget(n_permutations=16), seed=9,
+                         baseline=base).stderr.mean()
+    se256 = run_estimator("svs", model, x, cell_groups(2, 3),
+                          budget(n_permutations=256), seed=9,
+                          baseline=base).stderr.mean()
     assert 0.15 < se256 / se16 < 0.40  # ideal ratio 0.25
 
 
@@ -287,7 +291,7 @@ def test_svs_standard_error_shrinks_with_permutations():
 def test_gb_linear_recovers_summed_weights():
     model = linear_model([2.0, -3.0])
     x = np.random.default_rng(0).normal(size=(4, 1, 2)).astype(DTYPE)
-    m = gb(model, x, GroupingAxis.SINGLETON)
+    m = run_estimator("gb", model, x, cell_groups(1, 2), budget(), seed=0)
     # linear graph has no relu, so guided = standard = the weights
     np.testing.assert_allclose(m.scores, np.tile([2.0, -3.0], (4, 1)), atol=1e-6)
 
@@ -295,14 +299,18 @@ def test_gb_linear_recovers_summed_weights():
 def test_gb_constant_band_scores_zero():
     model = linear_model([2.0, 0.0])
     x = np.random.default_rng(0).normal(size=(3, 1, 2)).astype(DTYPE)
-    m = gb(model, x, GroupingAxis.BY_BAND)
+    m = run_estimator("gb", model, x,
+                      by_band(model),
+                      budget(), seed=0)
     np.testing.assert_array_equal(m.scores[:, 1], np.zeros(3, dtype=DTYPE))
 
 
 def test_gb_identical_samples_identical_rows():
     model = small_mlp(head=CLS, seed=7)
     x = np.tile(np.random.default_rng(1).normal(size=(1, 2, 3)).astype(DTYPE), (5, 1, 1))
-    m = gb(model, x, GroupingAxis.BY_TIMESTEP)
+    m = run_estimator("gb", model, x,
+                      feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
+                      budget(), seed=0)
     for row in m.scores[1:]:
         np.testing.assert_array_equal(row, m.scores[0])
 
@@ -310,7 +318,10 @@ def test_gb_identical_samples_identical_rows():
 def test_gb_group_scores_sum_cells():
     model = linear_model([1.0, 2.0])
     x = np.ones((1, 1, 2), dtype=DTYPE)
-    by_step = gb(model, x, GroupingAxis.BY_TIMESTEP)  # single group
+    by_step = run_estimator(  # single group
+        "gb", model, x, feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
+        budget(), seed=0,
+    )
     assert by_step.scores[0, 0] == pytest.approx(3.0, abs=1e-6)
 
 
@@ -328,8 +339,9 @@ def ensemble_fixture(seed=0):
 def test_sgs_zero_noise_is_elementwise_square_of_svs():
     model, samples, frozen, base = ensemble_fixture()
     quiet = budget(n_permutations=8, ensemble_size=5, noise_scale=0.0)
-    base_m = svs(model, samples, GroupingAxis.BY_BAND, base, quiet, seed=1)
-    sgs = run_estimator("sgs-svs", model, samples, GroupingAxis.BY_BAND,
+    base_m = run_estimator("svs", model, samples, by_band(model), quiet, seed=1,
+                           baseline=base)
+    sgs = run_estimator("sgs-svs", model, samples, by_band(model),
                         quiet, seed=1, baseline=base)
     assert sgs.scores.tobytes() == np.square(base_m.scores).tobytes()
 
@@ -337,8 +349,8 @@ def test_sgs_zero_noise_is_elementwise_square_of_svs():
 def test_sgs_zero_noise_is_elementwise_square_of_gb():
     model, samples, frozen, base = ensemble_fixture(seed=2)
     quiet = budget(ensemble_size=5, noise_scale=0.0)
-    base_m = gb(model, samples, GroupingAxis.BY_BAND)
-    sgs = run_estimator("sgs-gb", model, samples, GroupingAxis.BY_BAND,
+    base_m = run_estimator("gb", model, samples, by_band(model), quiet, seed=1)
+    sgs = run_estimator("sgs-gb", model, samples, by_band(model),
                         quiet, seed=1)
     assert sgs.scores.tobytes() == np.square(base_m.scores).tobytes()
 
@@ -346,8 +358,9 @@ def test_sgs_zero_noise_is_elementwise_square_of_gb():
 def test_sgs_single_replica_zero_noise_same_collapse():
     model, samples, frozen, base = ensemble_fixture(seed=3)
     quiet = budget(n_permutations=8, ensemble_size=1, noise_scale=0.0)
-    base_m = svs(model, samples, GroupingAxis.BY_BAND, base, quiet, seed=2)
-    sgs = run_estimator("sgs-svs", model, samples, GroupingAxis.BY_BAND,
+    base_m = run_estimator("svs", model, samples, by_band(model), quiet, seed=2,
+                           baseline=base)
+    sgs = run_estimator("sgs-svs", model, samples, by_band(model),
                         quiet, seed=2, baseline=base)
     assert sgs.scores.tobytes() == np.square(base_m.scores).tobytes()
 
@@ -357,18 +370,18 @@ def test_vargrad_zero_noise_is_exactly_zero():
     quiet = budget(n_permutations=8, ensemble_size=5, noise_scale=0.0)
     for base_tag in ("svs", "gb"):
         m = run_estimator(f"vargrad-{base_tag}", model, samples,
-                          GroupingAxis.BY_BAND, quiet, seed=3, baseline=base)
+                          by_band(model), quiet, seed=3, baseline=base)
         assert m.scores.tobytes() == np.zeros_like(m.scores).tobytes()
 
 
 def test_noisy_ensembles_nonnegative_and_deterministic():
     model, samples, frozen, base = ensemble_fixture(seed=5)
     for tag in ("sgs-gb", "vargrad-gb"):
-        a = run_estimator(tag, model, samples, GroupingAxis.BY_BAND, frozen, seed=4)
-        b_ = run_estimator(tag, model, samples, GroupingAxis.BY_BAND, frozen, seed=4)
+        a = run_estimator(tag, model, samples, by_band(model), frozen, seed=4)
+        b_ = run_estimator(tag, model, samples, by_band(model), frozen, seed=4)
         assert (a.scores >= 0).all()
         assert a.scores.tobytes() == b_.scores.tobytes()
-        c = run_estimator(tag, model, samples, GroupingAxis.BY_BAND, frozen, seed=5)
+        c = run_estimator(tag, model, samples, by_band(model), frozen, seed=5)
         assert a.scores.tobytes() != c.scores.tobytes()
 
 
@@ -376,7 +389,7 @@ def test_noisy_ensemble_requires_frozen_budget():
     model, samples, _, base = ensemble_fixture(seed=6)
     loud = budget(ensemble_size=3, noise_scale=0.2)  # not frozen: no range
     with pytest.raises(EstimatorError, match="frozen"):
-        run_estimator("sgs-gb", model, samples, GroupingAxis.BY_BAND, loud, seed=0)
+        run_estimator("sgs-gb", model, samples, by_band(model), loud, seed=0)
 
 
 # -- aggregation -------------------------------------------------------------
@@ -472,7 +485,7 @@ def test_run_estimator_dispatch_covers_all_tags():
     model, samples, frozen, base = ensemble_fixture(seed=7)
     small = budget(n_permutations=4, ensemble_size=2, noise_scale=0.0)
     for tag in ("svs", "gb", "sgs-svs", "sgs-gb", "vargrad-svs", "vargrad-gb"):
-        m = run_estimator(tag, model, samples, GroupingAxis.BY_BAND,
+        m = run_estimator(tag, model, samples, by_band(model),
                           small, seed=0, baseline=base)
         assert m.estimator_tag == tag
         assert m.scores.shape == (3, 3)
@@ -481,14 +494,14 @@ def test_run_estimator_dispatch_covers_all_tags():
 def test_run_estimator_rejects_unknown_tag():
     model, samples, frozen, base = ensemble_fixture(seed=8)
     with pytest.raises(EstimatorError, match="unknown estimator tag"):
-        run_estimator("lrp", model, samples, GroupingAxis.BY_BAND,
+        run_estimator("lrp", model, samples, by_band(model),
                       budget(), seed=0, baseline=base)
 
 
 def test_svs_requires_baseline_via_dispatch():
     model, samples, frozen, base = ensemble_fixture(seed=9)
     with pytest.raises(EstimatorError, match="baseline"):
-        run_estimator("svs", model, samples, GroupingAxis.BY_BAND,
+        run_estimator("svs", model, samples, by_band(model),
                       budget(n_permutations=4), seed=0)
 
 
@@ -496,10 +509,20 @@ def test_shape_mismatch_rejected():
     model = small_mlp()
     bad = np.zeros((2, 3, 4), dtype=DTYPE)
     with pytest.raises(EstimatorError, match="does not match model input"):
-        gb(model, bad, GroupingAxis.BY_BAND)
+        run_estimator("gb", model, bad, by_band(model), budget(), seed=0)
     with pytest.raises(EstimatorError, match="baseline shape"):
-        svs(model, np.zeros((1, 2, 3), dtype=DTYPE), GroupingAxis.BY_BAND,
-            np.zeros((3, 2), dtype=DTYPE), budget(), seed=0)
+        run_estimator("svs", model, np.zeros((1, 2, 3), dtype=DTYPE), by_band(model),
+                      budget(), seed=0, baseline=np.zeros((3, 2), dtype=DTYPE))
+
+
+def test_groups_over_another_grid_rejected():
+    model = small_mlp()  # input (2, 3)
+    other = feature_groups((3, 2), GroupingAxis.BY_BAND)
+    x = np.zeros((1, 2, 3), dtype=DTYPE)
+    with pytest.raises(EstimatorError, match="groups over"):
+        run_estimator("gb", model, x, other, budget(), seed=0)
+    with pytest.raises(EstimatorError, match="groups over"):
+        exact_shapley(model, x[0], other, np.zeros((2, 3), dtype=DTYPE))
 
 
 def test_mean_baseline_matches_per_cell_average():

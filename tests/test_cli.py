@@ -208,6 +208,16 @@ def test_roar_without_model_block_is_a_config_error(workspace, tmp_path, capsys)
     assert "model block" in capsys.readouterr().err
 
 
+def test_non_integer_count_exits_2_before_any_output(workspace, tmp_path, capsys):
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["train"]["max_epochs"] = 6.5
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["roar", "--config", str(p)]) == 2
+    assert "train.max_epochs must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_roar_abort_labels_partial_outputs(workspace, tmp_path, monkeypatch, capsys):
     partial = fab_curve([0.9, 0.8], [[4]], DeletionOrder.LEAST_FIRST)
 

@@ -134,6 +134,44 @@ def test_bad_plan_value_is_a_config_error():
         RunConfig.from_dict(raw)
 
 
+def _set(path, value):
+    """full_dict() with the value at a dotted path ("grid.0.width") replaced."""
+    raw = full_dict()
+    *parents, last = path.split(".")
+    block = raw
+    for key in parents:
+        block = block[int(key)] if isinstance(block, list) else block[key]
+    block[int(last) if isinstance(block, list) else last] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, value, fragment", [
+    ("train.max_epochs", 6.5, "train.max_epochs"),
+    ("train.patience", True, "train.patience"),
+    ("train.seed", 1.0, "train.seed"),
+    ("model.width", 8.5, "model.width"),
+    ("grid.1.hidden_size", 4.0, r"grid\[1\].hidden_size"),
+    ("budget.n_permutations", 2.5, "budget.n_permutations"),
+    ("budget.ensemble_size", False, "budget.ensemble_size"),
+    ("plans.0.k", 1.5, r"plans\[0\].k"),
+    ("plans.0.budget", {"n_samples": 8.0}, r"plans\[0\].budget.n_samples"),
+    ("dataset.plant.n", 100.0, "dataset.plant.n"),
+    ("dataset.plant.signal_bands", [1.5], "dataset.plant.signal_bands"),
+    ("dataset.plant.signal_steps", [0, True], "dataset.plant.signal_steps"),
+])
+def test_non_integer_counts_are_rejected(path, value, fragment):
+    with pytest.raises(ConfigError, match=f"{fragment} must be an integer"):
+        RunConfig.from_dict(_set(path, value))
+
+
+def test_null_counts_keep_their_meaning():
+    raw = _set("budget.n_samples", None)
+    raw["plans"][0]["k"] = None
+    raw["model"]["depth"] = None
+    cfg = RunConfig.from_dict(raw)
+    assert cfg.budget.n_samples is None and cfg.plans[0].k is None
+
+
 def test_workers_and_holdout_validation():
     with pytest.raises(ConfigError, match="workers"):
         RunConfig.from_dict({"workers": 0})

@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import draw_clean_input
+from conftest import draw_clean_input, finite_difference_check
 
-from roarsel.engine import (
-    DTYPE,
-    Graph,
-    finite_difference_check,
-)
+from roarsel.engine import DTYPE, Graph
 from roarsel.errors import GraphError
 
 

@@ -284,8 +284,23 @@ def test_necessary_requires_most_first():
 
 
 def test_plan_rejects_singleton_axis():
-    with pytest.raises(ConfigError, match="band or time-step"):
-        DeletionPlan(axis=GroupingAxis.SINGLETON, order=DeletionOrder.LEAST_FIRST)
+    with pytest.raises(ConfigError, match="singleton"):
+        DeletionPlan(axis="singleton", order=DeletionOrder.LEAST_FIRST)
+
+
+def test_plan_rejects_unknown_order():
+    with pytest.raises(ConfigError, match="sideways"):
+        DeletionPlan(axis=GroupingAxis.BY_BAND, order="sideways")
+
+
+@pytest.mark.parametrize("axis", list(GroupingAxis))
+def test_plan_from_strings_equals_plan_from_members(axis):
+    by_strings = DeletionPlan(axis=axis.value, order="least_first")
+    by_members = DeletionPlan(axis=axis, order=DeletionOrder.LEAST_FIRST)
+    assert by_strings == by_members
+    assert by_strings.axis is axis
+    assert by_strings.order is DeletionOrder.LEAST_FIRST
+    assert by_strings.step_size(40) == by_members.step_size(40)
 
 
 def test_plan_rejects_unknown_estimator():
