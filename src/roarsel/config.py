@@ -40,7 +40,8 @@ def section_seed(seed: int, section: str) -> int:
 _INT_KEYS = {"seed", "max_epochs", "patience", "batch_size", "n_samples",
              "n_permutations", "ensemble_size", "k", "width", "depth",
              "kernel_size", "channels", "dense_size", "hidden_size", "n", "t",
-             "b", "year_start", "n_years", "signal_bands", "signal_steps"}
+             "b", "year_start", "n_years", "signal_bands", "signal_steps",
+             "holdout_years", "workers"}
 
 
 def _expect_keys(d: dict, known: set[str], where: str) -> None:
@@ -209,10 +210,10 @@ class RunConfig:
         plans = []
         for i, block in enumerate(d.get("plans") or []):
             _expect_keys(block, _PLAN_KEYS, f"plans[{i}]")
-            block = dict(block)
-            # a plan without its own budget shares the run-level one
-            block.setdefault("budget", budget.to_dict())
-            _expect_keys(block["budget"] or {}, _BUDGET_KEYS, f"plans[{i}].budget")
+            # a plan's own budget overrides the run-level one key by key
+            own = block.get("budget") or {}
+            _expect_keys(own, _BUDGET_KEYS, f"plans[{i}].budget")
+            block = {**block, "budget": {**budget.to_dict(), **own}}
             plans.append(DeletionPlan.from_dict(block))
 
         workers = d.get("workers")

@@ -1,11 +1,15 @@
 """Mini-batch training with early stopping, metrics, and model selection.
 
 The optimizer is the adaptive-moment method with the canonical constants
-``BETA1`` 0.9, ``BETA2`` 0.999 and ``EPS`` 1e-8. Training is bit-deterministic
+``BETA1`` 0.9, ``BETA2`` 0.999 and ``EPS`` 1e-8. Its state is one flat
+float32 buffer per quantity (parameters, first and second moments, the
+gathered gradient), and each ``graph.params`` entry is a view of the
+parameter buffer, during training and after it. Training is bit-deterministic
 per seed: batch shuffles, dropout masks, and parameter initialization all
 derive from fixed streams. Early stopping keeps the weights of the epoch with
-the lowest validation loss (ties keep the earlier epoch) and stops after
-``patience`` epochs without improvement.
+the lowest validation loss (ties keep the earlier epoch), written back into
+the parameter buffer, and stops after ``patience`` epochs without
+improvement.
 
 Selection trains every grid candidate, ranks by the validation metric, and
 reports test metrics for the winner only after ranking; the test split never
@@ -23,7 +27,6 @@ import numpy as np
 from .data import SplitTriple, Task, TensorDataset
 from .errors import BuildError, TrainingDiverged, TrainingError
 from .models import Model, ModelSpec, build, dropout_masks
-from .engine import DTYPE
 
 
 @dataclass(frozen=True)
@@ -112,22 +115,37 @@ EPS = 1e-8
 
 
 class _Adam:
+    """Adaptive-moment updates over one flat float32 buffer per quantity.
+
+    The constructor packs the parameters, in ``params`` order, into ``flat``
+    and rebinds each ``params[name]`` to a view of it; ``m``, ``v`` and the
+    gathered gradient ``g`` are buffers of the same size. A step is then one
+    vectorised expression over all tensors, element-wise the same as one per
+    tensor.
+    """
+
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.learning_rate = learning_rate
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.names = list(params)
+        self.flat = np.concatenate([params[k].reshape(-1) for k in self.names])
+        offset = 0
+        for k in self.names:
+            size = params[k].size
+            params[k] = self.flat[offset:offset + size].reshape(params[k].shape)
+            offset += size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.g = np.empty_like(self.flat)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def step(self, grads: dict[str, np.ndarray]):
         self.t += 1
         b1t = 1.0 - BETA1 ** self.t
         b2t = 1.0 - BETA2 ** self.t
-        for name, g in grads.items():
-            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
-            update = (self.learning_rate * (m / b1t)
-                      / (np.sqrt(v / b2t) + EPS)).astype(DTYPE)
-            params[name] = params[name] - update
+        g = np.concatenate([grads[k].reshape(-1) for k in self.names], out=self.g)
+        m = self.m = BETA1 * self.m + (1.0 - BETA1) * g
+        v = self.v = BETA2 * self.v + (1.0 - BETA2) * (g * g)
+        self.flat -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -158,7 +176,7 @@ def train(
     graph = model.graph
     best_val = np.inf
     best_epoch = 0
-    best_params: dict[str, np.ndarray] = {}
+    best: Optional[np.ndarray] = None
     train_hist: list[float] = []
     val_hist: list[float] = []
     since_best = 0
@@ -177,7 +195,7 @@ def train(
                     f"non-finite training loss {loss} at epoch {epoch}, batch {bi}"
                 )
             grads = graph.backward("loss")
-            opt.step(graph.params, grads.params)
+            opt.step(grads.params)
             epoch_loss += loss * len(idx)
         train_hist.append(epoch_loss / train_split.n_samples)
 
@@ -189,15 +207,14 @@ def train(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in graph.params.items()}
+            best = opt.flat.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
 
-    for name, arr in best_params.items():
-        graph.params[name] = arr
+    opt.flat[...] = best  # the first epoch always improves on inf
     report = TrainReport(
         best_epoch=best_epoch,
         epochs_run=epochs_run,

@@ -127,6 +127,22 @@ def test_plan_budget_override_wins():
     assert cfg.plans[0].budget.n_samples == 5
 
 
+def test_plan_budget_overrides_the_run_budget_key_by_key():
+    raw = full_dict()
+    raw["plans"][0]["budget"] = {"n_samples": 5}
+    budget = RunConfig.from_dict(raw).plans[0].budget
+    assert budget.n_samples == 5
+    assert budget.n_permutations == 16 and budget.ensemble_size == 3
+    assert budget.noise_scale == 0.1
+
+
+def test_null_plan_budget_shares_the_run_budget():
+    raw = full_dict()
+    raw["plans"][0]["budget"] = None
+    cfg = RunConfig.from_dict(raw)
+    assert cfg.plans[0].budget == cfg.budget
+
+
 def test_bad_plan_value_is_a_config_error():
     raw = full_dict()
     raw["plans"][0]["k"] = 0
@@ -158,6 +174,9 @@ def _set(path, value):
     ("dataset.plant.n", 100.0, "dataset.plant.n"),
     ("dataset.plant.signal_bands", [1.5], "dataset.plant.signal_bands"),
     ("dataset.plant.signal_steps", [0, True], "dataset.plant.signal_steps"),
+    ("split.holdout_years", 2.5, "split.holdout_years"),
+    ("workers", 2.5, "config.workers"),
+    ("workers", True, "config.workers"),
 ])
 def test_non_integer_counts_are_rejected(path, value, fragment):
     with pytest.raises(ConfigError, match=f"{fragment} must be an integer"):

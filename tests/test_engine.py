@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import draw_clean_input, finite_difference_check
 
-from roarsel.engine import DTYPE, Graph
+from roarsel.data import Task
+from roarsel.engine import DTYPE, Graph, _keep
+from roarsel.models import Architecture, Head, ModelSpec, build
 from roarsel.errors import GraphError
 
 
@@ -189,6 +191,88 @@ def test_guided_differs_from_standard_with_relu():
     g.forward(x)
     guided = g.backward_guided(selector=0)
     assert not np.array_equal(standard, guided)
+
+
+def special_values(r, shape):
+    """Random float32 values salted with -0.0, +0.0, NaNs of both signs and
+    a payload, infinities and a subnormal."""
+    g = r.standard_normal(shape).astype(DTYPE).reshape(-1)
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45],
+                        dtype=DTYPE)
+    specials = np.concatenate([specials, np.array([0x7FC00123], np.int32).view(DTYPE)])
+    g[r.choice(g.size, size=4 * specials.size, replace=False)] = np.repeat(specials, 4)
+    return g.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(40,), (16, 12), (5, 6, 7)])
+def test_keep_is_where_bit_for_bit(shape):
+    r = rng(len(shape))
+    g = special_values(r, shape)
+    with np.errstate(invalid="ignore"):
+        masks = [r.random(shape) < 0.5, g > 0, special_values(r, shape) > 0,
+                 np.ones(shape, bool), np.zeros(shape, bool)]
+    for keep in masks:
+        out = _keep(g, keep)
+        want = np.where(keep, g, DTYPE(0.0))
+        assert out.dtype == DTYPE and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+    assert _keep(g[::2], masks[0][::2]).tobytes() == np.where(
+        masks[0][::2], g[::2], DTYPE(0.0)).tobytes()
+
+
+def test_guided_input_matches_a_where_reference():
+    """Two relu layers with a bias, against the guided rule written out with
+    np.where; the engine's backward must give the same bytes."""
+    r = rng(11)
+    g = Graph(input_shape=(3, 4))
+    w1 = uniform(r, (12, 16))
+    b1 = uniform(r, (16,))
+    b1[:4] = 0.0
+    w2 = uniform(r, (16, 8))
+    w3 = uniform(r, (8, 3))
+    h0 = g.flatten(g.input_node)
+    h1 = g.relu(g.add(g.matmul(h0, g.param("w1", w1)), g.param("b1", b1)))
+    h2 = g.relu(g.matmul(h1, g.param("w2", w2)))
+    g.mark_output(g.matmul(h2, g.param("w3", w3)))
+    x = uniform(r, (32, 3, 4), -2, 2)
+    x[0] = 0.0  # with the zero biases, four relu inputs are exactly 0
+    selector = r.integers(0, 3, size=32)
+    g.forward(x)
+    got = g.backward_guided(selector)
+
+    zero = DTYPE(0.0)
+    pre1 = x.reshape(32, 12) @ w1 + b1
+    pre2 = np.maximum(pre1, 0) @ w2
+    seed = np.zeros((32, 3), DTYPE)
+    seed[np.arange(32), selector] = 1.0
+    up = seed @ w3.T
+    up = np.where(pre2 > 0, np.where(up > 0, up, zero), zero) @ w2.T
+    up = np.where(pre1 > 0, np.where(up > 0, up, zero), zero) @ w1.T
+    want = up.reshape(x.shape)
+    assert got.dtype == DTYPE
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+@pytest.mark.parametrize("head", [Head(Task.REGRESSION),
+                                  Head(Task.CLASSIFICATION, n_classes=3)],
+                         ids=["regression", "classification"])
+def test_backward_gradients_are_float32(arch, head):
+    """Backward keeps each first gradient as the kernel returned it, so every
+    kernel must return float32."""
+    spec = ModelSpec(arch, head, width=8, channels=4, dense_size=8,
+                     hidden_size=4, kernel_size=3, dropout=0.25)
+    m = build(spec, 5, 3, seed=0)
+    r = rng(1)
+    x = uniform(r, (6, 5, 3), -2, 2)
+    target = (r.integers(0, 3, size=6) if head.task is Task.CLASSIFICATION
+              else uniform(r, (6,)))
+    masks = {k: np.ones((6, *s), DTYPE) for k, s in m.graph.mask_shapes.items()}
+    m.graph.forward_loss(x, target, masks=masks)
+    grads = m.graph.backward("loss")
+    assert grads.input.dtype == DTYPE
+    assert {k: v.dtype for k, v in grads.params.items()} == {
+        k: DTYPE for k in m.graph.params}
 
 
 # -- finite differences ------------------------------------------------------

@@ -8,8 +8,12 @@ from roarsel.engine import DTYPE, Graph
 from roarsel.errors import TrainingDiverged, TrainingError
 from roarsel.models import Architecture, Head, Model, ModelSpec, build
 from roarsel.training import (
+    BETA1,
+    BETA2,
+    EPS,
     MetricKind,
     TrainConfig,
+    _Adam,
     default_grid,
     evaluate,
     select_model,
@@ -146,6 +150,65 @@ def test_same_seed_bit_identical_weights():
     for name in a[0].graph.params:
         assert a[0].graph.params[name].tobytes() == b[0].graph.params[name].tobytes()
     assert a[1].val_loss == b[1].val_loss
+
+
+def _reference_adam(params, grad_steps, learning_rate):
+    """The optimizer as one update per tensor, each step rebinding every
+    parameter to a fresh array: the element-wise oracle for the flat one."""
+    params = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        b1t = 1.0 - BETA1 ** t
+        b2t = 1.0 - BETA2 ** t
+        for name, g in grads.items():
+            m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+            v[name] = BETA2 * v[name] + (1.0 - BETA2) * (g * g)
+            update = (learning_rate * (m[name] / b1t)
+                      / (np.sqrt(v[name] / b2t) + EPS)).astype(DTYPE)
+            params[name] = params[name] - update
+    return params
+
+
+@pytest.mark.parametrize("arch", [Architecture.MLP, Architecture.LSTM,
+                                  Architecture.TEMPCNN])
+def test_flat_adam_matches_the_per_tensor_reference(arch):
+    spec = ModelSpec(arch, CLS2, width=8, channels=6, dense_size=16,
+                     hidden_size=8, kernel_size=3)
+    params = build(spec, 5, 3, seed=6).graph.params
+    r = np.random.default_rng(6)
+    grad_steps = [
+        {k: (r.standard_normal(p.shape) * 10.0 ** r.integers(-6, 2)).astype(DTYPE)
+         for k, p in params.items()}
+        for _ in range(50)
+    ]
+    want = _reference_adam(params, grad_steps, 3e-3)
+    opt = _Adam(params, 3e-3)
+    for grads in grad_steps:
+        opt.step(grads)
+    assert list(params) == list(want)
+    for name, p in params.items():
+        assert p.base is opt.flat, name
+        assert p.dtype == DTYPE and p.shape == want[name].shape
+        assert p.tobytes() == want[name].tobytes(), name
+
+
+def test_restored_best_weights_forward_through_the_views():
+    """Val loss rises every epoch, so the best epoch is the first of eleven
+    and the restore must overwrite the last epoch's weights in place."""
+    r = np.random.default_rng(0)
+    x = np.ones((32, 1, 1), dtype=DTYPE) + r.normal(scale=0.01, size=(32, 1, 1)).astype(DTYPE)
+    train_split = regression_dataset(x, 5.0 + r.normal(scale=0.01, size=32))
+    val_split = regression_dataset(x, -5.0 + r.normal(scale=0.01, size=32))
+    m = build(ModelSpec(Architecture.MLP, REG, **SMALL), 1, 1, seed=2)
+    cfg = TrainConfig(patience=10, seed=2)
+    m, report = train(m, train_split, val_split, cfg)
+    assert (report.best_epoch, report.epochs_run) == (1, 11)
+    flat = m.graph.params["layer0/w"].base
+    assert flat is not None
+    assert all(p.base is flat for p in m.graph.params.values())
+    assert split_loss(m, val_split, cfg.batch_size) == report.val_loss[0]
+    assert split_loss(m, val_split, cfg.batch_size) != report.val_loss[-1]
 
 
 def test_best_epoch_weights_reproduce_best_val_loss():
