@@ -26,7 +26,7 @@ the base attribution exactly, which is what the collapse properties assert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -173,20 +173,18 @@ def aggregate_rank(m: AttributionMatrix) -> ImportanceRanking:
 
 @dataclass(frozen=True)
 class ExplainBudget:
-    """Estimator budgets; freeze once per experiment against the train split.
+    """Estimator budgets.
 
-    ``n_samples`` of None resolves to min(5000, N_train) at freeze time.
-    The frozen sample selection is reused across deletion cycles; the noise
-    range (per-cell training min-to-max span) is refreshed per cycle because
-    the grid shrinks.
+    ``n_samples`` of None means min(5000, N_train). A campaign draws its
+    explained sample ids once and reuses them across deletion cycles; the
+    ensembles' noise range (``cell_span``) is passed per cycle because the
+    grid shrinks.
     """
 
     n_samples: Optional[int] = None
     n_permutations: int = 64
     ensemble_size: int = 15
     noise_scale: float = 0.15
-    sample_ids: Optional[tuple[int, ...]] = None
-    noise_range: Optional[np.ndarray] = None  # [T, B] float32
 
     def __post_init__(self):
         if self.n_samples is not None and self.n_samples < 1:
@@ -196,24 +194,8 @@ class ExplainBudget:
         if self.noise_scale < 0:
             raise EstimatorError("noise scale cannot be negative")
 
-    def freeze(self, train: TensorDataset, seed: int) -> "ExplainBudget":
-        """Resolve sample ids (once) and refresh the per-cell noise range."""
-        n = train.n_samples
-        wanted = min(5000, n) if self.n_samples is None else min(self.n_samples, n)
-        ids = self.sample_ids
-        if ids is None:
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 5]))
-            ids = tuple(sorted(int(i) for i in rng.choice(n, size=wanted, replace=False)))
-        span = (train.values.max(axis=0) - train.values.min(axis=0)).astype(DTYPE)
-        return replace(self, n_samples=len(ids), sample_ids=ids, noise_range=span)
-
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_permutations": self.n_permutations,
-            "ensemble_size": self.ensemble_size,
-            "noise_scale": self.noise_scale,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExplainBudget":
@@ -223,6 +205,11 @@ class ExplainBudget:
 def mean_baseline(train: TensorDataset) -> np.ndarray:
     """Per-feature training mean, the default reference input."""
     return train.values.mean(axis=0, dtype=np.float64).astype(DTYPE)
+
+
+def cell_span(train: TensorDataset) -> np.ndarray:
+    """Per-cell training min-to-max span, the ensembles' noise range."""
+    return (train.values.max(axis=0) - train.values.min(axis=0)).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +241,7 @@ def _check_inputs(
     samples: np.ndarray,
     baseline: Optional[np.ndarray],
     groups: FeatureGroups,
+    noise_range: Optional[np.ndarray] = None,
 ):
     t, b = model.input_shape
     if groups.mask.shape[1:] != (t, b):
@@ -264,10 +252,11 @@ def _check_inputs(
         raise EstimatorError(
             f"samples shape {samples.shape} does not match model input ({t}, {b})"
         )
-    if baseline is not None and baseline.shape != (t, b):
-        raise EstimatorError(
-            f"baseline shape {baseline.shape} does not match model input ({t}, {b})"
-        )
+    for name, cells in (("baseline", baseline), ("noise_range", noise_range)):
+        if cells is not None and cells.shape != (t, b):
+            raise EstimatorError(
+                f"{name} shape {cells.shape} does not match model input ({t}, {b})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +395,7 @@ def _ensemble_rows(
     ids: tuple[int, ...],
     groups: FeatureGroups,
     baseline: Optional[np.ndarray],
+    noise_range: Optional[np.ndarray],
     budget: ExplainBudget,
     seed: int,
     classes: Optional[np.ndarray],
@@ -420,11 +410,9 @@ def _ensemble_rows(
     t, b = model.input_shape
     sigma = budget.noise_scale
     if sigma > 0:
-        if budget.noise_range is None:
-            raise EstimatorError(
-                "noisy ensembles need a frozen budget (per-feature noise range)"
-            )
-        scale = (sigma * budget.noise_range).astype(np.float64)
+        if noise_range is None:
+            raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
+        scale = (sigma * noise_range).astype(np.float64)
     rows = np.empty(
         (budget.ensemble_size, len(samples), groups.n_groups), dtype=np.float64
     )
@@ -460,6 +448,7 @@ def run_estimator(
     budget: ExplainBudget,
     seed: int,
     baseline: Optional[np.ndarray] = None,
+    noise_range: Optional[np.ndarray] = None,
     sample_ids: Optional[Sequence[int]] = None,
 ) -> AttributionMatrix:
     """Score every sample over ``groups`` with the estimator ``tag`` names.
@@ -471,8 +460,11 @@ def run_estimator(
     standard error of that Monte-Carlo mean comes with them. ``gb``: signed
     group sums of the guided-backprop input gradient. ``sgs-<base>`` and
     ``vargrad-<base>``: the mean square and the variance of the base scores
-    over ``budget.ensemble_size`` noised replicas. Every svs base needs a
-    ``baseline``; rows are keyed by ``sample_ids`` (default: positions).
+    over ``budget.ensemble_size`` replicas, each cell noised with standard
+    deviation ``budget.noise_scale`` times its ``noise_range`` entry (a
+    ``[T, B]`` array, needed when that scale is positive). Every svs base
+    needs a ``baseline``; rows are keyed by ``sample_ids`` (default:
+    positions).
     """
     if tag not in ESTIMATOR_TAGS:
         raise EstimatorError(f"unknown estimator tag {tag!r}")
@@ -482,7 +474,9 @@ def run_estimator(
     samples = np.ascontiguousarray(samples, dtype=DTYPE)
     if baseline is not None:
         baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
-    _check_inputs(model, samples, baseline, groups)
+    if noise_range is not None:
+        noise_range = np.asarray(noise_range, dtype=DTYPE)
+    _check_inputs(model, samples, baseline, groups, noise_range)
     ids = tuple(range(len(samples)) if sample_ids is None else map(int, sample_ids))
     if len(ids) != len(samples):
         raise EstimatorError("sample_ids length must match samples")
@@ -490,7 +484,8 @@ def run_estimator(
     stderr = None
     if kind:
         scores = _ensemble_rows(
-            kind, base, model, samples, ids, groups, baseline, budget, seed, classes
+            kind, base, model, samples, ids, groups, baseline, noise_range, budget,
+            seed, classes,
         )
     elif base == "gb":
         scores = _gb_rows(model, samples, groups, classes)

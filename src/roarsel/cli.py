@@ -98,7 +98,8 @@ def cmd_select(cfg: RunConfig) -> Path:
     """Train the grid, rank by validation metric, emit the results table."""
     splits, head = _load_splits(cfg)
     grid = cfg.candidates(head)
-    model, report = select_model(grid, splits, include_test_metrics=True)
+    model, report = select_model(grid, splits, section_seed(cfg.seed, "select"),
+                                 include_test_metrics=True)
     out = _ensure_out(cfg)
 
     write_json(out / "selection.json", report.to_dict())
@@ -151,7 +152,7 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
         raise ConfigError("roar needs at least one deletion plan")
     splits, head = _load_splits(cfg)
     spec = cfg.model.spec(head)
-    train_cfg = cfg.model.train_config(cfg.train, seed=cfg.train.seed)
+    train_cfg = cfg.model.train_config(cfg.train)
     out = _ensure_out(cfg)
 
     written: list[Path] = []

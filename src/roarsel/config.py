@@ -10,7 +10,8 @@ default, and the persisted result is enough to reproduce the run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,9 +25,9 @@ from .roar import DeletionPlan
 from .synthetic import PlantSpec
 from .training import TrainConfig, default_grid
 
-# lane 1 is claimed by the training loop, 5 by budget freezing, and the
-# campaign loop keys three-element sequences; these two-element lanes
-# stay clear of all of them
+# lane 1 is claimed by the training loop, 5 by the explained-sample draw,
+# and the campaign loop keys three-element sequences; these two-element
+# lanes stay clear of all of them
 _SECTION_LANES = {"split": 2, "select": 3, "roar": 4, "generate": 6}
 
 
@@ -42,21 +43,45 @@ _INT_KEYS = {"seed", "max_epochs", "patience", "batch_size", "n_samples",
              "kernel_size", "channels", "dense_size", "hidden_size", "n", "t",
              "b", "year_start", "n_years", "signal_bands", "signal_steps",
              "holdout_years", "workers"}
+# real numbers, wherever they appear; JSON integers count, while the NaN
+# and Infinity that Python's parser also reads do not
+_REAL_KEYS = {"learning_rate", "tolerance", "noise_scale", "weight", "noise",
+              "dropout"}
+# the blocks of the top level; a null block is an empty one
+_BLOCKS = ("dataset", "split", "grid", "model", "train", "budget", "plans")
 
 
-def _expect_keys(d: dict, known: set[str], where: str) -> None:
-    """Reject unknown keys, and counts given as floats or bools (a null
-    count keeps its meaning, such as "all samples" or "default depth")."""
-    extra = sorted(set(d) - known)
+def _keys(cls) -> dict[str, bool]:
+    """A config block's keys, its dataclass's fields, each mapped to whether
+    null is accepted: for a field defaulting to None or to a fresh block."""
+    return {f.name: f.default is None or f.default_factory is not MISSING
+            for f in fields(cls)}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+
+
+def _expect_keys(d: dict, keys: dict[str, bool], where: str) -> None:
+    """Reject unknown keys, nulls where the key has no null meaning, counts
+    that are not JSON integers, and reals that are not JSON numbers."""
+    extra = sorted(set(d) - set(keys))
     if extra:
         raise ConfigError(f"unknown {where} key(s): {', '.join(extra)}")
-    for key in sorted(_INT_KEYS & d.keys()):
-        value = d[key]
-        is_list = key.startswith("signal_") and isinstance(value, list)
-        items = value if is_list else [value]
-        if not all(v is None or (isinstance(v, int) and not isinstance(v, bool))
-                   for v in items):
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    for key, value in sorted(d.items()):
+        if value is None:
+            if not keys[key]:
+                raise ConfigError(f"{where}.{key} must not be null")
+        elif key in _INT_KEYS:
+            is_list = key.startswith("signal_") and isinstance(value, list)
+            if not all(map(_is_int, value if is_list else [value])):
+                raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        elif key in _REAL_KEYS and not _is_real(value):
+            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,50 +103,26 @@ class CandidateConfig:
     learning_rate: Optional[float] = None
 
     def spec(self, head: Head) -> ModelSpec:
-        return ModelSpec(
-            architecture=self.architecture,
-            head=head,
-            width=self.width,
-            depth=self.depth,
-            kernel_size=self.kernel_size,
-            channels=self.channels,
-            dense_size=self.dense_size,
-            hidden_size=self.hidden_size,
-            dropout=self.dropout,
-        )
+        d = asdict(self)
+        del d["learning_rate"]
+        return ModelSpec(head=head, **d)
 
-    def train_config(self, base: TrainConfig, seed: int) -> TrainConfig:
-        rate = base.learning_rate if self.learning_rate is None else self.learning_rate
-        return replace(base, learning_rate=rate, seed=seed)
+    def train_config(self, base: TrainConfig) -> TrainConfig:
+        if self.learning_rate is None:
+            return base
+        return replace(base, learning_rate=self.learning_rate)
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture.value,
-            "width": self.width,
-            "depth": self.depth,
-            "kernel_size": self.kernel_size,
-            "channels": self.channels,
-            "dense_size": self.dense_size,
-            "hidden_size": self.hidden_size,
-            "dropout": self.dropout,
-            "learning_rate": self.learning_rate,
-        }
+        return {**asdict(self), "architecture": self.architecture.value}
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "CandidateConfig":
-        _expect_keys(d, set(cls.__dataclass_fields__), where)
+        _expect_keys(d, _keys(cls), where)
         if "architecture" not in d:
             raise ConfigError(f"{where} needs an architecture")
         d = dict(d)
         d["architecture"] = Architecture(d["architecture"])
         return cls(**d)
-
-
-_TRAIN_KEYS = {"max_epochs", "patience", "batch_size", "learning_rate", "seed"}
-_BUDGET_KEYS = {"n_samples", "n_permutations", "ensemble_size", "noise_scale"}
-_PLAN_KEYS = {"axis", "order", "estimator_tag", "budget", "k", "tolerance"}
-_PLANT_KEYS = {"n", "t", "b", "signal_bands", "signal_steps", "weight",
-               "cell_weights", "noise", "task", "year_start", "n_years"}
 
 
 @dataclass
@@ -142,15 +143,9 @@ class RunConfig:
 
     def candidates(self, head: Head) -> list[tuple[ModelSpec, TrainConfig]]:
         """The selection grid; empty config grid means the default grid."""
-        seed = section_seed(self.seed, "select")
         if not self.grid:
-            shared = {
-                "max_epochs": self.train.max_epochs,
-                "patience": self.train.patience,
-                "batch_size": self.train.batch_size,
-            }
-            return default_grid(head, seed=seed, train_overrides=shared)
-        return [(c.spec(head), c.train_config(self.train, seed)) for c in self.grid]
+            return default_grid(head, self.train)
+        return [(c.spec(head), c.train_config(self.train)) for c in self.grid]
 
     def to_dict(self) -> dict:
         return {
@@ -171,28 +166,31 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _expect_keys(d, {"seed", "out_dir", "dataset", "split", "grid", "model",
-                         "train", "budget", "plans", "workers"}, "config")
+        top = _keys(cls)  # the dataset and split blocks regroup some fields
+        _expect_keys(d, {"seed": top["seed"], "out_dir": top["out_dir"],
+                         "workers": top["workers"], **dict.fromkeys(_BLOCKS, True)},
+                     "config")
 
         dataset = d.get("dataset") or {}
-        _expect_keys(dataset, {"path", "plant"}, "dataset")
+        _expect_keys(dataset, {"path": top["dataset_path"], "plant": top["plant"]},
+                     "dataset")
         plant = None
         if dataset.get("plant") is not None:
-            _expect_keys(dataset["plant"], _PLANT_KEYS, "dataset.plant")
+            _expect_keys(dataset["plant"], _keys(PlantSpec), "dataset.plant")
             plant = PlantSpec.from_dict(dataset["plant"])
 
         split = d.get("split") or {}
-        _expect_keys(split, {"holdout_years"}, "split")
-        holdout_years = int(split.get("holdout_years", 2))
+        _expect_keys(split, {"holdout_years": top["holdout_years"]}, "split")
+        holdout_years = split.get("holdout_years", 2)
         if holdout_years < 1:
             raise ConfigError("holdout_years must be at least 1")
 
         train_block = d.get("train") or {}
-        _expect_keys(train_block, _TRAIN_KEYS, "train")
+        _expect_keys(train_block, _keys(TrainConfig), "train")
         train = TrainConfig.from_dict(train_block)
 
         budget_block = d.get("budget") or {}
-        _expect_keys(budget_block, _BUDGET_KEYS, "budget")
+        _expect_keys(budget_block, _keys(ExplainBudget), "budget")
         budget = ExplainBudget.from_dict(budget_block)
 
         # absent grid falls back to the default grid; a present-but-empty
@@ -209,21 +207,19 @@ class RunConfig:
 
         plans = []
         for i, block in enumerate(d.get("plans") or []):
-            _expect_keys(block, _PLAN_KEYS, f"plans[{i}]")
+            _expect_keys(block, _keys(DeletionPlan), f"plans[{i}]")
             # a plan's own budget overrides the run-level one key by key
             own = block.get("budget") or {}
-            _expect_keys(own, _BUDGET_KEYS, f"plans[{i}].budget")
+            _expect_keys(own, _keys(ExplainBudget), f"plans[{i}].budget")
             block = {**block, "budget": {**budget.to_dict(), **own}}
             plans.append(DeletionPlan.from_dict(block))
 
         workers = d.get("workers")
-        if workers is not None:
-            workers = int(workers)
-            if workers < 1:
-                raise ConfigError("workers must be positive")
+        if workers is not None and workers < 1:
+            raise ConfigError("workers must be positive")
 
         return cls(
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
             out_dir=str(d.get("out_dir", "runs/out")),
             dataset_path=dataset.get("path"),
             plant=plant,

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional
@@ -28,6 +28,7 @@ from .attribution import (
     GroupingAxis,
     ImportanceRanking,
     aggregate_rank,
+    cell_span,
     feature_groups,
     mean_baseline,
     run_estimator,
@@ -230,36 +231,43 @@ def _lane_seed(seed: int, cycle: int, lane: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(cycle), lane]).generate_state(1)[0])
 
 
+def _explained_ids(n_train: int, n_samples: Optional[int], seed: int) -> tuple[int, ...]:
+    """The sorted training-sample ids a campaign explains in every cycle:
+    ``n_samples`` of them (None: up to 5000), drawn once from the seed."""
+    wanted = min(5000, n_train) if n_samples is None else min(n_samples, n_train)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 5]))
+    return tuple(sorted(int(i) for i in rng.choice(n_train, size=wanted, replace=False)))
+
+
 def _run_cycle(
     cur: SplitTriple,
     spec: ModelSpec,
     cfg: TrainConfig,
     plan: DeletionPlan,
-    budget: ExplainBudget,
+    sample_ids: tuple[int, ...],
     seed: int,
     cycle: int,
     removed_ids: tuple[int, ...],
-) -> tuple[CycleRecord, ExplainBudget]:
+) -> CycleRecord:
     _, t, b = cur.train.shape
     fit_seed = _lane_seed(seed, cycle, 0)
     model = resize_for_input(spec, t, b, fit_seed)
-    model, report = train(model, cur.train, cur.validation, replace(cfg, seed=fit_seed))
+    model, report = train(model, cur.train, cur.validation, cfg, fit_seed)
     test = evaluate(model, cur.test)
 
     groups = feature_groups(cur.train.schema, plan.axis)
-    budget = budget.freeze(cur.train, seed)
-    samples = cur.train.values[np.asarray(budget.sample_ids, dtype=np.int64)]
     matrix = run_estimator(
         plan.estimator_tag,
         model,
-        samples,
+        cur.train.values[np.asarray(sample_ids, dtype=np.int64)],
         groups,
-        budget,
+        plan.budget,
         _lane_seed(seed, cycle, 1),
         baseline=mean_baseline(cur.train),
-        sample_ids=budget.sample_ids,
+        noise_range=cell_span(cur.train),
+        sample_ids=sample_ids,
     )
-    record = CycleRecord(
+    return CycleRecord(
         cycle=cycle,
         removed_ids=removed_ids,
         remaining=groups.n_groups,
@@ -268,7 +276,6 @@ def _run_cycle(
         test_metric=test,
         ranking=aggregate_rank(matrix),
     )
-    return record, budget
 
 
 def run_roar(
@@ -282,13 +289,14 @@ def run_roar(
     """Run a deletion campaign until a single group survives.
 
     Each cycle retrains from fresh weights on the shrunken splits, then
-    re-explains the retrained model; the new ranking alone decides the
-    next removal. Deterministic for a given seed. Any package error inside
-    a cycle (training divergence, constant targets, an estimator failure)
-    aborts the run with ``RoarAborted``, carrying the partial curve.
+    re-explains the retrained model on the same training samples, drawn
+    once from ``seed``; the new ranking alone decides the next removal.
+    Deterministic for a given seed. Any package error inside a cycle
+    (training divergence, constant targets, an estimator failure) aborts
+    the run with ``RoarAborted``, carrying the partial curve.
     """
     step = plan.step_size(feature_groups(splits.train.schema, plan.axis).n_groups)
-    budget = plan.budget
+    sample_ids = _explained_ids(splits.train.n_samples, plan.budget.n_samples, seed)
     baseline: Optional[CycleRecord] = None
     records: list[CycleRecord] = []
     cur = splits
@@ -296,7 +304,7 @@ def run_roar(
     removed: tuple[int, ...] = ()
     while True:
         try:
-            record, budget = _run_cycle(cur, spec, cfg, plan, budget, seed, cycle, removed)
+            record = _run_cycle(cur, spec, cfg, plan, sample_ids, seed, cycle, removed)
         except RoarselError as exc:
             partial = None
             if baseline is not None:

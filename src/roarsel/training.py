@@ -18,7 +18,7 @@ influences the choice.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import SplitTriple, Task, TensorDataset
 from .errors import BuildError, TrainingDiverged, TrainingError
-from .models import Model, ModelSpec, build, dropout_masks
+from .models import Architecture, Model, ModelSpec, build, dropout_masks
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class TrainConfig:
     patience: int = 10
     batch_size: int = 64
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.max_epochs, self.patience, self.batch_size) < 1:
@@ -159,8 +158,11 @@ def train(
     train_split: TensorDataset,
     val_split: TensorDataset,
     cfg: TrainConfig,
+    seed: int,
 ) -> tuple[Model, TrainReport]:
     """Fit in place and return the model restored to its best epoch.
+
+    ``seed`` keys the batch shuffles and dropout masks.
 
     Divergence (non-finite training or validation loss) aborts with a
     diagnostic naming the epoch and batch.
@@ -171,7 +173,7 @@ def train(
             raise TrainingError(
                 f"{label} split shape {split.shape[1:]} does not match model ({t}, {b})"
             )
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     opt = _Adam(model.graph.params, cfg.learning_rate)
     graph = model.graph
     best_val = np.inf
@@ -305,15 +307,16 @@ class SelectionReport:
 def select_model(
     grid: Sequence[tuple[ModelSpec, TrainConfig]],
     splits: SplitTriple,
+    seed: int,
     include_test_metrics: bool = True,
 ) -> tuple[Model, SelectionReport]:
     """Train every candidate and pick the best validation metric.
 
-    Candidates train one after another. Ties keep the earlier grid index.
-    Per-candidate training errors are recorded and the grid continues; all
-    candidates failing is an error. The test split is consulted only after
-    ranking, and only when ``include_test_metrics`` is set; it never
-    influences the ranking.
+    Candidates train one after another, each built and trained from
+    ``seed``. Ties keep the earlier grid index. Per-candidate training
+    errors are recorded and the grid continues; all candidates failing is
+    an error. The test split is consulted only after ranking, and only when
+    ``include_test_metrics`` is set; it never influences the ranking.
     """
     if not grid:
         raise TrainingError("empty selection grid")
@@ -323,8 +326,8 @@ def select_model(
     models: dict[int, Model] = {}
     for i, (spec, cfg) in enumerate(grid):
         try:
-            model = build(spec, t, b, seed=cfg.seed)
-            models[i], report = train(model, splits.train, splits.validation, cfg)
+            model = build(spec, t, b, seed=seed)
+            models[i], report = train(model, splits.train, splits.validation, cfg, seed)
         except (TrainingError, BuildError) as exc:
             failed.append(CandidateResult(i, spec, cfg, None, None, str(exc)))
             continue
@@ -348,17 +351,8 @@ def select_model(
     return models[best.index], report
 
 
-def default_grid(
-    head, seed: int = 0, train_overrides: Optional[dict] = None
-) -> list[tuple[ModelSpec, TrainConfig]]:
-    """Five architectures crossed with the learning-rate grid {1e-3, 1e-4}."""
-    from .models import Architecture
-
-    overrides = train_overrides or {}
-    grid = []
-    for arch in Architecture:
-        for lr in (1e-3, 1e-4):
-            spec = ModelSpec(architecture=arch, head=head)
-            cfg = TrainConfig(learning_rate=lr, seed=seed, **overrides)
-            grid.append((spec, cfg))
-    return grid
+def default_grid(head, base: TrainConfig) -> list[tuple[ModelSpec, TrainConfig]]:
+    """Five architectures crossed with the learning-rate grid {1e-3, 1e-4};
+    every other training setting comes from ``base``."""
+    return [(ModelSpec(architecture=arch, head=head), replace(base, learning_rate=lr))
+            for arch in Architecture for lr in (1e-3, 1e-4)]

@@ -291,7 +291,7 @@ def test_planted_signal_deletion_curves_recover_the_signal_bands():
         splits = split_by_year(d, 2, seed=section_seed(17, "split"))
         spec = ModelSpec(Architecture.MLP, Head.for_schema(d.schema), width=64)
         cfg = TrainConfig(max_epochs=100, patience=25, batch_size=64,
-                          learning_rate=3e-3, seed=0)
+                          learning_rate=3e-3)
         budget = ExplainBudget(n_samples=96, n_permutations=32, ensemble_size=2)
 
         least = run_roar(

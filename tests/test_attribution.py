@@ -11,6 +11,7 @@ from roarsel.attribution import (
     ExplainBudget,
     GroupingAxis,
     aggregate_rank,
+    cell_span,
     exact_shapley,
     feature_groups,
     FeatureGroups,
@@ -331,13 +332,12 @@ def test_gb_group_scores_sum_cells():
 def ensemble_fixture(seed=0):
     d = make_dataset(n=12, t=2, b=3, task=Task.REGRESSION, seed=seed)
     model = small_mlp(seed=seed)
-    frozen = budget(n_permutations=8, ensemble_size=5).freeze(d, seed=seed)
     samples = d.values[:3].copy()
-    return model, samples, frozen, mean_baseline(d)
+    return model, samples, cell_span(d), mean_baseline(d)
 
 
 def test_sgs_zero_noise_is_elementwise_square_of_svs():
-    model, samples, frozen, base = ensemble_fixture()
+    model, samples, span, base = ensemble_fixture()
     quiet = budget(n_permutations=8, ensemble_size=5, noise_scale=0.0)
     base_m = run_estimator("svs", model, samples, by_band(model), quiet, seed=1,
                            baseline=base)
@@ -347,7 +347,7 @@ def test_sgs_zero_noise_is_elementwise_square_of_svs():
 
 
 def test_sgs_zero_noise_is_elementwise_square_of_gb():
-    model, samples, frozen, base = ensemble_fixture(seed=2)
+    model, samples, span, base = ensemble_fixture(seed=2)
     quiet = budget(ensemble_size=5, noise_scale=0.0)
     base_m = run_estimator("gb", model, samples, by_band(model), quiet, seed=1)
     sgs = run_estimator("sgs-gb", model, samples, by_band(model),
@@ -356,7 +356,7 @@ def test_sgs_zero_noise_is_elementwise_square_of_gb():
 
 
 def test_sgs_single_replica_zero_noise_same_collapse():
-    model, samples, frozen, base = ensemble_fixture(seed=3)
+    model, samples, span, base = ensemble_fixture(seed=3)
     quiet = budget(n_permutations=8, ensemble_size=1, noise_scale=0.0)
     base_m = run_estimator("svs", model, samples, by_band(model), quiet, seed=2,
                            baseline=base)
@@ -366,7 +366,7 @@ def test_sgs_single_replica_zero_noise_same_collapse():
 
 
 def test_vargrad_zero_noise_is_exactly_zero():
-    model, samples, frozen, base = ensemble_fixture(seed=4)
+    model, samples, span, base = ensemble_fixture(seed=4)
     quiet = budget(n_permutations=8, ensemble_size=5, noise_scale=0.0)
     for base_tag in ("svs", "gb"):
         m = run_estimator(f"vargrad-{base_tag}", model, samples,
@@ -375,21 +375,28 @@ def test_vargrad_zero_noise_is_exactly_zero():
 
 
 def test_noisy_ensembles_nonnegative_and_deterministic():
-    model, samples, frozen, base = ensemble_fixture(seed=5)
+    model, samples, span, base = ensemble_fixture(seed=5)
+    loud = budget(n_permutations=8, ensemble_size=5)
     for tag in ("sgs-gb", "vargrad-gb"):
-        a = run_estimator(tag, model, samples, by_band(model), frozen, seed=4)
-        b_ = run_estimator(tag, model, samples, by_band(model), frozen, seed=4)
+        a = run_estimator(tag, model, samples, by_band(model), loud, seed=4,
+                          noise_range=span)
+        b_ = run_estimator(tag, model, samples, by_band(model), loud, seed=4,
+                           noise_range=span)
         assert (a.scores >= 0).all()
         assert a.scores.tobytes() == b_.scores.tobytes()
-        c = run_estimator(tag, model, samples, by_band(model), frozen, seed=5)
+        c = run_estimator(tag, model, samples, by_band(model), loud, seed=5,
+                          noise_range=span)
         assert a.scores.tobytes() != c.scores.tobytes()
 
 
-def test_noisy_ensemble_requires_frozen_budget():
-    model, samples, _, base = ensemble_fixture(seed=6)
-    loud = budget(ensemble_size=3, noise_scale=0.2)  # not frozen: no range
-    with pytest.raises(EstimatorError, match="frozen"):
+def test_noisy_ensemble_requires_a_noise_range():
+    model, samples, span, base = ensemble_fixture(seed=6)
+    loud = budget(ensemble_size=3, noise_scale=0.2)
+    with pytest.raises(EstimatorError, match="need a noise_range"):
         run_estimator("sgs-gb", model, samples, by_band(model), loud, seed=0)
+    with pytest.raises(EstimatorError, match="noise_range shape"):
+        run_estimator("sgs-gb", model, samples, by_band(model), loud, seed=0,
+                      noise_range=span[0])
 
 
 # -- aggregation -------------------------------------------------------------
@@ -444,29 +451,11 @@ def test_top_and_bottom_selectors():
 # -- budget ------------------------------------------------------------------
 
 
-def test_budget_freeze_resolves_and_pins_sample_ids():
-    d = make_dataset(n=20, t=2, b=3)
-    frozen = budget().freeze(d, seed=0)
-    assert frozen.n_samples == 20  # min(5000, N)
-    assert len(frozen.sample_ids) == 20
-    again = frozen.freeze(d, seed=999)  # ids survive refreezing
-    assert again.sample_ids == frozen.sample_ids
-
-
-def test_budget_freeze_subsamples_deterministically():
-    d = make_dataset(n=40, t=2, b=3)
-    a = budget(n_samples=10).freeze(d, seed=3)
-    b_ = budget(n_samples=10).freeze(d, seed=3)
-    assert a.sample_ids == b_.sample_ids
-    assert len(set(a.sample_ids)) == 10
-    assert all(0 <= i < 40 for i in a.sample_ids)
-
-
 def test_budget_noise_range_is_per_cell_span():
     d = make_dataset(n=15, t=2, b=3)
-    frozen = budget().freeze(d, seed=0)
     span = d.values.max(axis=0) - d.values.min(axis=0)
-    np.testing.assert_allclose(frozen.noise_range, span, rtol=1e-6)
+    assert cell_span(d).dtype == DTYPE
+    np.testing.assert_allclose(cell_span(d), span, rtol=1e-6)
 
 
 def test_budget_validation():
@@ -482,7 +471,7 @@ def test_budget_validation():
 
 
 def test_run_estimator_dispatch_covers_all_tags():
-    model, samples, frozen, base = ensemble_fixture(seed=7)
+    model, samples, span, base = ensemble_fixture(seed=7)
     small = budget(n_permutations=4, ensemble_size=2, noise_scale=0.0)
     for tag in ("svs", "gb", "sgs-svs", "sgs-gb", "vargrad-svs", "vargrad-gb"):
         m = run_estimator(tag, model, samples, by_band(model),
@@ -492,14 +481,14 @@ def test_run_estimator_dispatch_covers_all_tags():
 
 
 def test_run_estimator_rejects_unknown_tag():
-    model, samples, frozen, base = ensemble_fixture(seed=8)
+    model, samples, span, base = ensemble_fixture(seed=8)
     with pytest.raises(EstimatorError, match="unknown estimator tag"):
         run_estimator("lrp", model, samples, by_band(model),
                       budget(), seed=0, baseline=base)
 
 
 def test_svs_requires_baseline_via_dispatch():
-    model, samples, frozen, base = ensemble_fixture(seed=9)
+    model, samples, span, base = ensemble_fixture(seed=9)
     with pytest.raises(EstimatorError, match="baseline"):
         run_estimator("svs", model, samples, by_band(model),
                       budget(n_permutations=4), seed=0)

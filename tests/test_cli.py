@@ -9,6 +9,7 @@ from conftest import fab_curve
 
 from roarsel import cli
 from roarsel.cli import _selection_rows, cmd_report, main
+from roarsel.config import section_seed
 from roarsel.data import Task, load_dataset
 from roarsel.errors import RoarAborted
 from roarsel.models import Architecture, Head, ModelSpec
@@ -143,15 +144,32 @@ def test_select_emits_one_row_per_architecture(workspace):
     assert report["test_metric"] is not None
 
 
+def test_select_seeds_every_candidate_from_the_select_section(workspace, tmp_path,
+                                                             monkeypatch):
+    seen = []
+
+    def spy(grid, splits, seed, **kwargs):
+        seen.append(seed)
+        return real(grid[:1], splits, seed, **kwargs)
+
+    real = cli.select_model
+    monkeypatch.setattr(cli, "select_model", spy)
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["select", "--config", str(p), "--seed", "11"]) == 0
+    assert seen == [section_seed(11, "select")]
+
+
 def test_selection_rows_note_ties_and_failures():
     def ok(i, arch, v):
         return CandidateResult(
-            index=i, spec=ModelSpec(arch, REG), cfg=TrainConfig(seed=0),
+            index=i, spec=ModelSpec(arch, REG), cfg=TrainConfig(),
             val_metric=MetricValue(MetricKind.R2, v), report=None,
             test_metric=MetricValue(MetricKind.R2, v))
 
     failed = CandidateResult(
-        index=2, spec=ModelSpec(Architecture.TEMPCNN, REG), cfg=TrainConfig(seed=0),
+        index=2, spec=ModelSpec(Architecture.TEMPCNN, REG), cfg=TrainConfig(),
         val_metric=None, report=None, error="kernel larger than the series")
     report = SelectionReport(
         ranking=[ok(0, Architecture.MLP, 0.8), ok(1, Architecture.GRU, 0.8), failed],
@@ -215,6 +233,16 @@ def test_non_integer_count_exits_2_before_any_output(workspace, tmp_path, capsys
     p = write_config(tmp_path / "cfg.json", cfg)
     assert main(["roar", "--config", str(p)]) == 2
     assert "train.max_epochs must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_seed_exits_2_before_any_output(workspace, tmp_path, capsys):
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["train"]["seed"] = 0
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["roar", "--config", str(p)]) == 2
+    assert "unknown train key(s): seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -34,7 +34,7 @@ def full_dict():
         ],
         "model": {"architecture": "mlp", "width": 16},
         "train": {"max_epochs": 20, "patience": 5, "batch_size": 16,
-                  "learning_rate": 0.003, "seed": 0},
+                  "learning_rate": 0.003},
         "budget": {"n_samples": 64, "n_permutations": 16, "ensemble_size": 3,
                    "noise_scale": 0.1},
         "plans": [{"axis": "by_band", "order": "least_first",
@@ -75,6 +75,7 @@ def test_empty_config_uses_defaults():
     ({"grid": [{"architecture": "mlp", "widht": 3}]}, "widht"),
     ({"dataset": {"plant": {"n": 1, "t": 1, "b": 1, "signal_bands": [0],
                             "signal_steps": [0], "frequency": 2}}}, "frequency"),
+    ({"train": {"seed": 0}}, r"unknown train key\(s\): seed"),
 ])
 def test_unknown_keys_are_rejected(raw, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -104,8 +105,6 @@ def test_candidate_learning_rate_inheritance():
     grid = cfg.candidates(REG)
     assert grid[0][1].learning_rate == 1e-3      # explicit on the entry
     assert grid[1][1].learning_rate == 0.003     # inherited from train
-    want = section_seed(9, "select")
-    assert all(c.seed == want for _, c in grid)
 
 
 def test_candidate_requires_architecture():
@@ -164,7 +163,7 @@ def _set(path, value):
 @pytest.mark.parametrize("path, value, fragment", [
     ("train.max_epochs", 6.5, "train.max_epochs"),
     ("train.patience", True, "train.patience"),
-    ("train.seed", 1.0, "train.seed"),
+    ("seed", 1.0, "config.seed"),
     ("model.width", 8.5, "model.width"),
     ("grid.1.hidden_size", 4.0, r"grid\[1\].hidden_size"),
     ("budget.n_permutations", 2.5, "budget.n_permutations"),
@@ -181,6 +180,71 @@ def _set(path, value):
 def test_non_integer_counts_are_rejected(path, value, fragment):
     with pytest.raises(ConfigError, match=f"{fragment} must be an integer"):
         RunConfig.from_dict(_set(path, value))
+
+
+@pytest.mark.parametrize("path, value, fragment", [
+    ("train.learning_rate", True, "train.learning_rate"),
+    ("train.learning_rate", "0.1", "train.learning_rate"),
+    ("grid.0.learning_rate", False, r"grid\[0\].learning_rate"),
+    ("model.dropout", "0", "model.dropout"),
+    ("plans.0.tolerance", True, r"plans\[0\].tolerance"),
+    ("budget.noise_scale", "0.1", "budget.noise_scale"),
+    ("plans.0.budget", {"noise_scale": True}, r"plans\[0\].budget.noise_scale"),
+    ("dataset.plant.noise", "0.5", "dataset.plant.noise"),
+    ("dataset.plant.weight", True, "dataset.plant.weight"),
+    ("train.learning_rate", float("nan"), "train.learning_rate"),
+    ("plans.0.tolerance", float("inf"), r"plans\[0\].tolerance"),
+])
+def test_non_number_reals_are_rejected(path, value, fragment):
+    with pytest.raises(ConfigError, match=f"{fragment} must be a number"):
+        RunConfig.from_dict(_set(path, value))
+
+
+def test_integer_reals_are_numbers():
+    cfg = RunConfig.from_dict(_set("train.learning_rate", 1))
+    assert cfg.train.learning_rate == 1
+    assert RunConfig.from_dict(_set("plans.0.tolerance", 0)).plans[0].tolerance == 0
+
+
+@pytest.mark.parametrize("path, fragment", [
+    ("seed", "config.seed"),
+    ("out_dir", "config.out_dir"),
+    ("split.holdout_years", "split.holdout_years"),
+    ("model.width", "model.width"),
+    ("grid.0.architecture", r"grid\[0\].architecture"),
+    ("train.max_epochs", "train.max_epochs"),
+    ("train.learning_rate", "train.learning_rate"),
+    ("budget.noise_scale", "budget.noise_scale"),
+    ("plans.0.tolerance", r"plans\[0\].tolerance"),
+    ("plans.0.axis", r"plans\[0\].axis"),
+    ("dataset.plant.n", "dataset.plant.n"),
+    ("dataset.plant.signal_bands", "dataset.plant.signal_bands"),
+])
+def test_null_without_a_meaning_is_rejected(path, fragment):
+    with pytest.raises(ConfigError, match=f"{fragment} must not be null"):
+        RunConfig.from_dict(_set(path, None))
+
+
+def test_null_seed_names_the_key_through_load_config(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_set("seed", None)))
+    with pytest.raises(ConfigError, match="config.seed must not be null"):
+        load_config(p)
+
+
+def test_null_keeps_its_meaning_where_the_default_is_none():
+    raw = _set("grid.0.learning_rate", None)
+    raw["model"]["learning_rate"] = None
+    raw["workers"] = None
+    raw["dataset"]["path"] = None
+    raw["dataset"]["plant"]["cell_weights"] = None
+    cfg = RunConfig.from_dict(raw)
+    assert cfg.grid[0].learning_rate is None and cfg.model.learning_rate is None
+    assert cfg.workers is None and cfg.dataset_path is None
+    assert cfg.plant.cell_weights is None
+    blocks = ("dataset", "split", "grid", "model", "train", "budget", "plans")
+    empty = RunConfig.from_dict(dict.fromkeys(blocks))
+    assert empty.to_dict() == RunConfig.from_dict({}).to_dict()
 
 
 def test_null_counts_keep_their_meaning():

@@ -1,10 +1,11 @@
 """Deletion campaigns, curve queries, and curve persistence."""
 
+import numpy as np
 import pytest
 from conftest import fab_curve, fab_rank, fab_record, fab_report
 
 from roarsel import roar
-from roarsel.attribution import ExplainBudget, GroupingAxis
+from roarsel.attribution import ExplainBudget, GroupingAxis, cell_span
 from roarsel.data import Task, split_by_year
 from roarsel.errors import (
     ConfigError,
@@ -48,9 +49,9 @@ def tiny_splits(b=5):
     return planted_splits(n=160, t=2, b=b, bands=(1,), noise=0.5)
 
 
-def tiny_cfg(seed=0):
+def tiny_cfg():
     return TrainConfig(max_epochs=12, patience=6, batch_size=32,
-                       learning_rate=3e-3, seed=seed)
+                       learning_rate=3e-3)
 
 
 def tiny_plan(order, k=None):
@@ -126,7 +127,7 @@ def test_callback_sees_baseline_and_every_cycle():
 
 def test_divergence_at_baseline_aborts_without_partial():
     cfg = TrainConfig(max_epochs=12, patience=6, batch_size=32,
-                      learning_rate=1e22, seed=0)
+                      learning_rate=1e22)
     with pytest.raises(RoarAborted) as excinfo:
         run_roar(tiny_splits(), ModelSpec(Architecture.MLP, REG, width=16),
                  cfg, tiny_plan(DeletionOrder.LEAST_FIRST), seed=3)
@@ -142,11 +143,11 @@ def test_midrun_divergence_carries_partial_curve(monkeypatch, error):
     real = roar.train
     calls = {"n": 0}
 
-    def flaky(model, train_split, val_split, cfg):
+    def flaky(model, train_split, val_split, cfg, seed):
         calls["n"] += 1
         if calls["n"] == 2:
             raise error("boom")
-        return real(model, train_split, val_split, cfg)
+        return real(model, train_split, val_split, cfg, seed)
 
     monkeypatch.setattr(roar, "train", flaky)
     with pytest.raises(RoarAborted) as excinfo:
@@ -175,6 +176,40 @@ def test_estimator_failure_aborts_instead_of_falling_back(monkeypatch):
     assert len(excinfo.value.partial_curve.records) == 1
 
 
+def test_every_cycle_explains_the_same_samples(monkeypatch):
+    """The explained ids are drawn once per campaign; the noise range is
+    each cycle's own per-cell training span over the shrunken grid."""
+    real = roar.run_estimator
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["sample_ids"], kwargs["noise_range"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(roar, "run_estimator", spy)
+    tiny_run(b=5, seed=3)
+    train = tiny_splits(b=5).train
+    ids = roar._explained_ids(train.n_samples, 32, seed=3)
+    assert len(ids) == 32
+    assert [got for got, _ in seen] == [ids] * 5
+    assert [span.shape for _, span in seen] == [(2, b) for b in (5, 4, 3, 2, 1)]
+    np.testing.assert_array_equal(seen[0][1], cell_span(train))
+
+
+def test_explained_ids_default_to_every_sample_up_to_5000():
+    assert roar._explained_ids(20, None, seed=0) == tuple(range(20))
+    assert roar._explained_ids(20, 50, seed=0) == tuple(range(20))
+    assert len(roar._explained_ids(6000, None, seed=0)) == 5000
+
+
+def test_explained_ids_subsample_deterministically():
+    a = roar._explained_ids(40, 10, seed=3)
+    assert a == roar._explained_ids(40, 10, seed=3)
+    assert a != roar._explained_ids(40, 10, seed=4)
+    assert a == tuple(sorted(set(a))) and len(a) == 10
+    assert all(0 <= i < 40 for i in a)
+
+
 # -- planted-signal faithfulness ----------------------------------------------
 
 
@@ -183,7 +218,7 @@ def planted_curves():
     splits = planted_splits()
     spec = ModelSpec(Architecture.MLP, REG, width=32)
     cfg = TrainConfig(max_epochs=40, patience=12, batch_size=32,
-                      learning_rate=3e-3, seed=0)
+                      learning_rate=3e-3)
     budget = ExplainBudget(n_samples=96, n_permutations=24, ensemble_size=2)
 
     def plan(order):

@@ -1,5 +1,7 @@
 """Training loop, metrics, and the selection harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ def test_evaluate_is_order_independent():
 def test_separable_toy_reaches_full_training_accuracy():
     train_split, val_split = separable_splits()
     m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=1)
-    m, report = train(m, train_split, val_split, TrainConfig(seed=1))
+    m, report = train(m, train_split, val_split, TrainConfig(), seed=1)
     assert evaluate(m, train_split).value == 1.0
     assert report.epochs_run <= 100
 
@@ -131,7 +133,7 @@ def test_patience_rule_monotone_val_loss_stops_at_eleven():
     train_split = regression_dataset(x, 5.0 + r.normal(scale=0.01, size=32))
     val_split = regression_dataset(x, -5.0 + r.normal(scale=0.01, size=32))
     m = build(ModelSpec(Architecture.MLP, REG, **SMALL), 1, 1, seed=2)
-    m, report = train(m, train_split, val_split, TrainConfig(patience=10, seed=2))
+    m, report = train(m, train_split, val_split, TrainConfig(patience=10), seed=2)
     diffs = np.diff(report.val_loss)
     assert (diffs > 0).all(), "scenario must produce monotone increasing val loss"
     assert report.epochs_run == 11
@@ -144,7 +146,7 @@ def test_same_seed_bit_identical_weights():
     for _ in range(2):
         m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=3)
         m, report = train(m, train_split, val_split,
-                          TrainConfig(max_epochs=12, patience=5, seed=3))
+                          TrainConfig(max_epochs=12, patience=5), seed=3)
         outs.append((m, report))
     a, b = outs
     for name in a[0].graph.params:
@@ -201,8 +203,8 @@ def test_restored_best_weights_forward_through_the_views():
     train_split = regression_dataset(x, 5.0 + r.normal(scale=0.01, size=32))
     val_split = regression_dataset(x, -5.0 + r.normal(scale=0.01, size=32))
     m = build(ModelSpec(Architecture.MLP, REG, **SMALL), 1, 1, seed=2)
-    cfg = TrainConfig(patience=10, seed=2)
-    m, report = train(m, train_split, val_split, cfg)
+    cfg = TrainConfig(patience=10)
+    m, report = train(m, train_split, val_split, cfg, seed=2)
     assert (report.best_epoch, report.epochs_run) == (1, 11)
     flat = m.graph.params["layer0/w"].base
     assert flat is not None
@@ -214,8 +216,8 @@ def test_restored_best_weights_forward_through_the_views():
 def test_best_epoch_weights_reproduce_best_val_loss():
     train_split, val_split = separable_splits(seed=4)
     m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=4)
-    cfg = TrainConfig(max_epochs=15, patience=5, seed=4)
-    m, report = train(m, train_split, val_split, cfg)
+    cfg = TrainConfig(max_epochs=15, patience=5)
+    m, report = train(m, train_split, val_split, cfg, seed=4)
     best = min(report.val_loss)
     assert report.val_loss[report.best_epoch - 1] == best
     recomputed = split_loss(m, val_split, cfg.batch_size)
@@ -228,7 +230,7 @@ def test_training_with_dropout_is_deterministic():
     for _ in range(2):
         m = build(ModelSpec(Architecture.MLP, CLS2, dropout=0.3, **SMALL), 2, 3, seed=5)
         _, report = train(m, train_split, val_split,
-                          TrainConfig(max_epochs=8, patience=4, seed=5))
+                          TrainConfig(max_epochs=8, patience=4), seed=5)
         losses.append(report.train_loss)
     assert losses[0] == losses[1]
 
@@ -238,14 +240,14 @@ def test_divergence_aborts_with_diagnostic():
     m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=6)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train(m, train_split, val_split,
-              TrainConfig(learning_rate=1e22, max_epochs=30, patience=5, seed=6))
+              TrainConfig(learning_rate=1e22, max_epochs=30, patience=5), seed=6)
 
 
 def test_split_shape_mismatch_rejected():
     train_split, val_split = separable_splits()
     m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 4, 3, seed=0)
     with pytest.raises(TrainingError, match="does not match model"):
-        train(m, train_split, val_split, TrainConfig())
+        train(m, train_split, val_split, TrainConfig(), seed=0)
 
 
 def test_config_validation():
@@ -270,15 +272,14 @@ def three_way_splits(seed=0):
     )
 
 
-def quick_cfg(seed=0, lr=3e-3):
-    return TrainConfig(max_epochs=60, patience=20, batch_size=16, seed=seed,
-                       learning_rate=lr)
+def quick_cfg(lr=3e-3):
+    return TrainConfig(max_epochs=60, patience=20, batch_size=16, learning_rate=lr)
 
 
 def test_grid_of_one_wins():
     splits = three_way_splits()
     spec = ModelSpec(Architecture.MLP, CLS2, **SMALL)
-    model, report = select_model([(spec, quick_cfg())], splits)
+    model, report = select_model([(spec, quick_cfg())], splits, seed=0)
     assert report.best_index == 0
     assert report.ranking[0].val_metric is not None
     assert report.test_metric is not None
@@ -288,8 +289,8 @@ def test_metric_tie_keeps_earlier_grid_index():
     # both candidates solve the task exactly, so the tie rule decides
     splits = three_way_splits()
     spec = ModelSpec(Architecture.MLP, CLS2, **SMALL)
-    grid = [(spec, quick_cfg(seed=1)), (spec, quick_cfg(seed=2))]
-    _, report = select_model(grid, splits)
+    grid = [(spec, quick_cfg()), (spec, quick_cfg())]
+    _, report = select_model(grid, splits, seed=1)
     assert report.ranking[0].val_metric.value == report.ranking[1].val_metric.value
     assert report.best_index == 0
 
@@ -298,7 +299,7 @@ def test_failing_candidate_recorded_and_grid_continues():
     splits = three_way_splits()
     bad = ModelSpec(Architecture.TEMPCNN, CLS2, **SMALL)  # kernel 5 > T = 2
     good = ModelSpec(Architecture.MLP, CLS2, **SMALL)
-    _, report = select_model([(bad, quick_cfg()), (good, quick_cfg())], splits)
+    _, report = select_model([(bad, quick_cfg()), (good, quick_cfg())], splits, seed=0)
     assert report.best_index == 1
     failed = [c for c in report.ranking if c.error is not None]
     assert len(failed) == 1 and "kernel" in failed[0].error
@@ -308,7 +309,7 @@ def test_all_candidates_failing_is_an_error():
     splits = three_way_splits()
     bad = ModelSpec(Architecture.TEMPCNN, CLS2, **SMALL)
     with pytest.raises(TrainingError, match="every candidate failed"):
-        select_model([(bad, quick_cfg())], splits)
+        select_model([(bad, quick_cfg())], splits, seed=0)
 
 
 class _PoisonedSplit:
@@ -326,17 +327,18 @@ def test_ranking_never_reads_test_split():
     splits = SplitTriple(train=base.train, validation=base.validation,
                          test=_PoisonedSplit(base.train.schema))
     spec = ModelSpec(Architecture.MLP, CLS2, **SMALL)
-    grid = [(spec, quick_cfg(seed=1)), (spec, quick_cfg(seed=2))]
-    model, report = select_model(grid, splits, include_test_metrics=False)
+    grid = [(spec, quick_cfg()), (spec, quick_cfg())]
+    model, report = select_model(grid, splits, seed=1, include_test_metrics=False)
     assert report.test_metric is None
     assert report.best_index == 0
 
 
 def test_default_grid_covers_architectures_and_rates():
-    grid = default_grid(CLS2, seed=9)
+    base = TrainConfig(max_epochs=7, patience=3, batch_size=5, learning_rate=0.5)
+    grid = default_grid(CLS2, base)
     assert len(grid) == 10
     archs = {spec.architecture for spec, _ in grid}
     assert archs == set(Architecture)
     rates = {cfg.learning_rate for _, cfg in grid}
     assert rates == {1e-3, 1e-4}
-    assert all(cfg.seed == 9 for _, cfg in grid)
+    assert all(replace(cfg, learning_rate=0.5) == base for _, cfg in grid)
