@@ -26,7 +26,7 @@ the base attribution exactly, which is what the collapse properties assert.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -138,21 +138,6 @@ class ImportanceRanking:
     def bottom(self, k: int) -> tuple[int, ...]:
         return self.group_ids[len(self.group_ids) - k:]
 
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis.value,
-            "group_ids": list(self.group_ids),
-            "scores": list(self.scores),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImportanceRanking":
-        return cls(
-            axis=GroupingAxis(d["axis"]),
-            group_ids=tuple(int(g) for g in d["group_ids"]),
-            scores=tuple(float(s) for s in d["scores"]),
-        )
-
 
 def aggregate_rank(m: AttributionMatrix) -> ImportanceRanking:
     if m.scores.shape[0] == 0:
@@ -193,13 +178,6 @@ class ExplainBudget:
             raise EstimatorError("permutations and ensemble size must be positive")
         if self.noise_scale < 0:
             raise EstimatorError("noise scale cannot be negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExplainBudget":
-        return cls(**d)
 
 
 def mean_baseline(train: TensorDataset) -> np.ndarray:

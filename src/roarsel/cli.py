@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .config import RunConfig, load_config, save_effective_config, section_seed
 from .data import load_dataset, save_dataset, split_by_year, write_atomic, write_json
-from .errors import ConfigError, CurveError, RoarAborted, RoarselError
+from .errors import ConfigError, RoarAborted, RoarselError
 from .models import Head
 from .roar import (
     DeletionOrder,
@@ -193,14 +193,7 @@ def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> st
     lines: list[str] = []
     for raw in paths:
         path = Path(raw)
-        if not path.exists():
-            raise CurveError(f"no curve file at {path}")
-        try:
-            curve = load_curve(path)
-        except RoarselError:
-            raise
-        except Exception as exc:
-            raise CurveError(f"unreadable curve {path}: {exc}") from exc
+        curve = load_curve(path)
         plan = curve.plan
         total = curve.n_groups
         base = curve.baseline.val_metric

@@ -33,6 +33,7 @@ from .attribution import (
     mean_baseline,
     run_estimator,
 )
+from .codec import decode, encode
 from .data import SplitTriple, delete_bands, delete_timesteps, write_atomic, write_json
 from .errors import ConfigError, CurveError, RoarAborted, RoarselError
 from .models import ModelSpec, resize_for_input
@@ -48,14 +49,6 @@ _DELETE = {
     GroupingAxis.BY_BAND: delete_bands,
     GroupingAxis.BY_TIMESTEP: delete_timesteps,
 }
-
-
-def _member(enum, value, what: str):
-    try:
-        return enum(value)
-    except ValueError:
-        known = ", ".join(m.value for m in enum)
-        raise ConfigError(f"unknown {what} {value!r}; expected one of {known}") from None
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,8 @@ class DeletionPlan:
 
     def __post_init__(self):
         # strings become members, so identity tests on them cannot miss
-        object.__setattr__(self, "axis", _member(GroupingAxis, self.axis, "axis"))
-        object.__setattr__(self, "order", _member(DeletionOrder, self.order, "order"))
+        object.__setattr__(self, "axis", decode(GroupingAxis, self.axis, "axis"))
+        object.__setattr__(self, "order", decode(DeletionOrder, self.order, "order"))
         if self.estimator_tag not in ESTIMATOR_TAGS:
             raise ConfigError(f"unknown estimator tag {self.estimator_tag!r}")
         if self.k is not None and self.k < 1:
@@ -92,27 +85,6 @@ class DeletionPlan:
         if self.axis is GroupingAxis.BY_TIMESTEP and n_groups > 30:
             return math.ceil(n_groups / 20)
         return 1
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis.value,
-            "order": self.order.value,
-            "estimator_tag": self.estimator_tag,
-            "budget": self.budget.to_dict(),
-            "k": self.k,
-            "tolerance": self.tolerance,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeletionPlan":
-        return cls(
-            axis=d["axis"],
-            order=d["order"],
-            estimator_tag=d.get("estimator_tag", "svs"),
-            budget=ExplainBudget.from_dict(d["budget"]) if d.get("budget") else ExplainBudget(),
-            k=d.get("k"),
-            tolerance=float(d.get("tolerance", 0.02)),
-        )
 
 
 @dataclass(frozen=True)
@@ -139,29 +111,6 @@ class CycleRecord:
             raise CurveError("removed ids must be unique")
         if len(self.ranking.group_ids) != self.remaining:
             raise CurveError("ranking must cover exactly the remaining groups")
-
-    def to_dict(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "removed_ids": list(self.removed_ids),
-            "remaining": self.remaining,
-            "report": self.report.to_dict(),
-            "val_metric": self.val_metric.to_dict(),
-            "test_metric": self.test_metric.to_dict(),
-            "ranking": self.ranking.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CycleRecord":
-        return cls(
-            cycle=int(d["cycle"]),
-            removed_ids=tuple(int(g) for g in d["removed_ids"]),
-            remaining=int(d["remaining"]),
-            report=TrainReport.from_dict(d["report"]),
-            val_metric=MetricValue.from_dict(d["val_metric"]),
-            test_metric=MetricValue.from_dict(d["test_metric"]),
-            ranking=ImportanceRanking.from_dict(d["ranking"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -205,21 +154,6 @@ class DeletionCurve:
         for rec in self.records[:cycle]:
             alive -= set(rec.removed_ids)
         return frozenset(alive)
-
-    def to_dict(self) -> dict:
-        return {
-            "plan": self.plan.to_dict(),
-            "baseline": self.baseline.to_dict(),
-            "records": [r.to_dict() for r in self.records],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeletionCurve":
-        return cls(
-            plan=DeletionPlan.from_dict(d["plan"]),
-            baseline=CycleRecord.from_dict(d["baseline"]),
-            records=tuple(CycleRecord.from_dict(r) for r in d["records"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +323,14 @@ def save_curve_csv(curve: DeletionCurve, path: str | Path) -> None:
 
 def save_curve(curve: DeletionCurve, path: str | Path) -> None:
     """Full structured trace as JSON, written atomically."""
-    write_json(path, curve.to_dict())
+    write_json(path, encode(curve))
 
 
 def load_curve(path: str | Path) -> DeletionCurve:
-    return DeletionCurve.from_dict(json.loads(Path(path).read_text()))
+    """Read a curve file; any problem with it is a CurveError naming the path."""
+    try:
+        return decode(DeletionCurve, json.loads(Path(path).read_text()), "curve")
+    except FileNotFoundError:
+        raise CurveError(f"no curve file at {path}") from None
+    except (OSError, ValueError, RoarselError) as exc:
+        raise CurveError(f"unreadable curve {path}: {exc}") from exc

@@ -71,32 +71,6 @@ class PlantSpec:
         sig = sum(self.cell_weight(t_, b_) ** 2 for t_, b_ in self.signal_cells)
         return sig / (sig + self.noise ** 2)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "t": self.t, "b": self.b,
-            "signal_bands": sorted(self.signal_bands),
-            "signal_steps": sorted(self.signal_steps),
-            "weight": self.weight,
-            "cell_weights": None if self.cell_weights is None else [
-                [t_, b_, w] for (t_, b_), w in sorted(self.cell_weights.items())
-            ],
-            "noise": self.noise,
-            "task": self.task.value,
-            "year_start": self.year_start,
-            "n_years": self.n_years,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlantSpec":
-        d = dict(d)
-        d["signal_bands"] = frozenset(d["signal_bands"])
-        d["signal_steps"] = frozenset(d["signal_steps"])
-        if "task" in d:
-            d["task"] = Task(d["task"])
-        if d.get("cell_weights") is not None:
-            d["cell_weights"] = {(t_, b_): w for t_, b_, w in d["cell_weights"]}
-        return cls(**d)
-
 
 def generate(spec: PlantSpec, seed: int) -> TensorDataset:
     """Draw the dataset; bit-deterministic per seed."""

@@ -18,7 +18,7 @@ influences the choice.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -44,13 +44,6 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise TrainingError("learning rate must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 class MetricKind(str, Enum):
     ACCURACY = "accuracy"
@@ -68,13 +61,6 @@ class MetricValue:
         if self.kind is MetricKind.R2 and self.value > 1.0 + 1e-6:
             raise TrainingError(f"r2 above 1: {self.value}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricValue":
-        return cls(MetricKind(d["kind"]), float(d["value"]))
-
 
 @dataclass
 class TrainReport:
@@ -87,25 +73,6 @@ class TrainReport:
     def __post_init__(self):
         if self.best_epoch > self.epochs_run:
             raise TrainingError("best_epoch cannot exceed epochs_run")
-
-    def to_dict(self) -> dict:
-        return {
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_metric": self.val_metric.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainReport":
-        return cls(
-            best_epoch=int(d["best_epoch"]),
-            epochs_run=int(d["epochs_run"]),
-            train_loss=[float(v) for v in d["train_loss"]],
-            val_loss=[float(v) for v in d["val_loss"]],
-            val_metric=MetricValue.from_dict(d["val_metric"]),
-        )
 
 
 BETA1 = 0.9

@@ -314,6 +314,33 @@ def test_report_unreadable_curve_exits_3(tmp_path, capsys):
     assert "unreadable curve" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("content, fragment", [
+    ("truncated", "unreadable curve"),
+    ('{"plan": {}, "baseline": {}, "records": []}', "curve.plan needs axis"),
+])
+@pytest.mark.parametrize("command", ["report", "roar --resume"])
+def test_a_bad_curve_file_exits_3_naming_it(workspace, tmp_path, capsys,
+                                            command, content, fragment):
+    slug = "svs_least_first_by_band"
+    path = tmp_path / "out" / f"{slug}.curve.json"
+    path.parent.mkdir()
+    if content == "truncated":
+        save_curve(fab_curve([0.9, 0.8], [[4]], DeletionOrder.LEAST_FIRST), path)
+        content = path.read_text()[:100]
+    path.write_text(content)
+    if command == "report":
+        argv = ["report", str(path)]
+    else:
+        cfg = base_config(workspace.root)
+        cfg["out_dir"] = str(path.parent)
+        cfg["plans"] = cfg["plans"][:1]
+        argv = ["roar", "--config", str(write_config(tmp_path / "cfg.json", cfg)),
+                "--resume"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and fragment in err
+
 def test_cmd_report_returns_the_printed_text(tmp_path, capsys):
     least = fab_curve([0.9, 0.89], [[4]], DeletionOrder.LEAST_FIRST)
     p = tmp_path / "c.curve.json"

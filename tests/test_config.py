@@ -200,6 +200,33 @@ def test_non_number_reals_are_rejected(path, value, fragment):
         RunConfig.from_dict(_set(path, value))
 
 
+
+@pytest.mark.parametrize("path, value, fragment", [
+    ("grid", [None], r"grid\[0\] must be an object"),
+    ("grid", {"architecture": "mlp"}, "grid must be a list"),
+    ("plans", [None], r"plans\[0\] must be an object"),
+    ("plans.0.budget", 5, r"plans\[0\].budget must be an object"),
+    ("model", "mlp", "model must be an object"),
+    ("train", [], "train must be an object"),
+    ("dataset", 5, "dataset must be an object"),
+    ("split", "2", "split must be an object"),
+    ("out_dir", 5, "config.out_dir must be a string"),
+    ("dataset.path", 5, "dataset.path must be a string"),
+    ("plans.0.axis", "sideways", r"plans\[0\].axis must be one of"),
+    ("dataset.plant.signal_bands", 1, "dataset.plant.signal_bands must be a list"),
+    ("dataset.plant.cell_weights", [[0, 1, True]],
+     r"dataset.plant.cell_weights\[0\]\[2\] must be a number"),
+    ("dataset.plant.cell_weights", [[0, 1]],
+     r"dataset.plant.cell_weights\[0\] must hold 3 values"),
+    ("dataset.plant.cell_weights", [[0, 1, 2.0], [0, 1, 3.0]],
+     r"dataset.plant.cell_weights repeats the key \[0, 1\]"),
+])
+def test_a_value_of_the_wrong_json_kind_names_its_key(tmp_path, path, value, fragment):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_set(path, value)))
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(p)
+
 def test_integer_reals_are_numbers():
     cfg = RunConfig.from_dict(_set("train.learning_rate", 1))
     assert cfg.train.learning_rate == 1
@@ -296,7 +323,7 @@ def test_load_config_wraps_missing_plant_size(tmp_path):
                                  "signal_steps": [0]}}}
     p = tmp_path / "plant.json"
     p.write_text(json.dumps(raw))
-    with pytest.raises(ConfigError, match="bad config"):
+    with pytest.raises(ConfigError, match="dataset.plant needs n"):
         load_config(p)
 
 

@@ -6,6 +6,7 @@ from conftest import fab_curve, fab_rank, fab_record, fab_report
 
 from roarsel import roar
 from roarsel.attribution import ExplainBudget, GroupingAxis, cell_span
+from roarsel.codec import decode, encode
 from roarsel.data import Task, split_by_year
 from roarsel.errors import (
     ConfigError,
@@ -103,13 +104,13 @@ def test_each_ranking_covers_exactly_the_survivors():
 def test_same_seed_reproduces_the_curve():
     a = tiny_run(seed=3)
     b = tiny_run(seed=3)
-    assert a.to_dict() == b.to_dict()
+    assert encode(a) == encode(b)
 
 
 def test_both_orders_share_the_baseline():
     least = tiny_run(DeletionOrder.LEAST_FIRST, seed=3)
     most = tiny_run(DeletionOrder.MOST_FIRST, seed=3)
-    assert least.baseline.to_dict() == most.baseline.to_dict()
+    assert encode(least.baseline) == encode(most.baseline)
 
 
 def test_k2_last_cycle_removes_fewer():
@@ -369,8 +370,8 @@ def test_plan_dict_round_trip():
                         estimator_tag="sgs-gb", k=2, tolerance=0.05,
                         budget=ExplainBudget(n_samples=10, n_permutations=4,
                                              ensemble_size=3, noise_scale=0.2))
-    again = DeletionPlan.from_dict(plan.to_dict())
-    assert again.to_dict() == plan.to_dict()
+    again = decode(DeletionPlan, encode(plan), "plan")
+    assert again == plan
 
 
 # -- curve structural validation ----------------------------------------------
@@ -443,7 +444,7 @@ def test_curve_json_round_trip(tmp_path):
     path = tmp_path / "curve.json"
     save_curve(curve, path)
     again = load_curve(path)
-    assert again.to_dict() == curve.to_dict()
+    assert encode(again) == encode(curve)
 
 
 def test_curve_csv_rewrite_is_byte_identical(tmp_path):

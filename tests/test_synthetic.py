@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from roarsel.codec import decode, encode
 from roarsel.data import Task
 from roarsel.errors import DatasetError
 from roarsel.synthetic import PlantSpec, generate
@@ -91,4 +92,4 @@ def test_spec_validation():
 def test_spec_dict_round_trip():
     s = spec(noise=0.25, task=Task.CLASSIFICATION,
              cell_weights={(1, 2): 3.0})
-    assert PlantSpec.from_dict(s.to_dict()) == s
+    assert decode(PlantSpec, encode(s), "plant") == s
