@@ -16,6 +16,14 @@ ReLU masking, in both rules, is branch-free: the float32 bits of the
 gradient are ANDed with an all-ones or all-zeros word, bit-identical to
 ``np.where(keep, g, 0)`` (``-0.0``, NaN and infinities included).
 
+One op, ``recurrent``, runs a whole rnn, lstm or gru layer over the time
+axis: one input projection for every step, then one recurrent matmul per
+step. A cell's k gates sit side by side in its weights, sigmoid gates first
+and the tanh gate last (lstm ``i, f, o, g``; gru ``z, r, n``, with candidate
+``n = tanh(Wx x + b + r ⊙ (Wh h))``), so one tanh call activates every gate
+of a step. Its backward runs backprop through time inside the kernel, from
+the gate activations the forward saved next to the hidden states.
+
 A Graph instance together with its activation cache is single-threaded.
 """
 
@@ -219,6 +227,30 @@ class Graph:
 
         return self._add("slice_time", (x,), {"t": t}, (xs[1],),
                          lambda v: np.ascontiguousarray(v[x][:, t, :]), bwd)
+
+    def recurrent(self, x: int, wx: int, wh: int, b: int, cell: str) -> int:
+        """Every hidden state [T, H] of one recurrent layer over ``x`` [T, in].
+
+        ``wx`` [in, k·H], ``wh`` [H, k·H] and ``b`` [k·H] hold the k gates of
+        ``cell`` side by side, sigmoid gates first and the tanh gate last:
+        ``h`` for rnn, ``i, f, o, g`` for lstm, ``z, r, n`` for gru. The state
+        starts at zero. See ``_CELLS`` for the recurrences.
+        """
+        if cell not in _CELLS:
+            raise GraphError(f"unknown recurrent cell {cell!r}")
+        if any(self.nodes[a].op != "param" for a in (wx, wh, b)):
+            raise GraphError("recurrent weights must be parameters")
+        xs, wxs, whs, bs = (self._shape(a) for a in (x, wx, wh, b))
+        k, fwd, bwd = _CELLS[cell]
+        hid = whs[0] if whs else 0
+        if len(xs) != 2 or wxs != (xs[1], k * hid) or whs != (hid, k * hid) \
+                or bs != (k * hid,):
+            raise GraphError(f"{cell} shape mismatch: x {xs}, wx {wxs}, wh {whs}, b {bs}")
+        # the forward returns the hidden states as a view of one buffer that
+        # also holds the saved gates; the backward reads them through y.base
+        return self._add("recurrent", (x, wx, wh, b), {"cell": cell}, (xs[0], hid),
+                         lambda v: fwd(v[x], v[wx], v[wh], v[b]),
+                         lambda g, y, v: bwd(g, y.base, v[x], v[wx], v[wh]))
 
     def softmax_cross_entropy(self, logits: int) -> int:
         ls = self._shape(logits)
@@ -430,6 +462,233 @@ def _conv1d_backward(x, w, g, stride, padding):
         gx_pad[:, ki : ki + stride * t_out : stride] += g @ w[ki].T
     gx = gx_pad[:, padding : padding + t, :] if padding else gx_pad
     return gx, gw
+
+
+# The recurrent kernels work feature-major: a step's state is [H, N] and its
+# gate pre-activations [k·H, N], so every per-step slice is contiguous.
+# Each forward writes one [T, S·H, N] buffer, per step h first and then the
+# saved activations, and returns the hidden states as the view
+# ``buf[:, :H].transpose(2, 0, 1)``, [N, T, H]; the backward gets ``buf``
+# back through that view's ``base``.
+
+
+def _project(x, wx, b, n_sig):
+    """``x @ wx + b`` for all steps at once, feature-major [T, k·H, N], with
+    the first ``n_sig`` (sigmoid) rows halved; see ``_half``."""
+    xw = np.matmul(wx.T, np.ascontiguousarray(x.transpose(1, 2, 0)))
+    xw += b[:, None]
+    xw[:, :n_sig] *= DTYPE(0.5)
+    return xw
+
+
+def _half(wh, n_sig):
+    """``wh.T`` with its first ``n_sig`` rows halved. A sigmoid gate is
+    ``0.5 + 0.5·tanh(pre / 2)``, so with those rows pre-halved one tanh call
+    covers every gate of a step. Halving is exact in float32."""
+    whs = np.ascontiguousarray(wh.T)
+    whs[:n_sig] *= DTYPE(0.5)
+    return whs
+
+
+def _to_sigmoid(a):
+    a *= DTYPE(0.5)
+    a += DTYPE(0.5)
+
+
+def _shifted(a):
+    """``a`` one step later along axis 0, zero at step 0: the previous state."""
+    prev = np.zeros_like(a)
+    prev[1:] = a[:-1]
+    return prev
+
+
+def _states(buf, hid):
+    return buf[:, :hid].transpose(2, 0, 1)
+
+
+def _upstream(g):
+    """The gradient of the hidden states, [N, T, H], feature-major."""
+    return np.ascontiguousarray(g.transpose(1, 2, 0))
+
+
+def _features(a):
+    """[T, F, N] as [F, T·N], step-major columns."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
+
+
+def _recurrent_grads(dxw, da, h, x, wx):
+    """Gradients of x, wx, wh and b from the feature-major pre-activation
+    gradients, [T, k·H, N]: ``dxw`` w.r.t. ``x @ wx + b`` and ``da`` w.r.t.
+    ``h_prev @ wh`` (None when they are the same). Step 0 has no previous
+    state and so no ``wh`` term."""
+    n = x.shape[0]
+    dxw_f = _features(dxw)
+    da_f = dxw_f[:, n:] if da is None else _features(da[1:])
+    dwh = _features(h[:-1]) @ da_f.T
+    dwx = _features(x.transpose(1, 2, 0)) @ dxw_f.T
+    dx = np.ascontiguousarray(np.matmul(wx, dxw).transpose(2, 0, 1))
+    return dx, dwx, dwh, dxw_f.sum(axis=1)
+
+
+def _rnn_forward(x, wx, wh, b):
+    """h_t = tanh(Wx x_t + b + Wh h_{t-1}); saves [h]."""
+    n, t, _ = x.shape
+    hid = wh.shape[0]
+    xw = _project(x, wx, b, 0)
+    wh_t = _half(wh, 0)
+    buf = np.empty((t, hid, n), DTYPE)
+    h = np.zeros((hid, n), DTYPE)
+    for s in range(t):
+        h_new = buf[s]
+        np.matmul(wh_t, h, out=h_new)
+        h_new += xw[s]
+        np.tanh(h_new, out=h_new)
+        h = h_new
+    return _states(buf, hid)
+
+
+def _rnn_backward(g, buf, x, wx, wh):
+    t = buf.shape[0]
+    g = _upstream(g)
+    deriv = 1 - buf * buf
+    dpre = np.empty_like(buf)
+    dh = g[t - 1]
+    for s in range(t - 1, -1, -1):
+        np.multiply(dh, deriv[s], out=dpre[s])
+        if s:
+            dh = wh @ dpre[s]
+            dh += g[s - 1]
+    return _recurrent_grads(dpre, None, buf, x, wx)
+
+
+def _lstm_forward(x, wx, wh, b):
+    """Gates i, f, o = σ(·) and g = tanh(·) of Wx x_t + b + Wh h_{t-1};
+    c_t = f c_{t-1} + i g, h_t = o tanh(c_t); saves [h | i f o g | c | tanh c]."""
+    n, t, _ = x.shape
+    hid = wh.shape[0]
+    sig = 3 * hid
+    xw = _project(x, wx, b, sig)
+    whs = _half(wh, sig)
+    buf = np.empty((t, 7 * hid, n), DTYPE)
+    h = c = np.zeros((hid, n), DTYPE)
+    for s in range(t):
+        row = buf[s]
+        gates = row[hid:5 * hid]
+        np.matmul(whs, h, out=gates)
+        gates += xw[s]
+        np.tanh(gates, out=gates)
+        _to_sigmoid(gates[:sig])
+        i, f, o, cand = gates[:hid], gates[hid:2 * hid], gates[2 * hid:sig], gates[sig:]
+        h, c_new, tc = row[:hid], row[5 * hid:6 * hid], row[6 * hid:]
+        np.multiply(i, cand, out=c_new)
+        c_new += f * c
+        np.tanh(c_new, out=tc)
+        np.multiply(o, tc, out=h)
+        c = c_new
+    return _states(buf, hid)
+
+
+def _lstm_backward(g, buf, x, wx, wh):
+    t, width, n = buf.shape
+    hid = width // 7
+    g = _upstream(g)
+    gates = buf[:, hid:5 * hid].reshape(t, 4, hid, n)
+    i, f, o, cand = (gates[:, j] for j in range(4))
+    c, tc = buf[:, 5 * hid:6 * hid], buf[:, 6 * hid:]
+    # d pre / d c for i, f and g, and d pre / d h for o
+    part = np.empty((t, 4, hid, n), DTYPE)
+    sig = part[:, :3]
+    np.subtract(1, gates[:, :3], out=sig)
+    sig *= gates[:, :3]
+    part[:, 0] *= cand
+    part[:, 1] *= _shifted(c)
+    part[:, 2] *= tc
+    np.multiply(cand, cand, out=part[:, 3])
+    np.subtract(1, part[:, 3], out=part[:, 3])
+    part[:, 3] *= i
+    dc_dh = o * (1 - tc * tc)
+    dpre = np.empty((t, 4 * hid, n), DTYPE)
+    dpre4 = dpre.reshape(t, 4, hid, n)
+    dh, dc = g[t - 1], None
+    for s in range(t - 1, -1, -1):
+        dc = dh * dc_dh[s] if dc is None else dc * f[s + 1] + dh * dc_dh[s]
+        np.multiply(dc, part[s], out=dpre4[s])
+        np.multiply(dh, part[s, 2], out=dpre4[s, 2])
+        if s:
+            dh = wh @ dpre[s]
+            dh += g[s - 1]
+    return _recurrent_grads(dpre, None, buf[:, :hid], x, wx)
+
+
+def _gru_forward(x, wx, wh, b):
+    """Gates z, r = σ(Wx x_t + b + Wh h_{t-1}), candidate
+    n = tanh(Wx x_t + b + r ⊙ (Wh h_{t-1})), h_t = (1 - z) h_{t-1} + z n;
+    saves [h | z r n | Wh h_{t-1}] (the z and r rows of the last halved)."""
+    n, t, _ = x.shape
+    hid = wh.shape[0]
+    sig = 2 * hid
+    xw = _project(x, wx, b, sig)
+    whs = _half(wh, sig)
+    buf = np.empty((t, 7 * hid, n), DTYPE)
+    h = np.zeros((hid, n), DTYPE)
+    for s in range(t):
+        row = buf[s]
+        zr, cand, a = row[hid:3 * hid], row[3 * hid:4 * hid], row[4 * hid:]
+        np.matmul(whs, h, out=a)
+        np.add(xw[s, :sig], a[:sig], out=zr)
+        np.tanh(zr, out=zr)
+        _to_sigmoid(zr)
+        np.multiply(zr[hid:], a[sig:], out=cand)
+        cand += xw[s, sig:]
+        np.tanh(cand, out=cand)
+        h_new = row[:hid]
+        np.subtract(cand, h, out=h_new)
+        h_new *= zr[:hid]
+        h_new += h
+        h = h_new
+    return _states(buf, hid)
+
+
+def _gru_backward(g, buf, x, wx, wh):
+    t, width, n = buf.shape
+    hid = width // 7
+    g = _upstream(g)
+    h = buf[:, :hid]
+    gates = buf[:, hid:4 * hid].reshape(t, 3, hid, n)
+    z, r, cand = (gates[:, j] for j in range(3))
+    # d pre / d h per gate, into x @ wx + b (part) and into h_prev @ wh (rec)
+    part = np.empty((t, 3, hid, n), DTYPE)
+    np.multiply(cand, cand, out=part[:, 2])
+    np.subtract(1, part[:, 2], out=part[:, 2])
+    part[:, 2] *= z
+    np.subtract(cand, _shifted(h), out=part[:, 0])
+    np.multiply(part[:, 2], buf[:, 6 * hid:], out=part[:, 1])
+    part[:, :2] *= gates[:, :2]
+    part[:, :2] *= 1 - gates[:, :2]
+    rec = part.copy()
+    rec[:, 2] *= r
+    keep = 1 - z
+    dxw = np.empty((t, 3 * hid, n), DTYPE)
+    da = np.empty_like(dxw)
+    dxw4, da4 = dxw.reshape(t, 3, hid, n), da.reshape(t, 3, hid, n)
+    dh = g[t - 1]
+    for s in range(t - 1, -1, -1):
+        np.multiply(dh, part[s], out=dxw4[s])
+        if s:
+            np.multiply(dh, rec[s], out=da4[s])
+            dh_prev = wh @ da[s]
+            dh_prev += dh * keep[s]
+            dh_prev += g[s - 1]
+            dh = dh_prev
+    return _recurrent_grads(dxw, da, h, x, wx)
+
+
+# cell name -> (gates k, forward, backward)
+_CELLS = {
+    "rnn": (1, _rnn_forward, _rnn_backward),
+    "lstm": (4, _lstm_forward, _lstm_backward),
+    "gru": (3, _gru_forward, _gru_backward),
+}
 
 
 def _pool_windows(x, width, stride):

@@ -6,6 +6,12 @@ bands as per-step features, and a 1-D temporal CNN. Heads are a dense layer
 producing class logits (softmax cross-entropy) or a single regression output
 (mean squared error).
 
+Each recurrent layer is one engine ``recurrent`` node, read out at its last
+step. Its parameters are ``cellL/wx`` [in, k·H], ``cellL/wh`` [H, k·H] and
+``cellL/b`` [k·H], with the k gates in the engine's column order: ``h`` for
+the rnn, ``i, f, o, g`` for the lstm and ``z, r, n`` for the gru, where
+``h' = (1 - z) h + z n`` and ``n = tanh(Wx x + b + r ⊙ (Wh h))``.
+
 ``build`` refuses a convolution kernel longer than the input; the resize path
 used between deletion cycles instead clamps the kernel to the new length and
 records a note. Resizing always constructs a fresh model: the retraining
@@ -14,7 +20,9 @@ features.
 
 All parameters, biases included, draw from a seeded uniform He-style scheme
 U(-sqrt(6/fan_in), +sqrt(6/fan_in)), so two different seeds give models that
-differ in every tensor.
+differ in every tensor. A recurrent cell draws gate by gate (lstm in the order
+``i, f, g, o``), each gate its wx, wh and b in turn, and then lays the blocks
+out in column order.
 """
 
 from __future__ import annotations
@@ -217,74 +225,34 @@ def _tempcnn_body(g, spec, t, b, rng):
 
 
 def _recurrent_body(g, spec, t, b, rng):
-    seq = [g.slice_time(g.input_node, ti) for ti in range(t)]
-    in_dim = b
-    hid = spec.hidden_size
-    step = {
-        Architecture.RNN: _rnn_step,
-        Architecture.LSTM: _lstm_step,
-        Architecture.GRU: _gru_step,
-    }[spec.architecture]
+    h, in_dim, hid = g.input_node, b, spec.hidden_size
+    cell = spec.architecture.value
     for layer in range(spec.resolved_depth):
-        params = _cell_params(g, rng, spec.architecture, in_dim, hid, f"cell{layer}")
-        state = None
-        outs = []
-        for x_node in seq:
-            state = step(g, x_node, state, params)
-            outs.append(state[0])
-        seq = outs
+        params = _cell_params(g, rng, cell, in_dim, hid, f"cell{layer}")
+        h = g.recurrent(h, *params, cell)
         in_dim = hid
-    return _dropout(g, spec, seq[-1], 0), hid
+    return _dropout(g, spec, g.slice_time(h, t - 1), 0), hid
 
 
-def _cell_params(g, rng, arch, in_dim, hid, prefix):
-    gates = {"rnn": ("h",), "lstm": ("i", "f", "g", "o"), "gru": ("z", "r", "n")}[arch.value]
-    params = {}
-    for gate in gates:
-        params[f"wx_{gate}"] = g.param(f"{prefix}/wx_{gate}", _init(rng, (in_dim, hid), in_dim))
-        params[f"wh_{gate}"] = g.param(f"{prefix}/wh_{gate}", _init(rng, (hid, hid), hid))
-        params[f"b_{gate}"] = g.param(f"{prefix}/b_{gate}", _init(rng, (hid,), in_dim))
-    return params
+# per cell: the order the gates draw their weights, then the engine's column
+# order (sigmoid gates first, the tanh gate last)
+_GATES = {
+    "rnn": (("h",), ("h",)),
+    "lstm": (("i", "f", "g", "o"), ("i", "f", "o", "g")),
+    "gru": (("z", "r", "n"), ("z", "r", "n")),
+}
 
 
-def _gate(g, x, h_prev, params, gate):
-    pre = g.matmul(x, params[f"wx_{gate}"])
-    if h_prev is not None:
-        pre = g.add(pre, g.matmul(h_prev, params[f"wh_{gate}"]))
-    return g.add(pre, params[f"b_{gate}"])
-
-
-def _rnn_step(g, x, state, params):
-    h_prev = state[0] if state else None
-    return (g.tanh(_gate(g, x, h_prev, params, "h")),)
-
-
-def _lstm_step(g, x, state, params):
-    h_prev, c_prev = state if state else (None, None)
-    i = g.sigmoid(_gate(g, x, h_prev, params, "i"))
-    o = g.sigmoid(_gate(g, x, h_prev, params, "o"))
-    cand = g.tanh(_gate(g, x, h_prev, params, "g"))
-    write = g.mul(i, cand)
-    if c_prev is None:
-        c = write
-    else:
-        f = g.sigmoid(_gate(g, x, h_prev, params, "f"))
-        c = g.add(g.mul(f, c_prev), write)
-    return g.mul(o, g.tanh(c)), c
-
-
-def _gru_step(g, x, state, params):
-    # h' = (1 - z) h + z n, with n = tanh(Wx x + r (Wh h) + b)
-    h_prev = state[0] if state else None
-    z = g.sigmoid(_gate(g, x, h_prev, params, "z"))
-    if h_prev is None:
-        n = g.tanh(_gate(g, x, None, params, "n"))
-        return (g.mul(z, n),)
-    r = g.sigmoid(_gate(g, x, h_prev, params, "r"))
-    n_pre = g.add(g.matmul(x, params["wx_n"]), g.mul(r, g.matmul(h_prev, params["wh_n"])))
-    n = g.tanh(g.add(n_pre, params["b_n"]))
-    keep = g.mul(g.affine(z, scale=-1.0, shift=1.0), h_prev)
-    return (g.add(keep, g.mul(z, n)),)
+def _cell_params(g, rng, cell, in_dim, hid, prefix):
+    """``prefix/wx`` [in, k·H], ``prefix/wh`` [H, k·H] and ``prefix/b`` [k·H]:
+    each gate draws its wx, wh and b in turn, gate by gate, and the drawn
+    blocks are laid side by side in column order."""
+    draw_order, columns = _GATES[cell]
+    drawn = {gate: (_init(rng, (in_dim, hid), in_dim), _init(rng, (hid, hid), hid),
+                    _init(rng, (hid,), in_dim)) for gate in draw_order}
+    blocks = zip(*(drawn[gate] for gate in columns))
+    return tuple(g.param(f"{prefix}/{name}", np.concatenate(parts, axis=-1))
+                 for name, parts in zip(("wx", "wh", "b"), blocks))
 
 
 def _attach_head(g, spec, last, fan, rng):

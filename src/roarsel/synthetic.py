@@ -38,6 +38,13 @@ class PlantSpec:
     def __post_init__(self):
         if min(self.n, self.t, self.b) < 1:
             raise DatasetError("N, T, B must be positive")
+        # NumPy refuses an array of more than intp-max bytes; the largest one
+        # generate makes holds N·T·B float32 values (or N float64 targets)
+        if self.n * max(self.t * self.b * DTYPE().itemsize, 8) > np.iinfo(np.intp).max:
+            raise DatasetError(
+                f"plant of N={self.n}, T={self.t}, B={self.b} is too large to "
+                f"hold in one array"
+            )
         if not self.signal_bands or not self.signal_steps:
             raise DatasetError("signal sets must be non-empty")
         if not all(0 <= b_ < self.b for b_ in self.signal_bands):

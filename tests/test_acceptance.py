@@ -58,11 +58,14 @@ def _uniform(r, shape, lo=-0.5, hi=0.5):
 ALL_OPS = frozenset({
     "matmul", "add", "sub", "mul", "affine", "relu", "tanh", "sigmoid",
     "conv1d", "maxpool1d", "flatten", "slice_time", "mse", "softmax_xent",
+    "recurrent",
 })
+CELLS = {"rnn": 1, "lstm": 4, "gru": 3}  # recurrent cell -> gates
 
 
-def random_graph(seed, linear_only=False):
-    """Random small [T, C] graph; returns (graph, ops used, target kind)."""
+def random_graph(seed, linear_only=False, cell=None):
+    """Random small [T, C] graph; returns (graph, ops used, target kind).
+    A given recurrent ``cell`` is the graph's first op."""
     r = np.random.default_rng(seed)
     t, c = int(r.integers(4, 8)), int(r.integers(2, 5))
     g = Graph(input_shape=(t, c))
@@ -80,9 +83,19 @@ def random_graph(seed, linear_only=False):
         used.add(kind)
         return getattr(g, kind)(node)
 
+    def recurrent(kind):
+        nonlocal h, hc
+        k, hid = CELLS[kind], int(r.integers(2, 4))
+        h = g.recurrent(h, param((hc, k * hid)), param((hid, k * hid)),
+                        param((k * hid,)), kind)
+        hc = hid
+        used.add("recurrent")
+
+    if cell is not None:
+        recurrent(cell)
     seq_ops = ["conv1d", "affine", "addp", "mulp"]
     if not linear_only:
-        seq_ops += ["maxpool1d", "nl"]
+        seq_ops += ["maxpool1d", "nl", "recurrent"]
     for _ in range(int(r.integers(1, 3))):
         op = r.choice(seq_ops)
         if op == "conv1d":
@@ -101,6 +114,8 @@ def random_graph(seed, linear_only=False):
             h = g.max_pool1d(h, width=2, stride=2)
             ht = (ht - 2) // 2 + 1
             used.add("maxpool1d")
+        elif op == "recurrent":
+            recurrent(str(r.choice(list(CELLS))))
         elif op == "affine":
             h = g.affine(h, scale=float(r.uniform(0.5, 1.5)),
                          shift=float(r.uniform(-0.2, 0.2)))
@@ -158,16 +173,19 @@ def test_reverse_mode_gradients_match_finite_differences():
     with criterion("criterion 1: reverse-mode gradients match central finite "
                    "differences on random graphs covering every operator"):
         start = time.monotonic()
-        covered = set()
-        for i in range(24):
-            g, used, kind = random_graph(1000 + i)
+        covered, cells = set(), set()
+        # 24 random graphs, then one that starts with each recurrent cell
+        for i, cell in enumerate([None] * 24 + list(CELLS)):
+            g, used, kind = random_graph(1000 + i, cell=cell)
             target = _graph_target(kind, 3, i)
             x = draw_clean_input(g, (3, *g.input_shape), 2000 + i, target=target)
             report = finite_difference_check(g, x, h=1e-3, tolerance=1e-3,
                                              target=target)
             assert report.passed, (i, report.max_rel_error, sorted(used))
             covered |= used
+            cells |= {n.attrs["cell"] for n in g.nodes if n.op == "recurrent"}
         assert covered == ALL_OPS, sorted(ALL_OPS - covered)
+        assert cells == set(CELLS), sorted(set(CELLS) - cells)
         assert time.monotonic() - start < 60.0
 
 

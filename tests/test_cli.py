@@ -116,6 +116,17 @@ def test_generate_without_plant_block_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, t, b", [(10**30, 12, 8), (2**60, 1, 1), (2**40, 2**20, 4)])
+def test_oversized_plant_exits_2_naming_its_sizes(tmp_path, capsys, n, t, b):
+    """Larger than NumPy can hold in one array: a config error, not a crash."""
+    cfg = base_config(tmp_path)
+    cfg["dataset"]["plant"].update(n=n, t=t, b=b, signal_bands=[0], signal_steps=[0])
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["generate", "--config", str(p)]) == 2
+    assert f"plant of N={n}, T={t}, B={b} is too large" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["bogus"] = True
@@ -142,6 +153,21 @@ def test_select_emits_one_row_per_architecture(workspace):
     report = json.loads((workspace.out / "selection.json").read_text())
     assert len(report["ranking"]) == 5
     assert report["test_metric"] is not None
+
+
+def test_select_rerun_over_the_five_families_is_byte_identical(workspace, tmp_path):
+    cfg = base_config(workspace.root)
+    outputs = []
+    for name in ("first", "second"):
+        cfg["out_dir"] = str(tmp_path / name)
+        p = write_config(tmp_path / f"{name}.json", cfg)
+        assert main(["select", "--config", str(p)]) == 0
+        outputs.append({f: (tmp_path / name / f).read_bytes()
+                        for f in ("selection.json", "selection.csv")})
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0]["selection.json"])
+    assert {c["architecture"] for c in report["ranking"]} == {
+        "mlp", "rnn", "lstm", "gru", "tempcnn"}
 
 
 def test_select_seeds_every_candidate_from_the_select_section(workspace, tmp_path,

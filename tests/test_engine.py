@@ -348,6 +348,53 @@ def test_finite_difference_recurrent_cell_loss():
     assert report.passed, report.per_tensor
 
 
+GATES = {"rnn": 1, "lstm": 4, "gru": 3}
+
+
+def build_recurrent_stack(cell, depth, seed=6):
+    """``depth`` stacked recurrent layers read out from every step, so the
+    upstream gradient enters the time loop at each step."""
+    r = rng(seed)
+    k, hid, t = GATES[cell], 3, 3
+    g = Graph(input_shape=(t, 2))
+    h, d = g.input_node, 2
+    for layer in range(depth):
+        wx = g.param(f"wx{layer}", uniform(r, (d, k * hid)))
+        wh = g.param(f"wh{layer}", uniform(r, (hid, k * hid)))
+        b = g.param(f"b{layer}", uniform(r, (k * hid,)))
+        h, d = g.recurrent(h, wx, wh, b, cell), hid
+    out = g.matmul(g.flatten(h), g.param("w", uniform(r, (t * hid, 3))))
+    g.mark_output(out)
+    g.softmax_cross_entropy(out)
+    return g
+
+
+@pytest.mark.parametrize("selector", ["loss", 1])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+def test_finite_difference_recurrent_op(cell, depth, selector):
+    """Backprop through time inside the recurrent kernel, every cell."""
+    g = build_recurrent_stack(cell, depth)
+    target = np.array([0, 2, 1])
+    x = rng(15).normal(size=(3, 3, 2)).astype(DTYPE)
+    report = finite_difference_check(g, x, selector=selector, target=target)
+    assert report.passed, report.per_tensor
+
+
+def test_recurrent_op_validates_its_arguments():
+    g = Graph(input_shape=(4, 2))
+    wx = g.param("wx", np.ones((2, 12)))
+    wh = g.param("wh", np.ones((3, 12)))
+    b = g.param("b", np.ones(12))
+    assert g.nodes[g.recurrent(g.input_node, wx, wh, b, "lstm")].shape == (4, 3)
+    with pytest.raises(GraphError, match="unknown recurrent cell 'elman'"):
+        g.recurrent(g.input_node, wx, wh, b, "elman")
+    with pytest.raises(GraphError, match="gru shape mismatch"):
+        g.recurrent(g.input_node, wx, wh, b, "gru")
+    with pytest.raises(GraphError, match="must be parameters"):
+        g.recurrent(g.input_node, g.flatten(g.input_node), wh, b, "lstm")
+
+
 def test_finite_difference_output_column_selector():
     g = build_conv_classifier(seed=3)
     x = draw_clean_input(g, (2, 6, 2), seed=13)

@@ -140,20 +140,35 @@ def sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v.astype(np.float64)))
 
 
+# the engine's documented gate column order: sigmoid gates first, tanh last
+COLUMNS = {"rnn": "h", "lstm": "ifog", "gru": "zrn"}
+
+
+def gate_blocks(p, prefix, cell):
+    """Per-gate ``wx``, ``wh`` and ``b`` sliced out of the fused tensors."""
+    hid = p[f"{prefix}/wh"].shape[0]
+    return {
+        gate: {name: p[f"{prefix}/{name}"][..., j * hid:(j + 1) * hid]
+               for name in ("wx", "wh", "b")}
+        for j, gate in enumerate(COLUMNS[cell])
+    }
+
+
 def test_gru_follows_update_gate_convention():
     """h2 = (1 - z2) h1 + z2 n2, candidate gated by the reset product."""
     spec = ModelSpec(Architecture.GRU, REG, hidden_size=3)
     m = build(spec, t=2, b=2, seed=5)
     p = m.graph.params
+    q = gate_blocks(p, "cell0", "gru")
     x = batch(2, 2, n=1, seed=11)
     x1, x2 = x[0, 0], x[0, 1]
 
-    z1 = sigmoid(x1 @ p["cell0/wx_z"] + p["cell0/b_z"])
-    n1 = np.tanh(x1 @ p["cell0/wx_n"] + p["cell0/b_n"])
+    z1 = sigmoid(x1 @ q["z"]["wx"] + q["z"]["b"])
+    n1 = np.tanh(x1 @ q["n"]["wx"] + q["n"]["b"])
     h1 = z1 * n1
-    z2 = sigmoid(x2 @ p["cell0/wx_z"] + h1 @ p["cell0/wh_z"] + p["cell0/b_z"])
-    r2 = sigmoid(x2 @ p["cell0/wx_r"] + h1 @ p["cell0/wh_r"] + p["cell0/b_r"])
-    n2 = np.tanh(x2 @ p["cell0/wx_n"] + r2 * (h1 @ p["cell0/wh_n"]) + p["cell0/b_n"])
+    z2 = sigmoid(x2 @ q["z"]["wx"] + h1 @ q["z"]["wh"] + q["z"]["b"])
+    r2 = sigmoid(x2 @ q["r"]["wx"] + h1 @ q["r"]["wh"] + q["r"]["b"])
+    n2 = np.tanh(x2 @ q["n"]["wx"] + r2 * (h1 @ q["n"]["wh"]) + q["n"]["b"])
     h2 = (1.0 - z2) * h1 + z2 * n2
     expected = h2 @ p["head/w"] + p["head/b"]
 
@@ -164,15 +179,16 @@ def test_lstm_cell_state_recurrence():
     spec = ModelSpec(Architecture.LSTM, REG, hidden_size=3)
     m = build(spec, t=2, b=2, seed=6)
     p = m.graph.params
+    q = gate_blocks(p, "cell0", "lstm")
     x = batch(2, 2, n=1, seed=12)
     x1, x2 = x[0, 0], x[0, 1]
 
     def gates(xv, h):
         pre = {}
         for gate in ("i", "f", "g", "o"):
-            v = xv @ p[f"cell0/wx_{gate}"] + p[f"cell0/b_{gate}"]
+            v = xv @ q[gate]["wx"] + q[gate]["b"]
             if h is not None:
-                v = v + h @ p[f"cell0/wh_{gate}"]
+                v = v + h @ q[gate]["wh"]
             pre[gate] = v
         return pre
 
@@ -187,12 +203,82 @@ def test_lstm_cell_state_recurrence():
     np.testing.assert_allclose(m.forward(x).ravel(), expected.ravel(), rtol=1e-5, atol=1e-6)
 
 
+def reference_lstm(xs, q):
+    """All hidden states of one sample's [T, in] sequence, from zero state."""
+    h = c = np.zeros(q["i"]["wh"].shape[0])
+    out = []
+    for xv in xs:
+        pre = {gate: xv @ q[gate]["wx"] + h @ q[gate]["wh"] + q[gate]["b"]
+               for gate in ("i", "f", "g", "o")}
+        c = sigmoid(pre["f"]) * c + sigmoid(pre["i"]) * np.tanh(pre["g"])
+        h = sigmoid(pre["o"]) * np.tanh(c)
+        out.append(h)
+    return np.array(out)
+
+
+def reference_gru(xs, q):
+    h = np.zeros(q["z"]["wh"].shape[0])
+    out = []
+    for xv in xs:
+        z = sigmoid(xv @ q["z"]["wx"] + h @ q["z"]["wh"] + q["z"]["b"])
+        r = sigmoid(xv @ q["r"]["wx"] + h @ q["r"]["wh"] + q["r"]["b"])
+        n = np.tanh(xv @ q["n"]["wx"] + r * (h @ q["n"]["wh"]) + q["n"]["b"])
+        h = (1.0 - z) * h + z * n
+        out.append(h)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("arch, reference", [(Architecture.LSTM, reference_lstm),
+                                             (Architecture.GRU, reference_gru)],
+                         ids=["lstm", "gru"])
+def test_stacked_cells_match_the_reference_recurrence(arch, reference):
+    """Depth 2: the second layer reads every hidden state of the first."""
+    spec = ModelSpec(arch, REG, depth=2, hidden_size=3)
+    m = build(spec, t=4, b=2, seed=13)
+    p = m.graph.params
+    x = batch(4, 2, n=3, seed=14)
+    expected = []
+    for xs in x:
+        h = reference(reference(xs, gate_blocks(p, "cell0", arch.value)),
+                      gate_blocks(p, "cell1", arch.value))
+        expected.append(h[-1] @ p["head/w"] + p["head/b"])
+
+    np.testing.assert_allclose(m.forward(x).ravel(), np.ravel(expected),
+                               rtol=1e-5, atol=1e-6)
+
+
 def test_stacked_recurrent_layers():
     spec = ModelSpec(Architecture.RNN, CLS, depth=2, hidden_size=4)
     m = build(spec, t=3, b=2, seed=8)
-    assert "cell0/wx_h" in m.graph.params and "cell1/wx_h" in m.graph.params
-    assert m.graph.params["cell1/wx_h"].shape == (4, 4)
+    assert "cell0/wx" in m.graph.params and "cell1/wx" in m.graph.params
+    assert m.graph.params["cell1/wx"].shape == (4, 4)
     assert m.forward(batch(3, 2)).shape == (3, 4)
+
+
+@pytest.mark.parametrize("arch", [Architecture.RNN, Architecture.LSTM, Architecture.GRU])
+def test_fused_cell_tensors_hold_the_per_gate_draws(arch):
+    """Each gate draws wx, wh and b in turn, in the order h / i f g o / z r n,
+    and the fused tensors lay them out in column order; the head draws last."""
+    cell, in_dim, hid, seed = arch.value, 5, 4, 21
+    m = build(ModelSpec(arch, CLS, depth=2, hidden_size=hid), t=3, b=in_dim, seed=seed)
+    p = m.graph.params
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+
+    def draw(shape, fan_in):
+        limit = np.sqrt(6.0 / fan_in)
+        return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+
+    for layer in range(2):
+        q = gate_blocks(p, f"cell{layer}", cell)
+        for gate in {"rnn": "h", "lstm": "ifgo", "gru": "zrn"}[cell]:
+            assert draw((in_dim, hid), in_dim).tobytes() == q[gate]["wx"].tobytes()
+            assert draw((hid, hid), hid).tobytes() == q[gate]["wh"].tobytes()
+            assert draw((hid,), in_dim).tobytes() == q[gate]["b"].tobytes()
+        in_dim = hid
+    assert draw((hid, 4), hid).tobytes() == p["head/w"].tobytes()
+    k = len(COLUMNS[cell])
+    per_gate = (5 * hid + hid * hid + hid) + (hid * hid + hid * hid + hid)
+    assert m.n_params == k * per_gate + hid * 4 + 4
 
 
 def test_single_step_recurrent_input():
