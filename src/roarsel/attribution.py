@@ -3,8 +3,7 @@
 Four estimators: Shapley value sampling (permutation Monte Carlo over feature
 groups against a reference input), guided backprop, and the SmoothGrad-squared
 and VarGrad ensembles over either base. ``run_estimator`` is the one entry to
-all of them. An exact Shapley oracle enumerating all coalitions backs the
-sampling estimator for small group counts.
+all of them.
 
 Grouping follows one of two axes: all bands at one time step, or the full
 series of one band. Groups carry the schema's stable ids, so rankings stay
@@ -297,42 +296,6 @@ def _svs_rows(
         if p > 1:
             stderr[lo:hi] = marginals.std(axis=1, ddof=1) / math.sqrt(p)
     return scores, stderr
-
-
-def exact_shapley(
-    model: Model, sample: np.ndarray, groups: FeatureGroups, baseline: np.ndarray
-) -> np.ndarray:
-    """Exact Shapley scores over all 2^G coalitions; G capped at 12."""
-    g = groups.n_groups
-    if g > 12:
-        raise EstimatorError(f"too many groups for exact enumeration: {g} > 12")
-    sample = np.ascontiguousarray(sample, dtype=DTYPE)
-    baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
-    _check_inputs(model, sample[None], baseline, groups)
-
-    class_idx = _predicted_classes(model, sample[None])
-    ci = None if class_idx is None else int(class_idx[0])
-    n_sets = 1 << g
-    subsets = np.arange(n_sets, dtype=np.int64)
-    member = ((subsets[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)  # [S, G]
-    cell_on = member[:, groups.cell_group]  # [S, T*B]
-    composites = np.where(
-        cell_on, sample.reshape(-1), baseline.reshape(-1)
-    ).reshape(n_sets, *sample.shape)
-    values = _scalar_batch(model, composites, ci)  # [S]
-
-    sizes = member.sum(axis=1)
-    fact = [math.factorial(i) for i in range(g + 1)]
-    weights = np.array(
-        [fact[s] * fact[g - 1 - s] / fact[g] for s in range(g)], dtype=np.float64
-    )
-    scores = np.zeros(g, dtype=np.float64)
-    for grp in range(g):
-        without = ~member[:, grp]
-        idx = subsets[without]
-        w = weights[sizes[without]]
-        scores[grp] = np.sum(w * (values[idx | (1 << grp)] - values[idx]))
-    return scores.astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------

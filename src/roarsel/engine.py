@@ -127,10 +127,6 @@ class Graph:
         return self._elementwise("add", a, b, lambda v: v[a] + v[b],
                                  lambda g, y, v: (g, _sum_to(g, v[b].shape)))
 
-    def sub(self, a: int, b: int) -> int:
-        return self._elementwise("sub", a, b, lambda v: v[a] - v[b],
-                                 lambda g, y, v: (g, _sum_to(-g, v[b].shape)))
-
     def mul(self, a: int, b: int) -> int:
         return self._elementwise(
             "mul", a, b, lambda v: v[a] * v[b],
@@ -145,33 +141,12 @@ class Graph:
             return self._add(op, (a, b), {}, sa, fwd, bwd)
         raise GraphError(f"{op} shape mismatch: {sa} vs {sb}")
 
-    def affine(self, x: int, scale: float, shift: float = 0.0) -> int:
-        s, c = DTYPE(scale), DTYPE(shift)
-        return self._add(
-            "affine", (x,), {"scale": float(scale), "shift": float(shift)},
-            self._shape(x),
-            lambda v: (s * v[x] + c).astype(DTYPE, copy=False),
-            lambda g, y, v: (s * g,),
-        )
-
     def relu(self, x: int) -> int:
         return self._add("relu", (x,), {}, self._shape(x),
                          lambda v: np.maximum(v[x], 0),
                          lambda g, y, v: (_keep(g, v[x] > 0),))
 
-    def tanh(self, x: int) -> int:
-        return self._add("tanh", (x,), {}, self._shape(x),
-                         lambda v: np.tanh(v[x]),
-                         lambda g, y, v: (g * (1.0 - y * y),))
-
-    def sigmoid(self, x: int) -> int:
-        return self._add(
-            "sigmoid", (x,), {}, self._shape(x),
-            lambda v: (1.0 / (1.0 + np.exp(-v[x].astype(np.float64)))).astype(DTYPE),
-            lambda g, y, v: (g * y * (1.0 - y),),
-        )
-
-    def conv1d(self, x: int, w: int, stride: int = 1, padding: int = 0) -> int:
+    def conv1d(self, x: int, w: int, padding: int = 0) -> int:
         xs, ws = self._shape(x), self._shape(w)
         if self.nodes[w].op != "param" or len(ws) != 3:
             raise GraphError("conv1d kernel must be a 3-D parameter [K, Cin, Cout]")
@@ -181,33 +156,18 @@ class Graph:
         k, kc_in, c_out = ws
         if kc_in != c_in:
             raise GraphError(f"conv1d channel mismatch: input {c_in}, kernel {kc_in}")
-        if stride < 1 or padding < 0:
-            raise GraphError("conv1d needs stride >= 1 and padding >= 0")
-        t_out = (t + 2 * padding - k) // stride + 1
+        if padding < 0:
+            raise GraphError("conv1d needs padding >= 0")
+        t_out = t + 2 * padding - k + 1
         if t_out < 1:
             raise GraphError(
                 f"conv1d kernel {k} does not fit input of length {t} "
                 f"with padding {padding}"
             )
         return self._add(
-            "conv1d", (x, w), {"stride": stride, "padding": padding}, (t_out, c_out),
-            lambda v: _conv1d_forward(v[x], v[w], stride, padding),
-            lambda g, y, v: _conv1d_backward(v[x], v[w], g, stride, padding),
-        )
-
-    def max_pool1d(self, x: int, width: int, stride: int | None = None) -> int:
-        xs = self._shape(x)
-        if len(xs) != 2:
-            raise GraphError(f"max_pool1d input must be [T, C], got {xs}")
-        stride = stride or width
-        t, c = xs
-        t_out = (t - width) // stride + 1
-        if width < 1 or t_out < 1:
-            raise GraphError(f"pool width {width} does not fit input of length {t}")
-        return self._add(
-            "maxpool1d", (x,), {"width": width, "stride": stride}, (t_out, c),
-            lambda v: np.ascontiguousarray(_pool_windows(v[x], width, stride).max(axis=-1)),
-            lambda g, y, v: (_maxpool_backward(v[x], g, width, stride),),
+            "conv1d", (x, w), {"padding": padding}, (t_out, c_out),
+            lambda v: _conv1d_forward(v[x], v[w], padding),
+            lambda g, y, v: _conv1d_backward(v[x], v[w], g, padding),
         )
 
     def flatten(self, x: int) -> int:
@@ -431,12 +391,12 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=tuple(range(extra))).astype(DTYPE, copy=False)
 
 
-def _conv1d_forward(x, w, stride, padding):
+def _conv1d_forward(x, w, padding):
     n = x.shape[0]
     k, c_in, c_out = w.shape
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
-    windows = sliding_window_view(x, k, axis=1)[:, ::stride]  # [N, To, Cin, K]
+    windows = sliding_window_view(x, k, axis=1)  # [N, To, Cin, K]
     t_out = windows.shape[1]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
         n * t_out, k * c_in
@@ -444,22 +404,19 @@ def _conv1d_forward(x, w, stride, padding):
     return (cols @ w.reshape(k * c_in, c_out)).reshape(n, t_out, c_out)
 
 
-def _conv1d_backward(x, w, g, stride, padding):
+def _conv1d_backward(x, w, g, padding):
     n, t, c_in = x.shape
     k, _, c_out = w.shape
     t_out = g.shape[1]
-    if padding:
-        x_pad = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
-    else:
-        x_pad = x
-    windows = sliding_window_view(x_pad, k, axis=1)[:, ::stride]
+    x_pad = np.pad(x, ((0, 0), (padding, padding), (0, 0))) if padding else x
+    windows = sliding_window_view(x_pad, k, axis=1)
     cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
         n * t_out, k * c_in
     )
     gw = (cols.T @ g.reshape(n * t_out, c_out)).reshape(k, c_in, c_out)
     gx_pad = np.zeros_like(x_pad)
     for ki in range(k):
-        gx_pad[:, ki : ki + stride * t_out : stride] += g @ w[ki].T
+        gx_pad[:, ki : ki + t_out] += g @ w[ki].T
     gx = gx_pad[:, padding : padding + t, :] if padding else gx_pad
     return gx, gw
 
@@ -689,22 +646,6 @@ _CELLS = {
     "lstm": (4, _lstm_forward, _lstm_backward),
     "gru": (3, _gru_forward, _gru_backward),
 }
-
-
-def _pool_windows(x, width, stride):
-    return sliding_window_view(x, width, axis=1)[:, ::stride]  # [N, To, C, W]
-
-
-def _maxpool_backward(x, g, width, stride):
-    n, t, c = x.shape
-    winners = _pool_windows(x, width, stride).argmax(axis=-1)  # [N, To, C]
-    t_out = winners.shape[1]
-    gx = np.zeros_like(x)
-    n_idx = np.arange(n)[:, None, None]
-    c_idx = np.arange(c)[None, None, :]
-    t_idx = np.arange(t_out)[None, :, None] * stride + winners
-    np.add.at(gx, (n_idx, t_idx, c_idx), g)
-    return gx
 
 
 def _softmax(logits):

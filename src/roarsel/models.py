@@ -215,7 +215,7 @@ def _tempcnn_body(g, spec, t, b, rng):
         pad = (k - 1) // 2
         w = g.param(f"conv{i}/w", _init(rng, (k, c_in, spec.channels), k * c_in))
         bias = g.param(f"conv{i}/b", _init(rng, (spec.channels,), k * c_in))
-        h = g.relu(g.add(g.conv1d(h, w, stride=1, padding=pad), bias))
+        h = g.relu(g.add(g.conv1d(h, w, padding=pad), bias))
         length = length + 2 * pad - k + 1
         c_in = spec.channels
     h = g.flatten(h)

@@ -9,7 +9,7 @@ groups removed, with a dashed horizontal rule at the baseline metric.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .data import write_atomic
 from .roar import DeletionCurve
@@ -21,7 +21,7 @@ MARGIN_RIGHT = 24
 MARGIN_TOP = 42
 MARGIN_BOTTOM = 56
 
-_SERIES_COLORS = ("#1f6fb4", "#d95f02", "#3a923a", "#9467bd")
+_SERIES_COLORS = ("#1f6fb4", "#d95f02")  # validation, test
 _AXIS_COLOR = "#444444"
 _GRID_COLOR = "#dddddd"
 _BASELINE_COLOR = "#888888"
@@ -43,21 +43,24 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def line_chart(
-    series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
-    baseline: Optional[float] = None,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-) -> str:
-    """Render labeled (x, y) series as one self-contained SVG document."""
-    if not series or not any(points for _, points in series):
-        raise ValueError("nothing to plot")
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
-    if baseline is not None:
-        ys.append(baseline)
-    x_lo, x_hi = min(xs), max(xs)
+def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
+    """Validation and test metric against the fraction of groups removed,
+    with a dashed rule at the baseline metric, as one SVG document."""
+    records = curve.all_records()
+    total = curve.n_groups
+    fractions = [(total - r.remaining) / total for r in records]
+    series = [
+        ("validation", [(f, r.val_metric.value) for f, r in zip(fractions, records)]),
+        ("test", [(f, r.test_metric.value) for f, r in zip(fractions, records)]),
+    ]
+    metric = curve.baseline.val_metric
+    baseline = metric.value
+    plan = curve.plan
+    if title is None:
+        title = f"{plan.estimator_tag} / {plan.order.value} / {plan.axis.value}"
+
+    x_lo, x_hi = min(fractions), max(fractions)
+    ys = [y for _, pts in series for _, y in pts] + [baseline]
     y_lo, y_hi = min(ys + [0.0]), max(ys)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
@@ -78,12 +81,9 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_num(WIDTH / 2)}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15" fill="#222222">{title}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{_num(WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#222222">{title}</text>'
-        )
 
     for yt in _ticks(y_lo, y_hi):
         y = _num(py(yt))
@@ -119,21 +119,19 @@ def line_chart(
         f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
     )
 
-    if baseline is not None:
-        y = _num(py(baseline))
-        out.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{WIDTH - MARGIN_RIGHT}" '
-            f'y2="{y}" stroke="{_BASELINE_COLOR}" stroke-width="1.5" '
-            f'stroke-dasharray="6,4"/>'
-        )
-        out.append(
-            f'<text x="{WIDTH - MARGIN_RIGHT - 4}" y="{_num(py(baseline) - 6)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="{_BASELINE_COLOR}">baseline {_label(baseline)}</text>'
-        )
+    y = _num(py(baseline))
+    out.append(
+        f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{WIDTH - MARGIN_RIGHT}" '
+        f'y2="{y}" stroke="{_BASELINE_COLOR}" stroke-width="1.5" '
+        f'stroke-dasharray="6,4"/>'
+    )
+    out.append(
+        f'<text x="{WIDTH - MARGIN_RIGHT - 4}" y="{_num(py(baseline) - 6)}" '
+        f'text-anchor="end" font-family="sans-serif" font-size="11" '
+        f'fill="{_BASELINE_COLOR}">baseline {_label(baseline)}</text>'
+    )
 
-    for i, (name, points) in enumerate(series):
-        color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
+    for i, ((name, points), color) in enumerate(zip(series, _SERIES_COLORS)):
         coords = " ".join(f"{_num(px(x))},{_num(py(y))}" for x, y in points)
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -155,41 +153,20 @@ def line_chart(
             f'font-size="11" fill="#222222">{name}</text>'
         )
 
-    if x_label:
-        out.append(
-            f'<text x="{_num(MARGIN_LEFT + plot_w / 2)}" y="{HEIGHT - 14}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'fill="{_AXIS_COLOR}">{x_label}</text>'
-        )
-    if y_label:
-        cy = MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="18" y="{_num(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}" '
-            f'transform="rotate(-90 18 {_num(cy)})">{y_label}</text>'
-        )
+    out.append(
+        f'<text x="{_num(MARGIN_LEFT + plot_w / 2)}" y="{HEIGHT - 14}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12" '
+        f'fill="{_AXIS_COLOR}">fraction of groups removed</text>'
+    )
+    cy = MARGIN_TOP + plot_h / 2
+    out.append(
+        f'<text x="18" y="{_num(cy)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}" '
+        f'transform="rotate(-90 18 {_num(cy)})">{metric.kind.value}</text>'
+    )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
-    """Metric against fraction removed, with the baseline rule."""
-    records = curve.all_records()
-    total = curve.n_groups
-    fractions = [(total - r.remaining) / total for r in records]
-    val = [(f, r.val_metric.value) for f, r in zip(fractions, records)]
-    test = [(f, r.test_metric.value) for f, r in zip(fractions, records)]
-    plan = curve.plan
-    if title is None:
-        title = f"{plan.estimator_tag} / {plan.order.value} / {plan.axis.value}"
-    return line_chart(
-        [("validation", val), ("test", test)],
-        baseline=curve.baseline.val_metric.value,
-        title=title,
-        x_label="fraction of groups removed",
-        y_label=curve.baseline.val_metric.kind.value,
-    )
 
 
 def save_chart(text: str, path: str | Path) -> None:

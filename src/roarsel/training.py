@@ -242,7 +242,6 @@ class CandidateResult:
     spec: ModelSpec
     cfg: TrainConfig
     val_metric: Optional[MetricValue]
-    report: Optional[TrainReport]
     error: Optional[str] = None
     test_metric: Optional[MetricValue] = None
 
@@ -296,9 +295,9 @@ def select_model(
             model = build(spec, t, b, seed=seed)
             models[i], report = train(model, splits.train, splits.validation, cfg, seed)
         except (TrainingError, BuildError) as exc:
-            failed.append(CandidateResult(i, spec, cfg, None, None, str(exc)))
+            failed.append(CandidateResult(i, spec, cfg, None, str(exc)))
             continue
-        ok.append(CandidateResult(i, spec, cfg, report.val_metric, report))
+        ok.append(CandidateResult(i, spec, cfg, report.val_metric))
     if not ok:
         raise TrainingError("every candidate failed: " + "; ".join(
             f"#{c.index}: {c.error}" for c in failed

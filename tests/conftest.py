@@ -1,46 +1,77 @@
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from roarsel.attribution import FeatureGroups, GroupingAxis, ImportanceRanking
+from roarsel.attribution import (
+    FeatureGroups,
+    GroupingAxis,
+    ImportanceRanking,
+    _check_inputs,
+    _predicted_classes,
+    _scalar_batch,
+)
 from roarsel.data import Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE
+from roarsel.errors import EstimatorError
+from roarsel.models import Model
 from roarsel.roar import CycleRecord, DeletionCurve, DeletionPlan
 from roarsel.training import MetricKind, MetricValue, TrainReport
 
 
-def away_from_kinks(g, margin=0.02):
-    """True when no relu input or pool contest sits within the fd step."""
-    from numpy.lib.stride_tricks import sliding_window_view
+def _coordinates(g, x):
+    """(label, flat view, batch to forward) for a copy of the input batch and
+    for every parameter: each coordinate a finite-difference step moves."""
+    x_work = np.array(x, dtype=DTYPE)
+    yield "input", x_work.reshape(-1), x_work
+    for name in sorted(g.params):
+        yield name, g.params[name].reshape(-1), x
 
-    vals = g._cache
-    for node in g.nodes:
-        if node.op == "relu":
-            a = vals[node.args[0]]
-            if a is not None and np.any(np.abs(a) < margin):
-                return False
-        if node.op == "maxpool1d":
-            a = vals[node.args[0]]
-            if a is None:
-                continue
-            win = sliding_window_view(a, node.attrs["width"], axis=1)
-            win = win[:, :: node.attrs["stride"]]
-            top2 = np.sort(win, axis=-1)[..., -2:]
-            if np.any(top2[..., 1] - top2[..., 0] < margin):
-                return False
-    return True
+
+def _relu_signs(g) -> list[np.ndarray]:
+    return [g._cache[node.args[0]] > 0 for node in g.nodes if node.op == "relu"]
+
+
+def steps_cross_a_kink(g, x, h=1e-3, target=None) -> bool:
+    """True when moving any one coordinate by +h or -h turns a relu on or
+    off, so that a central difference there would straddle a kink."""
+    g.forward(x, target=target)
+    signs = _relu_signs(g)
+    for _, flat, batch in _coordinates(g, x):
+        for i in range(flat.size):
+            orig = flat[i]
+            for step in (h, -h):
+                flat[i] = orig + DTYPE(step)
+                g.forward(batch, target=target)
+                flipped = any((a != b).any() for a, b in zip(signs, _relu_signs(g)))
+                flat[i] = orig
+                if flipped:
+                    return True
+    return False
 
 
 def draw_clean_input(g, shape, seed, target=None):
-    """Sample a batch whose forward pass stays clear of relu/pool kinks."""
+    """Sample a batch that no finite-difference step moves across a relu kink."""
     r = np.random.default_rng(seed)
     for _ in range(64):
         x = r.normal(scale=1.0, size=shape).astype(DTYPE)
-        g.forward(x, target=target)
-        if away_from_kinks(g):
+        if not steps_cross_a_kink(g, x, target=target):
             return x
     raise AssertionError("could not sample an input away from kinks")
+
+
+def loss64(g, target) -> float:
+    """The graph's loss recomputed in float64 from its cached prediction."""
+    node = g.nodes[g.loss]
+    pred = g._cache[node.args[0]].astype(np.float64)
+    n = pred.shape[0]
+    if node.op == "mse":
+        diff = pred.reshape(n) - np.asarray(target, dtype=DTYPE).astype(np.float64)
+        return float(np.mean(diff * diff))
+    z = pred - pred.max(axis=1, keepdims=True)
+    picked = z[np.arange(n), np.asarray(target).astype(int)]
+    return float(np.mean(np.log(np.exp(z).sum(axis=1)) - picked))
 
 
 @dataclass
@@ -55,8 +86,10 @@ def finite_difference_check(g, x, h=1e-3, tolerance=1e-3, selector="loss",
                             target=None) -> FdReport:
     """Compare reverse-mode gradients against central finite differences.
 
-    Relative error per coordinate is |a - b| / max(1, |a|, |b|); the report
-    carries the max over the input and every parameter tensor.
+    The differenced scalar is computed in float64 from the float32 output (the
+    loss from its prediction node), so the oracle adds no float32 rounding of
+    its own. Relative error per coordinate is |a - b| / max(1, |a|, |b|); the
+    report carries the max over the input and every parameter tensor.
     """
     assert h > 0, "finite differences need h > 0"
     g.forward(x, target=target)
@@ -65,39 +98,70 @@ def finite_difference_check(g, x, h=1e-3, tolerance=1e-3, selector="loss",
     def scalar(xv) -> float:
         out = g.forward(xv, target=target)
         if isinstance(selector, str):
-            return float(g._cache[g.loss])
+            return loss64(g, target)
         if isinstance(selector, (int, np.integer)):
             return float(out[:, int(selector)].sum(dtype=np.float64))
         return float(out[np.arange(out.shape[0]), selector.astype(int)].sum(dtype=np.float64))
 
     per_tensor: dict[str, float] = {}
 
-    def check_tensor(arr, ad_grad, label, rebind=None):
+    for label, flat, batch in _coordinates(g, x):
+        adf = (ad.input if label == "input" else ad.params[label]).reshape(-1)
         worst = 0.0
-        flat = arr.reshape(-1)
-        adf = ad_grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + DTYPE(h)
             hi = float(flat[i])
-            f_plus = scalar(x if rebind is None else rebind)
+            f_plus = scalar(batch)
             flat[i] = orig - DTYPE(h)
             lo = float(flat[i])
-            f_minus = scalar(x if rebind is None else rebind)
+            f_minus = scalar(batch)
             flat[i] = orig
             fd = (f_plus - f_minus) / (hi - lo)
             a, b = float(adf[i]), fd
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
         per_tensor[label] = worst
-        return worst
 
-    x_work = np.array(x, dtype=DTYPE)
-    worst = check_tensor(x_work, ad.input, "input", rebind=x_work)
-    for name in sorted(g.params):
-        worst = max(worst, check_tensor(g.params[name], ad.params[name], name))
+    worst = max(per_tensor.values())
     g.forward(x, target=target)  # leave a clean cache behind
     return FdReport(max_rel_error=worst, tolerance=tolerance,
                     passed=worst <= tolerance, per_tensor=per_tensor)
+
+
+def exact_shapley(
+    model: Model, sample: np.ndarray, groups: FeatureGroups, baseline: np.ndarray
+) -> np.ndarray:
+    """Exact Shapley scores over all 2^G coalitions; G capped at 12."""
+    g = groups.n_groups
+    if g > 12:
+        raise EstimatorError(f"too many groups for exact enumeration: {g} > 12")
+    sample = np.ascontiguousarray(sample, dtype=DTYPE)
+    baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
+    _check_inputs(model, sample[None], baseline, groups)
+
+    class_idx = _predicted_classes(model, sample[None])
+    ci = None if class_idx is None else int(class_idx[0])
+    n_sets = 1 << g
+    subsets = np.arange(n_sets, dtype=np.int64)
+    member = ((subsets[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)  # [S, G]
+    cell_on = member[:, groups.cell_group]  # [S, T*B]
+    composites = np.where(
+        cell_on, sample.reshape(-1), baseline.reshape(-1)
+    ).reshape(n_sets, *sample.shape)
+    values = _scalar_batch(model, composites, ci)  # [S]
+
+    sizes = member.sum(axis=1)
+    fact = [math.factorial(i) for i in range(g + 1)]
+    weights = np.array(
+        [fact[s] * fact[g - 1 - s] / fact[g] for s in range(g)], dtype=np.float64
+    )
+    scores = np.zeros(g, dtype=np.float64)
+    for grp in range(g):
+        without = ~member[:, grp]
+        idx = subsets[without]
+        w = weights[sizes[without]]
+        scores[grp] = np.sum(w * (values[idx | (1 << grp)] - values[idx]))
+    return scores.astype(DTYPE)
 
 
 def cell_groups(t, b) -> FeatureGroups:

@@ -12,7 +12,6 @@ from roarsel.attribution import (
     GroupingAxis,
     aggregate_rank,
     cell_span,
-    exact_shapley,
     feature_groups,
     FeatureGroups,
     mean_baseline,
@@ -23,7 +22,7 @@ from roarsel.engine import DTYPE, Graph
 from roarsel.errors import EstimatorError
 from roarsel.models import Architecture, Head, Model, ModelSpec, build
 
-from conftest import cell_groups, make_dataset
+from conftest import cell_groups, exact_shapley, make_dataset
 
 REG = Head(task=Task.REGRESSION)
 CLS = Head(task=Task.CLASSIFICATION, n_classes=3)
@@ -41,10 +40,10 @@ def linear_model(weights) -> Model:
 
 
 def symmetric_model(scale=1.3) -> Model:
-    """f(x) = tanh(s x_t0) + tanh(s x_t1): symmetric in the two time steps."""
+    """f(x) = relu(s x_t0) + relu(s x_t1): symmetric in the two time steps."""
     g = Graph(input_shape=(2, 1))
     k = g.param("k", np.array([[[scale]]], dtype=DTYPE))
-    h = g.tanh(g.conv1d(g.input_node, k))
+    h = g.relu(g.conv1d(g.input_node, k))
     ones = g.param("sum", np.ones((2, 1), dtype=DTYPE))
     out = g.matmul(g.flatten(h), ones)
     g.mark_output(out)

@@ -191,12 +191,12 @@ def test_selection_rows_note_ties_and_failures():
     def ok(i, arch, v):
         return CandidateResult(
             index=i, spec=ModelSpec(arch, REG), cfg=TrainConfig(),
-            val_metric=MetricValue(MetricKind.R2, v), report=None,
+            val_metric=MetricValue(MetricKind.R2, v),
             test_metric=MetricValue(MetricKind.R2, v))
 
     failed = CandidateResult(
         index=2, spec=ModelSpec(Architecture.TEMPCNN, REG), cfg=TrainConfig(),
-        val_metric=None, report=None, error="kernel larger than the series")
+        val_metric=None, error="kernel larger than the series")
     report = SelectionReport(
         ranking=[ok(0, Architecture.MLP, 0.8), ok(1, Architecture.GRU, 0.8), failed],
         best_index=0, test_metric=MetricValue(MetricKind.R2, 0.8))

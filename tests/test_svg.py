@@ -1,10 +1,9 @@
 """Deterministic SVG chart emission."""
 
-import pytest
 from conftest import fab_curve
 
 from roarsel.roar import DeletionOrder
-from roarsel.svg import curve_chart, line_chart, save_chart
+from roarsel.svg import curve_chart, save_chart
 
 
 def sample_curve():
@@ -12,38 +11,18 @@ def sample_curve():
                      DeletionOrder.LEAST_FIRST)
 
 
-def sample_series():
-    return [("one", [(0.0, 0.1), (0.5, 0.6), (1.0, 0.9)]),
-            ("two", [(0.0, 0.3), (0.5, 0.2), (1.0, 0.1)])]
-
-
 def test_line_chart_is_a_single_svg_document():
-    text = line_chart(sample_series(), title="demo")
+    text = curve_chart(sample_curve(), title="demo")
     assert text.startswith("<svg ")
     assert text.endswith("</svg>\n")
     assert text.count("<svg ") == 1
     assert text.count("<polyline ") == 2
-    assert ">one</text>" in text and ">two</text>" in text
+    assert ">validation</text>" in text and ">test</text>" in text
     assert ">demo</text>" in text
 
 
 def test_line_chart_bytes_are_deterministic():
-    assert line_chart(sample_series()) == line_chart(sample_series())
-
-
-def test_baseline_rule_is_dashed_and_optional():
-    with_rule = line_chart(sample_series(), baseline=0.5)
-    without = line_chart(sample_series())
-    assert "stroke-dasharray" in with_rule
-    assert "baseline 0.5" in with_rule
-    assert "stroke-dasharray" not in without
-
-
-def test_empty_series_rejected():
-    with pytest.raises(ValueError, match="nothing to plot"):
-        line_chart([])
-    with pytest.raises(ValueError, match="nothing to plot"):
-        line_chart([("empty", [])])
+    assert curve_chart(sample_curve()) == curve_chart(sample_curve())
 
 
 def test_curve_chart_contents():
@@ -52,7 +31,7 @@ def test_curve_chart_contents():
     assert ">validation</text>" in text and ">test</text>" in text
     assert ">fraction of groups removed</text>" in text
     assert ">r2</text>" in text
-    assert "baseline 0.9" in text
+    assert "baseline 0.9" in text and "stroke-dasharray" in text
     # one marker per (record, series) pair
     assert text.count("<circle ") == 2 * 5
     # fraction 0 sits on the left axis
