@@ -13,9 +13,11 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .codec import encode
 from .config import RunConfig, load_config, save_effective_config, section_seed
 from .data import load_dataset, save_dataset, split_by_year, write_atomic, write_json
 from .errors import ConfigError, RoarAborted, RoarselError
@@ -31,7 +33,7 @@ from .roar import (
 )
 from .svg import curve_chart, save_chart
 from .synthetic import generate
-from .training import SelectionReport, select_model
+from .training import CandidateResult, SelectionReport, select_model
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
@@ -42,10 +44,11 @@ def _ensure_out(cfg: RunConfig) -> Path:
 
 
 def _load_splits(cfg: RunConfig):
-    if not cfg.dataset_path:
+    if not cfg.dataset.path:
         raise ConfigError("config needs dataset.path")
-    d = load_dataset(cfg.dataset_path)
-    splits = split_by_year(d, cfg.holdout_years, seed=section_seed(cfg.seed, "split"))
+    d = load_dataset(cfg.dataset.path)
+    splits = split_by_year(d, cfg.split.holdout_years,
+                           seed=section_seed(cfg.seed, "split"))
     return splits, Head.for_schema(d.schema)
 
 
@@ -55,42 +58,35 @@ def _load_splits(cfg: RunConfig):
 
 def cmd_generate(cfg: RunConfig) -> Path:
     """Write the configured planted dataset as an on-disk directory."""
-    if cfg.plant is None:
+    if cfg.dataset.plant is None:
         raise ConfigError("generate needs a dataset.plant block")
-    if not cfg.dataset_path:
+    if not cfg.dataset.path:
         raise ConfigError("generate needs dataset.path to name the output directory")
-    d = generate(cfg.plant, seed=section_seed(cfg.seed, "generate"))
-    save_dataset(d, cfg.dataset_path)
+    d = generate(cfg.dataset.plant, seed=section_seed(cfg.seed, "generate"))
+    save_dataset(d, cfg.dataset.path)
     _ensure_out(cfg)
     print(
-        f"wrote dataset {cfg.dataset_path} "
+        f"wrote dataset {cfg.dataset.path} "
         f"({d.n_samples} samples, {d.schema.n_timesteps} steps x {d.schema.n_bands} bands)"
     )
-    return Path(cfg.dataset_path)
+    return Path(cfg.dataset.path)
 
 
-def _selection_rows(report: SelectionReport) -> list[dict]:
-    """Best candidate per architecture, in ranking order."""
+def _selection_rows(report: SelectionReport) -> list[tuple[CandidateResult, str]]:
+    """Best candidate per architecture, in ranking order, with its note."""
     rows = []
     seen = set()
-    ok_values = [c.val_metric.value for c in report.ranking if c.error is None]
+    ok_values = [c.val_metric for c in report.ranking if c.error is None]
     for c in report.ranking:
-        arch = c.spec.architecture.value
-        if arch in seen:
+        if c.architecture in seen:
             continue
-        seen.add(arch)
+        seen.add(c.architecture)
         note = ""
         if c.error is not None:
             note = f"failed: {c.error}"
-        elif ok_values.count(c.val_metric.value) > 1:
+        elif ok_values.count(c.val_metric) > 1:
             note = "tie resolved by grid order"
-        rows.append({
-            "architecture": arch,
-            "learning_rate": c.cfg.learning_rate,
-            "val_metric": None if c.val_metric is None else c.val_metric.value,
-            "test_metric": None if c.test_metric is None else c.test_metric.value,
-            "note": note,
-        })
+        rows.append((c, note))
     return rows
 
 
@@ -102,30 +98,26 @@ def cmd_select(cfg: RunConfig) -> Path:
                                  include_test_metrics=True)
     out = _ensure_out(cfg)
 
-    write_json(out / "selection.json", report.to_dict())
+    write_json(out / "selection.json", encode(report))
     rows = _selection_rows(report)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["architecture", "learning_rate", "val_metric",
                      "test_metric", "note"])
-    for row in rows:
-        writer.writerow([
-            row["architecture"],
-            row["learning_rate"],
-            "" if row["val_metric"] is None else row["val_metric"],
-            "" if row["test_metric"] is None else row["test_metric"],
-            row["note"],
-        ])
+    for c, note in rows:
+        writer.writerow([c.architecture.value, c.learning_rate,
+                         "" if c.val_metric is None else c.val_metric,
+                         "" if c.test_metric is None else c.test_metric, note])
     csv_path = out / "selection.csv"
     write_atomic(csv_path, buf.getvalue())
 
     print(f"best: {model.spec.architecture.value} "
           f"(candidate #{report.best_index})")
-    for row in rows:
-        val = "-" if row["val_metric"] is None else f"{row['val_metric']:.4f}"
-        test = "-" if row["test_metric"] is None else f"{row['test_metric']:.4f}"
-        suffix = f"  [{row['note']}]" if row["note"] else ""
-        print(f"  {row['architecture']:<8} val {val}  test {test}{suffix}")
+    for c, note in rows:
+        val = "-" if c.val_metric is None else f"{c.val_metric:.4f}"
+        test = "-" if c.test_metric is None else f"{c.test_metric:.4f}"
+        suffix = f"  [{note}]" if note else ""
+        print(f"  {c.architecture.value:<8} val {val}  test {test}{suffix}")
     return csv_path
 
 
@@ -259,10 +251,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cmd_report(args.curves, floor=args.floor)
             return 0
         cfg = load_config(args.config)
-        if args.out:
-            cfg.out_dir = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
+        # overrides pass the same checks as the config's own values
+        cfg = replace(cfg, out_dir=args.out or cfg.out_dir,
+                      seed=cfg.seed if args.seed is None else args.seed)
         if args.command == "generate":
             cmd_generate(cfg)
         elif args.command == "select":

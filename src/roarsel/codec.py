@@ -1,11 +1,14 @@
 """One JSON form for every persisted dataclass, read from its annotations.
 
-``encode`` turns a dataclass into its JSON value field by field: enums
-travel as their values, frozensets as sorted lists, tuples as lists, and a
-dict keyed by tuples (``PlantSpec.cell_weights``) as sorted ``[*key,
-value]`` rows. ``decode`` builds the value back from the resolved field
-annotations and checks every JSON value against its field's type, so a
-config file and a curve file are read by the same rules:
+Four files are the codec form of one dataclass each: the run config and its
+``effective.json`` echo (``RunConfig``), a curve file (``DeletionCurve``),
+``selection.json`` (``SelectionReport``) and a dataset's ``manifest``
+(``FeatureSchema``). ``encode`` turns a dataclass into its JSON value field
+by field: enums travel as their values, frozensets as sorted lists, tuples
+as lists, and a dict keyed by tuples (``PlantSpec.cell_weights``) as sorted
+``[*key, value]`` rows. ``decode`` builds the value back from the resolved field
+annotations and checks every JSON value against its field's type, so every
+file is read by the same rules:
 
 - a count (``int``) is a JSON integer, never a bool or a float;
 - a real (``float``) is a finite JSON number, kept as given, so an integer
@@ -13,7 +16,8 @@ config file and a curve file are read by the same rules:
 - ``null`` is accepted only for an ``Optional`` field, and for a field with
   a ``default_factory`` block, where it means the default;
 - unknown keys are rejected, and every error is a ``ConfigError`` that names
-  the key (``grid[1].hidden_size must be an integer, got 4.0``).
+  the key by its path from the root
+  (``config.grid[1].hidden_size must be an integer, got 4.0``).
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 A run config is one JSON object naming the dataset, the split, the model
 grid (or a single campaign model), training and estimator budgets, and
 the deletion plans. Each block is decoded by its dataclass's annotations
-(``codec``), so unknown keys and values of the wrong kind fail by name
-instead of silently falling back to a default. ``to_dict`` fills in every
-default, and the persisted result is enough to reproduce the run.
+(``codec``), so unknown keys and values of the wrong kind fail by their
+path from the root (``config.train.max_epochs``) instead of silently falling
+back to a default. The file is the codec form of ``RunConfig``: its echo fills
+in every default, and the persisted result is enough to reproduce the run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -67,27 +68,53 @@ class CandidateConfig:
         return replace(base, learning_rate=self.learning_rate)
 
 
-@dataclass
-class RunConfig:
-    """Everything one command needs, with defaults already resolved."""
+@dataclass(frozen=True)
+class DatasetConfig:
+    """Where the dataset lives, and the planted one ``generate`` writes there."""
 
-    seed: int = 0
-    out_dir: str = "runs/out"
-    dataset_path: Optional[str] = None
+    path: Optional[str] = None
     plant: Optional[PlantSpec] = None
+
+
+@dataclass(frozen=True)
+class SplitConfig:
     holdout_years: int = 2
-    grid: tuple[CandidateConfig, ...] = ()
-    model: Optional[CandidateConfig] = None
-    train: TrainConfig = field(default_factory=TrainConfig)
-    budget: ExplainBudget = field(default_factory=ExplainBudget)
-    plans: tuple[DeletionPlan, ...] = ()
-    workers: Optional[int] = None  # accepted for existing configs; no effect
 
     def __post_init__(self):
         if self.holdout_years < 1:
-            raise ConfigError("holdout_years must be at least 1")
+            raise ConfigError("config.split.holdout_years must be at least 1")
+
+
+@dataclass
+class RunConfig:
+    """Everything one command needs; its codec form is the config file."""
+
+    seed: int = 0
+    out_dir: str = "runs/out"
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    split: SplitConfig = field(default_factory=SplitConfig)
+    grid: tuple[CandidateConfig, ...] = field(default_factory=tuple)
+    model: Optional[CandidateConfig] = None
+    train: TrainConfig = field(default_factory=TrainConfig)
+    budget: ExplainBudget = field(default_factory=ExplainBudget)
+    plans: tuple[DeletionPlan, ...] = field(default_factory=tuple)
+    workers: Optional[int] = None  # accepted for existing configs; no effect
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"config.seed must not be negative, got {self.seed}")
         if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be positive")
+            raise ConfigError("config.workers must be positive")
+
+    @property
+    def dataset_path(self) -> Optional[str]:
+        """``dataset.path``; kept for the benchmark's set-up probe."""
+        return self.dataset.path
+
+    @property
+    def holdout_years(self) -> int:
+        """``split.holdout_years``; kept for the benchmark's set-up probe."""
+        return self.split.holdout_years
 
     def candidates(self, head: Head) -> list[tuple[ModelSpec, TrainConfig]]:
         """The selection grid; empty config grid means the default grid."""
@@ -95,61 +122,22 @@ class RunConfig:
             return default_grid(head, self.train)
         return [(c.spec(head), c.train_config(self.train)) for c in self.grid]
 
-    def to_dict(self) -> dict:
-        """``encode(self)`` in the file's layout, every default filled in."""
-        d = encode(self)
-        d["dataset"] = {"path": d.pop("dataset_path"), "plant": d.pop("plant")}
-        d["split"] = {"holdout_years": d.pop("holdout_years")}
-        return d
-
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
+    def from_dict(cls, d) -> "RunConfig":
         """Decode a config file's object, each value by its field's type.
 
-        The file groups ``dataset_path`` and ``plant`` under ``dataset`` and
-        ``holdout_years`` under ``split``. A null block is an empty one, and a
-        plan's own ``budget`` overrides the run-level one key by key.
+        A null block is an empty one, and a plan's own ``budget`` overrides
+        the run-level one key by key.
         """
-        d = _block(d, "config", ("seed", "out_dir", "workers", "dataset", "split",
-                                 *_BLOCK_FIELDS))
-        dataset = _block(d.get("dataset"), "dataset", ("path", "plant"))
-        split = _block(d.get("split"), "split", ("holdout_years",))
-        # absent grid falls back to the default grid; a present-but-empty
-        # one is a mistake, not a request for zero candidates
-        if d.get("grid") == []:
-            raise ConfigError("grid must not be empty")
-        if isinstance(d.get("plans"), list):
-            budget = {} if d.get("budget") is None else d["budget"]
-            d["plans"] = [_with_run_budget(plan, budget) for plan in d["plans"]]
-        places = [("seed", d, "seed", "config.seed"),
-                  ("out_dir", d, "out_dir", "config.out_dir"),
-                  ("workers", d, "workers", "config.workers"),
-                  ("dataset_path", dataset, "path", "dataset.path"),
-                  ("plant", dataset, "plant", "dataset.plant"),
-                  ("holdout_years", split, "holdout_years", "split.holdout_years"),
-                  *((name, d, name, name) for name in _BLOCK_FIELDS)]
-        hints = get_type_hints(cls)
-        return cls(**{
-            name: decode(hints[name], block[key], where)
-            for name, block, key, where in places
-            if key in block and not (block[key] is None and name in _BLOCK_FIELDS)
-        })
-
-
-# the top-level blocks that are fields of their own; null means absent
-_BLOCK_FIELDS = ("grid", "model", "train", "budget", "plans")
-
-
-def _block(raw, where: str, keys: tuple[str, ...]) -> dict:
-    """A block of the file's own layout: an object of known keys, or null."""
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object, got {raw!r}")
-    extra = sorted(set(raw) - set(keys))
-    if extra:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(extra)}")
-    return dict(raw)
+        if isinstance(d, dict):
+            # absent grid falls back to the default grid; a present-but-empty
+            # one is a mistake, not a request for zero candidates
+            if d.get("grid") == []:
+                raise ConfigError("config.grid must not be empty")
+            if isinstance(d.get("plans"), list):
+                budget = {} if d.get("budget") is None else d["budget"]
+                d = {**d, "plans": [_with_run_budget(p, budget) for p in d["plans"]]}
+        return decode(cls, d, "config")
 
 
 def _with_run_budget(plan, budget):
@@ -184,4 +172,4 @@ def save_effective_config(cfg: RunConfig, path: str | Path) -> None:
     """Persist the defaults-filled config, atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, cfg.to_dict())
+    write_json(path, encode(cfg))

@@ -1,11 +1,12 @@
 """Dataset container, feature schema, year splits, and the bit-exact on-disk format.
 
-A dataset directory holds four files: ``manifest`` (JSON: task, bands with
-names and modalities, time-step labels, class names if any) plus three binary
-payloads ``values.bin`` / ``targets.bin`` / ``years.bin``. Every payload starts
-with the magic bytes ``MMTS``, a u32 little-endian format version, and the
-array dimensions as u32 little-endian (N,T,B for values; N for the others),
-followed by row-major IEEE-754 f32 little-endian data (u32 for years).
+A dataset directory holds four files: ``manifest``, the JSON codec form of
+``FeatureSchema`` (task, bands with ids, names and modalities, time steps with
+ids and labels, class count and names or null), plus three binary payloads
+``values.bin`` / ``targets.bin`` / ``years.bin``. Every payload starts with
+the magic bytes ``MMTS``, a u32 little-endian format version, and the array
+dimensions as u32 little-endian (N,T,B for values; N for the others), followed
+by row-major IEEE-754 f32 little-endian data (u32 for years).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DatasetError
+from .codec import decode, encode
+from .errors import ConfigError, DatasetError
 
 MAGIC = b"MMTS"
 FORMAT_VERSION = 1
@@ -35,7 +37,7 @@ class Task(str, Enum):
 class Band:
     """One input channel: a stable id, a display name, and its modality."""
 
-    band_id: int
+    id: int
     name: str
     modality: str
 
@@ -44,7 +46,7 @@ class Band:
 class TimeStep:
     """One temporal instance: a stable id and a display label."""
 
-    step_id: int
+    id: int
     label: str
 
 
@@ -72,8 +74,8 @@ class FeatureSchema:
             raise DatasetError("schema needs at least one band")
         if not self.timesteps:
             raise DatasetError("schema needs at least one time step")
-        _check_strictly_increasing([b.band_id for b in self.bands], "band ids")
-        _check_strictly_increasing([t.step_id for t in self.timesteps], "step ids")
+        _check_strictly_increasing(list(self.band_ids), "band ids")
+        _check_strictly_increasing(list(self.step_ids), "step ids")
         if self.task is Task.CLASSIFICATION:
             if self.n_classes is None or self.n_classes < 2:
                 raise DatasetError("classification requires n_classes >= 2")
@@ -92,11 +94,11 @@ class FeatureSchema:
 
     @property
     def band_ids(self) -> tuple[int, ...]:
-        return tuple(b.band_id for b in self.bands)
+        return tuple(b.id for b in self.bands)
 
     @property
     def step_ids(self) -> tuple[int, ...]:
-        return tuple(t.step_id for t in self.timesteps)
+        return tuple(t.id for t in self.timesteps)
 
 
 def _check_strictly_increasing(ids: list[int], what: str) -> None:
@@ -279,19 +281,7 @@ def save_dataset(d: TensorDataset, path: str | Path) -> None:
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "task": d.schema.task.value,
-        "bands": [
-            {"id": b.band_id, "name": b.name, "modality": b.modality}
-            for b in d.schema.bands
-        ],
-        "timesteps": [{"id": t.step_id, "label": t.label} for t in d.schema.timesteps],
-    }
-    if d.schema.task is Task.CLASSIFICATION:
-        manifest["n_classes"] = d.schema.n_classes
-        if d.schema.class_names is not None:
-            manifest["class_names"] = list(d.schema.class_names)
-    write_json(out / "manifest", manifest)
+    write_json(out / "manifest", encode(d.schema))
     write_payload(out / "values.bin", d.values, "f32")
     write_payload(out / "targets.bin", d.targets.astype(np.float32), "f32")
     write_payload(out / "years.bin", d.years, "u32")
@@ -304,30 +294,9 @@ def load_dataset(path: str | Path) -> TensorDataset:
     if not manifest_path.is_file():
         raise DatasetError(f"missing manifest in {root}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        schema = decode(FeatureSchema, json.loads(manifest_path.read_text()), "manifest")
+    except (json.JSONDecodeError, UnicodeDecodeError, ConfigError) as exc:
         raise DatasetError(f"corrupt manifest in {root}: {exc}") from exc
-
-    try:
-        task = Task(manifest["task"])
-        bands = tuple(
-            Band(int(b["id"]), str(b["name"]), str(b["modality"]))
-            for b in manifest["bands"]
-        )
-        steps = tuple(
-            TimeStep(int(t["id"]), str(t["label"])) for t in manifest["timesteps"]
-        )
-        n_classes = manifest.get("n_classes")
-        class_names = manifest.get("class_names")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"corrupt manifest in {root}: {exc}") from exc
-    schema = FeatureSchema(
-        bands=bands,
-        timesteps=steps,
-        task=task,
-        n_classes=None if n_classes is None else int(n_classes),
-        class_names=None if class_names is None else tuple(class_names),
-    )
 
     values = read_payload(root / "values.bin", ndim=3, kind="f32")
     targets = read_payload(root / "targets.bin", ndim=1, kind="f32")
@@ -343,7 +312,7 @@ def load_dataset(path: str | Path) -> TensorDataset:
         )
     if targets.shape != (n,) or years.shape != (n,):
         raise DatasetError("dimension mismatch: targets/years length differs from N")
-    if task is Task.CLASSIFICATION:
+    if schema.task is Task.CLASSIFICATION:
         if not np.all(targets == np.round(targets)):
             raise DatasetError("classification targets must be integral")
         targets = targets.astype(np.int64)
@@ -372,6 +341,11 @@ def split_by_year(
     cutoff = distinct[-holdout_years]
     train_idx = np.flatnonzero(d.years < cutoff)
     pool_idx = np.flatnonzero(d.years >= cutoff)
+    if len(pool_idx) < 2:
+        raise DatasetError(
+            f"holdout years {distinct[-holdout_years:].tolist()} hold {len(pool_idx)} "
+            "sample(s); validation and test need at least one each"
+        )
     rng = np.random.default_rng(seed)
     pool_idx = pool_idx[rng.permutation(len(pool_idx))]
     n_val = (len(pool_idx) + 1) // 2
@@ -392,10 +366,10 @@ def delete_timesteps(d: TensorDataset, step_ids: Iterable[int]) -> TensorDataset
     return _delete(d, set(step_ids), "timesteps")
 
 
-# schema field -> (values axis, id attribute, id noun, feature noun)
+# schema field -> (values axis, id noun, feature noun)
 _DELETABLE = {
-    "bands": (2, "band_id", "band", "band"),
-    "timesteps": (1, "step_id", "step", "time step"),
+    "bands": (2, "band", "band"),
+    "timesteps": (1, "step", "time step"),
 }
 
 
@@ -403,15 +377,15 @@ def _delete(d: TensorDataset, ids: set[int], field: str) -> TensorDataset:
     """The one survivor rule: keep, in order, the features not in ``ids``."""
     if not ids:
         return d.take(np.arange(d.n_samples))
-    axis, key, noun, whole = _DELETABLE[field]
+    axis, noun, whole = _DELETABLE[field]
     features = getattr(d.schema, field)
-    known = {getattr(f, key) for f in features}
+    known = {f.id for f in features}
     for fid in ids:
         if fid not in known:
             raise DatasetError(f"unknown {noun} id {fid}")
     if len(ids) >= len(features):
         raise DatasetError(f"cannot delete every {whole}")
-    keep = [i for i, f in enumerate(features) if getattr(f, key) not in ids]
+    keep = [i for i, f in enumerate(features) if f.id not in ids]
     return TensorDataset(
         schema=replace(d.schema, **{field: tuple(features[i] for i in keep)}),
         values=np.take(d.values, keep, axis=axis),

@@ -238,36 +238,23 @@ def evaluate(model: Model, split: TensorDataset) -> MetricValue:
 
 @dataclass
 class CandidateResult:
+    """One grid candidate's outcome: a row of ``selection.json``."""
+
     index: int
-    spec: ModelSpec
-    cfg: TrainConfig
-    val_metric: Optional[MetricValue]
+    architecture: Architecture
+    learning_rate: float
+    val_metric: Optional[float]
     error: Optional[str] = None
-    test_metric: Optional[MetricValue] = None
+    test_metric: Optional[float] = None
 
 
 @dataclass
 class SelectionReport:
+    """What ``select`` persists; ``selection.json`` is its codec form."""
+
     ranking: list[CandidateResult]  # best first; failed candidates last
     best_index: int
-    test_metric: Optional[MetricValue]
-
-    def to_dict(self) -> dict:
-        rows = []
-        for c in self.ranking:
-            rows.append({
-                "index": c.index,
-                "architecture": c.spec.architecture.value,
-                "learning_rate": c.cfg.learning_rate,
-                "val_metric": None if c.val_metric is None else c.val_metric.value,
-                "test_metric": None if c.test_metric is None else c.test_metric.value,
-                "error": c.error,
-            })
-        return {
-            "ranking": rows,
-            "best_index": self.best_index,
-            "test_metric": None if self.test_metric is None else self.test_metric.value,
-        }
+    test_metric: Optional[float]
 
 
 def select_model(
@@ -295,21 +282,23 @@ def select_model(
             model = build(spec, t, b, seed=seed)
             models[i], report = train(model, splits.train, splits.validation, cfg, seed)
         except (TrainingError, BuildError) as exc:
-            failed.append(CandidateResult(i, spec, cfg, None, str(exc)))
+            failed.append(CandidateResult(i, spec.architecture, cfg.learning_rate,
+                                          None, str(exc)))
             continue
-        ok.append(CandidateResult(i, spec, cfg, report.val_metric))
+        ok.append(CandidateResult(i, spec.architecture, cfg.learning_rate,
+                                  report.val_metric.value))
     if not ok:
         raise TrainingError("every candidate failed: " + "; ".join(
             f"#{c.index}: {c.error}" for c in failed
         ))
     # stable sort keeps the earlier grid index on metric ties
-    ranked = sorted(ok, key=lambda c: -c.val_metric.value) + failed
+    ranked = sorted(ok, key=lambda c: -c.val_metric) + failed
     best = ranked[0]
     test_metric = None
     if include_test_metrics:
         for c in ranked:
             if c.error is None:
-                c.test_metric = evaluate(models[c.index], splits.test)
+                c.test_metric = evaluate(models[c.index], splits.test).value
         test_metric = ranked[0].test_metric
     report = SelectionReport(
         ranking=ranked, best_index=best.index, test_metric=test_metric

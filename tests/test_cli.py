@@ -10,19 +10,11 @@ from conftest import fab_curve
 from roarsel import cli
 from roarsel.cli import _selection_rows, cmd_report, main
 from roarsel.config import section_seed
-from roarsel.data import Task, load_dataset
+from roarsel.data import load_dataset
 from roarsel.errors import RoarAborted
-from roarsel.models import Architecture, Head, ModelSpec
+from roarsel.models import Architecture
 from roarsel.roar import DeletionOrder, save_curve
-from roarsel.training import (
-    CandidateResult,
-    MetricKind,
-    MetricValue,
-    SelectionReport,
-    TrainConfig,
-)
-
-REG = Head(task=Task.REGRESSION)
+from roarsel.training import CandidateResult, SelectionReport
 
 
 def base_config(root: Path) -> dict:
@@ -151,8 +143,15 @@ def test_select_emits_one_row_per_architecture(workspace):
         _, lr, val, test, _ = line.split(",", 4)
         float(lr), float(val), float(test)
     report = json.loads((workspace.out / "selection.json").read_text())
+    assert set(report) == {"ranking", "best_index", "test_metric"}
     assert len(report["ranking"]) == 5
-    assert report["test_metric"] is not None
+    assert report["best_index"] == report["ranking"][0]["index"]
+    assert report["test_metric"] == report["ranking"][0]["test_metric"]
+    for row in report["ranking"]:
+        assert set(row) == {"index", "architecture", "learning_rate", "val_metric",
+                            "test_metric", "error"}
+        for metric in (row["val_metric"], row["test_metric"], report["test_metric"]):
+            assert metric is None or type(metric) in (int, float)
 
 
 def test_select_rerun_over_the_five_families_is_byte_identical(workspace, tmp_path):
@@ -189,22 +188,20 @@ def test_select_seeds_every_candidate_from_the_select_section(workspace, tmp_pat
 
 def test_selection_rows_note_ties_and_failures():
     def ok(i, arch, v):
-        return CandidateResult(
-            index=i, spec=ModelSpec(arch, REG), cfg=TrainConfig(),
-            val_metric=MetricValue(MetricKind.R2, v),
-            test_metric=MetricValue(MetricKind.R2, v))
+        return CandidateResult(index=i, architecture=arch, learning_rate=1e-3,
+                               val_metric=v, test_metric=v)
 
     failed = CandidateResult(
-        index=2, spec=ModelSpec(Architecture.TEMPCNN, REG), cfg=TrainConfig(),
+        index=2, architecture=Architecture.TEMPCNN, learning_rate=1e-3,
         val_metric=None, error="kernel larger than the series")
     report = SelectionReport(
         ranking=[ok(0, Architecture.MLP, 0.8), ok(1, Architecture.GRU, 0.8), failed],
-        best_index=0, test_metric=MetricValue(MetricKind.R2, 0.8))
+        best_index=0, test_metric=0.8)
     rows = _selection_rows(report)
-    assert [r["architecture"] for r in rows] == ["mlp", "gru", "tempcnn"]
-    assert rows[0]["note"] == rows[1]["note"] == "tie resolved by grid order"
-    assert rows[2]["note"].startswith("failed:")
-    assert rows[2]["val_metric"] is None
+    assert [c.architecture.value for c, _ in rows] == ["mlp", "gru", "tempcnn"]
+    assert rows[0][1] == rows[1][1] == "tie resolved by grid order"
+    assert rows[2][1].startswith("failed:")
+    assert rows[2][0].val_metric is None
 
 
 # -- roar -----------------------------------------------------------------------
@@ -268,8 +265,32 @@ def test_train_seed_exits_2_before_any_output(workspace, tmp_path, capsys):
     cfg["train"]["seed"] = 0
     p = write_config(tmp_path / "cfg.json", cfg)
     assert main(["roar", "--config", str(p)]) == 2
-    assert "unknown train key(s): seed" in capsys.readouterr().err
+    assert "unknown config.train key(s): seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "roar"])
+def test_empty_test_split_exits_3_naming_the_holdout(tmp_path, capsys, command):
+    """Five samples over four years leave one sample in the held-out year."""
+    cfg = base_config(tmp_path)
+    cfg["dataset"]["plant"].update(n=5, n_years=4, task="classification")
+    cfg["split"] = {"holdout_years": 1}
+    cfg["grid"] = cfg["grid"][:1]
+    cfg["plans"] = cfg["plans"][:1]
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["generate", "--config", str(p)]) == 0
+    assert main([command, "--config", str(p)]) == 3
+    assert "holdout years [2019] hold 1 sample(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, seed", [([], -1), (["--seed", "-1"], 5)])
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, argv, seed):
+    cfg = base_config(tmp_path)
+    cfg["seed"] = seed
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["generate", "--config", str(p), *argv]) == 2
+    assert "config.seed must not be negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
 
 
 def test_roar_abort_labels_partial_outputs(workspace, tmp_path, monkeypatch, capsys):

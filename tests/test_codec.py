@@ -10,13 +10,19 @@ from conftest import fab_curve
 
 from roarsel.attribution import ExplainBudget, GroupingAxis, ImportanceRanking
 from roarsel.codec import decode, encode
-from roarsel.config import CandidateConfig, RunConfig
-from roarsel.data import Task
+from roarsel.config import CandidateConfig, DatasetConfig, RunConfig, SplitConfig
+from roarsel.data import Band, FeatureSchema, Task, TimeStep
 from roarsel.errors import RoarselError
 from roarsel.models import Architecture
 from roarsel.roar import CycleRecord, DeletionCurve, DeletionOrder, DeletionPlan
 from roarsel.synthetic import PlantSpec
-from roarsel.training import MetricValue, TrainConfig, TrainReport
+from roarsel.training import (
+    CandidateResult,
+    MetricValue,
+    SelectionReport,
+    TrainConfig,
+    TrainReport,
+)
 
 BUDGET = ExplainBudget(n_samples=10, n_permutations=4, ensemble_size=3, noise_scale=0.2)
 PLAN = DeletionPlan(axis=GroupingAxis.BY_BAND, order=DeletionOrder.MOST_FIRST,
@@ -31,15 +37,26 @@ PLANT = PlantSpec(n=10, t=2, b=3, signal_bands=frozenset({0, 2}),
 TRAIN = TrainConfig(max_epochs=9, patience=2, batch_size=8, learning_rate=0.01)
 CURVE = dataclasses.replace(
     fab_curve([0.9, 0.8, 0.7], [[4], [1]], DeletionOrder.MOST_FIRST), plan=PLAN)
-RUN = RunConfig(seed=3, out_dir="o", dataset_path="d", plant=PLANT, holdout_years=1,
+DATASET = DatasetConfig(path="d", plant=PLANT)
+SPLIT = SplitConfig(holdout_years=1)
+RUN = RunConfig(seed=3, out_dir="o", dataset=DATASET, split=SPLIT,
                 grid=(CANDIDATE,), model=CANDIDATE, train=TRAIN, budget=BUDGET,
                 plans=(PLAN,), workers=2)
+ROW = CandidateResult(index=1, architecture=Architecture.GRU, learning_rate=1e-3,
+                      val_metric=0.5, error="diverged", test_metric=0.25)
+SELECTION = SelectionReport(ranking=[ROW], best_index=1, test_metric=0.25)
+SCHEMA = FeatureSchema(bands=(Band(0, "red", "optical"), Band(3, "vv", "radar")),
+                       timesteps=(TimeStep(2, "t02"),), task=Task.CLASSIFICATION,
+                       n_classes=2, class_names=("crop", "fallow"))
+# the classes whose codec form is a file: config, curve, selection, manifest
+FILES = (RunConfig, DeletionCurve, SelectionReport, FeatureSchema)
 
 # one populated instance of every persisted class: no field is None, so
 # each Optional field's inner type is carried too
 EXAMPLES = {type(x): x for x in (
-    RUN, CANDIDATE, PLANT, TRAIN, BUDGET, PLAN, CURVE, CURVE.records[0],
+    RUN, DATASET, SPLIT, CANDIDATE, PLANT, TRAIN, BUDGET, PLAN, CURVE, CURVE.records[0],
     CURVE.baseline.report, CURVE.baseline.val_metric, CURVE.baseline.ranking,
+    SELECTION, ROW, SCHEMA, SCHEMA.bands[0], SCHEMA.timesteps[0],
 )}
 
 
@@ -55,7 +72,7 @@ def _reachable(tp, seen: set) -> set:
 
 
 def test_every_persisted_class_has_a_populated_example():
-    reachable = _reachable(RunConfig, set()) | _reachable(DeletionCurve, set())
+    reachable = set().union(*(_reachable(cls, set()) for cls in FILES))
     assert reachable == set(EXAMPLES)
     assert {CycleRecord, ImportanceRanking, MetricValue, TrainReport} <= reachable
 
@@ -104,7 +121,7 @@ def test_a_wrong_value_anywhere_is_a_package_error(value):
             decode(DeletionCurve, bad, "curve")
         except RoarselError:
             pass
-    for bad in _replaced(RUN.to_dict(), value):
+    for bad in _replaced(encode(RUN), value):
         try:
             RunConfig.from_dict(bad)
         except RoarselError:

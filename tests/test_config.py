@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from roarsel.codec import encode
 from roarsel.config import (
     CandidateConfig,
     RunConfig,
@@ -46,8 +47,8 @@ def full_dict():
 def test_full_config_parses():
     cfg = RunConfig.from_dict(full_dict())
     assert cfg.seed == 9
-    assert cfg.plant.n == 100
-    assert cfg.dataset_path == "data/plant"
+    assert cfg.dataset.plant.n == 100
+    assert cfg.dataset.path == "data/plant"
     assert len(cfg.grid) == 2
     assert cfg.model.width == 16
     assert cfg.train.max_epochs == 20
@@ -56,7 +57,7 @@ def test_full_config_parses():
 
 def test_empty_config_uses_defaults():
     cfg = RunConfig.from_dict({})
-    d = cfg.to_dict()
+    d = encode(cfg)
     assert d["seed"] == 0
     assert d["split"] == {"holdout_years": 2}
     assert d["train"]["max_epochs"] == 100
@@ -75,7 +76,7 @@ def test_empty_config_uses_defaults():
     ({"grid": [{"architecture": "mlp", "widht": 3}]}, "widht"),
     ({"dataset": {"plant": {"n": 1, "t": 1, "b": 1, "signal_bands": [0],
                             "signal_steps": [0], "frequency": 2}}}, "frequency"),
-    ({"train": {"seed": 0}}, r"unknown train key\(s\): seed"),
+    ({"train": {"seed": 0}}, r"unknown config.train key\(s\): seed"),
 ])
 def test_unknown_keys_are_rejected(raw, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -267,11 +268,11 @@ def test_null_keeps_its_meaning_where_the_default_is_none():
     raw["dataset"]["plant"]["cell_weights"] = None
     cfg = RunConfig.from_dict(raw)
     assert cfg.grid[0].learning_rate is None and cfg.model.learning_rate is None
-    assert cfg.workers is None and cfg.dataset_path is None
-    assert cfg.plant.cell_weights is None
+    assert cfg.workers is None and cfg.dataset.path is None
+    assert cfg.dataset.plant.cell_weights is None
     blocks = ("dataset", "split", "grid", "model", "train", "budget", "plans")
     empty = RunConfig.from_dict(dict.fromkeys(blocks))
-    assert empty.to_dict() == RunConfig.from_dict({}).to_dict()
+    assert encode(empty) == encode(RunConfig.from_dict({}))
 
 
 def test_null_counts_keep_their_meaning():
@@ -334,4 +335,4 @@ def test_effective_config_round_trips_and_is_byte_stable(tmp_path):
     save_effective_config(cfg, b)
     assert a.read_bytes() == b.read_bytes()
     again = RunConfig.from_dict(json.loads(a.read_text()))
-    assert again.to_dict() == cfg.to_dict()
+    assert encode(again) == encode(cfg)

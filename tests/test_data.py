@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,28 @@ class TestRoundTrip:
         with pytest.raises(DatasetError, match="corrupt manifest"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("classes", [False, True])
+    def test_manifest_without_unset_class_keys_loads(self, tmp_path, classes,
+                                                     tiny_classification):
+        """The older layout left out n_classes and class_names when unset."""
+        d = tiny_classification if classes else make_dataset()
+        save_dataset(d, tmp_path)
+        manifest = json.loads((tmp_path / "manifest").read_text())
+        older = {k: v for k, v in manifest.items() if v is not None}
+        assert len(older) < len(manifest)
+        (tmp_path / "manifest").write_text(json.dumps(older))
+        assert load_dataset(tmp_path) == d
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_manifest_id_must_be_an_integer(self, tmp_path, value):
+        save_dataset(make_dataset(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest").read_text())
+        manifest["bands"][0]["id"] = value
+        (tmp_path / "manifest").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError,
+                           match=r"corrupt manifest .*manifest\.bands\[0\]\.id must be an integer"):
+            load_dataset(tmp_path)
+
     def test_dimension_mismatch(self, tmp_path):
         d = make_dataset(n=4, t=3, b=2)
         save_dataset(d, tmp_path)
@@ -172,6 +196,11 @@ class TestSplitByYear:
             [s.values[:, 0, 0] for s in (split.train, split.validation, split.test)]
         )
         assert np.array_equal(np.sort(key), np.sort(seen))
+
+    def test_holdout_too_small_for_validation_and_test(self):
+        d = self._dataset_with_years([2016] * 4 + [2020, 2021])
+        with pytest.raises(DatasetError, match=r"holdout years \[2021\] hold 1 sample"):
+            split_by_year(d, holdout_years=1)
 
     def test_too_few_years(self):
         d = self._dataset_with_years([2020] * 4 + [2021] * 4)

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import roarsel
+from roarsel.codec import encode
 from roarsel.config import load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,4 +45,4 @@ def test_readme_complete_config_loads_and_echoes_its_values(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(block)
     cfg = load_config(path)
-    assert _within(json.loads(block), cfg.to_dict())
+    assert _within(json.loads(block), encode(cfg))

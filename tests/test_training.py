@@ -291,7 +291,7 @@ def test_metric_tie_keeps_earlier_grid_index():
     spec = ModelSpec(Architecture.MLP, CLS2, **SMALL)
     grid = [(spec, quick_cfg()), (spec, quick_cfg())]
     _, report = select_model(grid, splits, seed=1)
-    assert report.ranking[0].val_metric.value == report.ranking[1].val_metric.value
+    assert report.ranking[0].val_metric == report.ranking[1].val_metric
     assert report.best_index == 0
 
 
