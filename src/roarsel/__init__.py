@@ -11,7 +11,7 @@ its module (``roarsel.attribution``, ``roarsel.data``, ``roarsel.engine`` ...).
 
 from .attribution import ExplainBudget, GroupingAxis
 from .data import split_by_year
-from .models import Architecture, Head, ModelSpec
+from .models import Architecture, ModelSpec
 from .roar import (
     DeletionOrder, DeletionPlan, load_curve, necessary_set, run_roar, sufficient_set,
 )
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Architecture", "DeletionOrder", "DeletionPlan", "ExplainBudget",
-    "GroupingAxis", "Head", "ModelSpec", "PlantSpec", "TrainConfig",
+    "GroupingAxis", "ModelSpec", "PlantSpec", "TrainConfig",
     "generate", "load_curve", "necessary_set", "run_roar", "split_by_year",
     "sufficient_set",
 ]

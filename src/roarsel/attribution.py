@@ -194,7 +194,7 @@ def cell_span(train: TensorDataset) -> np.ndarray:
 
 
 def _predicted_classes(model: Model, samples: np.ndarray) -> Optional[np.ndarray]:
-    if model.spec.head.task is not Task.CLASSIFICATION:
+    if model.task is not Task.CLASSIFICATION:
         return None
     preds = []
     for start in range(0, len(samples), _FORWARD_CHUNK):
@@ -220,7 +220,7 @@ def _check_inputs(
     groups: FeatureGroups,
     noise_range: Optional[np.ndarray] = None,
 ):
-    t, b = model.input_shape
+    t, b = model.graph.input_shape
     if groups.mask.shape[1:] != (t, b):
         raise EstimatorError(
             f"groups over {groups.mask.shape[1:]} do not match model input ({t}, {b})"
@@ -348,7 +348,7 @@ def _ensemble_rows(
     shape the plain estimator sees, so the zero-noise collapse is bit-exact.
     The explained class is fixed per sample, not re-chosen per noisy replica.
     """
-    t, b = model.input_shape
+    t, b = model.graph.input_shape
     sigma = budget.noise_scale
     if sigma > 0:
         if noise_range is None:

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,7 +20,6 @@ from .codec import encode
 from .config import RunConfig, load_config, save_effective_config, section_seed
 from .data import load_dataset, save_dataset, split_by_year, write_atomic, write_json
 from .errors import ConfigError, RoarAborted, RoarselError
-from .models import Head
 from .roar import (
     DeletionOrder,
     load_curve,
@@ -46,10 +44,8 @@ def _ensure_out(cfg: RunConfig) -> Path:
 def _load_splits(cfg: RunConfig):
     if not cfg.dataset.path:
         raise ConfigError("config needs dataset.path")
-    d = load_dataset(cfg.dataset.path)
-    splits = split_by_year(d, cfg.split.holdout_years,
-                           seed=section_seed(cfg.seed, "split"))
-    return splits, Head.for_schema(d.schema)
+    return split_by_year(load_dataset(cfg.dataset.path), cfg.split.holdout_years,
+                         seed=section_seed(cfg.seed, "split"))
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +88,8 @@ def _selection_rows(report: SelectionReport) -> list[tuple[CandidateResult, str]
 
 def cmd_select(cfg: RunConfig) -> Path:
     """Train the grid, rank by validation metric, emit the results table."""
-    splits, head = _load_splits(cfg)
-    grid = cfg.candidates(head)
-    model, report = select_model(grid, splits, section_seed(cfg.seed, "select"),
+    model, report = select_model(cfg.candidates(), _load_splits(cfg),
+                                 section_seed(cfg.seed, "select"),
                                  include_test_metrics=True)
     out = _ensure_out(cfg)
 
@@ -142,8 +137,7 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
         raise ConfigError("roar needs a model block")
     if not cfg.plans:
         raise ConfigError("roar needs at least one deletion plan")
-    splits, head = _load_splits(cfg)
-    spec = cfg.model.spec(head)
+    splits = _load_splits(cfg)
     train_cfg = cfg.model.train_config(cfg.train)
     out = _ensure_out(cfg)
 
@@ -159,7 +153,7 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
             print(f"{slug}: reusing the completed campaign on disk")
         else:
             try:
-                curve = run_roar(splits, spec, train_cfg, plan,
+                curve = run_roar(splits, cfg.model, train_cfg, plan,
                                  seed=section_seed(cfg.seed, "roar"))
             except RoarAborted as exc:
                 if exc.partial_curve is not None:
@@ -250,10 +244,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "report":
             cmd_report(args.curves, floor=args.floor)
             return 0
-        cfg = load_config(args.config)
-        # overrides pass the same checks as the config's own values
-        cfg = replace(cfg, out_dir=args.out or cfg.out_dir,
-                      seed=cfg.seed if args.seed is None else args.seed)
+        # overrides replace the file's keys before decoding, so they pass
+        # the same checks as the config's own values
+        overrides = {} if args.seed is None else {"seed": args.seed}
+        if args.out:
+            overrides["out_dir"] = args.out
+        cfg = load_config(args.config, **overrides)
         if args.command == "generate":
             cmd_generate(cfg)
         elif args.command == "select":

@@ -17,7 +17,9 @@ file is read by the same rules:
   a ``default_factory`` block, where it means the default;
 - unknown keys are rejected, and every error is a ``ConfigError`` that names
   the key by its path from the root
-  (``config.grid[1].hidden_size must be an integer, got 4.0``).
+  (``config.grid[1].hidden_size must be an integer, got 4.0``), or, for a
+  dataclass's own checks, the path of its block
+  (``config.train: patience must be smaller than max_epochs``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import MISSING
 from enum import Enum
 from functools import cache
 
-from .errors import ConfigError
+from .errors import ConfigError, RoarselError
 
 
 def encode(obj):
@@ -86,7 +88,10 @@ def _object(cls, raw, where: str):
                 raise ConfigError(f"{where} needs {name}")
         elif raw[name] is not None or factory is MISSING:
             values[name] = decode(tp, raw[name], f"{where}.{name}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except RoarselError as exc:  # the block's own checks
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _list(raw, where: str) -> list:

@@ -3,16 +3,19 @@
 A run config is one JSON object naming the dataset, the split, the model
 grid (or a single campaign model), training and estimator budgets, and
 the deletion plans. Each block is decoded by its dataclass's annotations
-(``codec``), so unknown keys and values of the wrong kind fail by their
-path from the root (``config.train.max_epochs``) instead of silently falling
-back to a default. The file is the codec form of ``RunConfig``: its echo fills
-in every default, and the persisted result is enough to reproduce the run.
+(``codec``), so unknown keys, values of the wrong kind and values a block's
+own checks reject fail by their path from the root (``config.train.max_epochs``,
+``config.grid[0]: width must be positive, got 0``) instead of silently falling
+back to a default. A ``model`` or ``grid`` entry is a ``ModelSpec`` plus an
+optional learning rate; the dataset's schema supplies its input grid and head.
+The file is the codec form of ``RunConfig``: its echo fills in every default,
+and the persisted result is enough to reproduce the run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,8 +24,8 @@ import numpy as np
 from .attribution import ExplainBudget
 from .codec import decode, encode
 from .data import write_json
-from .errors import ConfigError, RoarselError
-from .models import Architecture, Head, ModelSpec
+from .errors import ConfigError
+from .models import ModelSpec
 from .roar import DeletionPlan
 from .synthetic import PlantSpec
 from .training import TrainConfig, default_grid
@@ -40,27 +43,18 @@ def section_seed(seed: int, section: str) -> int:
 
 
 @dataclass(frozen=True)
-class CandidateConfig:
-    """One grid entry: an architecture plus hyperparameter overrides.
+class CandidateConfig(ModelSpec):
+    """A ``model`` or ``grid`` entry: a model spec and its learning rate.
 
-    ``learning_rate`` of None inherits the train section's rate. The
-    size defaults mirror ModelSpec's (pinned together by a test).
+    ``learning_rate`` of None inherits the train section's rate.
     """
 
-    architecture: Architecture
-    width: int = 128
-    depth: Optional[int] = None
-    kernel_size: int = 5
-    channels: int = 64
-    dense_size: int = 256
-    hidden_size: int = 64
-    dropout: float = 0.0
     learning_rate: Optional[float] = None
 
-    def spec(self, head: Head) -> ModelSpec:
-        d = asdict(self)
-        del d["learning_rate"]
-        return ModelSpec(head=head, **d)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.learning_rate is not None and self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
     def train_config(self, base: TrainConfig) -> TrainConfig:
         if self.learning_rate is None:
@@ -82,7 +76,7 @@ class SplitConfig:
 
     def __post_init__(self):
         if self.holdout_years < 1:
-            raise ConfigError("config.split.holdout_years must be at least 1")
+            raise ConfigError("holdout_years must be at least 1")
 
 
 @dataclass
@@ -102,9 +96,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ConfigError(f"config.seed must not be negative, got {self.seed}")
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.workers is not None and self.workers < 1:
-            raise ConfigError("config.workers must be positive")
+            raise ConfigError("workers must be positive")
 
     @property
     def dataset_path(self) -> Optional[str]:
@@ -116,11 +110,11 @@ class RunConfig:
         """``split.holdout_years``; kept for the benchmark's set-up probe."""
         return self.split.holdout_years
 
-    def candidates(self, head: Head) -> list[tuple[ModelSpec, TrainConfig]]:
+    def candidates(self) -> list[tuple[ModelSpec, TrainConfig]]:
         """The selection grid; empty config grid means the default grid."""
         if not self.grid:
-            return default_grid(head, self.train)
-        return [(c.spec(head), c.train_config(self.train)) for c in self.grid]
+            return default_grid(self.train)
+        return [(c, c.train_config(self.train)) for c in self.grid]
 
     @classmethod
     def from_dict(cls, d) -> "RunConfig":
@@ -150,8 +144,9 @@ def _with_run_budget(plan, budget):
     return {**plan, "budget": {**budget, **own}}
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a config file; any problem at all is a config error."""
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    """Parse a config file, with top-level keys replaced by ``overrides``
+    before decoding; any problem at all is a config error."""
     p = Path(path)
     try:
         raw = json.loads(p.read_text())
@@ -159,13 +154,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        return RunConfig.from_dict(raw)
-    except ConfigError:
-        raise
-    except RoarselError as exc:
-        # a block's own range checks (patience below max_epochs, ...)
-        raise ConfigError(f"bad config: {exc}") from exc
+    if isinstance(raw, dict):
+        raw = {**raw, **overrides}
+    return RunConfig.from_dict(raw)
 
 
 def save_effective_config(cfg: RunConfig, path: str | Path) -> None:

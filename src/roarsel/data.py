@@ -331,6 +331,8 @@ def split_by_year(
     """Year-based split: the most recent ``holdout_years`` distinct years are
     held out, shuffled by ``seed``, and divided 50/50 into validation and test
     (odd count: validation gets the extra sample). Everything older trains.
+    Validation and test each need one sample, or two for a regression
+    dataset, whose R^2 needs two targets.
     """
     distinct = np.unique(d.years)
     if len(distinct) <= holdout_years:
@@ -341,10 +343,11 @@ def split_by_year(
     cutoff = distinct[-holdout_years]
     train_idx = np.flatnonzero(d.years < cutoff)
     pool_idx = np.flatnonzero(d.years >= cutoff)
-    if len(pool_idx) < 2:
+    need = 1 if d.schema.task is Task.CLASSIFICATION else 2
+    if len(pool_idx) < 2 * need:
         raise DatasetError(
             f"holdout years {distinct[-holdout_years:].tolist()} hold {len(pool_idx)} "
-            "sample(s); validation and test need at least one each"
+            f"sample(s); validation and test need at least {need} each"
         )
     rng = np.random.default_rng(seed)
     pool_idx = pool_idx[rng.permutation(len(pool_idx))]

@@ -2,9 +2,11 @@
 
 Five families over inputs of shape [T, B]: a flattening MLP, three recurrent
 readers (plain RNN, LSTM, GRU) that consume the series step by step with the
-bands as per-step features, and a 1-D temporal CNN. Heads are a dense layer
-producing class logits (softmax cross-entropy) or a single regression output
-(mean squared error).
+bands as per-step features, and a 1-D temporal CNN. ``ModelSpec`` holds only
+what a user sets; the dataset's ``FeatureSchema`` supplies the rest. Its time
+steps and bands give the input grid [T, B], and its task and class count give
+the head: a dense layer producing class logits (softmax cross-entropy) or a
+single regression output (mean squared error).
 
 Each recurrent layer is one engine ``recurrent`` node, read out at its last
 step. Its parameters are ``cellL/wx`` [in, k·H], ``cellL/wh`` [H, k·H] and
@@ -58,36 +60,15 @@ _DEFAULT_DEPTH = {
 
 
 @dataclass(frozen=True)
-class Head:
-    task: Task
-    n_classes: Optional[int] = None
-
-    def __post_init__(self):
-        if self.task is Task.CLASSIFICATION:
-            if self.n_classes is None or self.n_classes < 2:
-                raise BuildError("classification head needs n_classes >= 2")
-        elif self.n_classes is not None:
-            raise BuildError("regression head takes no n_classes")
-
-    @property
-    def out_dim(self) -> int:
-        return self.n_classes if self.task is Task.CLASSIFICATION else 1
-
-    @classmethod
-    def for_schema(cls, schema: FeatureSchema) -> "Head":
-        return cls(task=schema.task, n_classes=schema.n_classes)
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """Architecture family plus hyperparameters; sizes must be positive.
+    """Architecture family plus hyperparameters; sizes must be positive. The
+    input grid and the head come from the schema a model is built for.
 
     ``depth`` of None resolves per family: 2 hidden layers for the MLP,
     3 convolution blocks for the temporal CNN, 1 stacked layer otherwise.
     """
 
     architecture: Architecture
-    head: Head
     width: int = 128
     depth: Optional[int] = None
     kernel_size: int = 5
@@ -97,14 +78,8 @@ class ModelSpec:
     dropout: float = 0.0
 
     def __post_init__(self):
-        sizes = {
-            "width": self.width,
-            "kernel_size": self.kernel_size,
-            "channels": self.channels,
-            "dense_size": self.dense_size,
-            "hidden_size": self.hidden_size,
-        }
-        for name, value in sizes.items():
+        for name in ("width", "kernel_size", "channels", "dense_size", "hidden_size"):
+            value = getattr(self, name)
             if value < 1:
                 raise BuildError(f"{name} must be positive, got {value}")
         if self.depth is not None and self.depth < 1:
@@ -121,7 +96,7 @@ class ModelSpec:
 class Model:
     spec: ModelSpec
     graph: Graph
-    input_shape: tuple[int, int]
+    task: Task
     notes: list[str] = field(default_factory=list)
 
     def forward(self, x, masks=None):
@@ -136,36 +111,37 @@ class Model:
 # construction
 
 
-def build(spec: ModelSpec, t: int, b: int, seed: int) -> Model:
-    """Seeded construction; errors when the kernel exceeds the input length."""
-    if t < 1 or b < 1:
-        raise BuildError(f"input dims must be positive, got T={t}, B={b}")
+def build(spec: ModelSpec, schema: FeatureSchema, seed: int) -> Model:
+    """Seeded construction over the schema's grid; errors when the kernel
+    exceeds the input length."""
+    t = schema.n_timesteps
     if spec.architecture is Architecture.TEMPCNN and spec.kernel_size > t:
         raise BuildError(
             f"kernel {spec.kernel_size} larger than input length {t}"
         )
-    return _construct(spec, t, b, seed, notes=[])
+    return _construct(spec, schema, seed, notes=[])
 
 
-def resize_for_input(spec: ModelSpec, t: int, b: int, seed: int) -> Model:
+def resize_for_input(spec: ModelSpec, schema: FeatureSchema, seed: int) -> Model:
     """Fresh model for shrunken data; no weight reuse from any prior model.
 
     A kernel longer than the new length is clamped to it, with a warning and
     a note on the model for the cycle log.
     """
-    if t < 1 or b < 1:
-        raise BuildError(f"input dims must be positive, got T={t}, B={b}")
+    t = schema.n_timesteps
     notes: list[str] = []
     if spec.architecture is Architecture.TEMPCNN and spec.kernel_size > t:
         note = f"kernel clamped from {spec.kernel_size} to {t} for input length {t}"
         warnings.warn(note, stacklevel=2)
         notes.append(note)
         spec = replace(spec, kernel_size=t)
-    return _construct(spec, t, b, seed, notes=notes)
+    return _construct(spec, schema, seed, notes=notes)
 
 
-def _construct(spec: ModelSpec, t: int, b: int, seed: int, notes: list[str]) -> Model:
+def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int,
+               notes: list[str]) -> Model:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    t, b = schema.n_timesteps, schema.n_bands
     g = Graph(input_shape=(t, b))
     arch = spec.architecture
     if arch is Architecture.MLP:
@@ -174,8 +150,8 @@ def _construct(spec: ModelSpec, t: int, b: int, seed: int, notes: list[str]) -> 
         last, fan = _tempcnn_body(g, spec, t, b, rng)
     else:
         last, fan = _recurrent_body(g, spec, t, b, rng)
-    _attach_head(g, spec, last, fan, rng)
-    return Model(spec=spec, graph=g, input_shape=(t, b), notes=notes)
+    _attach_head(g, schema, last, fan, rng)
+    return Model(spec=spec, graph=g, task=schema.task, notes=notes)
 
 
 def _init(rng, shape, fan_in):
@@ -255,10 +231,11 @@ def _cell_params(g, rng, cell, in_dim, hid, prefix):
                  for name, parts in zip(("wx", "wh", "b"), blocks))
 
 
-def _attach_head(g, spec, last, fan, rng):
-    out = _dense(g, rng, last, fan, spec.head.out_dim, "head")
+def _attach_head(g, schema, last, fan, rng):
+    classify = schema.task is Task.CLASSIFICATION
+    out = _dense(g, rng, last, fan, schema.n_classes if classify else 1, "head")
     g.mark_output(out)
-    if spec.head.task is Task.CLASSIFICATION:
+    if classify:
         g.softmax_cross_entropy(out)
     else:
         g.mean_squared_error(out)

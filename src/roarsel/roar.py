@@ -183,9 +183,8 @@ def _run_cycle(
     cycle: int,
     removed_ids: tuple[int, ...],
 ) -> CycleRecord:
-    _, t, b = cur.train.shape
     fit_seed = _lane_seed(seed, cycle, 0)
-    model = resize_for_input(spec, t, b, fit_seed)
+    model = resize_for_input(spec, cur.train.schema, fit_seed)
     model, report = train(model, cur.train, cur.validation, cfg, fit_seed)
     test = evaluate(model, cur.test)
 

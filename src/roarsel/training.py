@@ -134,7 +134,7 @@ def train(
     Divergence (non-finite training or validation loss) aborts with a
     diagnostic naming the epoch and batch.
     """
-    t, b = model.input_shape
+    t, b = model.graph.input_shape
     for split, label in ((train_split, "train"), (val_split, "validation")):
         if split.shape[1:] != (t, b):
             raise TrainingError(
@@ -213,7 +213,7 @@ def predict(model: Model, split: TensorDataset, batch_size: int = 256) -> np.nda
         out = model.forward(split.values[start:start + batch_size])
         outs.append(out)
     out = np.concatenate(outs, axis=0)
-    if model.spec.head.task is Task.CLASSIFICATION:
+    if model.task is Task.CLASSIFICATION:
         return out.argmax(axis=1)
     return out.reshape(-1)
 
@@ -221,7 +221,7 @@ def predict(model: Model, split: TensorDataset, batch_size: int = 256) -> np.nda
 def evaluate(model: Model, split: TensorDataset) -> MetricValue:
     """Accuracy for classification; R^2 about the split's target mean."""
     preds = predict(model, split)
-    if model.spec.head.task is Task.CLASSIFICATION:
+    if model.task is Task.CLASSIFICATION:
         value = float(np.mean(preds == split.targets))
         return MetricValue(MetricKind.ACCURACY, value)
     targets = split.targets.astype(np.float64)
@@ -273,13 +273,12 @@ def select_model(
     """
     if not grid:
         raise TrainingError("empty selection grid")
-    _, t, b = splits.train.shape
     ok: list[CandidateResult] = []
     failed: list[CandidateResult] = []
     models: dict[int, Model] = {}
     for i, (spec, cfg) in enumerate(grid):
         try:
-            model = build(spec, t, b, seed=seed)
+            model = build(spec, splits.train.schema, seed=seed)
             models[i], report = train(model, splits.train, splits.validation, cfg, seed)
         except (TrainingError, BuildError) as exc:
             failed.append(CandidateResult(i, spec.architecture, cfg.learning_rate,
@@ -306,8 +305,8 @@ def select_model(
     return models[best.index], report
 
 
-def default_grid(head, base: TrainConfig) -> list[tuple[ModelSpec, TrainConfig]]:
+def default_grid(base: TrainConfig) -> list[tuple[ModelSpec, TrainConfig]]:
     """Five architectures crossed with the learning-rate grid {1e-3, 1e-4};
     every other training setting comes from ``base``."""
-    return [(ModelSpec(architecture=arch, head=head), replace(base, learning_rate=lr))
+    return [(ModelSpec(architecture=arch), replace(base, learning_rate=lr))
             for arch in Architecture for lr in (1e-3, 1e-4)]

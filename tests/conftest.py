@@ -172,6 +172,13 @@ def cell_groups(t, b) -> FeatureGroups:
                          np.eye(n, dtype=bool).reshape(n, t, b))
 
 
+def grid_schema(t, b, n_classes=None):
+    """Default schema over a (t, b) grid: classification over ``n_classes``,
+    or regression when it is None."""
+    task = Task.REGRESSION if n_classes is None else Task.CLASSIFICATION
+    return default_schema(t, b, task, n_classes)
+
+
 def make_dataset(n=8, t=3, b=2, task=Task.REGRESSION, n_classes=None, seed=0,
                  years=None):
     """Small random dataset for format/bookkeeping tests."""

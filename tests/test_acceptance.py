@@ -11,7 +11,7 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import draw_clean_input, exact_shapley, finite_difference_check
+from conftest import draw_clean_input, exact_shapley, finite_difference_check, grid_schema
 
 from roarsel.attribution import (
     ExplainBudget,
@@ -32,7 +32,7 @@ from roarsel.data import (
     split_by_year,
 )
 from roarsel.engine import DTYPE, Graph
-from roarsel.models import Architecture, Head, ModelSpec, resize_for_input
+from roarsel.models import Architecture, ModelSpec, resize_for_input
 from roarsel.roar import DeletionOrder, DeletionPlan, run_roar, sufficient_set
 from roarsel.synthetic import PlantSpec, generate
 from roarsel.training import TrainConfig
@@ -177,10 +177,10 @@ def test_all_ops_is_every_op_the_model_families_build():
     slots that read the batch and the parameters."""
     built = set()
     for arch in Architecture:
-        for head in (Head(Task.REGRESSION), Head(Task.CLASSIFICATION, n_classes=3)):
-            spec = ModelSpec(arch, head, width=4, channels=2, dense_size=4,
+        for schema in (grid_schema(5, 3), grid_schema(5, 3, 3)):
+            spec = ModelSpec(arch, width=4, channels=2, dense_size=4,
                              hidden_size=2, kernel_size=3, dropout=0.5)
-            built |= {n.op for n in resize_for_input(spec, 5, 3, seed=0).graph.nodes}
+            built |= {n.op for n in resize_for_input(spec, schema, seed=0).graph.nodes}
     assert built == ALL_OPS | {"input", "param", "mask", "target"}
 
 
@@ -188,9 +188,8 @@ def test_all_ops_is_every_op_the_model_families_build():
 
 
 def _scalar_model(seed=3):
-    head = Head(task=Task.REGRESSION)
-    return resize_for_input(ModelSpec(Architecture.MLP, head, width=24),
-                            2, 5, seed=seed)
+    return resize_for_input(ModelSpec(Architecture.MLP, width=24),
+                            grid_schema(2, 5), seed=seed)
 
 
 def test_sampled_shapley_matches_exact_enumeration():
@@ -229,9 +228,8 @@ def test_exact_shapley_satisfies_efficiency():
             total = float(exact_shapley(model, x, groups, baseline).sum())
             assert abs(total - (fx - f_b)) < 1e-4
 
-        clf_head = Head(task=Task.CLASSIFICATION, n_classes=3)
-        clf = resize_for_input(ModelSpec(Architecture.MLP, clf_head, width=24),
-                               2, 5, seed=5)
+        clf = resize_for_input(ModelSpec(Architecture.MLP, width=24),
+                               grid_schema(2, 5, 3), seed=5)
         for x in xs:
             logits = clf.forward(x[None])[0]
             c = int(np.argmax(logits))
@@ -302,7 +300,7 @@ def test_planted_signal_deletion_curves_recover_the_signal_bands():
         assert abs(plant.max_r2 - 0.96) < 1e-9
         d = generate(plant, seed=section_seed(17, "generate"))
         splits = split_by_year(d, 2, seed=section_seed(17, "split"))
-        spec = ModelSpec(Architecture.MLP, Head.for_schema(d.schema), width=64)
+        spec = ModelSpec(Architecture.MLP, width=64)
         cfg = TrainConfig(max_epochs=100, patience=25, batch_size=64,
                           learning_rate=3e-3)
         budget = ExplainBudget(n_samples=96, n_permutations=32, ensemble_size=2)
@@ -352,7 +350,6 @@ def test_resize_after_any_deletion_builds_fresh_models():
             targets=rng.standard_normal(4).astype(DTYPE),
             years=2016 + np.arange(4) % 4,
         )
-        head = Head(task=Task.REGRESSION)
         grid = {
             Architecture.MLP: dict(width=16),
             Architecture.RNN: dict(hidden_size=8),
@@ -368,8 +365,8 @@ def test_resize_after_any_deletion_builds_fresh_models():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # tempcnn kernel clamping at tiny T
             for arch, kw in grid.items():
-                spec = ModelSpec(arch, head, **kw)
-                donor = resize_for_input(spec, full_t, full_b, seed=1)
+                spec = ModelSpec(arch, **kw)
+                donor = resize_for_input(spec, base.schema, seed=1)
                 for p in donor.graph.params.values():
                     # marker perturbation: any copied tensor would match it
                     p += rng.standard_normal(p.shape).astype(DTYPE) * 0.1
@@ -379,7 +376,7 @@ def test_resize_after_any_deletion_builds_fresh_models():
                         cut = delete_timesteps(cut, range(t, full_t))
                     if b < full_b:
                         cut = delete_bands(cut, range(b, full_b))
-                    model = resize_for_input(spec, t, b, seed=2)
+                    model = resize_for_input(spec, cut.schema, seed=2)
                     out = model.forward(cut.values)
                     assert out.shape == (4, 1)
                     assert np.all(np.isfinite(out))

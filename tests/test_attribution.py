@@ -20,12 +20,13 @@ from roarsel.attribution import (
 from roarsel.data import Task, delete_bands, default_schema
 from roarsel.engine import DTYPE, Graph
 from roarsel.errors import EstimatorError
-from roarsel.models import Architecture, Head, Model, ModelSpec, build
+from roarsel.models import Architecture, Model, ModelSpec, build
 
 from conftest import cell_groups, exact_shapley, make_dataset
 
-REG = Head(task=Task.REGRESSION)
-CLS = Head(task=Task.CLASSIFICATION, n_classes=3)
+# a schema's task and class count
+REG = (Task.REGRESSION, None)
+CLS = (Task.CLASSIFICATION, 3)
 
 
 def linear_model(weights) -> Model:
@@ -36,7 +37,7 @@ def linear_model(weights) -> Model:
     out = g.matmul(g.flatten(g.input_node), wp)
     g.mark_output(out)
     g.mean_squared_error(out)
-    return Model(spec=ModelSpec(Architecture.MLP, REG), graph=g, input_shape=(1, len(w)))
+    return Model(spec=ModelSpec(Architecture.MLP), graph=g, task=Task.REGRESSION)
 
 
 def symmetric_model(scale=1.3) -> Model:
@@ -48,12 +49,12 @@ def symmetric_model(scale=1.3) -> Model:
     out = g.matmul(g.flatten(h), ones)
     g.mark_output(out)
     g.mean_squared_error(out)
-    return Model(spec=ModelSpec(Architecture.MLP, REG), graph=g, input_shape=(2, 1))
+    return Model(spec=ModelSpec(Architecture.MLP), graph=g, task=Task.REGRESSION)
 
 
 def small_mlp(head=REG, t=2, b=3, seed=0) -> Model:
-    spec = ModelSpec(Architecture.MLP, head, width=8)
-    return build(spec, t, b, seed=seed)
+    spec = ModelSpec(Architecture.MLP, width=8)
+    return build(spec, default_schema(t, b, *head), seed=seed)
 
 
 def budget(**kw) -> ExplainBudget:
@@ -61,7 +62,7 @@ def budget(**kw) -> ExplainBudget:
 
 
 def by_band(model: Model):
-    return feature_groups(model.input_shape, GroupingAxis.BY_BAND)
+    return feature_groups(model.graph.input_shape, GroupingAxis.BY_BAND)
 
 
 # -- grouping ----------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_svs_single_group_gets_full_difference():
     model = linear_model([2.0, 3.0])
     x = np.ones((1, 1, 2), dtype=DTYPE)
     m = run_estimator("svs", model, x,
-                      feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
+                      feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
                       budget(n_permutations=8), seed=0,
                       baseline=np.zeros((1, 2), dtype=DTYPE))
     assert m.scores.shape == (1, 1)
@@ -155,7 +156,7 @@ def _reference_svs(model, samples, ids, groups, baseline, p, seed):
     masks = groups.mask.reshape(g, -1).astype(np.uint8)
     prefix = np.arange(g + 1)[None, :, None]
     classes = None
-    if model.spec.head.task is Task.CLASSIFICATION:
+    if model.task is Task.CLASSIFICATION:
         classes = model.forward(samples).argmax(axis=1)
     scores = np.empty((len(samples), g), dtype=DTYPE)
     stderr = np.zeros_like(scores)
@@ -231,7 +232,7 @@ def test_exact_shapley_symmetry_axiom():
     model = symmetric_model()
     x = np.full((2, 1), 0.7, dtype=DTYPE)
     scores = exact_shapley(model, x,
-                           feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
+                           feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
                            np.zeros((2, 1), dtype=DTYPE))
     assert scores[0] == pytest.approx(scores[1], abs=1e-6)
 
@@ -309,7 +310,7 @@ def test_gb_identical_samples_identical_rows():
     model = small_mlp(head=CLS, seed=7)
     x = np.tile(np.random.default_rng(1).normal(size=(1, 2, 3)).astype(DTYPE), (5, 1, 1))
     m = run_estimator("gb", model, x,
-                      feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
+                      feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
                       budget(), seed=0)
     for row in m.scores[1:]:
         np.testing.assert_array_equal(row, m.scores[0])
@@ -319,7 +320,7 @@ def test_gb_group_scores_sum_cells():
     model = linear_model([1.0, 2.0])
     x = np.ones((1, 1, 2), dtype=DTYPE)
     by_step = run_estimator(  # single group
-        "gb", model, x, feature_groups(model.input_shape, GroupingAxis.BY_TIMESTEP),
+        "gb", model, x, feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
         budget(), seed=0,
     )
     assert by_step.scores[0, 0] == pytest.approx(3.0, abs=1e-6)

@@ -283,13 +283,51 @@ def test_empty_test_split_exits_3_naming_the_holdout(tmp_path, capsys, command):
     assert "holdout years [2019] hold 1 sample(s)" in capsys.readouterr().err
 
 
+def test_regression_holdout_of_two_exits_3_naming_it(tmp_path, capsys):
+    """Ten samples over four years leave two in the held-out year: too few
+    for a validation R^2 and a test R^2."""
+    cfg = base_config(tmp_path)
+    cfg["dataset"]["plant"].update(n=10, n_years=4)
+    cfg["split"] = {"holdout_years": 1}
+    cfg["grid"] = cfg["grid"][:1]
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["generate", "--config", str(p)]) == 0
+    assert main(["select", "--config", str(p)]) == 3
+    assert ("holdout years [2019] hold 2 sample(s); validation and test need "
+            "at least 2 each") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, where, value, message", [
+    ("select", ("grid", 0, "width"), 0, "config.grid[0]: width must be positive, got 0"),
+    ("roar", ("model", "dropout"), 1.0,
+     "config.model: dropout rate must lie in [0, 1), got 1.0"),
+    ("select", ("grid", 1, "learning_rate"), 0,
+     "config.grid[1]: learning_rate must be positive, got 0"),
+    ("roar", ("model", "learning_rate"), -1.0,
+     "config.model: learning_rate must be positive, got -1.0"),
+], ids=["grid-width", "model-dropout", "grid-learning-rate", "model-learning-rate"])
+def test_invalid_model_value_exits_2_before_any_output(workspace, tmp_path, capsys,
+                                                       command, where, value, message):
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    *parents, last = where
+    block = cfg
+    for key in parents:
+        block = block[key]
+    block[last] = value
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, seed", [([], -1), (["--seed", "-1"], 5)])
 def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, argv, seed):
     cfg = base_config(tmp_path)
     cfg["seed"] = seed
     p = write_config(tmp_path / "cfg.json", cfg)
     assert main(["generate", "--config", str(p), *argv]) == 2
-    assert "config.seed must not be negative, got -1" in capsys.readouterr().err
+    assert "config: seed must not be negative, got -1" in capsys.readouterr().err
     assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
 
 

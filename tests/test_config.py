@@ -6,17 +6,13 @@ import pytest
 
 from roarsel.codec import encode
 from roarsel.config import (
-    CandidateConfig,
     RunConfig,
     load_config,
     save_effective_config,
     section_seed,
 )
-from roarsel.data import Task
 from roarsel.errors import ConfigError
-from roarsel.models import Architecture, Head, ModelSpec
-
-REG = Head(task=Task.REGRESSION)
+from roarsel.models import Architecture
 
 
 def full_dict():
@@ -90,20 +86,15 @@ def test_present_but_empty_grid_is_rejected():
 
 def test_absent_grid_expands_to_the_default_grid():
     cfg = RunConfig.from_dict({})
-    grid = cfg.candidates(REG)
+    grid = cfg.candidates()
     assert len(grid) == 10  # five architectures, two learning rates
     assert {spec.architecture for spec, _ in grid} == set(Architecture)
     assert {c.learning_rate for _, c in grid} == {1e-3, 1e-4}
 
 
-def test_candidate_defaults_mirror_model_defaults():
-    built = CandidateConfig(Architecture.MLP).spec(REG)
-    assert built == ModelSpec(Architecture.MLP, REG)
-
-
 def test_candidate_learning_rate_inheritance():
     cfg = RunConfig.from_dict(full_dict())
-    grid = cfg.candidates(REG)
+    grid = cfg.candidates()
     assert grid[0][1].learning_rate == 1e-3      # explicit on the entry
     assert grid[1][1].learning_rate == 0.003     # inherited from train
 
@@ -148,6 +139,26 @@ def test_bad_plan_value_is_a_config_error():
     raw["plans"][0]["k"] = 0
     with pytest.raises(ConfigError, match="k must be"):
         RunConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("train.patience", 20, "config.train: patience must be smaller than max_epochs"),
+    ("budget.n_permutations", 0,
+     "config.budget: permutations and ensemble size must be positive"),
+    ("dataset.plant.noise", -1.0, "config.dataset.plant: noise level cannot be negative"),
+    ("plans.0.k", 0, "config.plans[0]: k must be at least 1"),
+    ("grid.0.width", 0, "config.grid[0]: width must be positive, got 0"),
+    ("grid.1.learning_rate", 0, "config.grid[1]: learning_rate must be positive, got 0"),
+    ("model.dropout", 1.0, "config.model: dropout rate must lie in [0, 1), got 1.0"),
+    ("split.holdout_years", 0, "config.split: holdout_years must be at least 1"),
+    ("workers", 0, "config: workers must be positive"),
+])
+def test_a_block_check_names_the_block_once(tmp_path, path, value, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_set(path, value)))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(p)
+    assert str(excinfo.value) == message
 
 
 def _set(path, value):

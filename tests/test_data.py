@@ -34,6 +34,14 @@ class TestSchema:
         with pytest.raises(DatasetError, match="n_classes"):
             default_schema(2, 2, Task.CLASSIFICATION, n_classes=1)
 
+    def test_classification_needs_a_class_count(self):
+        with pytest.raises(DatasetError, match="n_classes"):
+            default_schema(2, 2, Task.CLASSIFICATION)
+
+    def test_regression_takes_no_class_count(self):
+        with pytest.raises(DatasetError, match="must not declare n_classes"):
+            default_schema(2, 2, Task.REGRESSION, n_classes=3)
+
     def test_stable_ids_survive_deletion(self):
         d = make_dataset(b=6)
         out = delete_bands(d, {3})
@@ -114,6 +122,15 @@ class TestRoundTrip:
         (tmp_path / "manifest").write_text(json.dumps(manifest))
         with pytest.raises(DatasetError,
                            match=r"corrupt manifest .*manifest\.bands\[0\]\.id must be an integer"):
+            load_dataset(tmp_path)
+
+    def test_manifest_failing_the_schema_checks_names_it(self, tmp_path):
+        save_dataset(make_dataset(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest").read_text())
+        manifest["n_classes"] = 3
+        (tmp_path / "manifest").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=r"corrupt manifest .*: manifest: "
+                                               "regression schema must not declare n_classes"):
             load_dataset(tmp_path)
 
     def test_dimension_mismatch(self, tmp_path):
@@ -201,6 +218,19 @@ class TestSplitByYear:
         d = self._dataset_with_years([2016] * 4 + [2020, 2021])
         with pytest.raises(DatasetError, match=r"holdout years \[2021\] hold 1 sample"):
             split_by_year(d, holdout_years=1)
+
+    def test_regression_holdout_too_small_for_two_r2_targets(self):
+        d = self._dataset_with_years([2016] * 4 + [2020, 2021, 2021, 2021])
+        with pytest.raises(DatasetError, match=r"holdout years \[2021\] hold 3 sample\(s\); "
+                                               "validation and test need at least 2 each"):
+            split_by_year(d, holdout_years=1)
+        split = split_by_year(d, holdout_years=2)
+        assert (split.validation.n_samples, split.test.n_samples) == (2, 2)
+
+    def test_classification_holdout_of_two_splits(self):
+        d = make_dataset(n=6, task=Task.CLASSIFICATION, years=[2016] * 4 + [2021] * 2)
+        split = split_by_year(d, holdout_years=1)
+        assert (split.validation.n_samples, split.test.n_samples) == (1, 1)
 
     def test_too_few_years(self):
         d = self._dataset_with_years([2020] * 4 + [2021] * 4)

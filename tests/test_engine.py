@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from conftest import draw_clean_input, finite_difference_check
+from conftest import draw_clean_input, finite_difference_check, grid_schema
 
 from roarsel.data import Task
 from roarsel.engine import DTYPE, Graph, _keep
-from roarsel.models import Architecture, Head, ModelSpec, build
+from roarsel.models import Architecture, ModelSpec, build
 from roarsel.errors import GraphError
 
 
@@ -223,18 +223,17 @@ def test_guided_input_matches_a_where_reference():
 
 
 @pytest.mark.parametrize("arch", list(Architecture))
-@pytest.mark.parametrize("head", [Head(Task.REGRESSION),
-                                  Head(Task.CLASSIFICATION, n_classes=3)],
+@pytest.mark.parametrize("schema", [grid_schema(5, 3), grid_schema(5, 3, 3)],
                          ids=["regression", "classification"])
-def test_backward_gradients_are_float32(arch, head):
+def test_backward_gradients_are_float32(arch, schema):
     """Backward keeps each first gradient as the kernel returned it, so every
     kernel must return float32."""
-    spec = ModelSpec(arch, head, width=8, channels=4, dense_size=8,
+    spec = ModelSpec(arch, width=8, channels=4, dense_size=8,
                      hidden_size=4, kernel_size=3, dropout=0.25)
-    m = build(spec, 5, 3, seed=0)
+    m = build(spec, schema, seed=0)
     r = rng(1)
     x = uniform(r, (6, 5, 3), -2, 2)
-    target = (r.integers(0, 3, size=6) if head.task is Task.CLASSIFICATION
+    target = (r.integers(0, 3, size=6) if schema.task is Task.CLASSIFICATION
               else uniform(r, (6,)))
     masks = {k: np.ones((6, *s), DTYPE) for k, s in m.graph.mask_shapes.items()}
     m.graph.forward_loss(x, target, masks=masks)
@@ -352,8 +351,8 @@ def test_finite_difference_recurrent_op(cell, depth, selector):
 def test_finite_difference_check_stays_quiet_at_a_large_loss():
     """The oracle's own rounding must not grow with the loss: differencing
     the float32 mean loss read 1.9e-3 on this gru's correct gradients."""
-    spec = ModelSpec(Architecture.GRU, Head(Task.REGRESSION), hidden_size=3)
-    g = build(spec, 4, 2, seed=1).graph
+    spec = ModelSpec(Architecture.GRU, hidden_size=3)
+    g = build(spec, grid_schema(4, 2), seed=1).graph
     r = rng(1)
     x = r.standard_normal((3, 4, 2)).astype(DTYPE)
     target = r.standard_normal(3).astype(DTYPE)

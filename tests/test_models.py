@@ -5,21 +5,19 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import grid_schema
 
-from roarsel.data import Task
 from roarsel.engine import DTYPE
 from roarsel.errors import BuildError
 from roarsel.models import (
     Architecture,
-    Head,
     ModelSpec,
     build,
     dropout_masks,
     resize_for_input,
 )
 
-CLS = Head(task=Task.CLASSIFICATION, n_classes=4)
-REG = Head(task=Task.REGRESSION)
+CLASSES = 4  # the class count of every classification schema here
 
 SMALL = dict(width=8, channels=6, dense_size=16, hidden_size=8)
 
@@ -33,18 +31,18 @@ def batch(t, b, n=3, seed=0):
 
 def test_mlp_first_layer_fan_in_is_flattened_input():
     # 12 steps x 18 bands -> 216 inputs
-    m = build(ModelSpec(Architecture.MLP, CLS), t=12, b=18, seed=0)
+    m = build(ModelSpec(Architecture.MLP), grid_schema(12, 18, CLASSES), seed=0)
     assert m.graph.params["layer0/w"].shape == (216, 128)
 
 
 def test_mlp_fan_in_shrinks_after_band_deletion():
     # deleting one of 18 bands leaves 12 * 17 = 204 inputs
-    m = resize_for_input(ModelSpec(Architecture.MLP, CLS), t=12, b=17, seed=0)
+    m = resize_for_input(ModelSpec(Architecture.MLP), grid_schema(12, 17, CLASSES), seed=0)
     assert m.graph.params["layer0/w"].shape == (204, 128)
 
 
 def test_tempcnn_default_output_matches_head():
-    m = build(ModelSpec(Architecture.TEMPCNN, CLS), t=12, b=18, seed=0)
+    m = build(ModelSpec(Architecture.TEMPCNN), grid_schema(12, 18, CLASSES), seed=0)
     out = m.forward(batch(12, 18))
     assert out.shape == (3, 4)
     assert m.graph.params["conv0/w"].shape == (5, 18, 64)
@@ -53,15 +51,15 @@ def test_tempcnn_default_output_matches_head():
 
 
 def test_tempcnn_resize_adjusts_first_conv_channels():
-    m = resize_for_input(ModelSpec(Architecture.TEMPCNN, CLS), t=12, b=17, seed=1)
+    m = resize_for_input(ModelSpec(Architecture.TEMPCNN), grid_schema(12, 17, CLASSES), seed=1)
     assert m.graph.params["conv0/w"].shape == (5, 17, 64)
     assert m.forward(batch(12, 17)).shape == (3, 4)
 
 
 @pytest.mark.parametrize("arch", list(Architecture))
 def test_regression_head_outputs_one_value(arch):
-    spec = ModelSpec(arch, REG, **SMALL)
-    m = build(spec, t=6, b=3, seed=2)
+    spec = ModelSpec(arch, **SMALL)
+    m = build(spec, grid_schema(6, 3), seed=2)
     out = m.forward(batch(6, 3))
     assert out.shape == (3, 1)
     assert m.graph.loss is not None
@@ -72,9 +70,9 @@ def test_regression_head_outputs_one_value(arch):
 
 @pytest.mark.parametrize("arch", list(Architecture))
 def test_same_seed_gives_bit_identical_parameters(arch):
-    spec = ModelSpec(arch, CLS, **SMALL)
-    a = build(spec, t=6, b=5, seed=123)
-    b_ = build(spec, t=6, b=5, seed=123)
+    spec = ModelSpec(arch, **SMALL)
+    a = build(spec, grid_schema(6, 5, CLASSES), seed=123)
+    b_ = build(spec, grid_schema(6, 5, CLASSES), seed=123)
     assert sorted(a.graph.params) == sorted(b_.graph.params)
     for name in a.graph.params:
         assert a.graph.params[name].tobytes() == b_.graph.params[name].tobytes()
@@ -83,9 +81,9 @@ def test_same_seed_gives_bit_identical_parameters(arch):
 @pytest.mark.parametrize("arch", list(Architecture))
 def test_different_seeds_differ_in_every_tensor(arch):
     """Resize never reuses weights: distinct seeds disagree everywhere."""
-    spec = ModelSpec(arch, CLS, **SMALL)
-    a = resize_for_input(spec, t=6, b=5, seed=1)
-    b_ = resize_for_input(spec, t=6, b=5, seed=2)
+    spec = ModelSpec(arch, **SMALL)
+    a = resize_for_input(spec, grid_schema(6, 5, CLASSES), seed=1)
+    b_ = resize_for_input(spec, grid_schema(6, 5, CLASSES), seed=2)
     for name in a.graph.params:
         assert not np.array_equal(a.graph.params[name], b_.graph.params[name]), name
 
@@ -95,22 +93,22 @@ def test_different_seeds_differ_in_every_tensor(arch):
 
 def test_build_rejects_kernel_longer_than_input():
     with pytest.raises(BuildError, match="kernel 5 larger than input length 3"):
-        build(ModelSpec(Architecture.TEMPCNN, CLS), t=3, b=4, seed=0)
+        build(ModelSpec(Architecture.TEMPCNN), grid_schema(3, 4, CLASSES), seed=0)
 
 
 def test_resize_clamps_kernel_with_warning():
-    spec = ModelSpec(Architecture.TEMPCNN, CLS, **SMALL)
+    spec = ModelSpec(Architecture.TEMPCNN, **SMALL)
     with pytest.warns(UserWarning, match="kernel clamped from 5 to 3"):
-        m = resize_for_input(spec, t=3, b=4, seed=0)
+        m = resize_for_input(spec, grid_schema(3, 4, CLASSES), seed=0)
     assert m.notes == ["kernel clamped from 5 to 3 for input length 3"]
     assert m.graph.params["conv0/w"].shape[0] == 3
     assert m.forward(batch(3, 4)).shape == (3, 4)
 
 
 def test_resize_handles_single_step_input():
-    spec = ModelSpec(Architecture.TEMPCNN, CLS, **SMALL)
+    spec = ModelSpec(Architecture.TEMPCNN, **SMALL)
     with pytest.warns(UserWarning):
-        m = resize_for_input(spec, t=1, b=2, seed=0)
+        m = resize_for_input(spec, grid_schema(1, 2, CLASSES), seed=0)
     assert m.forward(batch(1, 2)).shape == (3, 4)
 
 
@@ -128,7 +126,7 @@ def test_shape_fuzz_build_and_forward(arch):
         kwargs = dict(SMALL)
         if arch is Architecture.TEMPCNN:
             kwargs["kernel_size"] = min(5, t)
-        m = build(ModelSpec(arch, CLS, **kwargs), t=t, b=b, seed=7)
+        m = build(ModelSpec(arch, **kwargs), grid_schema(t, b, CLASSES), seed=7)
         out = m.forward(batch(t, b, n=2, seed=t * 64 + b))
         assert out.shape == (2, 4), (arch, t, b)
 
@@ -156,8 +154,8 @@ def gate_blocks(p, prefix, cell):
 
 def test_gru_follows_update_gate_convention():
     """h2 = (1 - z2) h1 + z2 n2, candidate gated by the reset product."""
-    spec = ModelSpec(Architecture.GRU, REG, hidden_size=3)
-    m = build(spec, t=2, b=2, seed=5)
+    spec = ModelSpec(Architecture.GRU, hidden_size=3)
+    m = build(spec, grid_schema(2, 2), seed=5)
     p = m.graph.params
     q = gate_blocks(p, "cell0", "gru")
     x = batch(2, 2, n=1, seed=11)
@@ -176,8 +174,8 @@ def test_gru_follows_update_gate_convention():
 
 
 def test_lstm_cell_state_recurrence():
-    spec = ModelSpec(Architecture.LSTM, REG, hidden_size=3)
-    m = build(spec, t=2, b=2, seed=6)
+    spec = ModelSpec(Architecture.LSTM, hidden_size=3)
+    m = build(spec, grid_schema(2, 2), seed=6)
     p = m.graph.params
     q = gate_blocks(p, "cell0", "lstm")
     x = batch(2, 2, n=1, seed=12)
@@ -233,8 +231,8 @@ def reference_gru(xs, q):
                          ids=["lstm", "gru"])
 def test_stacked_cells_match_the_reference_recurrence(arch, reference):
     """Depth 2: the second layer reads every hidden state of the first."""
-    spec = ModelSpec(arch, REG, depth=2, hidden_size=3)
-    m = build(spec, t=4, b=2, seed=13)
+    spec = ModelSpec(arch, depth=2, hidden_size=3)
+    m = build(spec, grid_schema(4, 2), seed=13)
     p = m.graph.params
     x = batch(4, 2, n=3, seed=14)
     expected = []
@@ -248,8 +246,8 @@ def test_stacked_cells_match_the_reference_recurrence(arch, reference):
 
 
 def test_stacked_recurrent_layers():
-    spec = ModelSpec(Architecture.RNN, CLS, depth=2, hidden_size=4)
-    m = build(spec, t=3, b=2, seed=8)
+    spec = ModelSpec(Architecture.RNN, depth=2, hidden_size=4)
+    m = build(spec, grid_schema(3, 2, CLASSES), seed=8)
     assert "cell0/wx" in m.graph.params and "cell1/wx" in m.graph.params
     assert m.graph.params["cell1/wx"].shape == (4, 4)
     assert m.forward(batch(3, 2)).shape == (3, 4)
@@ -260,7 +258,8 @@ def test_fused_cell_tensors_hold_the_per_gate_draws(arch):
     """Each gate draws wx, wh and b in turn, in the order h / i f g o / z r n,
     and the fused tensors lay them out in column order; the head draws last."""
     cell, in_dim, hid, seed = arch.value, 5, 4, 21
-    m = build(ModelSpec(arch, CLS, depth=2, hidden_size=hid), t=3, b=in_dim, seed=seed)
+    m = build(ModelSpec(arch, depth=2, hidden_size=hid), grid_schema(3, in_dim, CLASSES),
+              seed=seed)
     p = m.graph.params
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
@@ -283,7 +282,7 @@ def test_fused_cell_tensors_hold_the_per_gate_draws(arch):
 
 def test_single_step_recurrent_input():
     for arch in (Architecture.RNN, Architecture.LSTM, Architecture.GRU):
-        m = build(ModelSpec(arch, REG, hidden_size=4), t=1, b=3, seed=9)
+        m = build(ModelSpec(arch, hidden_size=4), grid_schema(1, 3), seed=9)
         assert m.forward(batch(1, 3)).shape == (3, 1)
 
 
@@ -291,13 +290,13 @@ def test_single_step_recurrent_input():
 
 
 def test_dropout_masks_empty_for_zero_rate():
-    m = build(ModelSpec(Architecture.MLP, CLS, **SMALL), t=4, b=2, seed=0)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(4, 2, CLASSES), seed=0)
     assert dropout_masks(m, 5, np.random.default_rng(0)) == {}
 
 
 def test_dropout_masks_are_inverted_scaled():
-    spec = ModelSpec(Architecture.MLP, CLS, dropout=0.5, **SMALL)
-    m = build(spec, t=4, b=2, seed=0)
+    spec = ModelSpec(Architecture.MLP, dropout=0.5, **SMALL)
+    m = build(spec, grid_schema(4, 2, CLASSES), seed=0)
     masks = dropout_masks(m, 200, np.random.default_rng(3))
     assert sorted(masks) == ["drop0", "drop1"]
     for mask in masks.values():
@@ -311,9 +310,9 @@ def test_dropout_masks_are_inverted_scaled():
 def test_dropout_changes_training_forward_only(arch):
     # one mask slot per dropout site: each MLP hidden layer, else one
     sites = 2 if arch is Architecture.MLP else 1
-    assert build(ModelSpec(arch, REG, **SMALL), t=6, b=2, seed=0).graph.mask_shapes == {}
-    spec = ModelSpec(arch, REG, dropout=0.3, **SMALL)
-    m = build(spec, t=6, b=2, seed=0)
+    assert build(ModelSpec(arch, **SMALL), grid_schema(6, 2), seed=0).graph.mask_shapes == {}
+    spec = ModelSpec(arch, dropout=0.3, **SMALL)
+    m = build(spec, grid_schema(6, 2), seed=0)
     assert sorted(m.graph.mask_shapes) == [f"drop{i}" for i in range(sites)]
     x = batch(6, 2)
     eval_out = m.forward(x)
@@ -327,7 +326,7 @@ def test_dropout_changes_training_forward_only(arch):
 def test_used_model_is_freed_without_the_cyclic_collector(arch):
     """Kernels never reference their Graph, so no reference cycle keeps a
     trained-on model and its activation cache alive after the last use."""
-    m = build(ModelSpec(arch, CLS, **SMALL), t=6, b=2, seed=0)
+    m = build(ModelSpec(arch, **SMALL), grid_schema(6, 2, CLASSES), seed=0)
     m.graph.forward_loss(batch(6, 2), np.array([0, 1, 3]))
     m.graph.backward("loss")
     m.graph.backward_guided(np.array([2, 0, 1]))
@@ -343,24 +342,17 @@ def test_used_model_is_freed_without_the_cyclic_collector(arch):
 # -- spec plumbing -----------------------------------------------------------
 
 
-def test_head_validation():
-    with pytest.raises(BuildError, match="n_classes"):
-        Head(task=Task.CLASSIFICATION)
-    with pytest.raises(BuildError, match="no n_classes"):
-        Head(task=Task.REGRESSION, n_classes=3)
-
-
 def test_spec_validation():
     with pytest.raises(BuildError, match="width must be positive"):
-        ModelSpec(Architecture.MLP, CLS, width=0)
+        ModelSpec(Architecture.MLP, width=0)
     with pytest.raises(BuildError, match="dropout rate"):
-        ModelSpec(Architecture.MLP, CLS, dropout=1.0)
+        ModelSpec(Architecture.MLP, dropout=1.0)
     with pytest.raises(BuildError, match="depth must be positive"):
-        ModelSpec(Architecture.MLP, CLS, depth=0)
+        ModelSpec(Architecture.MLP, depth=0)
 
 
 def test_default_depths():
-    assert ModelSpec(Architecture.MLP, CLS).resolved_depth == 2
-    assert ModelSpec(Architecture.TEMPCNN, CLS).resolved_depth == 3
-    assert ModelSpec(Architecture.GRU, CLS).resolved_depth == 1
-    assert ModelSpec(Architecture.MLP, CLS, depth=5).resolved_depth == 5
+    assert ModelSpec(Architecture.MLP).resolved_depth == 2
+    assert ModelSpec(Architecture.TEMPCNN).resolved_depth == 3
+    assert ModelSpec(Architecture.GRU).resolved_depth == 1
+    assert ModelSpec(Architecture.MLP, depth=5).resolved_depth == 5

@@ -1,5 +1,7 @@
 """Deletion campaigns, curve queries, and curve persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import fab_curve, fab_rank, fab_record, fab_report
@@ -7,7 +9,7 @@ from conftest import fab_curve, fab_rank, fab_record, fab_report
 from roarsel import roar
 from roarsel.attribution import ExplainBudget, GroupingAxis, cell_span
 from roarsel.codec import decode, encode
-from roarsel.data import Task, split_by_year
+from roarsel.data import split_by_year
 from roarsel.errors import (
     ConfigError,
     CurveError,
@@ -16,7 +18,7 @@ from roarsel.errors import (
     TrainingDiverged,
     TrainingError,
 )
-from roarsel.models import Architecture, Head, ModelSpec
+from roarsel.models import Architecture, ModelSpec
 from roarsel.roar import (
     CycleRecord,
     DeletionCurve,
@@ -32,9 +34,6 @@ from roarsel.roar import (
 )
 from roarsel.synthetic import PlantSpec, generate
 from roarsel.training import MetricKind, MetricValue, TrainConfig
-
-REG = Head(task=Task.REGRESSION)
-
 
 def planted_splits(n=600, t=4, b=5, bands=(1, 3), noise=0.1, seed=7):
     plant = PlantSpec(
@@ -68,7 +67,7 @@ def tiny_plan(order, k=None):
 def tiny_run(order=DeletionOrder.LEAST_FIRST, b=5, k=None, seed=3, **kwargs):
     return run_roar(
         tiny_splits(b=b),
-        ModelSpec(Architecture.MLP, REG, width=16),
+        ModelSpec(Architecture.MLP, width=16),
         tiny_cfg(),
         tiny_plan(order, k=k),
         seed=seed,
@@ -130,7 +129,7 @@ def test_divergence_at_baseline_aborts_without_partial():
     cfg = TrainConfig(max_epochs=12, patience=6, batch_size=32,
                       learning_rate=1e22)
     with pytest.raises(RoarAborted) as excinfo:
-        run_roar(tiny_splits(), ModelSpec(Architecture.MLP, REG, width=16),
+        run_roar(tiny_splits(), ModelSpec(Architecture.MLP, width=16),
                  cfg, tiny_plan(DeletionOrder.LEAST_FIRST), seed=3)
     assert "cycle 0" in str(excinfo.value)
     assert excinfo.value.partial_curve is None
@@ -211,13 +210,28 @@ def test_explained_ids_subsample_deterministically():
     assert all(0 <= i < 40 for i in a)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("cycle", 2, "curve: cycle indices must be consecutive"),
+    ("val_metric", {"kind": "r2", "value": 2.0}, "curve.records[0].val_metric: r2 above 1"),
+])
+def test_a_curve_failing_its_own_checks_names_the_block(tmp_path, key, value, message):
+    path = tmp_path / "c.curve.json"
+    save_curve(fab_curve([0.9, 0.8], [[4]], DeletionOrder.LEAST_FIRST), path)
+    raw = json.loads(path.read_text())
+    raw["records"][0][key] = value
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CurveError) as excinfo:
+        load_curve(path)
+    assert str(excinfo.value).startswith(f"unreadable curve {path}: {message}")
+
+
 # -- planted-signal faithfulness ----------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def planted_curves():
     splits = planted_splits()
-    spec = ModelSpec(Architecture.MLP, REG, width=32)
+    spec = ModelSpec(Architecture.MLP, width=32)
     cfg = TrainConfig(max_epochs=40, patience=12, batch_size=32,
                       learning_rate=3e-3)
     budget = ExplainBudget(n_samples=96, n_permutations=24, ensemble_size=2)

@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import grid_schema
 
 from roarsel.data import SplitTriple, Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE, Graph
 from roarsel.errors import TrainingDiverged, TrainingError
-from roarsel.models import Architecture, Head, Model, ModelSpec, build
+from roarsel.models import Architecture, Model, ModelSpec, build
 from roarsel.training import (
     BETA1,
     BETA2,
@@ -23,8 +24,6 @@ from roarsel.training import (
     train,
 )
 
-CLS2 = Head(task=Task.CLASSIFICATION, n_classes=2)
-REG = Head(task=Task.REGRESSION)
 SMALL = dict(width=8, channels=6, dense_size=16, hidden_size=8)
 
 
@@ -59,8 +58,8 @@ def passthrough_model() -> Model:
     out = g.matmul(g.flatten(g.input_node), w)
     g.mark_output(out)
     g.mean_squared_error(out)
-    spec = ModelSpec(Architecture.MLP, REG)
-    return Model(spec=spec, graph=g, input_shape=(1, 1))
+    spec = ModelSpec(Architecture.MLP)
+    return Model(spec=spec, graph=g, task=Task.REGRESSION)
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_accuracy_counts_correct_argmax():
     out = g.matmul(g.flatten(g.input_node), w)
     g.mark_output(out)
     g.softmax_cross_entropy(out)
-    model = Model(spec=ModelSpec(Architecture.MLP, CLS2), graph=g, input_shape=(1, 2))
+    model = Model(spec=ModelSpec(Architecture.MLP), graph=g, task=Task.CLASSIFICATION)
     schema = default_schema(1, 2, Task.CLASSIFICATION, n_classes=2)
     values = np.array([[[2.0, 1.0]], [[1.0, 2.0]], [[3.0, 0.0]], [[0.0, 3.0]]], dtype=DTYPE)
     targets = np.array([0, 1, 1, 1], dtype=np.int64)  # third sample is wrong
@@ -108,7 +107,7 @@ def test_accuracy_counts_correct_argmax():
 
 def test_evaluate_is_order_independent():
     train_split, _ = separable_splits()
-    m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=0)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=0)
     direct = evaluate(m, train_split)
     perm = np.random.default_rng(1).permutation(train_split.n_samples)
     shuffled = evaluate(m, train_split.take(perm))
@@ -120,7 +119,7 @@ def test_evaluate_is_order_independent():
 
 def test_separable_toy_reaches_full_training_accuracy():
     train_split, val_split = separable_splits()
-    m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=1)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=1)
     m, report = train(m, train_split, val_split, TrainConfig(), seed=1)
     assert evaluate(m, train_split).value == 1.0
     assert report.epochs_run <= 100
@@ -132,7 +131,7 @@ def test_patience_rule_monotone_val_loss_stops_at_eleven():
     x = np.ones((32, 1, 1), dtype=DTYPE) + r.normal(scale=0.01, size=(32, 1, 1)).astype(DTYPE)
     train_split = regression_dataset(x, 5.0 + r.normal(scale=0.01, size=32))
     val_split = regression_dataset(x, -5.0 + r.normal(scale=0.01, size=32))
-    m = build(ModelSpec(Architecture.MLP, REG, **SMALL), 1, 1, seed=2)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(1, 1), seed=2)
     m, report = train(m, train_split, val_split, TrainConfig(patience=10), seed=2)
     diffs = np.diff(report.val_loss)
     assert (diffs > 0).all(), "scenario must produce monotone increasing val loss"
@@ -144,7 +143,7 @@ def test_same_seed_bit_identical_weights():
     train_split, val_split = separable_splits()
     outs = []
     for _ in range(2):
-        m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=3)
+        m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=3)
         m, report = train(m, train_split, val_split,
                           TrainConfig(max_epochs=12, patience=5), seed=3)
         outs.append((m, report))
@@ -175,9 +174,9 @@ def _reference_adam(params, grad_steps, learning_rate):
 @pytest.mark.parametrize("arch", [Architecture.MLP, Architecture.LSTM,
                                   Architecture.TEMPCNN])
 def test_flat_adam_matches_the_per_tensor_reference(arch):
-    spec = ModelSpec(arch, CLS2, width=8, channels=6, dense_size=16,
+    spec = ModelSpec(arch, width=8, channels=6, dense_size=16,
                      hidden_size=8, kernel_size=3)
-    params = build(spec, 5, 3, seed=6).graph.params
+    params = build(spec, grid_schema(5, 3, 2), seed=6).graph.params
     r = np.random.default_rng(6)
     grad_steps = [
         {k: (r.standard_normal(p.shape) * 10.0 ** r.integers(-6, 2)).astype(DTYPE)
@@ -202,7 +201,7 @@ def test_restored_best_weights_forward_through_the_views():
     x = np.ones((32, 1, 1), dtype=DTYPE) + r.normal(scale=0.01, size=(32, 1, 1)).astype(DTYPE)
     train_split = regression_dataset(x, 5.0 + r.normal(scale=0.01, size=32))
     val_split = regression_dataset(x, -5.0 + r.normal(scale=0.01, size=32))
-    m = build(ModelSpec(Architecture.MLP, REG, **SMALL), 1, 1, seed=2)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(1, 1), seed=2)
     cfg = TrainConfig(patience=10)
     m, report = train(m, train_split, val_split, cfg, seed=2)
     assert (report.best_epoch, report.epochs_run) == (1, 11)
@@ -215,7 +214,7 @@ def test_restored_best_weights_forward_through_the_views():
 
 def test_best_epoch_weights_reproduce_best_val_loss():
     train_split, val_split = separable_splits(seed=4)
-    m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=4)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=4)
     cfg = TrainConfig(max_epochs=15, patience=5)
     m, report = train(m, train_split, val_split, cfg, seed=4)
     best = min(report.val_loss)
@@ -228,7 +227,7 @@ def test_training_with_dropout_is_deterministic():
     train_split, val_split = separable_splits(seed=5)
     losses = []
     for _ in range(2):
-        m = build(ModelSpec(Architecture.MLP, CLS2, dropout=0.3, **SMALL), 2, 3, seed=5)
+        m = build(ModelSpec(Architecture.MLP, dropout=0.3, **SMALL), grid_schema(2, 3, 2), seed=5)
         _, report = train(m, train_split, val_split,
                           TrainConfig(max_epochs=8, patience=4), seed=5)
         losses.append(report.train_loss)
@@ -237,7 +236,7 @@ def test_training_with_dropout_is_deterministic():
 
 def test_divergence_aborts_with_diagnostic():
     train_split, val_split = separable_splits(seed=6)
-    m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 2, 3, seed=6)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=6)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train(m, train_split, val_split,
               TrainConfig(learning_rate=1e22, max_epochs=30, patience=5), seed=6)
@@ -245,7 +244,7 @@ def test_divergence_aborts_with_diagnostic():
 
 def test_split_shape_mismatch_rejected():
     train_split, val_split = separable_splits()
-    m = build(ModelSpec(Architecture.MLP, CLS2, **SMALL), 4, 3, seed=0)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(4, 3, 2), seed=0)
     with pytest.raises(TrainingError, match="does not match model"):
         train(m, train_split, val_split, TrainConfig(), seed=0)
 
@@ -278,7 +277,7 @@ def quick_cfg(lr=3e-3):
 
 def test_grid_of_one_wins():
     splits = three_way_splits()
-    spec = ModelSpec(Architecture.MLP, CLS2, **SMALL)
+    spec = ModelSpec(Architecture.MLP, **SMALL)
     model, report = select_model([(spec, quick_cfg())], splits, seed=0)
     assert report.best_index == 0
     assert report.ranking[0].val_metric is not None
@@ -288,7 +287,7 @@ def test_grid_of_one_wins():
 def test_metric_tie_keeps_earlier_grid_index():
     # both candidates solve the task exactly, so the tie rule decides
     splits = three_way_splits()
-    spec = ModelSpec(Architecture.MLP, CLS2, **SMALL)
+    spec = ModelSpec(Architecture.MLP, **SMALL)
     grid = [(spec, quick_cfg()), (spec, quick_cfg())]
     _, report = select_model(grid, splits, seed=1)
     assert report.ranking[0].val_metric == report.ranking[1].val_metric
@@ -297,8 +296,8 @@ def test_metric_tie_keeps_earlier_grid_index():
 
 def test_failing_candidate_recorded_and_grid_continues():
     splits = three_way_splits()
-    bad = ModelSpec(Architecture.TEMPCNN, CLS2, **SMALL)  # kernel 5 > T = 2
-    good = ModelSpec(Architecture.MLP, CLS2, **SMALL)
+    bad = ModelSpec(Architecture.TEMPCNN, **SMALL)  # kernel 5 > T = 2
+    good = ModelSpec(Architecture.MLP, **SMALL)
     _, report = select_model([(bad, quick_cfg()), (good, quick_cfg())], splits, seed=0)
     assert report.best_index == 1
     failed = [c for c in report.ranking if c.error is not None]
@@ -307,7 +306,7 @@ def test_failing_candidate_recorded_and_grid_continues():
 
 def test_all_candidates_failing_is_an_error():
     splits = three_way_splits()
-    bad = ModelSpec(Architecture.TEMPCNN, CLS2, **SMALL)
+    bad = ModelSpec(Architecture.TEMPCNN, **SMALL)
     with pytest.raises(TrainingError, match="every candidate failed"):
         select_model([(bad, quick_cfg())], splits, seed=0)
 
@@ -326,7 +325,7 @@ def test_ranking_never_reads_test_split():
     base = three_way_splits()
     splits = SplitTriple(train=base.train, validation=base.validation,
                          test=_PoisonedSplit(base.train.schema))
-    spec = ModelSpec(Architecture.MLP, CLS2, **SMALL)
+    spec = ModelSpec(Architecture.MLP, **SMALL)
     grid = [(spec, quick_cfg()), (spec, quick_cfg())]
     model, report = select_model(grid, splits, seed=1, include_test_metrics=False)
     assert report.test_metric is None
@@ -335,7 +334,7 @@ def test_ranking_never_reads_test_split():
 
 def test_default_grid_covers_architectures_and_rates():
     base = TrainConfig(max_epochs=7, patience=3, batch_size=5, learning_rate=0.5)
-    grid = default_grid(CLS2, base)
+    grid = default_grid(base)
     assert len(grid) == 10
     archs = {spec.architecture for spec, _ in grid}
     assert archs == set(Architecture)
