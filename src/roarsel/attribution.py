@@ -12,14 +12,19 @@ meaningful while data shrinks.
 The explained scalar is the predicted-class logit for classification (labels
 never consulted) and the model output for regression.
 
+Every tag runs as a loop over replicas of its base estimator. A plain tag
+is one noise-free replica. An ``sgs-`` or ``vargrad-`` tag runs R noised
+replicas and reduces them per entry, by the mean square or by the variance.
+
 Determinism: every sample owns an RNG stream keyed by (seed, sample id), so
 results are independent of batching or scheduling. Shapley sampling builds
 composites a block of samples at a time, but each sample still draws from its
 own stream and gets its own forward call of unchanged shape, so its row does
-not depend on the block size or on the batch order. Ensemble noise draws from
-streams keyed by (seed, sample id, replica) while the base estimator keeps
-the sample's own stream; with zero noise every replica therefore reproduces
-the base attribution exactly, which is what the collapse properties assert.
+not depend on the block size or on the batch order. Replica r noises each
+sample from a stream keyed by (seed, sample id, r) while the base estimator
+keeps the sample's own stream; with zero noise every replica therefore
+reproduces the base attribution exactly, which is what the collapse
+properties assert.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,26 +77,18 @@ class FeatureGroups:
         return self.mask.reshape(self.n_groups, -1).argmax(axis=0)
 
 
-def feature_groups(
-    grid: Union[FeatureSchema, tuple[int, int]], axis: GroupingAxis
-) -> FeatureGroups:
-    """Grouping over a schema, or over a bare (T, B) grid shape.
+def feature_groups(schema: FeatureSchema, axis: GroupingAxis) -> FeatureGroups:
+    """Grouping over a schema's grid; groups carry its stable ids.
 
-    Groups carry the schema's stable ids; over a bare shape they carry grid
-    positions. ``axis`` may be given by its value, such as ``"by_band"``.
+    ``axis`` may be given by its value, such as ``"by_band"``.
     """
     axis = GroupingAxis(axis)
-    if isinstance(grid, FeatureSchema):
-        t, b = grid.n_timesteps, grid.n_bands
-        band_ids, step_ids = grid.band_ids, grid.step_ids
-    else:
-        t, b = grid
-        band_ids, step_ids = range(b), range(t)
+    t, b = schema.n_timesteps, schema.n_bands
     if axis is GroupingAxis.BY_BAND:
-        ids = band_ids
+        ids = schema.band_ids
         mask = np.eye(b, dtype=bool)[:, None, :].repeat(t, axis=1)
     else:
-        ids = step_ids
+        ids = schema.step_ids
         mask = np.eye(t, dtype=bool)[:, :, None].repeat(b, axis=2)
     return FeatureGroups(axis=axis, ids=tuple(ids), mask=mask)
 
@@ -117,8 +114,6 @@ class AttributionMatrix:
             )
         if not np.isfinite(self.scores).all():
             raise EstimatorError("attribution scores must be finite")
-        if self.estimator_tag not in ESTIMATOR_TAGS:
-            raise EstimatorError(f"unknown estimator tag {self.estimator_tag!r}")
         if self.stderr is not None and self.stderr.shape != self.scores.shape:
             raise EstimatorError("stderr shape must match scores")
 
@@ -196,21 +191,13 @@ def cell_span(train: TensorDataset) -> np.ndarray:
 def _predicted_classes(model: Model, samples: np.ndarray) -> Optional[np.ndarray]:
     if model.task is not Task.CLASSIFICATION:
         return None
-    preds = []
-    for start in range(0, len(samples), _FORWARD_CHUNK):
-        out = model.forward(samples[start:start + _FORWARD_CHUNK])
-        preds.append(out.argmax(axis=1))
-    return np.concatenate(preds)
+    return model.infer(samples, _FORWARD_CHUNK).argmax(axis=1)
 
 
 def _scalar_batch(model: Model, xs: np.ndarray, class_idx: Optional[int]) -> np.ndarray:
     """Explained scalar for a batch sharing one fixed output column."""
     col = 0 if class_idx is None else int(class_idx)
-    vals = []
-    for start in range(0, len(xs), _FORWARD_CHUNK):
-        out = model.forward(xs[start:start + _FORWARD_CHUNK])
-        vals.append(out[:, col].astype(np.float64))
-    return np.concatenate(vals)
+    return model.infer(xs, _FORWARD_CHUNK)[:, col].astype(np.float64)
 
 
 def _check_inputs(
@@ -325,60 +312,22 @@ def _gb_rows(
 
 
 # ---------------------------------------------------------------------------
-# ensembles
+# replicas
 
 
-def _ensemble_rows(
-    kind: str,
-    base: str,
-    model: Model,
-    samples: np.ndarray,
-    ids: tuple[int, ...],
-    groups: FeatureGroups,
-    baseline: Optional[np.ndarray],
-    noise_range: Optional[np.ndarray],
-    budget: ExplainBudget,
-    seed: int,
-    classes: Optional[np.ndarray],
-) -> np.ndarray:
-    """Per sample: the mean of squared replica rows (``kind`` sgs) or the
-    variance of replica rows (``kind`` vargrad).
-
-    Each replica runs the base estimator on the full (noised) batch, the same
-    shape the plain estimator sees, so the zero-noise collapse is bit-exact.
-    The explained class is fixed per sample, not re-chosen per noisy replica.
-    """
-    t, b = model.graph.input_shape
-    sigma = budget.noise_scale
-    if sigma > 0:
-        if noise_range is None:
-            raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
-        scale = (sigma * noise_range).astype(np.float64)
-    rows = np.empty(
-        (budget.ensemble_size, len(samples), groups.n_groups), dtype=np.float64
-    )
-    for r in range(budget.ensemble_size):
-        if sigma > 0:
-            noisy = np.empty_like(samples)
-            for i, sid in enumerate(ids):
-                noise_rng = np.random.default_rng(
-                    np.random.SeedSequence([int(seed), int(sid), r])
-                )
-                noisy[i] = samples[i] + (
-                    noise_rng.normal(size=(t, b)) * scale
-                ).astype(DTYPE)
-        else:
-            noisy = samples
-        if base == "gb":
-            rows[r] = _gb_rows(model, noisy, groups, classes).astype(np.float64)
-        else:
-            rows[r] = _svs_rows(
-                model, noisy, ids, groups, baseline, budget.n_permutations,
-                seed, classes,
-            )[0].astype(np.float64)
-    if kind == "sgs":
-        return np.mean(rows * rows, axis=0).astype(DTYPE)
-    return np.var(rows, axis=0).astype(DTYPE)
+def _noised(samples: np.ndarray, ids: tuple[int, ...], scale: Optional[np.ndarray],
+            seed: int, replica: int) -> np.ndarray:
+    """Replica ``replica``'s input: each sample plus Gaussian noise of
+    per-cell standard deviation ``scale``, drawn from the sample's
+    (seed, sample id, replica) stream; ``samples`` itself without a scale."""
+    if scale is None:
+        return samples
+    draws = np.stack([
+        np.random.default_rng(np.random.SeedSequence([seed, sid, replica]))
+        .normal(size=samples.shape[1:])
+        for sid in ids
+    ])
+    return samples + (draws * scale).astype(DTYPE)
 
 
 def run_estimator(
@@ -405,7 +354,8 @@ def run_estimator(
     deviation ``budget.noise_scale`` times its ``noise_range`` entry (a
     ``[T, B]`` array, needed when that scale is positive). Every svs base
     needs a ``baseline``; rows are keyed by ``sample_ids`` (default:
-    positions).
+    positions). No samples, a negative sample id or a negative seed is an
+    ``EstimatorError``, raised before any forward call.
     """
     if tag not in ESTIMATOR_TAGS:
         raise EstimatorError(f"unknown estimator tag {tag!r}")
@@ -418,23 +368,39 @@ def run_estimator(
     if noise_range is not None:
         noise_range = np.asarray(noise_range, dtype=DTYPE)
     _check_inputs(model, samples, baseline, groups, noise_range)
+    if len(samples) == 0:
+        raise EstimatorError("samples must hold at least one sample")
     ids = tuple(range(len(samples)) if sample_ids is None else map(int, sample_ids))
     if len(ids) != len(samples):
         raise EstimatorError("sample_ids length must match samples")
-    classes = _predicted_classes(model, samples)
-    stderr = None
+    if min(ids) < 0:
+        raise EstimatorError(f"sample_ids must not be negative, got {min(ids)}")
+    seed = int(seed)
+    if seed < 0:
+        raise EstimatorError(f"seed must not be negative, got {seed}")
+    scale = None
+    if kind and budget.noise_scale > 0:
+        if noise_range is None:
+            raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
+        scale = (budget.noise_scale * noise_range).astype(np.float64)
+    classes = _predicted_classes(model, samples)  # fixed across noisy replicas
+
+    def base_rows(xs):
+        if base == "gb":
+            return _gb_rows(model, xs, groups, classes), None
+        return _svs_rows(model, xs, ids, groups, baseline, budget.n_permutations,
+                         seed, classes)
+
     if kind:
-        scores = _ensemble_rows(
-            kind, base, model, samples, ids, groups, baseline, noise_range, budget,
-            seed, classes,
-        )
-    elif base == "gb":
-        scores = _gb_rows(model, samples, groups, classes)
+        replicas = np.stack([
+            base_rows(_noised(samples, ids, scale, seed, r))[0].astype(np.float64)
+            for r in range(budget.ensemble_size)
+        ])
+        reduced = (np.mean(replicas * replicas, axis=0) if kind == "sgs"
+                   else np.var(replicas, axis=0))
+        scores, stderr = reduced.astype(DTYPE), None
     else:
-        scores, stderr = _svs_rows(
-            model, samples, ids, groups, baseline, budget.n_permutations, seed,
-            classes,
-        )
+        scores, stderr = base_rows(samples)
     return AttributionMatrix(
         sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
         scores=scores, estimator_tag=tag, stderr=stderr,

@@ -4,7 +4,7 @@ Every command reads one JSON run config (`--config`), optionally
 overridden by `--out` and `--seed`, and persists the defaults-filled
 effective config next to its outputs so the run can be reproduced from
 that file alone. Exit codes: 0 success, 2 config error, 3 runtime
-failure (partial outputs are suffixed `.partial`).
+failure (partial outputs, suffixed `.partial`, stay until the plan completes).
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ def _selection_rows(report: SelectionReport) -> list[tuple[CandidateResult, str]
 def cmd_select(cfg: RunConfig) -> Path:
     """Train the grid, rank by validation metric, emit the results table."""
     model, report = select_model(cfg.candidates(), _load_splits(cfg),
-                                 section_seed(cfg.seed, "select"),
-                                 include_test_metrics=True)
+                                 section_seed(cfg.seed, "select"))
     out = _ensure_out(cfg)
 
     write_json(out / "selection.json", encode(report))
@@ -161,6 +160,8 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
                     save_curve_csv(exc.partial_curve, out / f"{slug}.curve.csv.partial")
                 raise RoarAborted(f"{slug}: {exc}", exc.partial_curve) from exc
             save_curve(curve, curve_path)
+            for kind in ("json", "csv"):  # an earlier abort's, now superseded
+                (out / f"{slug}.curve.{kind}.partial").unlink(missing_ok=True)
         save_curve_csv(curve, csv_path)
         save_chart(curve_chart(curve, title=slug.replace("_", " ")), svg_path)
         written.extend([curve_path, csv_path, svg_path])

@@ -102,6 +102,13 @@ class Model:
     def forward(self, x, masks=None):
         return self.graph.forward(x, masks=masks)
 
+    def infer(self, x: np.ndarray, rows: int) -> np.ndarray:
+        """Evaluation-mode output over ``x``, forwarded in calls of at most
+        ``rows`` rows; call sizes matter, since the last bits of a row can
+        depend on them."""
+        return np.concatenate([self.graph.forward(x[start:start + rows])
+                               for start in range(0, len(x), rows)])
+
     @property
     def n_params(self) -> int:
         return sum(p.size for p in self.graph.params.values())

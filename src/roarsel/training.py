@@ -208,11 +208,7 @@ def split_loss(model: Model, split: TensorDataset, batch_size: int = 256) -> flo
 
 def predict(model: Model, split: TensorDataset, batch_size: int = 256) -> np.ndarray:
     """Class labels (classification) or point predictions (regression)."""
-    outs = []
-    for start in range(0, split.n_samples, batch_size):
-        out = model.forward(split.values[start:start + batch_size])
-        outs.append(out)
-    out = np.concatenate(outs, axis=0)
+    out = model.infer(split.values, batch_size)
     if model.task is Task.CLASSIFICATION:
         return out.argmax(axis=1)
     return out.reshape(-1)
@@ -261,15 +257,14 @@ def select_model(
     grid: Sequence[tuple[ModelSpec, TrainConfig]],
     splits: SplitTriple,
     seed: int,
-    include_test_metrics: bool = True,
 ) -> tuple[Model, SelectionReport]:
     """Train every candidate and pick the best validation metric.
 
     Candidates train one after another, each built and trained from
     ``seed``. Ties keep the earlier grid index. Per-candidate training
     errors are recorded and the grid continues; all candidates failing is
-    an error. The test split is consulted only after ranking, and only when
-    ``include_test_metrics`` is set; it never influences the ranking.
+    an error. The test split is consulted only after ranking, so it never
+    influences the ranking.
     """
     if not grid:
         raise TrainingError("empty selection grid")
@@ -292,15 +287,11 @@ def select_model(
         ))
     # stable sort keeps the earlier grid index on metric ties
     ranked = sorted(ok, key=lambda c: -c.val_metric) + failed
+    for c in ok:
+        c.test_metric = evaluate(models[c.index], splits.test).value
     best = ranked[0]
-    test_metric = None
-    if include_test_metrics:
-        for c in ranked:
-            if c.error is None:
-                c.test_metric = evaluate(models[c.index], splits.test).value
-        test_metric = ranked[0].test_metric
     report = SelectionReport(
-        ranking=ranked, best_index=best.index, test_metric=test_metric
+        ranking=ranked, best_index=best.index, test_metric=best.test_metric
     )
     return models[best.index], report
 

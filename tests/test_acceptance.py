@@ -200,7 +200,7 @@ def test_sampled_shapley_matches_exact_enumeration():
         r = np.random.default_rng(42)
         samples = r.standard_normal((6, 2, 5)).astype(DTYPE)
         baseline = np.zeros((2, 5), dtype=DTYPE)
-        groups = feature_groups((2, 5), GroupingAxis.BY_BAND)
+        groups = feature_groups(grid_schema(2, 5), GroupingAxis.BY_BAND)
         budget = ExplainBudget(n_samples=6, n_permutations=4096)
         m = run_estimator("svs", model, samples, groups, budget, seed=77,
                           baseline=baseline)
@@ -216,7 +216,7 @@ def test_sampled_shapley_matches_exact_enumeration():
 def test_exact_shapley_satisfies_efficiency():
     with criterion("criterion 3: exact Shapley scores sum to the prediction "
                    "gap against the baseline within 1e-4"):
-        groups = feature_groups((2, 5), GroupingAxis.BY_BAND)
+        groups = feature_groups(grid_schema(2, 5), GroupingAxis.BY_BAND)
         r = np.random.default_rng(8)
         baseline = (0.1 * r.standard_normal((2, 5))).astype(DTYPE)
 
@@ -273,7 +273,7 @@ def test_zero_noise_ensembles_collapse():
         r = np.random.default_rng(11)
         samples = r.standard_normal((4, 2, 5)).astype(DTYPE)
         baseline = np.zeros((2, 5), dtype=DTYPE)
-        groups = feature_groups((2, 5), GroupingAxis.BY_BAND)
+        groups = feature_groups(grid_schema(2, 5), GroupingAxis.BY_BAND)
         budget = ExplainBudget(n_samples=4, n_permutations=16,
                                ensemble_size=3, noise_scale=0.0)
         for base, kwargs in (("svs", {"baseline": baseline}), ("gb", {})):

@@ -22,7 +22,7 @@ from roarsel.engine import DTYPE, Graph
 from roarsel.errors import EstimatorError
 from roarsel.models import Architecture, Model, ModelSpec, build
 
-from conftest import cell_groups, exact_shapley, make_dataset
+from conftest import cell_groups, exact_shapley, grid_schema, make_dataset
 
 # a schema's task and class count
 REG = (Task.REGRESSION, None)
@@ -62,7 +62,12 @@ def budget(**kw) -> ExplainBudget:
 
 
 def by_band(model: Model):
-    return feature_groups(model.graph.input_shape, GroupingAxis.BY_BAND)
+    return feature_groups(grid_schema(*model.graph.input_shape), GroupingAxis.BY_BAND)
+
+
+def by_step(model: Model):
+    return feature_groups(grid_schema(*model.graph.input_shape),
+                          GroupingAxis.BY_TIMESTEP)
 
 
 # -- grouping ----------------------------------------------------------------
@@ -89,7 +94,7 @@ def test_band_groups_keep_stable_ids_after_deletion():
 
 
 def test_feature_groups_reject_a_mask_that_is_not_a_partition():
-    good = feature_groups((2, 3), GroupingAxis.BY_BAND)
+    good = feature_groups(grid_schema(2, 3), GroupingAxis.BY_BAND)
     overlap = good.mask.copy()
     overlap[0, 0, 1] = True
     uncovered = good.mask.copy()
@@ -118,10 +123,8 @@ def test_svs_single_group_gets_full_difference():
     # both cells in one group: score = f(x) - f(baseline) = 5
     model = linear_model([2.0, 3.0])
     x = np.ones((1, 1, 2), dtype=DTYPE)
-    m = run_estimator("svs", model, x,
-                      feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
-                      budget(n_permutations=8), seed=0,
-                      baseline=np.zeros((1, 2), dtype=DTYPE))
+    m = run_estimator("svs", model, x, by_step(model), budget(n_permutations=8),
+                      seed=0, baseline=np.zeros((1, 2), dtype=DTYPE))
     assert m.scores.shape == (1, 1)
     assert m.scores[0, 0] == pytest.approx(5.0, abs=1e-6)
 
@@ -195,7 +198,7 @@ def test_svs_blocks_match_the_per_sample_reference(
     if block_rows is not None:
         monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", block_rows)
     model = small_mlp(head=head, t=t, b=b, seed=4)
-    groups = feature_groups((t, b), axis)
+    groups = feature_groups(grid_schema(t, b), axis)
     p = 8
     per_block = max(1, attribution._SVS_BLOCK_ROWS // (p * (groups.n_groups + 1)))
     n = 3 * per_block + per_block // 2 + 1
@@ -231,9 +234,7 @@ def test_exact_shapley_linear_closed_form():
 def test_exact_shapley_symmetry_axiom():
     model = symmetric_model()
     x = np.full((2, 1), 0.7, dtype=DTYPE)
-    scores = exact_shapley(model, x,
-                           feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
-                           np.zeros((2, 1), dtype=DTYPE))
+    scores = exact_shapley(model, x, by_step(model), np.zeros((2, 1), dtype=DTYPE))
     assert scores[0] == pytest.approx(scores[1], abs=1e-6)
 
 
@@ -309,9 +310,7 @@ def test_gb_constant_band_scores_zero():
 def test_gb_identical_samples_identical_rows():
     model = small_mlp(head=CLS, seed=7)
     x = np.tile(np.random.default_rng(1).normal(size=(1, 2, 3)).astype(DTYPE), (5, 1, 1))
-    m = run_estimator("gb", model, x,
-                      feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
-                      budget(), seed=0)
+    m = run_estimator("gb", model, x, by_step(model), budget(), seed=0)
     for row in m.scores[1:]:
         np.testing.assert_array_equal(row, m.scores[0])
 
@@ -319,11 +318,8 @@ def test_gb_identical_samples_identical_rows():
 def test_gb_group_scores_sum_cells():
     model = linear_model([1.0, 2.0])
     x = np.ones((1, 1, 2), dtype=DTYPE)
-    by_step = run_estimator(  # single group
-        "gb", model, x, feature_groups(model.graph.input_shape, GroupingAxis.BY_TIMESTEP),
-        budget(), seed=0,
-    )
-    assert by_step.scores[0, 0] == pytest.approx(3.0, abs=1e-6)
+    one_group = run_estimator("gb", model, x, by_step(model), budget(), seed=0)
+    assert one_group.scores[0, 0] == pytest.approx(3.0, abs=1e-6)
 
 
 # -- ensembles ---------------------------------------------------------------
@@ -387,6 +383,34 @@ def test_noisy_ensembles_nonnegative_and_deterministic():
         c = run_estimator(tag, model, samples, by_band(model), loud, seed=5,
                           noise_range=span)
         assert a.scores.tobytes() != c.scores.tobytes()
+
+
+@pytest.mark.parametrize("head", [REG, CLS])
+@pytest.mark.parametrize("tag", ["sgs-svs", "vargrad-svs"])
+def test_noisy_svs_ensembles_are_per_sample(tag, head, monkeypatch):
+    """Each sample's replicas draw from its own (seed, id, replica) streams,
+    so its row does not depend on the other samples explained with it."""
+    monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", 100)
+    model = small_mlp(head=head, seed=4)
+    groups = by_band(model)
+    p = 8
+    per_block = attribution._SVS_BLOCK_ROWS // (p * (groups.n_groups + 1))
+    n = 2 * per_block + 2
+    r = np.random.default_rng(7)
+    x = r.normal(size=(n, 2, 3)).astype(DTYPE)
+    base = r.normal(size=(2, 3)).astype(DTYPE)
+    span = np.abs(r.normal(size=(2, 3))).astype(DTYPE)
+    ids = [500 + 2 * i for i in range(n)]
+    loud = budget(n_permutations=p, ensemble_size=3, noise_scale=0.2)
+
+    def run(part):
+        return run_estimator(tag, model, x[part], groups, loud, seed=9, baseline=base,
+                             noise_range=span, sample_ids=ids[part]).scores
+
+    full = run(slice(None))
+    assert run(slice(None)).tobytes() == full.tobytes()
+    part = slice(per_block - 1, per_block + 2)
+    assert run(part).tobytes() == full[part].tobytes()
 
 
 def test_noisy_ensemble_requires_a_noise_range():
@@ -494,6 +518,27 @@ def test_svs_requires_baseline_via_dispatch():
                       budget(n_permutations=4), seed=0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(n=0), "samples must hold at least one sample"),
+    (dict(ids=[3, -4]), "sample_ids must not be negative, got -4"),
+    (dict(seed=-1), "seed must not be negative, got -1"),
+], ids=["no-samples", "negative-id", "negative-seed"])
+@pytest.mark.parametrize("head", [REG, CLS])
+@pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
+def test_bad_input_is_named_before_any_forward(tag, head, bad, message, monkeypatch):
+    model = small_mlp(head=head)
+
+    def forward(*args, **kwargs):
+        raise AssertionError("forward ran before the inputs were checked")
+
+    monkeypatch.setattr(model.graph, "forward", forward)
+    x = np.zeros((bad.get("n", 2), 2, 3), dtype=DTYPE)
+    cells = np.ones((2, 3), dtype=DTYPE)
+    with pytest.raises(EstimatorError, match=message):
+        run_estimator(tag, model, x, by_band(model), budget(), seed=bad.get("seed", 0),
+                      baseline=cells, noise_range=cells, sample_ids=bad.get("ids"))
+
+
 def test_shape_mismatch_rejected():
     model = small_mlp()
     bad = np.zeros((2, 3, 4), dtype=DTYPE)
@@ -506,7 +551,7 @@ def test_shape_mismatch_rejected():
 
 def test_groups_over_another_grid_rejected():
     model = small_mlp()  # input (2, 3)
-    other = feature_groups((3, 2), GroupingAxis.BY_BAND)
+    other = feature_groups(grid_schema(3, 2), GroupingAxis.BY_BAND)
     x = np.zeros((1, 2, 3), dtype=DTYPE)
     with pytest.raises(EstimatorError, match="groups over"):
         run_estimator("gb", model, x, other, budget(), seed=0)

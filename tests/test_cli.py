@@ -7,12 +7,13 @@ from types import SimpleNamespace
 import pytest
 from conftest import fab_curve
 
-from roarsel import cli
+from roarsel import cli, roar
 from roarsel.cli import _selection_rows, cmd_report, main
 from roarsel.config import section_seed
 from roarsel.data import load_dataset
-from roarsel.errors import RoarAborted
+from roarsel.errors import RoarAborted, TrainingDiverged
 from roarsel.models import Architecture
+from roarsel.attribution import ESTIMATOR_TAGS
 from roarsel.roar import DeletionOrder, save_curve
 from roarsel.training import CandidateResult, SelectionReport
 
@@ -348,6 +349,50 @@ def test_roar_abort_labels_partial_outputs(workspace, tmp_path, monkeypatch, cap
     assert (out / "svs_least_first_by_band.curve.json.partial").exists()
     assert (out / "svs_least_first_by_band.curve.csv.partial").exists()
     assert not (out / "svs_least_first_by_band.curve.json").exists()
+
+
+def test_completed_plan_removes_its_stale_partials(workspace, tmp_path, monkeypatch):
+    """Partials from an aborted run go once the plan next completes, so none
+    disagrees with the complete curve and effective.json beside it."""
+    trained = []
+
+    def diverge_in_cycle_2(*args, **kwargs):
+        trained.append(None)
+        if len(trained) == 3:  # cycles 0 and 1 trained
+            raise TrainingDiverged("non-finite training loss")
+        return real(*args, **kwargs)
+
+    real = roar.train
+    monkeypatch.setattr(roar, "train", diverge_in_cycle_2)
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["plans"] = cfg["plans"][:1]
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["roar", "--config", str(p)]) == 3
+    slug = tmp_path / "out" / "svs_least_first_by_band"
+    partials = [Path(f"{slug}.curve.json.partial"), Path(f"{slug}.curve.csv.partial")]
+    assert all(path.exists() for path in partials)
+    monkeypatch.setattr(roar, "train", real)
+    assert main(["roar", "--config", str(p)]) == 0
+    assert not any(path.exists() for path in partials)
+    for suffix in (".curve.json", ".curve.csv", ".svg"):
+        assert Path(f"{slug}{suffix}").exists()
+
+
+def test_every_tag_reruns_byte_identical_from_the_echoed_config(workspace, tmp_path):
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "first")
+    cfg["plans"] = [{"axis": "by_band", "order": "least_first", "estimator_tag": tag}
+                    for tag in ESTIMATOR_TAGS]
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["roar", "--config", str(p)]) == 0
+    echoed = tmp_path / "first" / "effective.json"
+    assert main(["roar", "--config", str(echoed), "--out", str(tmp_path / "again")]) == 0
+    names = [f"{tag}_least_first_by_band{suffix}" for tag in ESTIMATOR_TAGS
+             for suffix in (".curve.json", ".curve.csv", ".svg")]
+    for name in names:
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "again" / name).read_bytes() == first, name
 
 
 def test_out_override_redirects_everything(workspace, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import grid_schema
 
+from roarsel import training
 from roarsel.data import SplitTriple, Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE, Graph
 from roarsel.errors import TrainingDiverged, TrainingError
@@ -311,25 +312,40 @@ def test_all_candidates_failing_is_an_error():
         select_model([(bad, quick_cfg())], splits, seed=0)
 
 
-class _PoisonedSplit:
-    """Stands in for the test split; reading anything but the schema fails."""
+class _GuardedSplit:
+    """Stands in for the test split: reading anything but the schema fails
+    until ``is_open()`` holds."""
 
-    def __init__(self, schema):
-        self.schema = schema
+    def __init__(self, split, is_open):
+        self.schema = split.schema
+        self._split = split
+        self._is_open = is_open
 
     def __getattr__(self, name):
-        raise AssertionError(f"test split was read (attribute {name!r})")
+        if not self._is_open():
+            raise AssertionError(f"test split was read (attribute {name!r}) "
+                                 "before every candidate had trained")
+        return getattr(self._split, name)
 
 
-def test_ranking_never_reads_test_split():
+def test_ranking_never_reads_test_split(monkeypatch):
     base = three_way_splits()
-    splits = SplitTriple(train=base.train, validation=base.validation,
-                         test=_PoisonedSplit(base.train.schema))
     spec = ModelSpec(Architecture.MLP, **SMALL)
     grid = [(spec, quick_cfg()), (spec, quick_cfg())]
-    model, report = select_model(grid, splits, seed=1, include_test_metrics=False)
-    assert report.test_metric is None
+    trained = []
+
+    def counting_train(*args, **kwargs):
+        result = train(*args, **kwargs)
+        trained.append(result)
+        return result
+
+    monkeypatch.setattr(training, "train", counting_train)
+    test = _GuardedSplit(base.test, lambda: len(trained) == len(grid))
+    splits = SplitTriple(train=base.train, validation=base.validation, test=test)
+    model, report = select_model(grid, splits, seed=1)
+    assert len(trained) == len(grid)
     assert report.best_index == 0
+    assert report.test_metric == evaluate(model, base.test).value
 
 
 def test_default_grid_covers_architectures_and_rates():
