@@ -12,19 +12,19 @@ meaningful while data shrinks.
 The explained scalar is the predicted-class logit for classification (labels
 never consulted) and the model output for regression.
 
-Every tag runs as a loop over replicas of its base estimator. A plain tag
-is one noise-free replica. An ``sgs-`` or ``vargrad-`` tag runs R noised
-replicas and reduces them per entry, by the mean square or by the variance.
+``run_estimator`` is one loop over blocks of samples, with the replicas of
+the base estimator inside each block: a plain tag is one noise-free replica,
+and an ``sgs-`` or ``vargrad-`` tag runs R noised ones and reduces them per
+entry by the mean square or the variance. A Shapley block's permutation plan
+reads no input value, so its replicas share it. Blocks keep the forward-call
+sizes that a row's last bits depend on.
 
-Determinism: every sample owns an RNG stream keyed by (seed, sample id), so
-results are independent of batching or scheduling. Shapley sampling builds
-composites a block of samples at a time, but each sample still draws from its
-own stream and gets its own forward call of unchanged shape, so its row does
-not depend on the block size or on the batch order. Replica r noises each
-sample from a stream keyed by (seed, sample id, r) while the base estimator
-keeps the sample's own stream; with zero noise every replica therefore
-reproduces the base attribution exactly, which is what the collapse
-properties assert.
+Determinism: each sample draws its permutations from a stream keyed by
+(seed, sample id), and replica r noises it from one keyed by (seed, sample id,
+r). A Shapley row also gets its own forward call, so it depends on neither the
+block size nor the batch order; a guided-backprop block is one forward call.
+With zero noise every replica reproduces the base attribution exactly, which
+is what the collapse properties assert.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .codec import decode
 from .data import FeatureSchema, Task, TensorDataset
 from .engine import DTYPE
 from .errors import EstimatorError
@@ -78,11 +79,9 @@ class FeatureGroups:
 
 
 def feature_groups(schema: FeatureSchema, axis: GroupingAxis) -> FeatureGroups:
-    """Grouping over a schema's grid; groups carry its stable ids.
-
-    ``axis`` may be given by its value, such as ``"by_band"``.
-    """
-    axis = GroupingAxis(axis)
+    """Grouping over a schema's grid; groups carry its stable ids. ``axis``
+    may be given by its value, such as ``"by_band"``."""
+    axis = decode(GroupingAxis, axis, "axis")
     t, b = schema.n_timesteps, schema.n_bands
     if axis is GroupingAxis.BY_BAND:
         ids = schema.band_ids
@@ -227,88 +226,59 @@ def _check_inputs(
 # Shapley value sampling
 
 
-def _svs_rows(
-    model: Model,
-    samples: np.ndarray,
-    ids: tuple[int, ...],
-    groups: FeatureGroups,
-    baseline: np.ndarray,
-    n_permutations: int,
-    seed: int,
-    classes: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample (scores, stderr) over group marginal contributions.
-
-    Composites are built and marginals post-processed for a block of samples
-    at a time (about ``_SVS_BLOCK_ROWS`` composite rows). Each sample still
-    draws its permutations from its own RNG keyed by (seed, sample id) and
-    gets its own forward call over its own P*(G+1) rows, with its explained
-    class fixed by ``classes``, so results do not depend on the block size.
-    """
+def _svs_plan(ids: tuple[int, ...], groups: FeatureGroups, n_permutations: int,
+              seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's permutation plan, which reads no input value: ``pos``
+    [n, P, G], each group's position in each of a sample's P permutations,
+    drawn from the sample's (seed, sample id) stream, and ``on``
+    [n, P, G+1, T*B], the cells that composite k of permutation j takes from
+    the sample (those whose group lies at a position below k)."""
     g = groups.n_groups
-    p = n_permutations
-    n = len(samples)
-    rows = p * (g + 1)
-    per_block = max(1, _SVS_BLOCK_ROWS // rows)
-    cell_group = groups.cell_group
-    order = np.tile(np.arange(g), (p, 1))
-    prefix = np.arange(g + 1)[:, None]  # prefix k: groups at positions < k
-    flat = samples.reshape(n, 1, 1, -1)
-    flat_base = baseline.reshape(-1)
-    scores = np.empty((n, g), dtype=DTYPE)
-    stderr = np.zeros_like(scores)
-    for lo in range(0, n, per_block):
-        hi = min(lo + per_block, n)
-        perms = np.stack([
-            np.random.default_rng(np.random.SeedSequence([int(seed), int(sid)]))
-            .permuted(order, axis=1)
-            for sid in ids[lo:hi]
-        ])  # [n_block, P, G]
-        pos = np.argsort(perms, axis=2)  # pos[i, j, grp] = index of grp in perm j
+    order = np.tile(np.arange(g), (n_permutations, 1))
+    perms = np.stack([
+        np.random.default_rng(np.random.SeedSequence([seed, sid]))
+        .permuted(order, axis=1)
+        for sid in ids
+    ])
+    pos = np.argsort(perms, axis=2)
+    # C order, or the broadcast picks a layout that reshape must copy.
+    on = np.less(pos[..., groups.cell_group][:, :, None, :],
+                 np.arange(g + 1)[:, None], order="C")
+    return pos, on
 
-        # on[i, j, k, cell]: the cell's group lies in the k-th prefix of perm j.
-        # C order, or the broadcast picks a layout that reshape must copy.
-        on = np.less(pos[..., cell_group][:, :, None, :], prefix, order="C")
-        composites = np.where(on, flat[lo:hi], flat_base).reshape(
-            hi - lo, rows, *samples.shape[1:]
-        )
-        values = np.stack([
-            _scalar_batch(model, x, None if classes is None else int(classes[i]))
-            for i, x in enumerate(composites, start=lo)
-        ]).reshape(hi - lo, p, g + 1)
-        marginals_by_step = np.diff(values, axis=2)  # in permutation order
-        marginals = np.take_along_axis(marginals_by_step, pos, axis=2)  # by group
 
-        scores[lo:hi] = marginals.mean(axis=1)
-        if p > 1:
-            stderr[lo:hi] = marginals.std(axis=1, ddof=1) / math.sqrt(p)
-    return scores, stderr
+def _svs_rows(model: Model, xs: np.ndarray, plan: tuple[np.ndarray, np.ndarray],
+              baseline: np.ndarray,
+              classes: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample (scores, stderr) of the group marginal contributions along
+    the plan's permutations. Each sample gets its own forward call over its
+    P*(G+1) composites, so its row does not depend on the rest of the block."""
+    pos, on = plan
+    n, p, g = pos.shape
+    composites = np.where(on, xs.reshape(n, 1, 1, -1), baseline.reshape(-1))
+    composites = composites.reshape(n, p * (g + 1), *xs.shape[1:])
+    values = np.stack([
+        _scalar_batch(model, x, None if classes is None else classes[i])
+        for i, x in enumerate(composites)
+    ]).reshape(n, p, g + 1)
+    marginals = np.take_along_axis(np.diff(values, axis=2), pos, axis=2)  # by group
+    stderr = (marginals.std(axis=1, ddof=1) / math.sqrt(p) if p > 1
+              else np.zeros((n, g)))
+    return marginals.mean(axis=1).astype(DTYPE), stderr.astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
 # guided backprop
 
 
-def _gb_rows(
-    model: Model,
-    samples: np.ndarray,
-    groups: FeatureGroups,
-    class_idx: Optional[np.ndarray],
-) -> np.ndarray:
-    """Signed group sums of the guided input gradient, chunked over samples."""
+def _gb_rows(model: Model, xs: np.ndarray, groups: FeatureGroups,
+             classes: Optional[np.ndarray]) -> np.ndarray:
+    """Signed group sums of the guided input gradient, from one forward pass
+    and one guided backward over ``xs``."""
+    model.forward(xs)
+    grad = model.graph.backward_guided(0 if classes is None else classes)
     masks = groups.mask.reshape(groups.n_groups, -1).astype(np.float64)
-    rows = []
-    for start in range(0, len(samples), _FORWARD_CHUNK):
-        chunk = samples[start:start + _FORWARD_CHUNK]
-        model.forward(chunk)
-        if class_idx is None:
-            selector = 0
-        else:
-            selector = class_idx[start:start + _FORWARD_CHUNK]
-        grad = model.graph.backward_guided(selector)
-        flat = grad.reshape(len(chunk), -1).astype(np.float64)
-        rows.append(flat @ masks.T)
-    return np.concatenate(rows).astype(DTYPE)
+    return (grad.reshape(len(xs), -1).astype(np.float64) @ masks.T).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +298,18 @@ def _noised(samples: np.ndarray, ids: tuple[int, ...], scale: Optional[np.ndarra
         for sid in ids
     ])
     return samples + (draws * scale).astype(DTYPE)
+
+
+def _reduced(kind: str, replicas: list[tuple[np.ndarray, object]]) -> np.ndarray:
+    """The mean square (``sgs``) or the variance (``vargrad``) of the float32
+    replica scores, in float64. Replicas are added in turn, as NumPy reduces a
+    stack of more than one entry, so a row's bytes never depend on its block."""
+    reps = [rows.astype(np.float64) for rows, _ in replicas]
+    if kind == "vargrad":
+        mean = sum(reps[1:], reps[0]) / len(reps)
+        reps = [r - mean for r in reps]
+    squares = [r * r for r in reps]
+    return sum(squares[1:], squares[0]) / len(reps)
 
 
 def run_estimator(
@@ -384,23 +366,24 @@ def run_estimator(
             raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
         scale = (budget.noise_scale * noise_range).astype(np.float64)
     classes = _predicted_classes(model, samples)  # fixed across noisy replicas
-
-    def base_rows(xs):
+    p = budget.n_permutations
+    per_block = (_FORWARD_CHUNK if base == "gb"
+                 else max(1, _SVS_BLOCK_ROWS // (p * (groups.n_groups + 1))))
+    scores = np.empty((len(ids), groups.n_groups), dtype=DTYPE)
+    stderr = np.zeros_like(scores) if tag == "svs" else None
+    for lo in range(0, len(ids), per_block):
+        block = slice(lo, lo + per_block)
+        cls = None if classes is None else classes[block]
+        inputs = (_noised(samples[block], ids[block], scale, seed, r)
+                  for r in range(budget.ensemble_size if kind else 1))
         if base == "gb":
-            return _gb_rows(model, xs, groups, classes), None
-        return _svs_rows(model, xs, ids, groups, baseline, budget.n_permutations,
-                         seed, classes)
-
-    if kind:
-        replicas = np.stack([
-            base_rows(_noised(samples, ids, scale, seed, r))[0].astype(np.float64)
-            for r in range(budget.ensemble_size)
-        ])
-        reduced = (np.mean(replicas * replicas, axis=0) if kind == "sgs"
-                   else np.var(replicas, axis=0))
-        scores, stderr = reduced.astype(DTYPE), None
-    else:
-        scores, stderr = base_rows(samples)
+            replicas = [(_gb_rows(model, xs, groups, cls), None) for xs in inputs]
+        else:
+            plan = _svs_plan(ids[block], groups, p, seed)  # shared by the replicas
+            replicas = [_svs_rows(model, xs, plan, baseline, cls) for xs in inputs]
+        scores[block], err = (_reduced(kind, replicas), None) if kind else replicas[0]
+        if stderr is not None:
+            stderr[block] = err
     return AttributionMatrix(
         sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
         scores=scores, estimator_tag=tag, stderr=stderr,

@@ -20,6 +20,8 @@ file is read by the same rules:
   (``config.grid[1].hidden_size must be an integer, got 4.0``), or, for a
   dataclass's own checks, the path of its block
   (``config.train: patience must be smaller than max_epochs``).
+
+``decode_enums`` applies the enum rule to a dataclass built in code.
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ def _fields(cls) -> dict[str, tuple[object, object, object]]:
     hints = typing.get_type_hints(cls)
     return {f.name: (hints[f.name], f.default, f.default_factory)
             for f in dataclasses.fields(cls)}
+
+
+def decode_enums(obj) -> None:
+    """Replace each Enum-annotated field of the frozen dataclass ``obj`` that
+    holds a value by its member, so identity tests on it cannot miss; an
+    unknown value is a ``ConfigError`` that names the field."""
+    for name, (tp, _, _) in _fields(type(obj)).items():
+        if isinstance(tp, type) and issubclass(tp, Enum):
+            object.__setattr__(obj, name, decode(tp, getattr(obj, name), name))
 
 
 # the JSON types a scalar field takes, and how its error reads

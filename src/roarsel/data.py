@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import decode, decode_enums, encode
 from .errors import ConfigError, DatasetError
 
 MAGIC = b"MMTS"
@@ -66,6 +66,7 @@ class FeatureSchema:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        decode_enums(self)
         object.__setattr__(self, "bands", tuple(self.bands))
         object.__setattr__(self, "timesteps", tuple(self.timesteps))
         if self.class_names is not None:

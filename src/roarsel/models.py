@@ -37,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import decode_enums
 from .data import FeatureSchema, Task
 from .engine import DTYPE, Graph
 from .errors import BuildError
@@ -78,6 +79,7 @@ class ModelSpec:
     dropout: float = 0.0
 
     def __post_init__(self):
+        decode_enums(self)
         for name in ("width", "kernel_size", "channels", "dense_size", "hidden_size"):
             value = getattr(self, name)
             if value < 1:

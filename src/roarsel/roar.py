@@ -33,7 +33,7 @@ from .attribution import (
     mean_baseline,
     run_estimator,
 )
-from .codec import decode, encode
+from .codec import decode, decode_enums, encode
 from .data import SplitTriple, delete_bands, delete_timesteps, write_atomic, write_json
 from .errors import ConfigError, CurveError, RoarAborted, RoarselError
 from .models import ModelSpec, resize_for_input
@@ -68,9 +68,7 @@ class DeletionPlan:
     tolerance: float = 0.02
 
     def __post_init__(self):
-        # strings become members, so identity tests on them cannot miss
-        object.__setattr__(self, "axis", decode(GroupingAxis, self.axis, "axis"))
-        object.__setattr__(self, "order", decode(DeletionOrder, self.order, "order"))
+        decode_enums(self)
         if self.estimator_tag not in ESTIMATOR_TAGS:
             raise ConfigError(f"unknown estimator tag {self.estimator_tag!r}")
         if self.k is not None and self.k < 1:

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import decode_enums
 from .data import Task, TensorDataset, default_schema
 from .errors import DatasetError
 from .engine import DTYPE
@@ -36,6 +37,7 @@ class PlantSpec:
     n_years: int = 4
 
     def __post_init__(self):
+        decode_enums(self)
         if min(self.n, self.t, self.b) < 1:
             raise DatasetError("N, T, B must be positive")
         # NumPy refuses an array of more than intp-max bytes; the largest one

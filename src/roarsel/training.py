@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .codec import decode_enums
 from .data import SplitTriple, Task, TensorDataset
 from .errors import BuildError, TrainingDiverged, TrainingError
 from .models import Architecture, Model, ModelSpec, build, dropout_masks
@@ -56,6 +57,7 @@ class MetricValue:
     value: float
 
     def __post_init__(self):
+        decode_enums(self)
         if self.kind is MetricKind.ACCURACY and not 0.0 <= self.value <= 1.0:
             raise TrainingError(f"accuracy out of range: {self.value}")
         if self.kind is MetricKind.R2 and self.value > 1.0 + 1e-6:

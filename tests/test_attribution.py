@@ -423,6 +423,75 @@ def test_noisy_ensemble_requires_a_noise_range():
                       noise_range=span[0])
 
 
+@pytest.mark.parametrize("kind", ["sgs", "vargrad"])
+def test_replica_reduction_does_not_depend_on_the_block(kind):
+    """Entry by entry, the reduction adds replicas in turn, as NumPy reduces a
+    stack of several entries; NumPy adds a lone entry's 15 replicas pairwise."""
+    stack = np.random.default_rng(2).normal(size=(15, 40, 1)).astype(DTYPE)
+    whole = attribution._reduced(kind, [(r, None) for r in stack])
+    wide = stack.astype(np.float64)
+    expected = np.mean(wide * wide, axis=0) if kind == "sgs" else np.var(wide, axis=0)
+    assert whole.tobytes() == expected.tobytes()
+    for i in range(40):
+        alone = attribution._reduced(kind, [(r[i:i + 1], None) for r in stack])
+        assert alone.tobytes() == whole[i:i + 1].tobytes()
+
+
+# -- call sizes and plans ----------------------------------------------------
+
+
+@pytest.mark.parametrize("head", [REG, CLS])
+@pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
+def test_forward_call_sizes(tag, head, monkeypatch):
+    """The rows of every forward call, in order: the last bits of a row depend
+    on the size of the call that computed it."""
+    monkeypatch.setattr(attribution, "_FORWARD_CHUNK", 3)
+    monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", 20)
+    model = small_mlp(head=head)  # T=2, B=3: three band groups
+    sizes = []
+    forward = model.graph.forward
+
+    def counted(x, *args, **kwargs):
+        sizes.append(len(x))
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(model.graph, "forward", counted)
+    x = np.random.default_rng(3).normal(size=(5, 2, 3)).astype(DTYPE)
+    run_estimator(tag, model, x, by_band(model),
+                  budget(n_permutations=2, ensemble_size=2, noise_scale=0.2), seed=1,
+                  baseline=np.zeros((2, 3), DTYPE), noise_range=np.ones((2, 3), DTYPE))
+    replicas = 2 if "-" in tag else 1
+    classes = [3, 2] if head is CLS else []  # predicted once, in chunks
+    if tag.endswith("gb"):  # blocks of _FORWARD_CHUNK samples, replicas inside
+        expected = classes + [3] * replicas + [2] * replicas
+    else:  # each sample's 2 * (3 + 1) composites, in chunks, once per replica
+        expected = classes + [3, 3, 2] * 5 * replicas
+    assert sizes == expected
+
+
+@pytest.mark.parametrize("tag", ["svs", "sgs-svs", "vargrad-svs"])
+def test_each_sample_draws_its_permutations_once_per_call(tag, monkeypatch):
+    """A block's permutation plan is shared by its replicas: one (seed, id)
+    stream per sample and call, and one (seed, id, r) noise stream per replica."""
+    monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", 30)
+    model = small_mlp(seed=2)
+    lengths = []
+    real = np.random.SeedSequence
+
+    def counted(entropy, *args, **kwargs):
+        lengths.append(len(entropy))
+        return real(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    x = np.random.default_rng(4).normal(size=(7, 2, 3)).astype(DTYPE)
+    replicas = 3 if "-" in tag else 0
+    run_estimator(tag, model, x, by_band(model),
+                  budget(n_permutations=2, ensemble_size=3, noise_scale=0.2), seed=5,
+                  baseline=np.zeros((2, 3), DTYPE), noise_range=np.ones((2, 3), DTYPE))
+    assert lengths.count(2) == 7
+    assert lengths.count(3) == 7 * replicas
+
+
 # -- aggregation -------------------------------------------------------------
 
 

@@ -395,6 +395,29 @@ def test_every_tag_reruns_byte_identical_from_the_echoed_config(workspace, tmp_p
         assert (tmp_path / "again" / name).read_bytes() == first, name
 
 
+def test_a_plans_files_do_not_depend_on_the_other_plans(workspace, tmp_path):
+    """A plan writes the same curve, CSV and SVG bytes alone, beside other
+    plans, and with the plan order reversed."""
+    cfg = base_config(workspace.root)
+    plans = [
+        {"axis": "by_band", "order": "least_first", "estimator_tag": "svs"},
+        {"axis": "by_timestep", "order": "most_first", "estimator_tag": "sgs-gb"},
+        {"axis": "by_band", "order": "most_first", "estimator_tag": "vargrad-svs"},
+    ]
+    runs = {"together": plans, "reversed": plans[::-1],
+            **{f"alone{i}": [plan] for i, plan in enumerate(plans)}}
+    for name, subset in runs.items():
+        cfg["out_dir"], cfg["plans"] = str(tmp_path / name), subset
+        assert main(["roar", "--config",
+                     str(write_config(tmp_path / f"{name}.json", cfg))]) == 0
+    for i, plan in enumerate(plans):
+        slug = f"{plan['estimator_tag']}_{plan['order']}_{plan['axis']}"
+        for suffix in (".curve.json", ".curve.csv", ".svg"):
+            alone = (tmp_path / f"alone{i}" / f"{slug}{suffix}").read_bytes()
+            for name in ("together", "reversed"):
+                assert (tmp_path / name / f"{slug}{suffix}").read_bytes() == alone, name
+
+
 def test_out_override_redirects_everything(workspace, tmp_path):
     other = tmp_path / "elsewhere"
     assert main(["roar", "--config", str(workspace.cfg_path),

@@ -8,16 +8,22 @@ import typing
 import pytest
 from conftest import fab_curve
 
-from roarsel.attribution import ExplainBudget, GroupingAxis, ImportanceRanking
+from roarsel.attribution import (
+    ExplainBudget,
+    GroupingAxis,
+    ImportanceRanking,
+    feature_groups,
+)
 from roarsel.codec import decode, encode
 from roarsel.config import CandidateConfig, DatasetConfig, RunConfig, SplitConfig
-from roarsel.data import Band, FeatureSchema, Task, TimeStep
-from roarsel.errors import RoarselError
-from roarsel.models import Architecture
+from roarsel.data import Band, FeatureSchema, Task, TimeStep, default_schema
+from roarsel.errors import ConfigError, RoarselError, TrainingError
+from roarsel.models import Architecture, ModelSpec, build
 from roarsel.roar import CycleRecord, DeletionCurve, DeletionOrder, DeletionPlan
-from roarsel.synthetic import PlantSpec
+from roarsel.synthetic import PlantSpec, generate
 from roarsel.training import (
     CandidateResult,
+    MetricKind,
     MetricValue,
     SelectionReport,
     TrainConfig,
@@ -126,3 +132,46 @@ def test_a_wrong_value_anywhere_is_a_package_error(value):
             RunConfig.from_dict(bad)
         except RoarselError:
             pass
+
+
+# -- enum fields given by their values ---------------------------------------
+
+
+def test_a_model_spec_takes_its_architecture_by_value():
+    schema = default_schema(4, 3, Task.CLASSIFICATION, n_classes=3)
+    for arch in Architecture:
+        model = build(ModelSpec(arch.value, kernel_size=3), schema, 1)
+        assert model.spec.architecture is arch
+        assert model.n_params == build(ModelSpec(arch, kernel_size=3), schema, 1).n_params
+    assert CandidateConfig("gru").architecture is Architecture.GRU
+
+
+def test_a_plant_spec_takes_its_task_by_value():
+    data = generate(PlantSpec(n=40, t=2, b=3, signal_bands=frozenset({1}),
+                              signal_steps=frozenset({0}), task="classification"), 0)
+    assert data.schema.task is Task.CLASSIFICATION
+    assert set(data.targets.tolist()) <= {0, 1}
+
+
+def test_a_feature_schema_takes_its_task_by_value():
+    schema = FeatureSchema(SCHEMA.bands, SCHEMA.timesteps, "classification", 2)
+    assert schema.task is Task.CLASSIFICATION
+    assert schema == dataclasses.replace(SCHEMA, class_names=None)
+
+
+def test_a_metric_value_takes_its_kind_by_value():
+    assert MetricValue("r2", 0.5).kind is MetricKind.R2
+    with pytest.raises(TrainingError, match="accuracy out of range: 5.0"):
+        MetricValue("accuracy", 5.0)
+
+
+def test_an_unknown_architecture_is_a_config_error():
+    with pytest.raises(ConfigError, match="^architecture must be one of mlp, rnn, "
+                       "lstm, gru, tempcnn, got 'nope'$"):
+        ModelSpec("nope")
+
+
+def test_an_unknown_grouping_axis_is_a_config_error():
+    with pytest.raises(ConfigError, match="^axis must be one of by_timestep, by_band, "
+                       "got 'diagonal'$"):
+        feature_groups(SCHEMA, "diagonal")

@@ -1,5 +1,6 @@
 """Deletion campaigns, curve queries, and curve persistence."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import fab_curve, fab_rank, fab_record, fab_report
 from roarsel import roar
 from roarsel.attribution import ExplainBudget, GroupingAxis, cell_span
 from roarsel.codec import decode, encode
-from roarsel.data import split_by_year
+from roarsel.data import SplitTriple, split_by_year
 from roarsel.errors import (
     ConfigError,
     CurveError,
@@ -123,6 +124,30 @@ def test_callback_sees_baseline_and_every_cycle():
     curve = tiny_run(on_cycle=seen.append)
     assert tuple(seen) == curve.all_records()
     assert seen[0].cycle == 0
+
+
+@pytest.mark.parametrize("axis, order, tag", [
+    (GroupingAxis.BY_BAND, DeletionOrder.LEAST_FIRST, "svs"),
+    (GroupingAxis.BY_TIMESTEP, DeletionOrder.MOST_FIRST, "sgs-gb"),
+])
+def test_the_test_split_reaches_only_the_test_metric(axis, order, tag):
+    """With noise for the test split's values and its targets reversed, every
+    curve field but ``test_metric`` keeps its value: no ranking reads it."""
+    splits = tiny_splits()
+    test = splits.test
+    noise = np.random.default_rng(0).normal(scale=3.0, size=test.values.shape)
+    swapped = SplitTriple(splits.train, splits.validation, dataclasses.replace(
+        test, values=noise, targets=test.targets[::-1]))
+    plan = DeletionPlan(axis=axis, order=order, estimator_tag=tag,
+                        budget=ExplainBudget(n_samples=32, n_permutations=8,
+                                             ensemble_size=2, noise_scale=0.2))
+    spec = ModelSpec(Architecture.MLP, width=16)
+    curves = [encode(run_roar(s, spec, tiny_cfg(), plan, seed=3))
+              for s in (splits, swapped)]
+    metrics = [[rec.pop("test_metric") for rec in (c["baseline"], *c["records"])]
+               for c in curves]
+    assert curves[0] == curves[1]
+    assert all(a != b for a, b in zip(*metrics))
 
 
 def test_divergence_at_baseline_aborts_without_partial():
