@@ -4,7 +4,9 @@ Every command reads one JSON run config (`--config`), optionally
 overridden by `--out` and `--seed`, and persists the defaults-filled
 effective config next to its outputs so the run can be reproduced from
 that file alone. Exit codes: 0 success, 2 config error, 3 runtime
-failure (partial outputs, suffixed `.partial`, stay until the plan completes).
+failure. While a plan runs, its curve so far is written after every cycle as
+`.partial` files, which survive a failure or an interrupt and go once the plan
+completes.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
     """Run every configured deletion campaign; one CSV + SVG per plan.
 
     With ``resume``, a plan whose curve file already exists is reused
-    instead of recomputed; reruns are deterministic either way.
+    instead of recomputed; reruns are deterministic either way. A plan
+    that is computed checkpoints its curve so far after every cycle.
     """
     if cfg.model is None:
         raise ConfigError("roar needs a model block")
@@ -147,21 +150,27 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
         curve_path = out / f"{slug}.curve.json"
         csv_path = out / f"{slug}.curve.csv"
         svg_path = out / f"{slug}.svg"
+        partials = (Path(f"{curve_path}.partial"), Path(f"{csv_path}.partial"))
         if resume and curve_path.exists():
             curve = load_curve(curve_path)
             print(f"{slug}: reusing the completed campaign on disk")
         else:
+            # an earlier run's files would disagree with this run's config
+            for path in (curve_path, csv_path, svg_path, *partials):
+                path.unlink(missing_ok=True)
+
+            def checkpoint(so_far):
+                save_curve(so_far, partials[0])
+                save_curve_csv(so_far, partials[1])
+
             try:
                 curve = run_roar(splits, cfg.model, train_cfg, plan,
-                                 seed=section_seed(cfg.seed, "roar"))
+                                 seed=section_seed(cfg.seed, "roar"), on_cycle=checkpoint)
             except RoarAborted as exc:
-                if exc.partial_curve is not None:
-                    save_curve(exc.partial_curve, out / f"{slug}.curve.json.partial")
-                    save_curve_csv(exc.partial_curve, out / f"{slug}.curve.csv.partial")
-                raise RoarAborted(f"{slug}: {exc}", exc.partial_curve) from exc
+                raise RoarAborted(f"{slug}: {exc}") from exc
             save_curve(curve, curve_path)
-            for kind in ("json", "csv"):  # an earlier abort's, now superseded
-                (out / f"{slug}.curve.{kind}.partial").unlink(missing_ok=True)
+            for path in partials:
+                path.unlink()
         save_curve_csv(curve, csv_path)
         save_chart(curve_chart(curve, title=slug.replace("_", " ")), svg_path)
         written.extend([curve_path, csv_path, svg_path])

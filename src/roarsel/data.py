@@ -300,25 +300,13 @@ def load_dataset(path: str | Path) -> TensorDataset:
         raise DatasetError(f"corrupt manifest in {root}: {exc}") from exc
 
     values = read_payload(root / "values.bin", ndim=3, kind="f32")
-    targets = read_payload(root / "targets.bin", ndim=1, kind="f32")
-    years = read_payload(root / "years.bin", ndim=1, kind="u32")
-
-    n, t, b = values.shape
-    if n == 0:
+    if values.shape[0] == 0:
         raise DatasetError("empty dataset")
-    if (t, b) != (schema.n_timesteps, schema.n_bands):
-        raise DatasetError(
-            f"dimension mismatch: payload [{n},{t},{b}] vs manifest "
-            f"(T={schema.n_timesteps}, B={schema.n_bands})"
-        )
-    if targets.shape != (n,) or years.shape != (n,):
-        raise DatasetError("dimension mismatch: targets/years length differs from N")
-    if schema.task is Task.CLASSIFICATION:
-        if not np.all(targets == np.round(targets)):
-            raise DatasetError("classification targets must be integral")
-        targets = targets.astype(np.int64)
     return TensorDataset(
-        schema=schema, values=values, targets=targets, years=years.astype(np.int64)
+        schema=schema,
+        values=values,
+        targets=read_payload(root / "targets.bin", ndim=1, kind="f32"),
+        years=read_payload(root / "years.bin", ndim=1, kind="u32"),
     )
 
 

@@ -40,8 +40,4 @@ class ConfigError(RoarselError):
 
 
 class RoarAborted(RoarselError):
-    """A deletion campaign failed mid-run; carries the partial curve."""
-
-    def __init__(self, message: str, partial_curve=None):
-        super().__init__(message)
-        self.partial_curve = partial_curve
+    """A deletion campaign failed mid-run."""

@@ -14,11 +14,12 @@ step. Its parameters are ``cellL/wx`` [in, k·H], ``cellL/wh`` [H, k·H] and
 the rnn, ``i, f, o, g`` for the lstm and ``z, r, n`` for the gru, where
 ``h' = (1 - z) h + z n`` and ``n = tanh(Wx x + b + r ⊙ (Wh h))``.
 
-``build`` refuses a convolution kernel longer than the input; the resize path
-used between deletion cycles instead clamps the kernel to the new length and
-records a note. Resizing always constructs a fresh model: the retraining
-protocol forbids warm starts, which would leak information about deleted
-features.
+``build`` refuses a convolution kernel longer than its layer's input; the
+resize path used between deletion cycles instead clamps the kernel to that
+length and records a note. An even kernel shortens the series by one step per
+layer, so a later layer can need the clamp when the first does not. Resizing
+always constructs a fresh model: the retraining protocol forbids warm starts,
+which would leak information about deleted features.
 
 All parameters, biases included, draw from a seeded uniform He-style scheme
 U(-sqrt(6/fan_in), +sqrt(6/fan_in)), so two different seeds give models that
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -121,34 +122,28 @@ class Model:
 
 
 def build(spec: ModelSpec, schema: FeatureSchema, seed: int) -> Model:
-    """Seeded construction over the schema's grid; errors when the kernel
-    exceeds the input length."""
-    t = schema.n_timesteps
-    if spec.architecture is Architecture.TEMPCNN and spec.kernel_size > t:
-        raise BuildError(
-            f"kernel {spec.kernel_size} larger than input length {t}"
-        )
-    return _construct(spec, schema, seed, notes=[])
+    """Seeded construction over the schema's grid; errors when a convolution
+    kernel exceeds the length of its layer's input."""
+    return _construct(spec, schema, seed, notes=None)
 
 
 def resize_for_input(spec: ModelSpec, schema: FeatureSchema, seed: int) -> Model:
     """Fresh model for shrunken data; no weight reuse from any prior model.
 
-    A kernel longer than the new length is clamped to it, with a warning and
-    a note on the model for the cycle log.
+    A kernel longer than its layer's input is clamped to that length, with a
+    warning and a note on the model for the cycle log, one per clamp.
     """
-    t = schema.n_timesteps
     notes: list[str] = []
-    if spec.architecture is Architecture.TEMPCNN and spec.kernel_size > t:
-        note = f"kernel clamped from {spec.kernel_size} to {t} for input length {t}"
+    model = _construct(spec, schema, seed, notes)
+    for note in notes:
         warnings.warn(note, stacklevel=2)
-        notes.append(note)
-        spec = replace(spec, kernel_size=t)
-    return _construct(spec, schema, seed, notes=notes)
+    return model
 
 
 def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int,
-               notes: list[str]) -> Model:
+               notes: Optional[list[str]]) -> Model:
+    """The model for ``spec`` over the schema's grid. A kernel that does not
+    fit is a ``BuildError`` when ``notes`` is None, else clamped and noted."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     t, b = schema.n_timesteps, schema.n_bands
     g = Graph(input_shape=(t, b))
@@ -156,11 +151,11 @@ def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int,
     if arch is Architecture.MLP:
         last, fan = _mlp_body(g, spec, t, b, rng)
     elif arch is Architecture.TEMPCNN:
-        last, fan = _tempcnn_body(g, spec, t, b, rng)
+        last, fan = _tempcnn_body(g, spec, t, b, rng, notes)
     else:
         last, fan = _recurrent_body(g, spec, t, b, rng)
     _attach_head(g, schema, last, fan, rng)
-    return Model(spec=spec, graph=g, task=schema.task, notes=notes)
+    return Model(spec=spec, graph=g, task=schema.task, notes=notes or [])
 
 
 def _init(rng, shape, fan_in):
@@ -192,11 +187,16 @@ def _mlp_body(g, spec, t, b, rng):
     return h, fan
 
 
-def _tempcnn_body(g, spec, t, b, rng):
+def _tempcnn_body(g, spec, t, b, rng, notes):
     h = g.input_node
-    length, c_in = t, b
+    length, c_in, k = t, b, spec.kernel_size
     for i in range(spec.resolved_depth):
-        k = min(spec.kernel_size, length)
+        if k > length:
+            if notes is None:
+                raise BuildError(
+                    f"kernel {k} larger than input length {length} at conv{i}")
+            notes.append(f"kernel clamped from {k} to {length} for input length {length}")
+            k = length
         pad = (k - 1) // 2
         w = g.param(f"conv{i}/w", _init(rng, (k, c_in, spec.channels), k * c_in))
         bias = g.param(f"conv{i}/b", _init(rng, (spec.channels,), k * c_in))

@@ -215,48 +215,42 @@ def run_roar(
     cfg: TrainConfig,
     plan: DeletionPlan,
     seed: int,
-    on_cycle: Optional[Callable[[CycleRecord], None]] = None,
+    on_cycle: Optional[Callable[[DeletionCurve], None]] = None,
 ) -> DeletionCurve:
     """Run a deletion campaign until a single group survives.
 
     Each cycle retrains from fresh weights on the shrunken splits, then
     re-explains the retrained model on the same training samples, drawn
     once from ``seed``; the new ranking alone decides the next removal.
-    Deterministic for a given seed. Any package error inside a cycle
-    (training divergence, constant targets, an estimator failure) aborts
-    the run with ``RoarAborted``, carrying the partial curve.
+    Deterministic for a given seed. After every cycle, ``on_cycle``
+    receives the curve so far, so a caller can checkpoint it; the last
+    such curve is returned. Any package error inside a cycle (training
+    divergence, constant targets, an estimator failure) aborts the run
+    with ``RoarAborted``.
     """
     step = plan.step_size(feature_groups(splits.train.schema, plan.axis).n_groups)
     sample_ids = _explained_ids(splits.train.n_samples, plan.budget.n_samples, seed)
-    baseline: Optional[CycleRecord] = None
-    records: list[CycleRecord] = []
+    records: list[CycleRecord] = []  # records[0] is the baseline
     cur = splits
-    cycle = 0
     removed: tuple[int, ...] = ()
     while True:
+        cycle = len(records)
         try:
             record = _run_cycle(cur, spec, cfg, plan, sample_ids, seed, cycle, removed)
         except RoarselError as exc:
-            partial = None
-            if baseline is not None:
-                partial = DeletionCurve(plan, baseline, tuple(records))
-            raise RoarAborted(f"cycle {cycle} failed: {exc}", partial) from exc
-        if cycle == 0:
-            baseline = record
-        else:
-            records.append(record)
+            raise RoarAborted(f"cycle {cycle} failed: {exc}") from exc
+        records.append(record)
+        curve = DeletionCurve(plan, records[0], tuple(records[1:]))
         if on_cycle is not None:
-            on_cycle(record)
+            on_cycle(curve)
         if record.remaining <= 1:
-            break
+            return curve
         n_del = min(step, record.remaining - 1)
         if plan.order is DeletionOrder.MOST_FIRST:
             removed = record.ranking.top(n_del)
         else:
             removed = record.ranking.bottom(n_del)
         cur = cur.map(lambda d, ids=removed: _DELETE[plan.axis](d, ids))
-        cycle += 1
-    return DeletionCurve(plan=plan, baseline=baseline, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------

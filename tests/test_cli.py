@@ -14,7 +14,8 @@ from roarsel.data import load_dataset
 from roarsel.errors import RoarAborted, TrainingDiverged
 from roarsel.models import Architecture
 from roarsel.attribution import ESTIMATOR_TAGS
-from roarsel.roar import DeletionOrder, save_curve
+from roarsel.codec import encode
+from roarsel.roar import DeletionOrder, curve_csv_text, load_curve, save_curve
 from roarsel.training import CandidateResult, SelectionReport
 
 
@@ -43,7 +44,7 @@ def base_config(root: Path) -> dict:
             {"architecture": "rnn", "hidden_size": 8},
             {"architecture": "lstm", "hidden_size": 8},
             {"architecture": "gru", "hidden_size": 8},
-            {"architecture": "tempcnn", "channels": 6, "kernel_size": 2,
+            {"architecture": "tempcnn", "channels": 6, "kernel_size": 3,
              "dense_size": 12},
         ],
     }
@@ -332,47 +333,88 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, argv, seed):
     assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
 
 
-def test_roar_abort_labels_partial_outputs(workspace, tmp_path, monkeypatch, capsys):
-    partial = fab_curve([0.9, 0.8], [[4]], DeletionOrder.LEAST_FIRST)
-
-    def abort(*args, **kwargs):
-        raise RoarAborted("cycle 2 failed: boom", partial)
-
-    monkeypatch.setattr(cli, "run_roar", abort)
+def _one_plan_config(workspace, tmp_path) -> Path:
     cfg = base_config(workspace.root)
     cfg["out_dir"] = str(tmp_path / "out")
     cfg["plans"] = cfg["plans"][:1]
-    p = write_config(tmp_path / "cfg.json", cfg)
+    return write_config(tmp_path / "cfg.json", cfg)
+
+
+def _fail_in_cycle_2(monkeypatch, error):
+    """Make ``roar.train`` raise ``error`` on its third call, in cycle 2."""
+    real = roar.train
+    trained = []
+
+    def train(*args, **kwargs):
+        trained.append(None)
+        if len(trained) == 3:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(roar, "train", train)
+
+
+def test_roar_abort_labels_partial_outputs(workspace, tmp_path, monkeypatch, capsys):
+    partial = fab_curve([0.9, 0.8], [[4]], DeletionOrder.LEAST_FIRST)
+
+    def abort(*args, on_cycle, **kwargs):
+        on_cycle(partial)
+        raise RoarAborted("cycle 2 failed: boom")
+
+    monkeypatch.setattr(cli, "run_roar", abort)
+    p = _one_plan_config(workspace, tmp_path)
     assert main(["roar", "--config", str(p)]) == 3
-    assert "boom" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: svs_least_first_by_band: cycle 2 failed: boom\n"
     out = tmp_path / "out"
-    assert (out / "svs_least_first_by_band.curve.json.partial").exists()
-    assert (out / "svs_least_first_by_band.curve.csv.partial").exists()
+    saved = load_curve(out / "svs_least_first_by_band.curve.json.partial")
+    assert encode(saved) == encode(partial)
+    assert ((out / "svs_least_first_by_band.curve.csv.partial").read_text()
+            == curve_csv_text(partial))
     assert not (out / "svs_least_first_by_band.curve.json").exists()
+
+
+def test_an_interrupt_keeps_every_finished_cycle(workspace, tmp_path, monkeypatch):
+    """The partial curve is checkpointed after every cycle, so Ctrl-C in
+    cycle 2 leaves cycles 0 and 1 on disk."""
+    p = _one_plan_config(workspace, tmp_path)
+    _fail_in_cycle_2(monkeypatch, KeyboardInterrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["roar", "--config", str(p)])
+    slug = tmp_path / "out" / "svs_least_first_by_band"
+    partial = load_curve(f"{slug}.curve.json.partial")
+    assert [rec.cycle for rec in partial.all_records()] == [0, 1]
+    assert Path(f"{slug}.curve.csv.partial").read_text() == curve_csv_text(partial)
+    assert not Path(f"{slug}.curve.json").exists()
+
+
+def test_a_recomputed_plan_drops_its_earlier_complete_curve(workspace, tmp_path,
+                                                            monkeypatch, capsys):
+    """A run that diverges after an earlier success must not leave the old
+    curve for --resume to reuse."""
+    p = _one_plan_config(workspace, tmp_path)
+    assert main(["roar", "--config", str(p)]) == 0
+    slug = tmp_path / "out" / "svs_least_first_by_band"
+    with monkeypatch.context() as patch:
+        _fail_in_cycle_2(patch, TrainingDiverged("non-finite training loss"))
+        assert main(["roar", "--config", str(p)]) == 3
+    for suffix in (".curve.json", ".curve.csv", ".svg"):
+        assert not Path(f"{slug}{suffix}").exists()
+    capsys.readouterr()
+    assert main(["roar", "--config", str(p), "--resume"]) == 0
+    assert "reusing" not in capsys.readouterr().out
+    assert Path(f"{slug}.curve.json").exists()
 
 
 def test_completed_plan_removes_its_stale_partials(workspace, tmp_path, monkeypatch):
     """Partials from an aborted run go once the plan next completes, so none
     disagrees with the complete curve and effective.json beside it."""
-    trained = []
-
-    def diverge_in_cycle_2(*args, **kwargs):
-        trained.append(None)
-        if len(trained) == 3:  # cycles 0 and 1 trained
-            raise TrainingDiverged("non-finite training loss")
-        return real(*args, **kwargs)
-
-    real = roar.train
-    monkeypatch.setattr(roar, "train", diverge_in_cycle_2)
-    cfg = base_config(workspace.root)
-    cfg["out_dir"] = str(tmp_path / "out")
-    cfg["plans"] = cfg["plans"][:1]
-    p = write_config(tmp_path / "cfg.json", cfg)
-    assert main(["roar", "--config", str(p)]) == 3
+    p = _one_plan_config(workspace, tmp_path)
+    with monkeypatch.context() as patch:
+        _fail_in_cycle_2(patch, TrainingDiverged("non-finite training loss"))
+        assert main(["roar", "--config", str(p)]) == 3
     slug = tmp_path / "out" / "svs_least_first_by_band"
     partials = [Path(f"{slug}.curve.json.partial"), Path(f"{slug}.curve.csv.partial")]
     assert all(path.exists() for path in partials)
-    monkeypatch.setattr(roar, "train", real)
     assert main(["roar", "--config", str(p)]) == 0
     assert not any(path.exists() for path in partials)
     for suffix in (".curve.json", ".curve.csv", ".svg"):

@@ -105,6 +105,19 @@ def test_resize_clamps_kernel_with_warning():
     assert m.forward(batch(3, 4)).shape == (3, 4)
 
 
+def test_an_even_kernel_is_fitted_at_every_layer():
+    """Kernel 4 fits T=4, but its padding of 1 leaves 3 steps for conv1."""
+    spec = ModelSpec(Architecture.TEMPCNN, kernel_size=4, channels=3, dense_size=4)
+    schema = grid_schema(4, 2)
+    with pytest.raises(BuildError, match="kernel 4 larger than input length 3 at conv1"):
+        build(spec, schema, 0)
+    with pytest.warns(UserWarning, match="kernel clamped from 4 to 3"):
+        m = resize_for_input(spec, schema, 0)
+    assert m.notes == ["kernel clamped from 4 to 3 for input length 3"]
+    assert [m.graph.params[f"conv{i}/w"].shape[0] for i in range(3)] == [4, 3, 3]
+    assert m.forward(batch(4, 2)).shape == (3, 1)
+
+
 def test_resize_handles_single_step_input():
     spec = ModelSpec(Architecture.TEMPCNN, **SMALL)
     with pytest.warns(UserWarning):

@@ -120,10 +120,14 @@ def test_k2_last_cycle_removes_fewer():
 
 
 def test_callback_sees_baseline_and_every_cycle():
+    """After each cycle the hook gets the curve so far; the last one is the
+    returned curve."""
     seen = []
     curve = tiny_run(on_cycle=seen.append)
-    assert tuple(seen) == curve.all_records()
-    assert seen[0].cycle == 0
+    assert seen[-1] is curve
+    assert [c.all_records() for c in seen] == [
+        curve.all_records()[:n] for n in range(1, len(curve.all_records()) + 1)]
+    assert seen[0].baseline.cycle == 0 and seen[0].records == ()
 
 
 @pytest.mark.parametrize("axis, order, tag", [
@@ -150,21 +154,66 @@ def test_the_test_split_reaches_only_the_test_metric(axis, order, tag):
     assert all(a != b for a, b in zip(*metrics))
 
 
+def _relabelled(schema):
+    """Bands 10, 20, … and steps 3, 7, …, in their original order."""
+    return dataclasses.replace(
+        schema,
+        bands=tuple(dataclasses.replace(band, id=10 * (i + 1))
+                    for i, band in enumerate(schema.bands)),
+        timesteps=tuple(dataclasses.replace(step, id=3 + 4 * i)
+                        for i, step in enumerate(schema.timesteps)))
+
+
+@pytest.mark.parametrize("axis, order, tag", [
+    (GroupingAxis.BY_BAND, DeletionOrder.LEAST_FIRST, "svs"),
+    (GroupingAxis.BY_TIMESTEP, DeletionOrder.MOST_FIRST, "sgs-gb"),
+])
+def test_relabelled_ids_give_the_same_curve_with_the_ids_mapped(axis, order, tag):
+    """Order-preserving, non-contiguous ids change nothing but the ids. Bands
+    0 and 4 are all zeros, so their Shapley scores tie and the tie-break
+    decides a removal."""
+    def zero_bands(d):
+        values = d.values.copy()
+        values[:, :, [0, 4]] = 0.0
+        return dataclasses.replace(d, values=values)
+
+    splits = planted_splits(n=160, t=4, b=5, bands=(1,), noise=0.5).map(zero_bands)
+    relabelled = splits.map(lambda d: dataclasses.replace(d, schema=_relabelled(d.schema)))
+    plan = DeletionPlan(axis=axis, order=order, estimator_tag=tag,
+                        budget=ExplainBudget(n_samples=32, n_permutations=8,
+                                             ensemble_size=2, noise_scale=0.2))
+    spec = ModelSpec(Architecture.MLP, width=16)
+    curve, got = (run_roar(s, spec, tiny_cfg(), plan, seed=3) for s in (splits, relabelled))
+    old_ids = roar.feature_groups(splits.train.schema, axis).ids
+    new_id = dict(zip(old_ids, roar.feature_groups(relabelled.train.schema, axis).ids))
+
+    def mapped(rec):
+        ranking = dataclasses.replace(
+            rec.ranking, group_ids=tuple(new_id[g] for g in rec.ranking.group_ids))
+        return dataclasses.replace(
+            rec, removed_ids=tuple(new_id[g] for g in rec.removed_ids), ranking=ranking)
+
+    expected = DeletionCurve(plan, mapped(curve.baseline), tuple(map(mapped, curve.records)))
+    assert encode(got) == encode(expected)
+
+
 def test_divergence_at_baseline_aborts_without_partial():
     cfg = TrainConfig(max_epochs=12, patience=6, batch_size=32,
                       learning_rate=1e22)
+    seen = []
     with pytest.raises(RoarAborted) as excinfo:
         run_roar(tiny_splits(), ModelSpec(Architecture.MLP, width=16),
-                 cfg, tiny_plan(DeletionOrder.LEAST_FIRST), seed=3)
+                 cfg, tiny_plan(DeletionOrder.LEAST_FIRST), seed=3,
+                 on_cycle=seen.append)
     assert "cycle 0" in str(excinfo.value)
-    assert excinfo.value.partial_curve is None
+    assert seen == []
 
 
 @pytest.mark.parametrize("error", [TrainingDiverged, TrainingError],
                          ids=lambda e: e.__name__)
 def test_midrun_divergence_carries_partial_curve(monkeypatch, error):
-    """Any training failure after the baseline keeps the partial curve,
-    e.g. evaluate's "constant targets", not only divergence."""
+    """Any training failure after the baseline leaves the checkpointed
+    partial curve, e.g. evaluate's "constant targets", not only divergence."""
     real = roar.train
     calls = {"n": 0}
 
@@ -175,11 +224,11 @@ def test_midrun_divergence_carries_partial_curve(monkeypatch, error):
         return real(model, train_split, val_split, cfg, seed)
 
     monkeypatch.setattr(roar, "train", flaky)
+    seen = []
     with pytest.raises(RoarAborted) as excinfo:
-        tiny_run()
+        tiny_run(on_cycle=seen.append)
     assert "cycle 1" in str(excinfo.value)
-    partial = excinfo.value.partial_curve
-    assert partial is not None
+    (partial,) = seen
     assert partial.baseline.cycle == 0
     assert partial.records == ()
 
@@ -195,10 +244,11 @@ def test_estimator_failure_aborts_instead_of_falling_back(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(roar, "run_estimator", flaky)
+    seen = []
     with pytest.raises(RoarAborted) as excinfo:
-        tiny_run()
+        tiny_run(on_cycle=seen.append)
     assert "cycle 2" in str(excinfo.value)
-    assert len(excinfo.value.partial_curve.records) == 1
+    assert [len(c.records) for c in seen] == [0, 1]
 
 
 def test_every_cycle_explains_the_same_samples(monkeypatch):
