@@ -16,15 +16,19 @@ never consulted) and the model output for regression.
 the base estimator inside each block: a plain tag is one noise-free replica,
 and an ``sgs-`` or ``vargrad-`` tag runs R noised ones and reduces them per
 entry by the mean square or the variance. A Shapley block's permutation plan
-reads no input value, so its replicas share it. Blocks keep the forward-call
-sizes that a row's last bits depend on.
+reads no input value, so its replicas share it, and each replica builds its
+rows with one gather through it. A sample's Shapley rows are the baseline,
+composites 1..G-1 of each of its P permutations, and the sample: prefixes 0
+and G are the same row in every permutation, so P*(G-1)+2 rows carry all
+P*(G+1) prefix values. A block's replicas are reduced to scores in one pass.
 
-Determinism: each sample draws its permutations from a stream keyed by
-(seed, sample id), and replica r noises it from one keyed by (seed, sample id,
-r). A Shapley row also gets its own forward call, so it depends on neither the
-block size nor the batch order; a guided-backprop block is one forward call.
-With zero noise every replica reproduces the base attribution exactly, which
-is what the collapse properties assert.
+Determinism: each sample has one random stream per call, keyed by (seed,
+sample id). It draws the sample's permutations first and then each replica's
+noise, one replica at a time in replica order. A Shapley sample gets one
+forward call per replica, so its row depends on neither the block size nor
+the batch order; a guided-backprop block is one forward call. With zero noise
+every replica reproduces the base attribution exactly, which is what the
+collapse properties assert.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .models import Model
 ESTIMATOR_TAGS = ("svs", "gb", "sgs-svs", "sgs-gb", "vargrad-svs", "vargrad-gb")
 
 _FORWARD_CHUNK = 4096
-_SVS_BLOCK_ROWS = 1024  # composite rows built per svs block
+_SVS_BLOCK_ROWS = 1024  # svs prefix values per block, P*(G+1) per sample
 
 
 class GroupingAxis(str, Enum):
@@ -169,6 +173,8 @@ class ExplainBudget:
             raise EstimatorError("n_samples must be positive")
         if self.n_permutations < 1 or self.ensemble_size < 1:
             raise EstimatorError("permutations and ensemble size must be positive")
+        if not math.isfinite(self.noise_scale):
+            raise EstimatorError(f"noise scale must be finite, got {self.noise_scale}")
         if self.noise_scale < 0:
             raise EstimatorError("noise scale cannot be negative")
 
@@ -220,51 +226,61 @@ def _check_inputs(
             raise EstimatorError(
                 f"{name} shape {cells.shape} does not match model input ({t}, {b})"
             )
+    for name, values in (("samples", samples), ("baseline", baseline),
+                         ("noise_range", noise_range)):
+        if values is not None and not np.isfinite(values).all():
+            raise EstimatorError(f"{name} must be finite")
 
 
 # ---------------------------------------------------------------------------
 # Shapley value sampling
 
 
-def _svs_plan(ids: tuple[int, ...], groups: FeatureGroups, n_permutations: int,
-              seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _svs_plan(streams: list[np.random.Generator], groups: FeatureGroups,
+              n_permutations: int) -> tuple[np.ndarray, np.ndarray]:
     """A block's permutation plan, which reads no input value: ``pos``
     [n, P, G], each group's position in each of a sample's P permutations,
-    drawn from the sample's (seed, sample id) stream, and ``on``
-    [n, P, G+1, T*B], the cells that composite k of permutation j takes from
-    the sample (those whose group lies at a position below k)."""
-    g = groups.n_groups
+    drawn from the sample's stream, and ``index`` [n, P*(G-1)+2, T*B], the
+    flat position in the block's [n, 2, T*B] source of (baseline, sample)
+    cells that each cell of each of a sample's rows reads. A sample's rows
+    are the baseline, composites 1..G-1 of each permutation (composite k
+    takes from the sample the cells whose group lies at a position below
+    k), then the sample: prefixes 0 and G are one row for every
+    permutation."""
+    n, g, cell_group = len(streams), groups.n_groups, groups.cell_group
+    d = cell_group.size
     order = np.tile(np.arange(g), (n_permutations, 1))
-    perms = np.stack([
-        np.random.default_rng(np.random.SeedSequence([seed, sid]))
-        .permuted(order, axis=1)
-        for sid in ids
-    ])
-    pos = np.argsort(perms, axis=2)
-    # C order, or the broadcast picks a layout that reshape must copy.
-    on = np.less(pos[..., groups.cell_group][:, :, None, :],
-                 np.arange(g + 1)[:, None], order="C")
-    return pos, on
+    pos = np.argsort(np.stack([rng.permuted(order, axis=1) for rng in streams]), axis=2)
+    index = np.empty((n, n_permutations * (g - 1) + 2, d), dtype=np.intp)
+    index[:, 0] = 0  # the baseline
+    index[:, 1:-1] = (pos[..., cell_group][:, :, None, :] < np.arange(1, g)[:, None]
+                      ).reshape(n, -1, d)
+    index[:, -1] = 1  # the sample
+    index *= d
+    index += np.arange(n)[:, None, None] * (2 * d) + np.arange(d)
+    return pos, index
 
 
-def _svs_rows(model: Model, xs: np.ndarray, plan: tuple[np.ndarray, np.ndarray],
-              baseline: np.ndarray,
-              classes: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample (scores, stderr) of the group marginal contributions along
-    the plan's permutations. Each sample gets its own forward call over its
-    P*(G+1) composites, so its row does not depend on the rest of the block."""
-    pos, on = plan
+def _svs_values(model: Model, xs: np.ndarray, plan: tuple[np.ndarray, np.ndarray],
+                baseline: np.ndarray, classes: Optional[np.ndarray]) -> np.ndarray:
+    """The explained scalar at every prefix of the plan's permutations,
+    [n, P, G+1]. Each sample gets its own forward call over its P*(G-1)+2
+    rows, so its values do not depend on the rest of the block."""
+    pos, index = plan
     n, p, g = pos.shape
-    composites = np.where(on, xs.reshape(n, 1, 1, -1), baseline.reshape(-1))
-    composites = composites.reshape(n, p * (g + 1), *xs.shape[1:])
-    values = np.stack([
-        _scalar_batch(model, x, None if classes is None else classes[i])
-        for i, x in enumerate(composites)
-    ]).reshape(n, p, g + 1)
-    marginals = np.take_along_axis(np.diff(values, axis=2), pos, axis=2)  # by group
-    stderr = (marginals.std(axis=1, ddof=1) / math.sqrt(p) if p > 1
-              else np.zeros((n, g)))
-    return marginals.mean(axis=1).astype(DTYPE), stderr.astype(DTYPE)
+    source = np.empty((n, 2, baseline.size), dtype=DTYPE)
+    source[:, 0] = baseline.reshape(-1)
+    source[:, 1] = xs.reshape(n, -1)
+    rows = source.take(index).reshape(*index.shape[:2], *xs.shape[1:])
+    out = np.stack([
+        _scalar_batch(model, r, None if classes is None else classes[i])
+        for i, r in enumerate(rows)
+    ])
+    values = np.empty((n, p, g + 1))
+    values[:, :, 0] = out[:, :1]
+    values[:, :, 1:g] = out[:, 1:-1].reshape(n, p, g - 1)
+    values[:, :, g] = out[:, -1:]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +301,23 @@ def _gb_rows(model: Model, xs: np.ndarray, groups: FeatureGroups,
 # replicas
 
 
-def _noised(samples: np.ndarray, ids: tuple[int, ...], scale: Optional[np.ndarray],
-            seed: int, replica: int) -> np.ndarray:
-    """Replica ``replica``'s input: each sample plus Gaussian noise of
-    per-cell standard deviation ``scale``, drawn from the sample's
-    (seed, sample id, replica) stream; ``samples`` itself without a scale."""
+def _noised(samples: np.ndarray, streams: Optional[list[np.random.Generator]],
+            scale: Optional[np.ndarray]) -> np.ndarray:
+    """The next replica's input: each sample plus Gaussian noise of per-cell
+    standard deviation ``scale``, drawn from the sample's stream; ``samples``
+    itself without a scale."""
     if scale is None:
         return samples
-    draws = np.stack([
-        np.random.default_rng(np.random.SeedSequence([seed, sid, replica]))
-        .normal(size=samples.shape[1:])
-        for sid in ids
-    ])
+    draws = np.stack([rng.normal(size=samples.shape[1:]) for rng in streams])
     return samples + (draws * scale).astype(DTYPE)
 
 
-def _reduced(kind: str, replicas: list[tuple[np.ndarray, object]]) -> np.ndarray:
+def _reduced(kind: str, replicas: np.ndarray) -> np.ndarray:
     """The mean square (``sgs``) or the variance (``vargrad``) of the float32
-    replica scores, in float64. Replicas are added in turn, as NumPy reduces a
-    stack of more than one entry, so a row's bytes never depend on its block."""
-    reps = [rows.astype(np.float64) for rows, _ in replicas]
+    replica scores [R, n, G], in float64. Replicas are added in turn, as NumPy
+    reduces a stack of more than one entry, so a row's bytes never depend on
+    its block."""
+    reps = [rows.astype(np.float64) for rows in replicas]
     if kind == "vargrad":
         mean = sum(reps[1:], reps[0]) / len(reps)
         reps = [r - mean for r in reps]
@@ -336,8 +349,9 @@ def run_estimator(
     deviation ``budget.noise_scale`` times its ``noise_range`` entry (a
     ``[T, B]`` array, needed when that scale is positive). Every svs base
     needs a ``baseline``; rows are keyed by ``sample_ids`` (default:
-    positions). No samples, a negative sample id or a negative seed is an
-    ``EstimatorError``, raised before any forward call.
+    positions). No samples, a non-finite sample, baseline or noise range, a
+    negative sample id or a negative seed is an ``EstimatorError``, raised
+    before any forward call.
     """
     if tag not in ESTIMATOR_TAGS:
         raise EstimatorError(f"unknown estimator tag {tag!r}")
@@ -366,24 +380,31 @@ def run_estimator(
             raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
         scale = (budget.noise_scale * noise_range).astype(np.float64)
     classes = _predicted_classes(model, samples)  # fixed across noisy replicas
-    p = budget.n_permutations
-    per_block = (_FORWARD_CHUNK if base == "gb"
-                 else max(1, _SVS_BLOCK_ROWS // (p * (groups.n_groups + 1))))
-    scores = np.empty((len(ids), groups.n_groups), dtype=DTYPE)
+    p, g = budget.n_permutations, groups.n_groups
+    per_block = _FORWARD_CHUNK if base == "gb" else max(1, _SVS_BLOCK_ROWS // (p * (g + 1)))
+    scores = np.empty((len(ids), g), dtype=DTYPE)
     stderr = np.zeros_like(scores) if tag == "svs" else None
     for lo in range(0, len(ids), per_block):
         block = slice(lo, lo + per_block)
         cls = None if classes is None else classes[block]
-        inputs = (_noised(samples[block], ids[block], scale, seed, r)
-                  for r in range(budget.ensemble_size if kind else 1))
+        # one stream per sample: the plan draws its permutations first, then
+        # each replica draws its noise when it runs
+        streams = ([np.random.default_rng(np.random.SeedSequence([seed, sid]))
+                    for sid in ids[block]] if base == "svs" or scale is not None else None)
+        plan = _svs_plan(streams, groups, p) if base == "svs" else None
+        inputs = (_noised(samples[block], streams, scale)
+                  for _ in range(budget.ensemble_size if kind else 1))
         if base == "gb":
-            replicas = [(_gb_rows(model, xs, groups, cls), None) for xs in inputs]
+            replicas = np.stack([_gb_rows(model, xs, groups, cls) for xs in inputs])
         else:
-            plan = _svs_plan(ids[block], groups, p, seed)  # shared by the replicas
-            replicas = [_svs_rows(model, xs, plan, baseline, cls) for xs in inputs]
-        scores[block], err = (_reduced(kind, replicas), None) if kind else replicas[0]
-        if stderr is not None:
-            stderr[block] = err
+            values = np.stack([_svs_values(model, xs, plan, baseline, cls)
+                               for xs in inputs])
+            # [R, n, P, G]: each group's marginal contribution in each permutation
+            marginals = np.take_along_axis(np.diff(values, axis=3), plan[0][None], axis=3)
+            replicas = marginals.mean(axis=2).astype(DTYPE)
+            if stderr is not None and p > 1:
+                stderr[block] = marginals[0].std(axis=1, ddof=1) / math.sqrt(p)
+        scores[block] = _reduced(kind, replicas) if kind else replicas[0]
     return AttributionMatrix(
         sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
         scores=scores, estimator_tag=tag, stderr=stderr,

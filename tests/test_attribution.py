@@ -153,8 +153,43 @@ def test_svs_deterministic_per_seed_and_keyed_by_sample_id():
     np.testing.assert_array_equal(c.scores[::-1], a.scores)
 
 
+def _permutation_positions(g, p, seed, sid):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, sid]))
+    return np.argsort(np.stack([rng.permutation(g) for _ in range(p)]), axis=1)
+
+
 def _reference_svs(model, samples, ids, groups, baseline, p, seed):
-    """svs one sample and one permutation at a time; svs must match its bytes."""
+    """svs one sample and one composite at a time; svs must match its bytes.
+    A sample's one forward call holds the baseline, composites 1..G-1 of each
+    permutation, then the sample."""
+    g = groups.n_groups
+    classes = None
+    if model.task is Task.CLASSIFICATION:
+        classes = model.forward(samples).argmax(axis=1)
+    scores = np.empty((len(samples), g), dtype=DTYPE)
+    stderr = np.zeros_like(scores)
+    for i, sid in enumerate(ids):
+        pos = _permutation_positions(g, p, seed, sid)
+        rows = [baseline]
+        for j in range(p):
+            for k in range(1, g):
+                on = groups.mask[pos[j] < k].any(axis=0)
+                rows.append(np.where(on, samples[i], baseline))
+        rows.append(samples[i])
+        col = 0 if classes is None else int(classes[i])
+        out = model.forward(np.stack(rows).astype(DTYPE))[:, col].astype(np.float64)
+        values = np.empty((p, g + 1))
+        values[:, 0], values[:, g] = out[0], out[-1]
+        values[:, 1:g] = out[1:-1].reshape(p, g - 1)
+        marginals = np.take_along_axis(np.diff(values, axis=1), pos, axis=1)
+        scores[i] = marginals.mean(axis=0)
+        stderr[i] = marginals.std(axis=0, ddof=1) / math.sqrt(p)
+    return scores, stderr
+
+
+def _full_composite_svs(model, samples, ids, groups, baseline, p, seed):
+    """svs forwarding every prefix 0..G of every permutation, P*(G+1) rows per
+    sample: the same estimate as svs up to the last bits of a forward call."""
     g = groups.n_groups
     masks = groups.mask.reshape(g, -1).astype(np.uint8)
     prefix = np.arange(g + 1)[None, :, None]
@@ -162,11 +197,8 @@ def _reference_svs(model, samples, ids, groups, baseline, p, seed):
     if model.task is Task.CLASSIFICATION:
         classes = model.forward(samples).argmax(axis=1)
     scores = np.empty((len(samples), g), dtype=DTYPE)
-    stderr = np.zeros_like(scores)
     for i, sid in enumerate(ids):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, sid]))
-        perms = np.stack([rng.permutation(g) for _ in range(p)])
-        pos = np.argsort(perms, axis=1)
+        pos = _permutation_positions(g, p, seed, sid)
         cell_on = (pos[:, None, :] < prefix).astype(np.uint8) @ masks
         composites = np.where(
             cell_on.astype(bool), samples[i].reshape(-1), baseline.reshape(-1)
@@ -177,8 +209,7 @@ def _reference_svs(model, samples, ids, groups, baseline, p, seed):
             np.diff(values.reshape(p, g + 1), axis=1), pos, axis=1
         )
         scores[i] = marginals.mean(axis=0)
-        stderr[i] = marginals.std(axis=0, ddof=1) / math.sqrt(p)
-    return scores, stderr
+    return scores
 
 
 SVS_CASES = [
@@ -218,6 +249,22 @@ def test_svs_blocks_match_the_per_sample_reference(
                         seed=11, baseline=base, sample_ids=ids[part])
     assert sub.scores.tobytes() == m.scores[part].tobytes()
     assert sub.stderr.tobytes() == m.stderr[part].tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 6])
+@pytest.mark.parametrize("head, t, b, axis", SVS_CASES)
+def test_svs_matches_the_full_composite_estimate(head, t, b, axis, p):
+    """Forwarding prefixes 0 and G once per sample moves only the last bits."""
+    model = small_mlp(head=head, t=t, b=b, seed=5)
+    groups = feature_groups(grid_schema(t, b), axis)
+    r = np.random.default_rng(8)
+    x = r.normal(size=(9, t, b)).astype(DTYPE)
+    base = r.normal(size=(t, b)).astype(DTYPE)
+    ids = list(range(40, 49))
+    m = run_estimator("svs", model, x, groups, budget(n_permutations=p), seed=3,
+                      baseline=base, sample_ids=ids)
+    full = _full_composite_svs(model, x, ids, groups, base, p, 3)
+    np.testing.assert_allclose(m.scores, full, rtol=1e-5)
 
 
 # -- exact shapley -----------------------------------------------------------
@@ -428,12 +475,12 @@ def test_replica_reduction_does_not_depend_on_the_block(kind):
     """Entry by entry, the reduction adds replicas in turn, as NumPy reduces a
     stack of several entries; NumPy adds a lone entry's 15 replicas pairwise."""
     stack = np.random.default_rng(2).normal(size=(15, 40, 1)).astype(DTYPE)
-    whole = attribution._reduced(kind, [(r, None) for r in stack])
+    whole = attribution._reduced(kind, stack)
     wide = stack.astype(np.float64)
     expected = np.mean(wide * wide, axis=0) if kind == "sgs" else np.var(wide, axis=0)
     assert whole.tobytes() == expected.tobytes()
     for i in range(40):
-        alone = attribution._reduced(kind, [(r[i:i + 1], None) for r in stack])
+        alone = attribution._reduced(kind, stack[:, i:i + 1])
         assert alone.tobytes() == whole[i:i + 1].tobytes()
 
 
@@ -464,15 +511,15 @@ def test_forward_call_sizes(tag, head, monkeypatch):
     classes = [3, 2] if head is CLS else []  # predicted once, in chunks
     if tag.endswith("gb"):  # blocks of _FORWARD_CHUNK samples, replicas inside
         expected = classes + [3] * replicas + [2] * replicas
-    else:  # each sample's 2 * (3 + 1) composites, in chunks, once per replica
-        expected = classes + [3, 3, 2] * 5 * replicas
+    else:  # each sample's 2 * (3 - 1) + 2 rows, in chunks, once per replica
+        expected = classes + [3, 3] * 5 * replicas
     assert sizes == expected
 
 
-@pytest.mark.parametrize("tag", ["svs", "sgs-svs", "vargrad-svs"])
+@pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
 def test_each_sample_draws_its_permutations_once_per_call(tag, monkeypatch):
-    """A block's permutation plan is shared by its replicas: one (seed, id)
-    stream per sample and call, and one (seed, id, r) noise stream per replica."""
+    """One (seed, id) stream per sample and call feeds its permutations and
+    then every replica's noise; plain gb draws nothing."""
     monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", 30)
     model = small_mlp(seed=2)
     lengths = []
@@ -484,12 +531,11 @@ def test_each_sample_draws_its_permutations_once_per_call(tag, monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", counted)
     x = np.random.default_rng(4).normal(size=(7, 2, 3)).astype(DTYPE)
-    replicas = 3 if "-" in tag else 0
     run_estimator(tag, model, x, by_band(model),
                   budget(n_permutations=2, ensemble_size=3, noise_scale=0.2), seed=5,
                   baseline=np.zeros((2, 3), DTYPE), noise_range=np.ones((2, 3), DTYPE))
-    assert lengths.count(2) == 7
-    assert lengths.count(3) == 7 * replicas
+    assert lengths.count(2) == (0 if tag == "gb" else 7)
+    assert len(lengths) == lengths.count(2)
 
 
 # -- aggregation -------------------------------------------------------------
@@ -560,6 +606,13 @@ def test_budget_validation():
         budget(n_samples=0)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_budget_rejects_a_non_finite_noise_scale(scale):
+    # a NaN scale used to noise nothing, and an infinite one zeroed every score
+    with pytest.raises(EstimatorError, match=f"noise scale must be finite, got {scale}"):
+        budget(noise_scale=scale)
+
+
 # -- dispatch and serialization ----------------------------------------------
 
 
@@ -591,7 +644,11 @@ def test_svs_requires_baseline_via_dispatch():
     (dict(n=0), "samples must hold at least one sample"),
     (dict(ids=[3, -4]), "sample_ids must not be negative, got -4"),
     (dict(seed=-1), "seed must not be negative, got -1"),
-], ids=["no-samples", "negative-id", "negative-seed"])
+    (dict(samples=np.nan), "samples must be finite"),
+    (dict(baseline=np.nan), "baseline must be finite"),
+    (dict(noise_range=np.inf), "noise_range must be finite"),
+], ids=["no-samples", "negative-id", "negative-seed", "nan-sample", "nan-baseline",
+        "infinite-noise-range"])
 @pytest.mark.parametrize("head", [REG, CLS])
 @pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
 def test_bad_input_is_named_before_any_forward(tag, head, bad, message, monkeypatch):
@@ -602,10 +659,13 @@ def test_bad_input_is_named_before_any_forward(tag, head, bad, message, monkeypa
 
     monkeypatch.setattr(model.graph, "forward", forward)
     x = np.zeros((bad.get("n", 2), 2, 3), dtype=DTYPE)
-    cells = np.ones((2, 3), dtype=DTYPE)
+    x[-1:, 1, 2] = bad.get("samples", 0.0)
+    cells = {name: np.ones((2, 3), dtype=DTYPE) for name in ("baseline", "noise_range")}
+    for name, c in cells.items():
+        c[0, 1] = bad.get(name, 1.0)
     with pytest.raises(EstimatorError, match=message):
         run_estimator(tag, model, x, by_band(model), budget(), seed=bad.get("seed", 0),
-                      baseline=cells, noise_range=cells, sample_ids=bad.get("ids"))
+                      sample_ids=bad.get("ids"), **cells)
 
 
 def test_shape_mismatch_rejected():
