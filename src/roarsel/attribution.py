@@ -301,15 +301,32 @@ def _gb_rows(model: Model, xs: np.ndarray, groups: FeatureGroups,
 # replicas
 
 
+def _noise_std(noise_scale: float, noise_range: np.ndarray) -> np.ndarray:
+    """The per-cell noise standard deviation ``noise_scale * noise_range``,
+    which must stay within float32 range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = noise_scale * noise_range
+    if not np.abs(std).max(initial=0.0) <= np.finfo(DTYPE).max:  # NaN fails too
+        raise EstimatorError(f"noise_scale {noise_scale} times noise_range exceeds "
+                             "float32's largest value")
+    return std
+
+
 def _noised(samples: np.ndarray, streams: Optional[list[np.random.Generator]],
             scale: Optional[np.ndarray]) -> np.ndarray:
     """The next replica's input: each sample plus Gaussian noise of per-cell
     standard deviation ``scale``, drawn from the sample's stream; ``samples``
-    itself without a scale."""
+    itself without a scale. A noised value beyond float32 range is an
+    ``EstimatorError``."""
     if scale is None:
         return samples
     draws = np.stack([rng.normal(size=samples.shape[1:]) for rng in streams])
-    return samples + (draws * scale).astype(DTYPE)
+    try:
+        with np.errstate(over="raise"):
+            return samples + (draws * scale).astype(DTYPE)
+    except FloatingPointError:
+        raise EstimatorError("a noised sample leaves float32 range; lower noise_scale"
+                             ) from None
 
 
 def _reduced(kind: str, replicas: np.ndarray) -> np.ndarray:
@@ -350,8 +367,9 @@ def run_estimator(
     ``[T, B]`` array, needed when that scale is positive). Every svs base
     needs a ``baseline``; rows are keyed by ``sample_ids`` (default:
     positions). No samples, a non-finite sample, baseline or noise range, a
-    negative sample id or a negative seed is an ``EstimatorError``, raised
-    before any forward call.
+    noise standard deviation beyond float32 range, a negative sample id or a
+    negative seed is an ``EstimatorError``, raised before any forward call;
+    so is a noised sample beyond float32 range, when it is drawn.
     """
     if tag not in ESTIMATOR_TAGS:
         raise EstimatorError(f"unknown estimator tag {tag!r}")
@@ -364,6 +382,7 @@ def run_estimator(
     if noise_range is not None:
         noise_range = np.asarray(noise_range, dtype=DTYPE)
     _check_inputs(model, samples, baseline, groups, noise_range)
+    std = None if noise_range is None else _noise_std(budget.noise_scale, noise_range)
     if len(samples) == 0:
         raise EstimatorError("samples must hold at least one sample")
     ids = tuple(range(len(samples)) if sample_ids is None else map(int, sample_ids))
@@ -376,9 +395,9 @@ def run_estimator(
         raise EstimatorError(f"seed must not be negative, got {seed}")
     scale = None
     if kind and budget.noise_scale > 0:
-        if noise_range is None:
+        if std is None:
             raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
-        scale = (budget.noise_scale * noise_range).astype(np.float64)
+        scale = std.astype(np.float64)
     classes = _predicted_classes(model, samples)  # fixed across noisy replicas
     p, g = budget.n_permutations, groups.n_groups
     per_block = _FORWARD_CHUNK if base == "gb" else max(1, _SVS_BLOCK_ROWS // (p * (g + 1)))

@@ -16,6 +16,10 @@ ReLU masking, in both rules, is branch-free: the float32 bits of the
 gradient are ANDed with an all-ones or all-zeros word, bit-identical to
 ``np.where(keep, g, 0)`` (``-0.0``, NaN and infinities included).
 
+conv1d's forward and its weight gradient are one matmul each over the
+columns that one builder, ``_columns``, lays out tap-major from the padded
+input; the input gradient adds one matmul per kernel tap.
+
 One op, ``recurrent``, runs a whole rnn, lstm or gru layer over the time
 axis: one input projection for every step, then one recurrent matmul per
 step. A cell's k gates sit side by side in its weights, sigmoid gates first
@@ -34,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphError
 
@@ -391,34 +394,33 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=tuple(range(extra))).astype(DTYPE, copy=False)
 
 
+def _columns(x, k, padding):
+    """The [N*To, K*Cin] tap-major columns of ``x`` [N, T, Cin] zero-padded by
+    ``padding`` steps at each end: row (n, j) holds padded steps j..j+K-1."""
+    n, t, c_in = x.shape
+    t_out = t + 2 * padding - k + 1
+    cols = np.zeros((n, t_out, k, c_in), dtype=x.dtype)
+    for ki in range(k):
+        # output step j reads input step j + ki - padding where that exists
+        lo = max(0, padding - ki)
+        hi = max(lo, min(t_out, t + padding - ki))
+        cols[:, lo:hi, ki] = x[:, lo + ki - padding : hi + ki - padding]
+    return cols.reshape(n * t_out, k * c_in)
+
+
 def _conv1d_forward(x, w, padding):
-    n = x.shape[0]
     k, c_in, c_out = w.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
-    windows = sliding_window_view(x, k, axis=1)  # [N, To, Cin, K]
-    t_out = windows.shape[1]
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
-        n * t_out, k * c_in
-    )
-    return (cols @ w.reshape(k * c_in, c_out)).reshape(n, t_out, c_out)
+    return (_columns(x, k, padding) @ w.reshape(k * c_in, c_out)).reshape(len(x), -1, c_out)
 
 
 def _conv1d_backward(x, w, g, padding):
     n, t, c_in = x.shape
     k, _, c_out = w.shape
-    t_out = g.shape[1]
-    x_pad = np.pad(x, ((0, 0), (padding, padding), (0, 0))) if padding else x
-    windows = sliding_window_view(x_pad, k, axis=1)
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
-        n * t_out, k * c_in
-    )
-    gw = (cols.T @ g.reshape(n * t_out, c_out)).reshape(k, c_in, c_out)
-    gx_pad = np.zeros_like(x_pad)
+    gw = _columns(x, k, padding).T @ g.reshape(-1, c_out)
+    gx_pad = np.zeros((n, t + 2 * padding, c_in), dtype=x.dtype)
     for ki in range(k):
-        gx_pad[:, ki : ki + t_out] += g @ w[ki].T
-    gx = gx_pad[:, padding : padding + t, :] if padding else gx_pad
-    return gx, gw
+        gx_pad[:, ki : ki + g.shape[1]] += g @ w[ki].T
+    return gx_pad[:, padding : padding + t], gw.reshape(k, c_in, c_out)
 
 
 # The recurrent kernels work feature-major: a step's state is [H, N] and its
@@ -648,12 +650,6 @@ _CELLS = {
 }
 
 
-def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _softmax_xent_forward(logits, target):
     z = logits - logits.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(z).sum(axis=1))
@@ -662,9 +658,10 @@ def _softmax_xent_forward(logits, target):
 
 
 def _softmax_xent_backward(g, logits, target):
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(logits.shape[0]), target.astype(int)] = 1.0
-    return g * (_softmax(logits) - onehot) / DTYPE(logits.shape[0])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    grad = e / e.sum(axis=1, keepdims=True)  # the softmax, less one at each target
+    grad[np.arange(logits.shape[0]), target.astype(int)] -= 1.0
+    return g * grad / DTYPE(logits.shape[0])
 
 
 def _mse_diff(pred, target):

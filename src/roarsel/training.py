@@ -134,7 +134,8 @@ def train(
     ``seed`` keys the batch shuffles and dropout masks.
 
     Divergence (non-finite training or validation loss) aborts with a
-    diagnostic naming the epoch and batch.
+    diagnostic naming the epoch and batch. A split that is empty or does
+    not fit the model is a ``TrainingError`` naming it.
     """
     t, b = model.graph.input_shape
     for split, label in ((train_split, "train"), (val_split, "validation")):
@@ -142,6 +143,8 @@ def train(
             raise TrainingError(
                 f"{label} split shape {split.shape[1:]} does not match model ({t}, {b})"
             )
+        if split.n_samples == 0:
+            raise TrainingError(f"{label} split is empty")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     opt = _Adam(model.graph.params, cfg.learning_rate)
     graph = model.graph
@@ -198,6 +201,8 @@ def train(
 
 def split_loss(model: Model, split: TensorDataset, batch_size: int = 256) -> float:
     """Sample-weighted mean loss over a split, evaluation mode."""
+    if split.n_samples == 0:
+        raise TrainingError("cannot take the loss of an empty split")
     total = 0.0
     for start in range(0, split.n_samples, batch_size):
         stop = min(start + batch_size, split.n_samples)
@@ -218,6 +223,8 @@ def predict(model: Model, split: TensorDataset, batch_size: int = 256) -> np.nda
 
 def evaluate(model: Model, split: TensorDataset) -> MetricValue:
     """Accuracy for classification; R^2 about the split's target mean."""
+    if split.n_samples == 0:
+        raise TrainingError("cannot evaluate an empty split")
     preds = predict(model, split)
     if model.task is Task.CLASSIFICATION:
         value = float(np.mean(preds == split.targets))

@@ -647,8 +647,9 @@ def test_svs_requires_baseline_via_dispatch():
     (dict(samples=np.nan), "samples must be finite"),
     (dict(baseline=np.nan), "baseline must be finite"),
     (dict(noise_range=np.inf), "noise_range must be finite"),
+    (dict(noise_scale=1e300), "noise_scale 1e.300 times noise_range exceeds float32"),
 ], ids=["no-samples", "negative-id", "negative-seed", "nan-sample", "nan-baseline",
-        "infinite-noise-range"])
+        "infinite-noise-range", "huge-noise-scale"])
 @pytest.mark.parametrize("head", [REG, CLS])
 @pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
 def test_bad_input_is_named_before_any_forward(tag, head, bad, message, monkeypatch):
@@ -664,8 +665,22 @@ def test_bad_input_is_named_before_any_forward(tag, head, bad, message, monkeypa
     for name, c in cells.items():
         c[0, 1] = bad.get(name, 1.0)
     with pytest.raises(EstimatorError, match=message):
-        run_estimator(tag, model, x, by_band(model), budget(), seed=bad.get("seed", 0),
-                      sample_ids=bad.get("ids"), **cells)
+        run_estimator(tag, model, x, by_band(model),
+                      budget(noise_scale=bad.get("noise_scale", 0.15)),
+                      seed=bad.get("seed", 0), sample_ids=bad.get("ids"), **cells)
+
+
+@pytest.mark.parametrize("tag", ["sgs-gb", "vargrad-gb", "sgs-svs", "vargrad-svs"])
+def test_noise_beyond_float32_range_fails_instead_of_zeroing_scores(tag):
+    # each cell's standard deviation fits float32, but most draws overflow it;
+    # this used to zero some samples' scores with only a RuntimeWarning
+    model = small_mlp()
+    x = np.random.default_rng(0).normal(size=(3, 2, 3)).astype(DTYPE)
+    ones = np.ones((2, 3), dtype=DTYPE)
+    with pytest.raises(EstimatorError, match="a noised sample leaves float32 range"):
+        run_estimator(tag, model, x, by_band(model),
+                      budget(n_permutations=2, ensemble_size=2, noise_scale=3e38),
+                      seed=1, baseline=ones, noise_range=ones)
 
 
 def test_shape_mismatch_rejected():

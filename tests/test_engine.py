@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from conftest import draw_clean_input, finite_difference_check, grid_schema
+from numpy.lib.stride_tricks import sliding_window_view
 
 from roarsel.data import Task
-from roarsel.engine import DTYPE, Graph, _keep
+from roarsel.engine import DTYPE, Graph, _conv1d_backward, _conv1d_forward, _keep
 from roarsel.models import Architecture, ModelSpec, build
 from roarsel.errors import GraphError
 
@@ -37,6 +38,55 @@ def test_conv1d_hand_oracle_padded():
     g.mark_output(g.conv1d(g.input_node, w, padding=1))
     out = g.forward(np.array([[[1.0], [2.0], [3.0]]]))
     np.testing.assert_array_equal(out, np.array([[[1.0], [3.0], [5.0], [3.0]]], dtype=DTYPE))
+
+
+def _reference_columns(x, k, padding):
+    """Padded sliding windows, transposed tap-major: [N*To, K*Cin]."""
+    x = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
+    windows = sliding_window_view(x, k, axis=1)  # [N, To, Cin, K]
+    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(-1, k * x.shape[2])
+
+
+def _reference_conv1d(x, w, g, padding):
+    """Output, kernel gradient and input gradient of a conv1d layer: the
+    first two from padded sliding-window columns, the last tap by tap."""
+    n, t, c_in = x.shape
+    k, _, c_out = w.shape
+    cols = _reference_columns(x, k, padding)
+    y = (cols @ w.reshape(k * c_in, c_out)).reshape(n, -1, c_out)
+    gw = (cols.T @ g.reshape(-1, c_out)).reshape(k, c_in, c_out)
+    gx_pad = np.zeros((n, t + 2 * padding, c_in), dtype=DTYPE)
+    for ki in range(k):
+        gx_pad[:, ki : ki + g.shape[1]] += g @ w[ki].T
+    return y, gw, gx_pad[:, padding : padding + t]
+
+
+@pytest.mark.parametrize("batch", [1, 64, 300])
+@pytest.mark.parametrize("t, c_in, c_out, k, padding", [
+    (6, 2, 3, 1, 0),
+    (6, 2, 3, 2, 1),
+    (7, 3, 4, 3, 1),
+    (5, 4, 2, 4, 2),
+    (9, 8, 16, 5, 2),
+    (12, 64, 64, 5, 2),
+    (8, 16, 8, 3, 0),
+    (4, 2, 2, 4, 0),  # the kernel spans the whole input
+    (3, 2, 3, 5, 1),  # ... the whole once-padded input
+    (1, 3, 2, 5, 2),  # ... an input of one step padded twice
+    (3, 2, 3, 7, 2),  # ... and one whose padding outruns the output
+])
+def test_conv1d_kernels_match_the_padded_window_reference(batch, t, c_in, c_out, k,
+                                                          padding):
+    r = rng(batch + 10 * k + padding)
+    x = r.standard_normal((batch, t, c_in)).astype(DTYPE)
+    w = r.standard_normal((k, c_in, c_out)).astype(DTYPE)
+    g = r.standard_normal((batch, t + 2 * padding - k + 1, c_out)).astype(DTYPE)
+    y_ref, gw_ref, gx_ref = _reference_conv1d(x, w, g, padding)
+    y = _conv1d_forward(x, w, padding)
+    gx, gw = _conv1d_backward(x, w, g, padding)
+    for got, want in ((y, y_ref), (gw, gw_ref), (gx, gx_ref)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_matmul_gradients_linear_form():

@@ -250,6 +250,39 @@ def test_split_shape_mismatch_rejected():
         train(m, train_split, val_split, TrainConfig(), seed=0)
 
 
+@pytest.mark.parametrize("empty", ["train", "validation"])
+def test_an_empty_split_is_named_before_training(empty):
+    splits = dict(zip(("train", "validation"), separable_splits()))
+    splits[empty] = splits[empty].take(np.arange(0))
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=0)
+    with pytest.raises(TrainingError, match=f"^{empty} split is empty$"):
+        train(m, splits["train"], splits["validation"], TrainConfig(), seed=0)
+
+
+def test_evaluating_an_empty_split_is_an_error():
+    _, val_split = separable_splits()
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=0)
+    with pytest.raises(TrainingError, match="cannot evaluate an empty split"):
+        evaluate(m, val_split.take(np.arange(0)))
+
+
+def test_the_loss_of_an_empty_split_is_an_error():
+    _, val_split = separable_splits()
+    m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(2, 3, 2), seed=0)
+    with pytest.raises(TrainingError, match="cannot take the loss of an empty split"):
+        split_loss(m, val_split.take(np.arange(0)))
+
+
+def test_an_empty_validation_split_fails_each_candidate():
+    splits = three_way_splits()
+    splits = SplitTriple(splits.train, splits.validation.take(np.arange(0)), splits.test)
+    grid = [(ModelSpec(arch, **SMALL), quick_cfg())
+            for arch in (Architecture.MLP, Architecture.GRU)]
+    with pytest.raises(TrainingError, match="#0: validation split is empty; "
+                                            "#1: validation split is empty"):
+        select_model(grid, splits, seed=0)
+
+
 def test_config_validation():
     with pytest.raises(TrainingError, match="patience"):
         TrainConfig(max_epochs=10, patience=10)
