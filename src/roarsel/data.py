@@ -177,8 +177,8 @@ class TensorDataset:
         )
 
     def take(self, indices: np.ndarray) -> "TensorDataset":
-        """New dataset holding the given sample rows, same schema."""
-        idx = np.asarray(indices)
+        """New dataset holding the given rows (indices or a mask), same schema."""
+        idx = np.asarray(indices) if len(indices) else np.arange(0)  # [] reads as float64
         return TensorDataset(
             schema=self.schema,
             values=self.values[idx],
@@ -368,7 +368,7 @@ _DELETABLE = {
 def _delete(d: TensorDataset, ids: set[int], field: str) -> TensorDataset:
     """The one survivor rule: keep, in order, the features not in ``ids``."""
     if not ids:
-        return d.take(np.arange(d.n_samples))
+        return d
     axis, noun, whole = _DELETABLE[field]
     features = getattr(d.schema, field)
     known = {f.id for f in features}

@@ -16,6 +16,10 @@ ReLU masking, in both rules, is branch-free: the float32 bits of the
 gradient are ANDed with an all-ones or all-zeros word, bit-identical to
 ``np.where(keep, g, 0)`` (``-0.0``, NaN and infinities included).
 
+Every layer op (dense, conv1d, recurrent) takes its bias as an argument and
+adds it inside its kernel, in place on the fresh product; ``mul`` takes two
+operands of one per-sample shape, and no op broadcasts any other way.
+
 conv1d's forward and its weight gradient are one matmul each over the
 columns that one builder, ``_columns``, lays out tap-major from the padded
 input; the input gradient adds one matmul per kernel tap.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import iadd
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -116,43 +121,38 @@ class Graph:
         self.mask_shapes[name] = tuple(shape)
         return self._slot("mask", name, shape)
 
-    def matmul(self, x: int, w: int) -> int:
-        xs, ws = self._shape(x), self._shape(w)
-        if self.nodes[w].op != "param" or len(ws) != 2:
-            raise GraphError("matmul weight must be a 2-D parameter")
-        if len(xs) != 1 or xs[0] != ws[0]:
-            raise GraphError(f"matmul shape mismatch: {xs} @ {ws}")
-        return self._add("matmul", (x, w), {}, (ws[1],),
-                         lambda v: v[x] @ v[w],
-                         lambda g, y, v: (g @ v[w].T, v[x].T @ g))
-
-    def add(self, a: int, b: int) -> int:
-        return self._elementwise("add", a, b, lambda v: v[a] + v[b],
-                                 lambda g, y, v: (g, _sum_to(g, v[b].shape)))
+    def dense(self, x: int, w: int, b: int) -> int:
+        """``x @ w + b`` for ``x`` [in], ``w`` [in, out] and ``b`` [out]."""
+        xs, ws, bs = self._shape(x), self._shape(w), self._shape(b)
+        if self.nodes[w].op != "param" or self.nodes[b].op != "param" or len(ws) != 2:
+            raise GraphError("dense weight and bias must be parameters, the weight 2-D")
+        if len(xs) != 1 or xs[0] != ws[0] or bs != ws[1:]:
+            raise GraphError(f"dense shape mismatch: {xs} @ {ws} + {bs}")
+        return self._add("dense", (x, w, b), {}, (ws[1],),
+                         lambda v: iadd(v[x] @ v[w], v[b]),
+                         lambda g, y, v: (g @ v[w].T, v[x].T @ g, g.sum(axis=(0,))))
 
     def mul(self, a: int, b: int) -> int:
-        return self._elementwise(
-            "mul", a, b, lambda v: v[a] * v[b],
-            lambda g, y, v: (g * v[b], _sum_to(g * v[a], v[b].shape)),
-        )
-
-    def _elementwise(self, op: str, a: int, b: int, fwd, bwd) -> int:
         sa, sb = self._shape(a), self._shape(b)
-        # equal shapes, or a parameter broadcast against trailing axes (bias
-        # add and friends)
-        if sa == sb or (self.nodes[b].op == "param" and sa[len(sa) - len(sb):] == sb):
-            return self._add(op, (a, b), {}, sa, fwd, bwd)
-        raise GraphError(f"{op} shape mismatch: {sa} vs {sb}")
+        if sa != sb:
+            raise GraphError(f"mul shape mismatch: {sa} vs {sb}")
+        shared = self.nodes[b].op == "param"  # one value for the whole batch
+        return self._add(
+            "mul", (a, b), {}, sa, lambda v: v[a] * v[b],
+            lambda g, y, v: (g * v[b], (g * v[a]).sum(axis=0) if shared else g * v[a]),
+        )
 
     def relu(self, x: int) -> int:
         return self._add("relu", (x,), {}, self._shape(x),
                          lambda v: np.maximum(v[x], 0),
                          lambda g, y, v: (_keep(g, v[x] > 0),))
 
-    def conv1d(self, x: int, w: int, padding: int = 0) -> int:
-        xs, ws = self._shape(x), self._shape(w)
+    def conv1d(self, x: int, w: int, b: int, padding: int = 0) -> int:
+        xs, ws, bs = self._shape(x), self._shape(w), self._shape(b)
         if self.nodes[w].op != "param" or len(ws) != 3:
             raise GraphError("conv1d kernel must be a 3-D parameter [K, Cin, Cout]")
+        if self.nodes[b].op != "param" or bs != ws[2:]:
+            raise GraphError(f"conv1d bias must be a parameter [{ws[2]}], got {bs}")
         if len(xs) != 2:
             raise GraphError(f"conv1d input must be [T, C], got {xs}")
         t, c_in = xs
@@ -168,8 +168,8 @@ class Graph:
                 f"with padding {padding}"
             )
         return self._add(
-            "conv1d", (x, w), {"padding": padding}, (t_out, c_out),
-            lambda v: _conv1d_forward(v[x], v[w], padding),
+            "conv1d", (x, w, b), {"padding": padding}, (t_out, c_out),
+            lambda v: _conv1d_forward(v[x], v[w], v[b], padding),
             lambda g, y, v: _conv1d_backward(v[x], v[w], g, padding),
         )
 
@@ -355,17 +355,20 @@ class Graph:
         out = values[self.output]
         if out.ndim != 2:
             raise GraphError("output selection requires a [N, C] output")
-        seed = np.zeros_like(out)
+        n, c = out.shape
         if isinstance(selector, (int, np.integer)):
-            if not 0 <= int(selector) < out.shape[1]:
-                raise GraphError(f"output index {selector} out of range")
-            seed[:, int(selector)] = 1.0
+            cols = np.array([int(selector)])  # one column for every row
         elif isinstance(selector, np.ndarray) and selector.ndim == 1:
-            if selector.shape[0] != out.shape[0]:
+            if selector.shape[0] != n:
                 raise GraphError("per-sample selector length must equal batch size")
-            seed[np.arange(out.shape[0]), selector.astype(int)] = 1.0
+            cols = selector.astype(int)
         else:
             raise GraphError(f"non-scalar selection: {selector!r}")
+        bad = cols[(cols < 0) | (cols >= c)]
+        if bad.size:
+            raise GraphError(f"output index {bad[0]} out of range")
+        seed = np.zeros_like(out)
+        seed[np.arange(n), cols] = 1.0
         grads[self.output] = seed
 
 
@@ -387,13 +390,6 @@ def _keep(g: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return word.view(DTYPE)
 
 
-def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(extra))).astype(DTYPE, copy=False)
-
-
 def _columns(x, k, padding):
     """The [N*To, K*Cin] tap-major columns of ``x`` [N, T, Cin] zero-padded by
     ``padding`` steps at each end: row (n, j) holds padded steps j..j+K-1."""
@@ -408,9 +404,10 @@ def _columns(x, k, padding):
     return cols.reshape(n * t_out, k * c_in)
 
 
-def _conv1d_forward(x, w, padding):
+def _conv1d_forward(x, w, b, padding):
     k, c_in, c_out = w.shape
-    return (_columns(x, k, padding) @ w.reshape(k * c_in, c_out)).reshape(len(x), -1, c_out)
+    cols = _columns(x, k, padding)
+    return iadd((cols @ w.reshape(k * c_in, c_out)).reshape(len(x), -1, c_out), b)
 
 
 def _conv1d_backward(x, w, g, padding):
@@ -420,7 +417,7 @@ def _conv1d_backward(x, w, g, padding):
     gx_pad = np.zeros((n, t + 2 * padding, c_in), dtype=x.dtype)
     for ki in range(k):
         gx_pad[:, ki : ki + g.shape[1]] += g @ w[ki].T
-    return gx_pad[:, padding : padding + t], gw.reshape(k, c_in, c_out)
+    return gx_pad[:, padding : padding + t], gw.reshape(k, c_in, c_out), g.sum(axis=(0, 1))
 
 
 # The recurrent kernels work feature-major: a step's state is [H, N] and its

@@ -8,8 +8,9 @@ steps and bands give the input grid [T, B], and its task and class count give
 the head: a dense layer producing class logits (softmax cross-entropy) or a
 single regression output (mean squared error).
 
-Each recurrent layer is one engine ``recurrent`` node, read out at its last
-step. Its parameters are ``cellL/wx`` [in, k·H], ``cellL/wh`` [H, k·H] and
+Each layer's weights and bias go into one engine node, ``dense``, ``conv1d``
+or ``recurrent``; a recurrent layer is read out at its last step. Its
+parameters are ``cellL/wx`` [in, k·H], ``cellL/wh`` [H, k·H] and
 ``cellL/b`` [k·H], with the k gates in the engine's column order: ``h`` for
 the rnn, ``i, f, o, g`` for the lstm and ``z, r, n`` for the gru, where
 ``h' = (1 - z) h + z n`` and ``n = tanh(Wx x + b + r ⊙ (Wh h))``.
@@ -166,7 +167,7 @@ def _init(rng, shape, fan_in):
 def _dense(g, rng, x, fan_in, fan_out, name):
     w = g.param(f"{name}/w", _init(rng, (fan_in, fan_out), fan_in))
     bias = g.param(f"{name}/b", _init(rng, (fan_out,), fan_in))
-    return g.add(g.matmul(x, w), bias)
+    return g.dense(x, w, bias)
 
 
 def _dropout(g, spec, h, site):
@@ -200,7 +201,7 @@ def _tempcnn_body(g, spec, t, b, rng, notes):
         pad = (k - 1) // 2
         w = g.param(f"conv{i}/w", _init(rng, (k, c_in, spec.channels), k * c_in))
         bias = g.param(f"conv{i}/b", _init(rng, (spec.channels,), k * c_in))
-        h = g.relu(g.add(g.conv1d(h, w, padding=pad), bias))
+        h = g.relu(g.conv1d(h, w, bias, padding=pad))
         length = length + 2 * pad - k + 1
         c_in = spec.channels
     h = g.flatten(h)

@@ -213,9 +213,9 @@ def split_loss(model: Model, split: TensorDataset, batch_size: int = 256) -> flo
     return total / split.n_samples
 
 
-def predict(model: Model, split: TensorDataset, batch_size: int = 256) -> np.ndarray:
+def predict(model: Model, split: TensorDataset) -> np.ndarray:
     """Class labels (classification) or point predictions (regression)."""
-    out = model.infer(split.values, batch_size)
+    out = model.infer(split.values, 256)
     if model.task is Task.CLASSIFICATION:
         return out.argmax(axis=1)
     return out.reshape(-1)

@@ -20,6 +20,13 @@ from roarsel.roar import CycleRecord, DeletionCurve, DeletionPlan
 from roarsel.training import MetricKind, MetricValue, TrainReport
 
 
+def linear(g, x, w):
+    """``x @ w`` for the parameter ``w``: a dense node whose bias is a zero
+    parameter named after ``w``."""
+    zero = np.zeros(g.nodes[w].shape[1:], dtype=DTYPE)
+    return g.dense(x, w, g.param(f"{g.nodes[w].attrs['name']}/zero_bias", zero))
+
+
 def _coordinates(g, x):
     """(label, flat view, batch to forward) for a copy of the input batch and
     for every parameter: each coordinate a finite-difference step moves."""

@@ -11,7 +11,13 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import draw_clean_input, exact_shapley, finite_difference_check, grid_schema
+from conftest import (
+    draw_clean_input,
+    exact_shapley,
+    finite_difference_check,
+    grid_schema,
+    linear,
+)
 
 from roarsel.attribution import (
     ExplainBudget,
@@ -55,8 +61,8 @@ def _uniform(r, shape, lo=-0.5, hi=0.5):
 # -- 1: gradient correctness ------------------------------------------------
 
 ALL_OPS = frozenset({
-    "matmul", "add", "mul", "relu", "conv1d", "flatten", "slice_time", "mse",
-    "softmax_xent", "recurrent",
+    "dense", "mul", "relu", "conv1d", "flatten", "slice_time", "mse", "softmax_xent",
+    "recurrent",
 })
 CELLS = {"rnn": 1, "lstm": 4, "gru": 3}  # recurrent cell -> gates
 
@@ -86,7 +92,7 @@ def random_graph(seed, linear_only=False, cell=None):
 
     if cell is not None:
         recurrent(cell)
-    seq_ops = ["conv1d", "addp", "mulp"]
+    seq_ops = ["conv1d", "mulp"]
     if not linear_only:
         seq_ops += ["nl", "recurrent"]
     for _ in range(int(r.integers(1, 3))):
@@ -98,16 +104,13 @@ def random_graph(seed, linear_only=False, cell=None):
             if t_out < 2:
                 continue
             co = int(r.integers(2, 4))
-            h = g.conv1d(h, param((k, hc, co)), padding=pad)
+            h = g.conv1d(h, param((k, hc, co)), param((co,)), padding=pad)
             ht, hc = t_out, co
             used.add("conv1d")
         elif op == "recurrent":
             recurrent(str(r.choice(list(CELLS))))
-        elif op == "addp":
-            h = g.add(h, param((hc,)))
-            used.add("add")
         elif op == "mulp":
-            h = g.mul(h, param((hc,)))
+            h = g.mul(h, param((ht, hc)))
             used.add("mul")
         else:
             h = g.relu(h)
@@ -120,24 +123,20 @@ def random_graph(seed, linear_only=False, cell=None):
         used.add("flatten")
     for _ in range(int(r.integers(1, 3))):
         d2 = int(r.integers(3, 7))
-        h = g.matmul(h, param((d, d2)))
-        used.add("matmul")
+        h = g.dense(h, param((d, d2)), param((d2,)))
+        used.add("dense")
         d = d2
-        pick = r.choice(["bias", "nl", "none"])
-        if pick == "bias":
-            h = g.add(h, param((d,)))
-            used.add("add")
-        elif pick == "nl" and not linear_only:
+        if r.random() < 0.5 and not linear_only:
             h = g.relu(h)
             used.add("relu")
     if linear_only or r.random() < 0.5:
-        out = g.matmul(h, param((d, 1)))
+        out = g.dense(h, param((d, 1)), param((1,)))
         g.mark_output(out)
         g.mean_squared_error(out)
         used.add("mse")
         return g, used, "mse"
     n_classes = int(r.integers(2, 4))
-    out = g.matmul(h, param((d, n_classes)))
+    out = g.dense(h, param((d, n_classes)), param((n_classes,)))
     g.mark_output(out)
     g.softmax_cross_entropy(out)
     used.add("softmax_xent")
@@ -258,7 +257,7 @@ def test_guided_collapse_on_linear_graphs_and_negative_relu_gate():
         # f(x) = -relu(x): upstream gradient at the relu is -1 everywhere,
         # so guided zeroes it while the standard gradient passes it through
         g = Graph(input_shape=(1,))
-        g.mark_output(g.matmul(g.relu(g.input_node), g.param("w", [[-1.0]])))
+        g.mark_output(linear(g, g.relu(g.input_node), g.param("w", [[-1.0]])))
         x = np.array([[2.0]], dtype=DTYPE)
         g.forward(x)
         assert np.array_equal(g.backward(0).input, [[-1.0]])

@@ -22,7 +22,7 @@ from roarsel.engine import DTYPE, Graph
 from roarsel.errors import EstimatorError
 from roarsel.models import Architecture, Model, ModelSpec, build
 
-from conftest import cell_groups, exact_shapley, grid_schema, make_dataset
+from conftest import cell_groups, exact_shapley, grid_schema, linear, make_dataset
 
 # a schema's task and class count
 REG = (Task.REGRESSION, None)
@@ -34,7 +34,7 @@ def linear_model(weights) -> Model:
     w = np.asarray(weights, dtype=DTYPE).reshape(-1, 1)
     g = Graph(input_shape=(1, len(w)))
     wp = g.param("w", w)
-    out = g.matmul(g.flatten(g.input_node), wp)
+    out = linear(g, g.flatten(g.input_node), wp)
     g.mark_output(out)
     g.mean_squared_error(out)
     return Model(spec=ModelSpec(Architecture.MLP), graph=g, task=Task.REGRESSION)
@@ -44,9 +44,9 @@ def symmetric_model(scale=1.3) -> Model:
     """f(x) = relu(s x_t0) + relu(s x_t1): symmetric in the two time steps."""
     g = Graph(input_shape=(2, 1))
     k = g.param("k", np.array([[[scale]]], dtype=DTYPE))
-    h = g.relu(g.conv1d(g.input_node, k))
+    h = g.relu(g.conv1d(g.input_node, k, g.param("bk", np.zeros(1, DTYPE))))
     ones = g.param("sum", np.ones((2, 1), dtype=DTYPE))
-    out = g.matmul(g.flatten(h), ones)
+    out = linear(g, g.flatten(h), ones)
     g.mark_output(out)
     g.mean_squared_error(out)
     return Model(spec=ModelSpec(Architecture.MLP), graph=g, task=Task.REGRESSION)

@@ -238,6 +238,24 @@ class TestSplitByYear:
             split_by_year(d, holdout_years=2)
 
 
+class TestTake:
+    @pytest.mark.parametrize("empty", [[], (), np.arange(0)], ids=["list", "tuple", "array"])
+    def test_no_indices_take_no_rows(self, empty):
+        d = make_dataset(n=4)
+        part = d.take(empty)
+        assert part.n_samples == 0 and part.shape[1:] == d.shape[1:]
+        assert part == d.take(np.arange(0))
+
+    def test_integer_and_boolean_indices(self):
+        d = make_dataset(n=4)
+        picked = d.take([2, 0])
+        np.testing.assert_array_equal(picked.values, d.values[[2, 0]])
+        np.testing.assert_array_equal(picked.years, d.years[[2, 0]])
+        mask = [True, False, True, False]
+        assert d.take(mask) == d.take(np.array(mask)) == d.take([0, 2])
+        assert d.take([True, False, True, False]) != d.take([1, 0, 1])
+
+
 class TestDeletion:
     def test_delete_bands_bookkeeping(self):
         d = make_dataset(n=6, t=4, b=5)
@@ -248,8 +266,8 @@ class TestDeletion:
 
     def test_delete_empty_is_identity(self):
         d = make_dataset()
-        assert delete_bands(d, set()) == d
-        assert delete_timesteps(d, set()) == d
+        assert delete_bands(d, set()) is d
+        assert delete_timesteps(d, set()) is d
 
     def test_delete_all_bands_rejected(self):
         d = make_dataset(b=5)

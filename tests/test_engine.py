@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from conftest import draw_clean_input, finite_difference_check, grid_schema
+from conftest import draw_clean_input, finite_difference_check, grid_schema, linear
 from numpy.lib.stride_tricks import sliding_window_view
 
 from roarsel.data import Task
-from roarsel.engine import DTYPE, Graph, _conv1d_backward, _conv1d_forward, _keep
+from roarsel.engine import DTYPE, Graph, _keep
 from roarsel.models import Architecture, ModelSpec, build
 from roarsel.errors import GraphError
 
@@ -26,18 +26,19 @@ def test_conv1d_hand_oracle_no_padding():
     # input [1, 2, 3], kernel [1, 1], valid convolution -> [3, 5]
     g = Graph(input_shape=(3, 1))
     w = g.param("w", np.array([[[1.0]], [[1.0]]]))
-    g.mark_output(g.conv1d(g.input_node, w))
+    g.mark_output(g.conv1d(g.input_node, w, g.param("b", np.zeros(1))))
     out = g.forward(np.array([[[1.0], [2.0], [3.0]]]))
     np.testing.assert_array_equal(out, np.array([[[3.0], [5.0]]], dtype=DTYPE))
 
 
 def test_conv1d_hand_oracle_padded():
-    # same input with one zero on each side -> [1, 3, 5, 3]
+    # same input with one zero on each side, plus a bias of 10 -> [11, 13, 15, 13]
     g = Graph(input_shape=(3, 1))
     w = g.param("w", np.array([[[1.0]], [[1.0]]]))
-    g.mark_output(g.conv1d(g.input_node, w, padding=1))
+    g.mark_output(g.conv1d(g.input_node, w, g.param("b", [10.0]), padding=1))
     out = g.forward(np.array([[[1.0], [2.0], [3.0]]]))
-    np.testing.assert_array_equal(out, np.array([[[1.0], [3.0], [5.0], [3.0]]], dtype=DTYPE))
+    np.testing.assert_array_equal(out, np.array([[[11.0], [13.0], [15.0], [13.0]]],
+                                                dtype=DTYPE))
 
 
 def _reference_columns(x, k, padding):
@@ -61,6 +62,48 @@ def _reference_conv1d(x, w, g, padding):
     return y, gw, gx_pad[:, padding : padding + t]
 
 
+def _bias_node(y, b, g):
+    """A bias added by a node of its own: the forward ``y + b`` broadcast
+    over the leading axes, and the bias gradient the upstream gradient
+    summed over them."""
+    axes = tuple(range(g.ndim - b.ndim))
+    return y + b, g.sum(axis=axes).astype(DTYPE, copy=False)
+
+
+def _layer_op(op, x, w, b, g, **attrs):
+    """Output and (dx, dW, db) of one ``op`` node over ``x``, ``w`` and ``b``,
+    its backward fed the upstream gradient ``g``."""
+    graph = Graph(input_shape=x.shape[1:])
+    idx = getattr(graph, op)(graph.input_node, graph.param("w", w), graph.param("b", b),
+                             **attrs)
+    values = [x, graph.params["w"], graph.params["b"]]
+    node = graph.nodes[idx]
+    y = node.fwd(values)
+    return (y, *node.bwd(g, y, values))
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 64, 300])
+@pytest.mark.parametrize("n_in, n_out", [(1, 1), (12, 16), (75, 128), (128, 128),
+                                         (64, 3), (256, 1)])
+def test_dense_matches_the_matmul_and_add_reference(batch, n_in, n_out):
+    """``dense`` gives the bytes of a matmul node followed by a bias add node:
+    output, dx, dW and db."""
+    r = rng(batch + n_in + n_out)
+    x = r.standard_normal((batch, n_in)).astype(DTYPE)
+    w = r.standard_normal((n_in, n_out)).astype(DTYPE)
+    b = r.standard_normal(n_out).astype(DTYPE)
+    g = r.standard_normal((batch, n_out)).astype(DTYPE)
+    y, db = _bias_node(x @ w, b, g)
+    _assert_same_bytes(_layer_op("dense", x, w, b, g), (y, g @ w.T, x.T @ g, db))
+
+
 @pytest.mark.parametrize("batch", [1, 64, 300])
 @pytest.mark.parametrize("t, c_in, c_out, k, padding", [
     (6, 2, 3, 1, 0),
@@ -77,34 +120,37 @@ def _reference_conv1d(x, w, g, padding):
 ])
 def test_conv1d_kernels_match_the_padded_window_reference(batch, t, c_in, c_out, k,
                                                           padding):
+    """A biased ``conv1d`` gives the bytes of the padded-window convolution
+    followed by a bias add node: output, dx, dW and db."""
     r = rng(batch + 10 * k + padding)
     x = r.standard_normal((batch, t, c_in)).astype(DTYPE)
     w = r.standard_normal((k, c_in, c_out)).astype(DTYPE)
+    b = r.standard_normal(c_out).astype(DTYPE)
     g = r.standard_normal((batch, t + 2 * padding - k + 1, c_out)).astype(DTYPE)
     y_ref, gw_ref, gx_ref = _reference_conv1d(x, w, g, padding)
-    y = _conv1d_forward(x, w, padding)
-    gx, gw = _conv1d_backward(x, w, g, padding)
-    for got, want in ((y, y_ref), (gw, gw_ref), (gx, gx_ref)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    y_ref, db_ref = _bias_node(y_ref, b, g)
+    _assert_same_bytes(_layer_op("conv1d", x, w, b, g, padding=padding),
+                       (y_ref, gx_ref, gw_ref, db_ref))
 
 
-def test_matmul_gradients_linear_form():
-    # f(x) = 2 x0 + 3 x1: input grad is the weight, weight grad is the input
+def test_dense_gradients_linear_form():
+    # f(x) = 2 x0 + 3 x1 + 4: input grad is the weight, weight grad is the
+    # input, and the bias grad counts the batch
     g = Graph(input_shape=(2,))
     w = g.param("w", np.array([[2.0], [3.0]]))
-    g.mark_output(g.matmul(g.input_node, w))
-    x = np.array([[5.0, 7.0]])
-    g.forward(x)
+    g.mark_output(g.dense(g.input_node, w, g.param("b", [4.0])))
+    x = np.array([[5.0, 7.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(g.forward(x), [[35.0], [9.0]])
     grads = g.backward(selector=0)
-    np.testing.assert_array_equal(grads.input, [[2.0, 3.0]])
-    np.testing.assert_array_equal(grads.params["w"], [[5.0], [7.0]])
+    np.testing.assert_array_equal(grads.input, [[2.0, 3.0], [2.0, 3.0]])
+    np.testing.assert_array_equal(grads.params["w"], [[6.0], [8.0]])
+    np.testing.assert_array_equal(grads.params["b"], [2.0])
 
 
 def test_softmax_cross_entropy_hand_value():
     g = Graph(input_shape=(2,))
     w = g.param("w", np.eye(2))
-    out = g.matmul(g.input_node, w)
+    out = linear(g, g.input_node, w)
     g.mark_output(out)
     g.softmax_cross_entropy(out)
     loss = g.forward_loss(np.array([[1.0, 2.0]]), target=np.array([1]))
@@ -115,7 +161,7 @@ def test_softmax_cross_entropy_hand_value():
 def test_mean_squared_error_hand_value():
     g = Graph(input_shape=(1,))
     w = g.param("w", np.eye(1))
-    out = g.matmul(g.input_node, w)
+    out = linear(g, g.input_node, w)
     g.mark_output(out)
     g.mean_squared_error(out)
     loss = g.forward_loss(np.array([[1.0], [2.0]]), target=np.array([3.0, 5.0]))
@@ -137,7 +183,7 @@ def test_slice_time_and_flatten_shapes():
 def test_slice_time_gradient_scatters_to_one_step():
     g = Graph(input_shape=(3, 2))
     w = g.param("w", np.ones((2, 1)))
-    g.mark_output(g.matmul(g.slice_time(g.input_node, 1), w))
+    g.mark_output(linear(g, g.slice_time(g.input_node, 1), w))
     g.forward(np.ones((2, 3, 2), dtype=DTYPE))
     grads = g.backward(selector=0)
     expected = np.zeros((2, 3, 2), dtype=DTYPE)
@@ -151,7 +197,7 @@ def test_slice_time_gradient_scatters_to_one_step():
 def test_guided_zeroes_negative_upstream_gradient():
     """f(x) = -relu(x) at x = 1: standard gradient -1, guided 0."""
     g = Graph(input_shape=(1,))
-    g.mark_output(g.matmul(g.relu(g.input_node), g.param("w", [[-1.0]])))
+    g.mark_output(linear(g, g.relu(g.input_node), g.param("w", [[-1.0]])))
     x = np.array([[1.0]])
     g.forward(x)
     assert g.backward(selector=0).input.item() == pytest.approx(-1.0)
@@ -162,7 +208,7 @@ def test_guided_zeroes_negative_upstream_gradient():
 def test_guided_zeroes_non_positive_forward_input():
     """f(x) = relu(-x) at x = 1: forward input to relu is -1, both modes 0."""
     g = Graph(input_shape=(1,))
-    g.mark_output(g.relu(g.matmul(g.input_node, g.param("w", [[-1.0]]))))
+    g.mark_output(g.relu(linear(g, g.input_node, g.param("w", [[-1.0]]))))
     x = np.array([[1.0]])
     g.forward(x)
     assert g.backward(selector=0).input.item() == 0.0
@@ -173,7 +219,7 @@ def test_guided_zeroes_non_positive_forward_input():
 def test_guided_passes_positive_path():
     # positive forward input and positive upstream gradient flow unchanged
     g = Graph(input_shape=(1,))
-    g.mark_output(g.matmul(g.relu(g.input_node), g.param("w", [[2.0]])))
+    g.mark_output(linear(g, g.relu(g.input_node), g.param("w", [[2.0]])))
     g.forward(np.array([[3.0]]))
     assert g.backward_guided(selector=0).item() == pytest.approx(2.0)
 
@@ -189,7 +235,7 @@ def test_guided_equals_standard_without_relu(seed):
     b = g.param("b", uniform(r, (4 * 5,)))
     w2 = g.param("w2", uniform(r, (3 * 5, 3)))
     h = g.recurrent(g.input_node, wx, wh, b, "lstm")
-    g.mark_output(g.matmul(g.flatten(h), w2))
+    g.mark_output(linear(g, g.flatten(h), w2))
     x = uniform(r, (4, 3, 2), -2, 2)
     g.forward(x)
     standard = g.backward(selector=1).input
@@ -203,7 +249,7 @@ def test_guided_differs_from_standard_with_relu():
     g = Graph(input_shape=(4,))
     w1 = g.param("w1", uniform(r, (4, 8)))
     w2 = g.param("w2", uniform(r, (8, 2)))
-    g.mark_output(g.matmul(g.relu(g.matmul(g.input_node, w1)), w2))
+    g.mark_output(linear(g, g.relu(linear(g, g.input_node, w1)), w2))
     x = uniform(r, (16, 4), -2, 2)
     g.forward(x)
     standard = g.backward(selector=0).input
@@ -250,9 +296,9 @@ def test_guided_input_matches_a_where_reference():
     w2 = uniform(r, (16, 8))
     w3 = uniform(r, (8, 3))
     h0 = g.flatten(g.input_node)
-    h1 = g.relu(g.add(g.matmul(h0, g.param("w1", w1)), g.param("b1", b1)))
-    h2 = g.relu(g.matmul(h1, g.param("w2", w2)))
-    g.mark_output(g.matmul(h2, g.param("w3", w3)))
+    h1 = g.relu(g.dense(h0, g.param("w1", w1), g.param("b1", b1)))
+    h2 = g.relu(linear(g, h1, g.param("w2", w2)))
+    g.mark_output(linear(g, h2, g.param("w3", w3)))
     x = uniform(r, (32, 3, 4), -2, 2)
     x[0] = 0.0  # with the zero biases, four relu inputs are exactly 0
     selector = r.integers(0, 3, size=32)
@@ -302,8 +348,8 @@ def build_mlp_regression(seed=0):
     w1 = g.param("w1", uniform(r, (5, 7)))
     b1 = g.param("b1", uniform(r, (7,)))
     w2 = g.param("w2", uniform(r, (7, 1)))
-    h = g.relu(g.add(g.matmul(g.input_node, w1), b1))
-    out = g.matmul(h, w2)
+    h = g.relu(g.dense(g.input_node, w1, b1))
+    out = linear(g, h, w2)
     g.mark_output(out)
     g.mean_squared_error(out)
     return g
@@ -315,25 +361,26 @@ def build_conv_classifier(seed=1):
     k = g.param("k", uniform(r, (3, 2, 4)))
     bk = g.param("bk", uniform(r, (4,)))
     w = g.param("w", uniform(r, (24, 3)))
-    h = g.relu(g.add(g.conv1d(g.input_node, k, padding=1), bk))
-    out = g.matmul(g.flatten(h), w)
+    h = g.relu(g.conv1d(g.input_node, k, bk, padding=1))
+    out = linear(g, g.flatten(h), w)
     g.mark_output(out)
     g.softmax_cross_entropy(out)
     return g
 
 
 def build_recurrent_cell(seed=2):
-    """Two unrolled relu steps; weight tensors are reused across steps."""
+    """Two relu steps that share ``wx`` and ``b``, joined by a product and a
+    state layer that uses ``b`` a third time."""
     r = rng(seed)
     g = Graph(input_shape=(2, 3))
     wx = g.param("wx", uniform(r, (3, 4)))
     wh = g.param("wh", uniform(r, (4, 4)))
     b = g.param("b", uniform(r, (4,)))
     wo = g.param("wo", uniform(r, (4, 1)))
-    h1 = g.relu(g.add(g.matmul(g.slice_time(g.input_node, 0), wx), b))
-    pre = g.add(g.matmul(g.slice_time(g.input_node, 1), wx), g.matmul(h1, wh))
-    h2 = g.relu(g.add(pre, b))
-    out = g.matmul(h2, wo)
+    h1 = g.relu(g.dense(g.slice_time(g.input_node, 0), wx, b))
+    u = g.relu(g.dense(g.slice_time(g.input_node, 1), wx, b))
+    h2 = g.relu(g.dense(g.mul(h1, u), wh, b))
+    out = linear(g, h2, wo)
     g.mark_output(out)
     g.mean_squared_error(out)
     return g
@@ -380,7 +427,7 @@ def build_recurrent_stack(cell, depth, seed=6):
         wh = g.param(f"wh{layer}", uniform(r, (hid, k * hid)))
         b = g.param(f"b{layer}", uniform(r, (k * hid,)))
         h, d = g.recurrent(h, wx, wh, b, cell), hid
-    out = g.matmul(g.flatten(h), g.param("w", uniform(r, (t * hid, 3))))
+    out = linear(g, g.flatten(h), g.param("w", uniform(r, (t * hid, 3))))
     g.mark_output(out)
     g.softmax_cross_entropy(out)
     return g
@@ -464,7 +511,7 @@ def test_mask_zero_blocks_gradient():
     g = Graph(input_shape=(2,))
     m = g.mask_input("drop0", (2,))
     w = g.param("w", np.ones((2, 1)))
-    g.mark_output(g.matmul(g.mul(g.input_node, m), w))
+    g.mark_output(linear(g, g.mul(g.input_node, m), w))
     x = np.ones((1, 2), dtype=DTYPE)
     mask = np.array([[1.0, 0.0]], dtype=DTYPE)
     g.forward(x, masks={"drop0": mask})
@@ -490,22 +537,40 @@ def test_forward_is_pure():
 def test_shape_mismatch_rejected_at_build_time():
     g = Graph(input_shape=(3,))
     w = g.param("w", np.ones((4, 2)))
-    with pytest.raises(GraphError, match="matmul shape mismatch"):
-        g.matmul(g.input_node, w)
+    with pytest.raises(GraphError, match="dense shape mismatch"):
+        g.dense(g.input_node, w, g.param("b", np.ones(2)))
 
 
-def test_add_shape_mismatch_rejected():
-    g = Graph(input_shape=(3,))
-    other = g.param("b", np.ones((2,)))
-    with pytest.raises(GraphError, match="add shape mismatch"):
-        g.add(g.input_node, other)
+def test_bias_and_mul_shape_mismatch_rejected():
+    """A bias must be a parameter of the layer's output width, and ``mul``
+    takes operands of one per-sample shape only, without broadcasting."""
+    g = Graph(input_shape=(4, 3))
+    flat = g.flatten(g.input_node)
+    w = g.param("w", np.ones((12, 2)))
+    k = g.param("k", np.ones((2, 3, 5)))
+    for shape in [(3,), (1,), (2, 1), ()]:
+        with pytest.raises(GraphError, match="dense shape mismatch"):
+            g.dense(flat, w, g.param(f"dense{shape}", np.ones(shape)))
+    with pytest.raises(GraphError, match="must be parameters"):
+        g.dense(flat, w, g.slice_time(g.input_node, 0))
+    for shape in [(3,), (1,), (4, 5), ()]:
+        with pytest.raises(GraphError, match="conv1d bias must be a parameter"):
+            g.conv1d(g.input_node, k, g.param(f"conv{shape}", np.ones(shape)))
+    with pytest.raises(GraphError, match="conv1d bias must be a parameter"):
+        g.conv1d(g.input_node, k, g.flatten(g.input_node))
+    for shape in [(3,), (1, 3), (3, 4), (4, 3, 1)]:
+        with pytest.raises(GraphError, match="mul shape mismatch"):
+            g.mul(g.input_node, g.param(f"mul{shape}", np.ones(shape)))
+    with pytest.raises(GraphError, match="mul shape mismatch"):
+        g.mul(g.input_node, flat)
+    assert g.nodes[g.mul(g.input_node, g.param("scale", np.ones((4, 3))))].shape == (4, 3)
 
 
 def test_conv_kernel_longer_than_input_rejected():
     g = Graph(input_shape=(2, 1))
     w = g.param("w", np.ones((5, 1, 1)))
     with pytest.raises(GraphError, match="does not fit"):
-        g.conv1d(g.input_node, w)
+        g.conv1d(g.input_node, w, g.param("b", np.ones(1)))
 
 
 def test_duplicate_parameter_name_rejected():
@@ -535,6 +600,18 @@ def test_output_index_out_of_range():
     g.forward(rng(0).normal(size=(2, 6, 2)).astype(DTYPE))
     with pytest.raises(GraphError, match="out of range"):
         g.backward(selector=9)
+
+
+@pytest.mark.parametrize("bad", [3, 5, -1])
+def test_per_sample_selector_entries_are_range_checked(bad):
+    """Every entry of a per-sample selector must name a column of the
+    [N, 3] output; a negative one must not wrap to the last column."""
+    g = build_conv_classifier()
+    g.forward(rng(0).normal(size=(2, 6, 2)).astype(DTYPE))
+    with pytest.raises(GraphError, match=f"output index {bad} out of range"):
+        g.backward(selector=np.array([bad, 0]))
+    with pytest.raises(GraphError, match=f"output index {bad} out of range"):
+        g.backward(selector=np.array([0, bad]))
 
 
 def test_loss_selector_requires_target():

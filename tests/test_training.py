@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import grid_schema
+from conftest import grid_schema, linear
 
 from roarsel import training
 from roarsel.data import SplitTriple, Task, TensorDataset, default_schema
@@ -56,7 +56,7 @@ def passthrough_model() -> Model:
     """Regression model whose prediction is exactly its single input value."""
     g = Graph(input_shape=(1, 1))
     w = g.param("w", np.eye(1))
-    out = g.matmul(g.flatten(g.input_node), w)
+    out = linear(g, g.flatten(g.input_node), w)
     g.mark_output(out)
     g.mean_squared_error(out)
     spec = ModelSpec(Architecture.MLP)
@@ -93,7 +93,7 @@ def test_r2_constant_targets_rejected():
 def test_accuracy_counts_correct_argmax():
     g = Graph(input_shape=(1, 2))
     w = g.param("w", np.eye(2))
-    out = g.matmul(g.flatten(g.input_node), w)
+    out = linear(g, g.flatten(g.input_node), w)
     g.mark_output(out)
     g.softmax_cross_entropy(out)
     model = Model(spec=ModelSpec(Architecture.MLP), graph=g, task=Task.CLASSIFICATION)
