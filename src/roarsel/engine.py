@@ -18,7 +18,8 @@ gradient are ANDed with an all-ones or all-zeros word, bit-identical to
 
 Every layer op (dense, conv1d, recurrent) takes its bias as an argument and
 adds it inside its kernel, in place on the fresh product; ``mul`` takes two
-operands of one per-sample shape, and no op broadcasts any other way.
+operands of one per-sample shape, and no op broadcasts any other way. ``mul``
+computes no gradient for a mask slot operand, since nothing reads one.
 
 conv1d's forward and its weight gradient are one matmul each over the
 columns that one builder, ``_columns``, lays out tap-major from the padded
@@ -136,11 +137,15 @@ class Graph:
         sa, sb = self._shape(a), self._shape(b)
         if sa != sb:
             raise GraphError(f"mul shape mismatch: {sa} vs {sb}")
-        shared = self.nodes[b].op == "param"  # one value for the whole batch
-        return self._add(
-            "mul", (a, b), {}, sa, lambda v: v[a] * v[b],
-            lambda g, y, v: (g * v[b], (g * v[a]).sum(axis=0) if shared else g * v[a]),
-        )
+        kind = self.nodes[b].op
+
+        def bwd(g, y, v):
+            if kind == "mask":  # a dropout mask is fed, so nothing reads its gradient
+                return g * v[b], None
+            gb = g * v[a]  # a parameter holds one value for the whole batch
+            return g * v[b], gb.sum(axis=0) if kind == "param" else gb
+
+        return self._add("mul", (a, b), {}, sa, lambda v: v[a] * v[b], bwd)
 
     def relu(self, x: int) -> int:
         return self._add("relu", (x,), {}, self._shape(x),

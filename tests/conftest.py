@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from roarsel import training
 from roarsel.attribution import (
     FeatureGroups,
     GroupingAxis,
@@ -245,3 +250,37 @@ def tiny_regression():
 @pytest.fixture
 def tiny_classification():
     return make_dataset(task=Task.CLASSIFICATION, n_classes=3)
+
+
+@pytest.fixture(autouse=True)
+def one_lane(monkeypatch):
+    """An in-process ``select`` trains every candidate in the test's own
+    process, however many threads BLAS started; the forked lanes are tested
+    in subprocesses (``run_pinned``)."""
+    monkeypatch.setattr(training, "_lanes", lambda n_candidates: 1)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+forked_lanes = pytest.mark.skipif(
+    _usable_cpus() < 2 or not os.path.isdir("/proc/self/task"),
+    reason="select forks its lanes only on Linux with at least two usable CPUs",
+)
+
+_TESTS = Path(__file__).resolve().parent
+
+
+def run_pinned(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python -W error *args`` with BLAS pinned to one thread, so the process
+    runs a single thread and ``select`` forks its lanes; the package and the
+    test modules are importable."""
+    path = os.pathsep.join([str(_TESTS.parent / "src"), str(_TESTS)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)

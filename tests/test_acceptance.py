@@ -15,8 +15,10 @@ from conftest import (
     draw_clean_input,
     exact_shapley,
     finite_difference_check,
+    forked_lanes,
     grid_schema,
     linear,
+    run_pinned,
 )
 
 from roarsel.attribution import (
@@ -481,9 +483,9 @@ def _selection_csv_columns(path):
     return ([r[0] for r in rows], [r[2] for r in rows], [r[3] for r in rows])
 
 
-def test_model_selection_ignores_the_test_split_until_ranked(tmp_path):
+def _selection_ignores_the_test_split_until_ranked(tmp_path, select, label):
     with criterion("criterion 10: selection ranks the dominant candidate "
-                   "first and never consults the test split while ranking"):
+                   f"first and never consults the test split while ranking{label}"):
         base_cfg = {
             "seed": 21,
             "dataset": {"path": str(tmp_path / "clean"),
@@ -499,7 +501,7 @@ def test_model_selection_ignores_the_test_split_until_ranked(tmp_path):
         }
         path = _write_config(tmp_path / "clean.json", base_cfg)
         assert main(["generate", "--config", path]) == 0
-        assert main(["select", "--config", path]) == 0
+        assert select(path) == 0
 
         # poison exactly the rows the year split sends to the test bucket;
         # if ranking ever touched them, the val column below would move
@@ -520,7 +522,7 @@ def test_model_selection_ignores_the_test_split_until_ranked(tmp_path):
         poisoned_cfg["dataset"] = {"path": str(tmp_path / "poisoned")}
         poisoned_cfg["out_dir"] = str(tmp_path / "out_poisoned")
         path2 = _write_config(tmp_path / "poisoned.json", poisoned_cfg)
-        assert main(["select", "--config", path2]) == 0
+        assert select(path2) == 0
 
         clean = json.loads((tmp_path / "out_clean" / "selection.json").read_text())
         poisoned = json.loads(
@@ -536,3 +538,19 @@ def test_model_selection_ignores_the_test_split_until_ranked(tmp_path):
         assert archs_c == archs_p and archs_c[0] == "mlp"
         assert val_c == val_p  # ranking inputs untouched by the poison
         assert test_c != test_p  # the poison did reach the test-only column
+
+
+def test_model_selection_ignores_the_test_split_until_ranked(tmp_path):
+    _selection_ignores_the_test_split_until_ranked(
+        tmp_path, lambda path: main(["select", "--config", path]), "")
+
+
+@forked_lanes
+def test_forked_model_selection_ignores_the_test_split_until_ranked(tmp_path):
+    def select(path):
+        done = run_pinned("-m", "roarsel", "select", "--config", path)
+        assert done.stderr == ""
+        return done.returncode
+
+    _selection_ignores_the_test_split_until_ranked(
+        tmp_path, select, " (forked lanes)")

@@ -1,5 +1,7 @@
 """Differentiation engine tests: hand oracles, finite differences, modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import draw_clean_input, finite_difference_check, grid_schema, linear
@@ -7,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from roarsel.data import Task
 from roarsel.engine import DTYPE, Graph, _keep
-from roarsel.models import Architecture, ModelSpec, build
+from roarsel.models import Architecture, ModelSpec, build, dropout_masks
 from roarsel.errors import GraphError
 
 
@@ -517,6 +519,32 @@ def test_mask_zero_blocks_gradient():
     g.forward(x, masks={"drop0": mask})
     grads = g.backward(selector=0)
     np.testing.assert_array_equal(grads.input, [[1.0, 0.0]])
+
+
+def test_mask_slot_gets_no_gradient_and_dropout_gradients_are_unchanged():
+    model = build(ModelSpec(Architecture.MLP, width=8, dropout=0.5),
+                  grid_schema(3, 2), seed=0)
+    g = model.graph
+    r = rng(4)
+    x = r.normal(size=(6, 3, 2)).astype(DTYPE)
+    g.forward(x, target=r.normal(size=6).astype(DTYPE),
+              masks=dropout_masks(model, 6, r))
+    muls = [node for node in g.nodes if node.op == "mul"]
+    assert len(muls) == 2 and all(g.nodes[n.args[1]].op == "mask" for n in muls)
+    for node in muls:
+        upstream = np.ones((6, *node.shape), dtype=DTYPE)
+        assert node.bwd(upstream, None, g._cache)[1] is None
+    got = g.backward("loss")
+    # the reference rule computes the mask's gradient too, and backward drops it
+    for node in muls:
+        a, b = node.args
+        g.nodes[node.idx] = replace(
+            node, bwd=lambda gr, y, v, a=a, b=b: (gr * v[b], gr * v[a]))
+    want = g.backward("loss")
+    assert got.input.tobytes() == want.input.tobytes()
+    assert got.params.keys() == want.params.keys()
+    for name, value in want.params.items():
+        assert got.params[name].tobytes() == value.tobytes(), name
 
 
 # -- determinism and isolation -----------------------------------------------

@@ -316,6 +316,8 @@ def test_grid_of_one_wins():
     assert report.best_index == 0
     assert report.ranking[0].val_metric is not None
     assert report.test_metric is not None
+    # the returned model is the trained one
+    assert evaluate(model, splits.validation).value == report.ranking[0].val_metric
 
 
 def test_metric_tie_keeps_earlier_grid_index():
