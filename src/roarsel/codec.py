@@ -1,14 +1,15 @@
 """One JSON form for every persisted dataclass, read from its annotations.
 
-Four files are the codec form of one dataclass each: the run config and its
-``effective.json`` echo (``RunConfig``), a curve file (``DeletionCurve``),
-``selection.json`` (``SelectionReport``) and a dataset's ``manifest``
-(``FeatureSchema``). ``encode`` turns a dataclass into its JSON value field
-by field: enums travel as their values, frozensets as sorted lists, tuples
-as lists, and a dict keyed by tuples (``PlantSpec.cell_weights``) as sorted
-``[*key, value]`` rows. ``decode`` builds the value back from the resolved field
-annotations and checks every JSON value against its field's type, so every
-file is read by the same rules:
+Four JSON documents are the codec form of one dataclass each: the run config
+and its ``effective.json`` echo (``RunConfig``), a curve file
+(``DeletionCurve``), ``selection.json`` (``SelectionReport``) and the manifest
+embedded in a dataset file (``FeatureSchema``). ``encode`` turns a dataclass
+into its JSON value field by field: enums travel as their values, frozensets
+as sorted lists, tuples as lists, and a dict keyed by tuples
+(``PlantSpec.cell_weights``) as sorted ``[*key, value]`` rows. ``decode``
+builds the value back from the resolved field annotations and checks every
+JSON value against its field's type, so every document is read by the same
+rules:
 
 - a count (``int``) is a JSON integer, never a bool or a float;
 - a real (``float``) is a finite JSON number, kept as given, so an integer

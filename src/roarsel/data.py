@@ -1,18 +1,24 @@
 """Dataset container, feature schema, year splits, and the bit-exact on-disk format.
 
-A dataset directory holds four files: ``manifest``, the JSON codec form of
-``FeatureSchema`` (task, bands with ids, names and modalities, time steps with
-ids and labels, class count and names or null), plus three binary payloads
-``values.bin`` / ``targets.bin`` / ``years.bin``. Every payload starts with
-the magic bytes ``MMTS``, a u32 little-endian format version, and the array
-dimensions as u32 little-endian (N,T,B for values; N for the others), followed
-by row-major IEEE-754 f32 little-endian data (u32 for years).
+A dataset directory holds one file, ``dataset.mmts``, written by one atomic
+rename, so a reader sees either the whole old dataset or the whole new one.
+Everything in it is little-endian:
+
+- the magic bytes ``MMTS``;
+- five u32: the format version, the manifest's byte length, then N, T and B;
+- the manifest, the JSON codec form of ``FeatureSchema`` (task, bands with
+  ids, names and modalities, time steps with ids and labels, class count and
+  names or null), padded with spaces so the arrays start at a multiple of 64
+  bytes;
+- values f32 [N,T,B], targets f32 [N] and years u32 [N], row-major.
+
+Format version 1 kept the manifest and each array in a file of its own; a
+directory in that layout is rejected by name.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -25,7 +31,9 @@ from .codec import decode, decode_enums, encode
 from .errors import ConfigError, DatasetError
 
 MAGIC = b"MMTS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DATASET_FILE = "dataset.mmts"
+_HEAD = 24  # magic, then version, manifest length, N, T, B as u32
 
 
 class Task(str, Enum):
@@ -225,52 +233,11 @@ def write_json(path: str | Path, obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary payloads
-
-
-def write_payload(path: Path, arr: np.ndarray, kind: str = "f32") -> None:
-    """Write one MMTS payload: magic, version, u32 dims, then raw data."""
-    if kind == "f32":
-        data = np.ascontiguousarray(arr, dtype="<f4")
-    elif kind == "u32":
-        data = np.ascontiguousarray(arr, dtype="<u4")
-    else:
-        raise ValueError(f"unknown payload kind {kind!r}")
-    header = MAGIC + np.array([FORMAT_VERSION, *arr.shape], dtype="<u4").tobytes()
-    write_atomic(path, header + data.tobytes())
-
-
-def read_payload(path: Path, ndim: int, kind: str = "f32") -> np.ndarray:
-    """Read one MMTS payload of known rank; validates magic, version, length."""
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DatasetError(f"cannot read payload {path}: {exc}") from exc
-    head = 4 + 4 + 4 * ndim
-    if len(raw) < head or raw[:4] != MAGIC:
-        raise DatasetError(f"{path.name}: missing MMTS magic")
-    meta = np.frombuffer(raw[4:head], dtype="<u4")
-    version, dims = int(meta[0]), tuple(int(d) for d in meta[1:])
-    if version != FORMAT_VERSION:
-        raise DatasetError(f"{path.name}: unsupported format version {version}")
-    count = math.prod(dims)
-    dtype = "<f4" if kind == "f32" else "<u4"
-    expected = head + 4 * count
-    if len(raw) != expected:
-        have = (len(raw) - head) // 4
-        raise DatasetError(
-            f"{path.name}: payload size mismatch, header declares {dims} "
-            f"({count} entries) but file holds {have}"
-        )
-    return np.frombuffer(raw[head:], dtype=dtype).reshape(dims)
-
-
-# ---------------------------------------------------------------------------
-# dataset directory I/O
+# the dataset file
 
 
 def save_dataset(d: TensorDataset, path: str | Path) -> None:
-    """Write a dataset directory (manifest + three payloads). Bit-exact."""
+    """Write a dataset directory's one file in one atomic rename. Bit-exact."""
     if d.n_samples == 0:
         raise DatasetError("empty dataset")
     if not np.all(np.isfinite(d.values)):
@@ -280,33 +247,58 @@ def save_dataset(d: TensorDataset, path: str | Path) -> None:
     if d.years.min() < 0 or d.years.max() >= 2**32:
         raise DatasetError("years must fit in u32")
 
+    manifest = (json.dumps(encode(d.schema), indent=2, sort_keys=True) + "\n").encode()
+    manifest += b" " * (-(_HEAD + len(manifest)) % 64)  # the arrays start 64-aligned
+    head = np.array([FORMAT_VERSION, len(manifest), *d.shape], dtype="<u4")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "manifest", encode(d.schema))
-    write_payload(out / "values.bin", d.values, "f32")
-    write_payload(out / "targets.bin", d.targets.astype(np.float32), "f32")
-    write_payload(out / "years.bin", d.years, "u32")
+    write_atomic(out / DATASET_FILE, b"".join((
+        MAGIC, head, manifest,
+        np.ascontiguousarray(d.values, dtype="<f4"),
+        np.ascontiguousarray(d.targets, dtype="<f4"),
+        np.ascontiguousarray(d.years, dtype="<u4"),
+    )))
 
 
 def load_dataset(path: str | Path) -> TensorDataset:
     """Read a dataset directory; byte-for-byte round-trip with save_dataset."""
     root = Path(path)
-    manifest_path = root / "manifest"
-    if not manifest_path.is_file():
-        raise DatasetError(f"missing manifest in {root}")
+    file = root / DATASET_FILE
+    if not file.is_file():
+        if (root / "manifest").is_file():
+            raise DatasetError(
+                f"{root} holds a format version 1 dataset (manifest and .bin "
+                f"files), which this version cannot read; run generate again"
+            )
+        raise DatasetError(f"missing {DATASET_FILE} in {root}")
     try:
-        schema = decode(FeatureSchema, json.loads(manifest_path.read_text()), "manifest")
+        raw = file.read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {file}: {exc}") from exc
+    if len(raw) < _HEAD or raw[:4] != MAGIC:
+        raise DatasetError(f"{file}: missing MMTS magic")
+    version, size, n, t, b = (int(v) for v in np.frombuffer(raw, "<u4", 5, 4))
+    if version != FORMAT_VERSION:
+        raise DatasetError(f"{file}: unsupported format version {version}")
+    start = _HEAD + size
+    expected = start + 4 * (n * t * b + 2 * n)
+    if len(raw) != expected:
+        raise DatasetError(
+            f"{file}: size mismatch, header declares a {size}-byte manifest and "
+            f"N={n}, T={t}, B={b} ({expected} bytes) but the file holds {len(raw)}"
+        )
+    try:
+        schema = decode(FeatureSchema, json.loads(raw[_HEAD:start]), "manifest")
     except (json.JSONDecodeError, UnicodeDecodeError, ConfigError) as exc:
         raise DatasetError(f"corrupt manifest in {root}: {exc}") from exc
-
-    values = read_payload(root / "values.bin", ndim=3, kind="f32")
-    if values.shape[0] == 0:
+    if n == 0:
         raise DatasetError("empty dataset")
+    cells = n * t * b
     return TensorDataset(
         schema=schema,
-        values=values,
-        targets=read_payload(root / "targets.bin", ndim=1, kind="f32"),
-        years=read_payload(root / "years.bin", ndim=1, kind="u32"),
+        values=np.frombuffer(raw, "<f4", cells, start).reshape(n, t, b),
+        targets=np.frombuffer(raw, "<f4", n, start + 4 * cells),
+        years=np.frombuffer(raw, "<u4", n, start + 4 * (cells + n)),
     )
 
 

@@ -265,6 +265,8 @@ class Graph:
                 f"input shape {x.shape[1:]} does not match slot {self.input_shape}"
             )
         n = x.shape[0]
+        if target is not None and np.shape(target) != (n,):
+            raise GraphError(f"target shape {np.shape(target)} is not the batch's ({n},)")
         feeds = {"x": x, "target": target}
         masks = masks or {}
         for name, shape in self.mask_shapes.items():
@@ -653,9 +655,12 @@ _CELLS = {
 
 
 def _softmax_xent_forward(logits, target):
+    idx = np.asarray(target).astype(int)
+    if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
+        raise GraphError(f"class indices must lie in [0, {logits.shape[1]})")
     z = logits - logits.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(logits.shape[0]), np.asarray(target).astype(int)]
+    picked = z[np.arange(logits.shape[0]), idx]
     return np.mean(logsum - picked, dtype=DTYPE)
 
 

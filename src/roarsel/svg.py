@@ -43,6 +43,12 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data. ``xml.sax.saxutils.escape`` does the same,
+    but importing it loads urllib and about forty other modules."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
     """Validation and test metric against the fraction of groups removed,
     with a dashed rule at the baseline metric, as one SVG document."""
@@ -82,7 +88,7 @@ def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_num(WIDTH / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#222222">{title}</text>',
+        f'font-family="sans-serif" font-size="15" fill="#222222">{_escape(title)}</text>',
     ]
 
     for yt in _ticks(y_lo, y_hi):

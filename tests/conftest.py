@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from roarsel.attribution import (
     _predicted_classes,
     _scalar_batch,
 )
+from roarsel.codec import encode
 from roarsel.data import Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE
 from roarsel.errors import EstimatorError
@@ -209,6 +211,16 @@ def make_dataset(n=8, t=3, b=2, task=Task.REGRESSION, n_classes=None, seed=0,
         targets=targets,
         years=np.asarray(years),
     )
+
+
+def write_version_1_dataset(root: Path, d: TensorDataset) -> None:
+    """Format version 1: a ``manifest`` and one MMTS payload file per array."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "manifest").write_text(json.dumps(encode(d.schema), indent=2, sort_keys=True))
+    for name, arr, dtype in (("values", d.values, "<f4"), ("targets", d.targets, "<f4"),
+                             ("years", d.years, "<u4")):
+        head = b"MMTS" + np.array([1, *arr.shape], dtype="<u4").tobytes()
+        (root / f"{name}.bin").write_bytes(head + np.asarray(arr, dtype=dtype).tobytes())
 
 
 def fab_report(v):

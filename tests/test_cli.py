@@ -5,7 +5,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import fab_curve
+from conftest import fab_curve, make_dataset, write_version_1_dataset
 
 from roarsel import cli, roar
 from roarsel.cli import _selection_rows, cmd_report, main
@@ -87,10 +87,10 @@ def test_generate_same_seed_is_byte_identical(workspace, tmp_path):
         cfg["out_dir"] = str(tmp_path / f"out_{name}")
         assert main(["generate", "--config",
                      str(write_config(tmp_path / f"{name}.json", cfg))]) == 0
-    a = (tmp_path / "copy1" / "values.bin").read_bytes()
-    b = (tmp_path / "copy2" / "values.bin").read_bytes()
+    a = (tmp_path / "copy1" / "dataset.mmts").read_bytes()
+    b = (tmp_path / "copy2" / "dataset.mmts").read_bytes()
     assert a == b
-    assert a == (workspace.data / "values.bin").read_bytes()
+    assert a == (workspace.data / "dataset.mmts").read_bytes()
 
 
 def test_generate_seed_override_changes_the_data(workspace, tmp_path):
@@ -99,8 +99,8 @@ def test_generate_seed_override_changes_the_data(workspace, tmp_path):
     cfg["out_dir"] = str(tmp_path / "out")
     p = write_config(tmp_path / "cfg.json", cfg)
     assert main(["generate", "--config", str(p), "--seed", "99"]) == 0
-    a = (tmp_path / "reseeded" / "values.bin").read_bytes()
-    assert a != (workspace.data / "values.bin").read_bytes()
+    a = (tmp_path / "reseeded" / "dataset.mmts").read_bytes()
+    assert a != (workspace.data / "dataset.mmts").read_bytes()
 
 
 def test_generate_without_plant_block_is_a_config_error(tmp_path, capsys):
@@ -283,6 +283,16 @@ def test_empty_test_split_exits_3_naming_the_holdout(tmp_path, capsys, command):
     assert main(["generate", "--config", str(p)]) == 0
     assert main([command, "--config", str(p)]) == 3
     assert "holdout years [2019] hold 1 sample(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "roar"])
+def test_version_1_dataset_exits_3_naming_its_format(tmp_path, capsys, command):
+    cfg = base_config(tmp_path)
+    write_version_1_dataset(tmp_path / "data", make_dataset(t=3, b=4))
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "holds a format version 1 dataset" in err and "run generate again" in err
 
 
 def test_regression_holdout_of_two_exits_3_naming_it(tmp_path, capsys):

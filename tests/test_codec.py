@@ -54,7 +54,8 @@ SELECTION = SelectionReport(ranking=[ROW], best_index=1, test_metric=0.25)
 SCHEMA = FeatureSchema(bands=(Band(0, "red", "optical"), Band(3, "vv", "radar")),
                        timesteps=(TimeStep(2, "t02"),), task=Task.CLASSIFICATION,
                        n_classes=2, class_names=("crop", "fallow"))
-# the classes whose codec form is a file: config, curve, selection, manifest
+# the classes whose codec form is a JSON document: config, curve, selection,
+# and the manifest embedded in a dataset file
 FILES = (RunConfig, DeletionCurve, SelectionReport, FeatureSchema)
 
 # one populated instance of every persisted class: no field is None, so

@@ -1,8 +1,12 @@
 import json
+import os
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import roarsel.data as data_mod
 from roarsel.data import (
     Band,
     DatasetError,
@@ -18,7 +22,7 @@ from roarsel.data import (
     split_by_year,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, write_version_1_dataset
 
 
 class TestSchema:
@@ -48,6 +52,30 @@ class TestSchema:
         assert out.schema.band_ids == (0, 1, 2, 4, 5)
 
 
+def write_dataset_file(root, manifest, values, targets, years):
+    """The dataset file's layout, written without ``save_dataset``: the magic,
+    five u32 (version, manifest length, N, T, B), the manifest padded with
+    spaces so the arrays start 64-aligned, then f32 values and targets and u32
+    years."""
+    if not isinstance(manifest, bytes):
+        manifest = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    manifest += b" " * (-(24 + len(manifest)) % 64)
+    values = np.asarray(values, dtype="<f4")
+    (root / "dataset.mmts").write_bytes(b"".join((
+        struct.pack("<4s5I", b"MMTS", 2, len(manifest), *values.shape),
+        manifest,
+        values.tobytes(),
+        np.asarray(targets, dtype="<f4").tobytes(),
+        np.asarray(years, dtype="<u4").tobytes(),
+    )))
+
+
+def read_manifest(root) -> dict:
+    raw = (root / "dataset.mmts").read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 8)
+    return json.loads(raw[24:24 + size])
+
+
 class TestRoundTrip:
     def test_shape_passthrough(self, tmp_path):
         d = make_dataset(n=4, t=3, b=2)
@@ -60,12 +88,15 @@ class TestRoundTrip:
         save_dataset(d, tmp_path / "a")
         loaded = load_dataset(tmp_path / "a")
         assert loaded == d
-        # byte level: saving the loaded dataset reproduces identical files
+        # byte level: saving the loaded dataset reproduces the file, and the
+        # file is the documented layout
         save_dataset(loaded, tmp_path / "b")
-        for name in ("manifest", "values.bin", "targets.bin", "years.bin"):
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
-            ).read_bytes()
+        write_dataset_file(tmp_path, read_manifest(tmp_path / "a"), d.values,
+                           d.targets, d.years)
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["dataset.mmts"]
+        raw = (tmp_path / "a" / "dataset.mmts").read_bytes()
+        assert raw == (tmp_path / "b" / "dataset.mmts").read_bytes()
+        assert raw == (tmp_path / "dataset.mmts").read_bytes()
 
     def test_classification_round_trip(self, tmp_path, tiny_classification):
         save_dataset(tiny_classification, tmp_path)
@@ -76,29 +107,52 @@ class TestRoundTrip:
     def test_payload_size_mismatch(self, tmp_path):
         d = make_dataset(n=4, t=3, b=2)
         save_dataset(d, tmp_path)
-        payload = tmp_path / "values.bin"
-        raw = payload.read_bytes()
-        # header declares [4,3,2] (24 floats) but we truncate the file to 20
-        payload.write_bytes(raw[: 20 + 4 * 20])
-        with pytest.raises(DatasetError, match="payload size mismatch"):
-            load_dataset(tmp_path)
+        file = tmp_path / "dataset.mmts"
+        raw = file.read_bytes()
+        # the header declares [4,3,2]: cut a float, cut a byte, or add a float
+        for wrong in (raw[:-4], raw[:-1], raw + bytes(4)):
+            file.write_bytes(wrong)
+            with pytest.raises(DatasetError, match="size mismatch, header declares"):
+                load_dataset(tmp_path)
 
     def test_values_payload_length(self, tmp_path):
-        # magic(4) + version(4) + N,T,B(12) = 20 bytes of header, then f32 data
+        # magic(4) + version, manifest length, N, T, B (20) + padded manifest,
+        # then f32 values and targets and u32 years, starting 64-aligned
         d = make_dataset(n=4, t=3, b=2)
         save_dataset(d, tmp_path)
-        assert (tmp_path / "values.bin").stat().st_size == 20 + 4 * 4 * 3 * 2
-        assert (tmp_path / "targets.bin").stat().st_size == 12 + 4 * 4
-        assert (tmp_path / "years.bin").stat().st_size == 12 + 4 * 4
+        raw = (tmp_path / "dataset.mmts").read_bytes()
+        (size,) = struct.unpack_from("<I", raw, 8)
+        assert (24 + size) % 64 == 0
+        assert len(raw) == 24 + size + 4 * (4 * 3 * 2 + 4 + 4)
+        assert raw[24 + size - 1:24 + size] == b" "
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DatasetError, match="missing manifest"):
+        with pytest.raises(DatasetError, match="missing dataset.mmts"):
+            load_dataset(tmp_path)
+
+    def test_version_1_directory_is_rejected_by_name(self, tmp_path):
+        write_version_1_dataset(tmp_path, make_dataset())
+        with pytest.raises(DatasetError, match="format version 1 dataset .*"
+                                               "run generate again"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda raw: b"MMTX" + raw[4:], "missing MMTS magic"),
+        (lambda raw: raw[:4] + struct.pack("<I", 1) + raw[8:],
+         "unsupported format version 1"),
+        (lambda raw: raw[:20], "missing MMTS magic"),
+    ], ids=["magic", "version", "short-header"])
+    def test_header_is_checked(self, tmp_path, edit, error):
+        save_dataset(make_dataset(), tmp_path)
+        file = tmp_path / "dataset.mmts"
+        file.write_bytes(edit(file.read_bytes()))
+        with pytest.raises(DatasetError, match=error):
             load_dataset(tmp_path)
 
     def test_corrupt_manifest(self, tmp_path):
         d = make_dataset()
         save_dataset(d, tmp_path)
-        (tmp_path / "manifest").write_text("{not json")
+        write_dataset_file(tmp_path, b"{not json", d.values, d.targets, d.years)
         with pytest.raises(DatasetError, match="corrupt manifest"):
             load_dataset(tmp_path)
 
@@ -108,27 +162,29 @@ class TestRoundTrip:
         """The older layout left out n_classes and class_names when unset."""
         d = tiny_classification if classes else make_dataset()
         save_dataset(d, tmp_path)
-        manifest = json.loads((tmp_path / "manifest").read_text())
+        manifest = read_manifest(tmp_path)
         older = {k: v for k, v in manifest.items() if v is not None}
         assert len(older) < len(manifest)
-        (tmp_path / "manifest").write_text(json.dumps(older))
+        write_dataset_file(tmp_path, older, d.values, d.targets, d.years)
         assert load_dataset(tmp_path) == d
 
     @pytest.mark.parametrize("value", [1.5, True, "1"])
     def test_manifest_id_must_be_an_integer(self, tmp_path, value):
-        save_dataset(make_dataset(), tmp_path)
-        manifest = json.loads((tmp_path / "manifest").read_text())
+        d = make_dataset()
+        save_dataset(d, tmp_path)
+        manifest = read_manifest(tmp_path)
         manifest["bands"][0]["id"] = value
-        (tmp_path / "manifest").write_text(json.dumps(manifest))
+        write_dataset_file(tmp_path, manifest, d.values, d.targets, d.years)
         with pytest.raises(DatasetError,
                            match=r"corrupt manifest .*manifest\.bands\[0\]\.id must be an integer"):
             load_dataset(tmp_path)
 
     def test_manifest_failing_the_schema_checks_names_it(self, tmp_path):
-        save_dataset(make_dataset(), tmp_path)
-        manifest = json.loads((tmp_path / "manifest").read_text())
+        d = make_dataset()
+        save_dataset(d, tmp_path)
+        manifest = read_manifest(tmp_path)
         manifest["n_classes"] = 3
-        (tmp_path / "manifest").write_text(json.dumps(manifest))
+        write_dataset_file(tmp_path, manifest, d.values, d.targets, d.years)
         with pytest.raises(DatasetError, match=r"corrupt manifest .*: manifest: "
                                                "regression schema must not declare n_classes"):
             load_dataset(tmp_path)
@@ -137,9 +193,8 @@ class TestRoundTrip:
         d = make_dataset(n=4, t=3, b=2)
         save_dataset(d, tmp_path)
         other = make_dataset(n=4, t=3, b=5)
-        import roarsel.data as data_mod
-
-        data_mod.write_payload(tmp_path / "values.bin", other.values, "f32")
+        write_dataset_file(tmp_path, read_manifest(tmp_path), other.values,
+                           d.targets, d.years)
         with pytest.raises(DatasetError, match="dimension mismatch"):
             load_dataset(tmp_path)
 
@@ -156,18 +211,46 @@ class TestRoundTrip:
         object.__setattr__(d, "values", bad)  # simulate corruption in place
         with pytest.raises(DatasetError, match="non-finite"):
             save_dataset(d, tmp_path)
-        assert not (tmp_path / "values.bin").exists()
+        assert not (tmp_path / "dataset.mmts").exists()
 
     def test_loader_rejects_non_finite(self, tmp_path):
         d = make_dataset(n=4, t=3, b=2)
         save_dataset(d, tmp_path)
         bad = d.values.copy()
         bad[1, 1, 1] = np.inf
-        import roarsel.data as data_mod
-
-        data_mod.write_payload(tmp_path / "values.bin", bad, "f32")
+        write_dataset_file(tmp_path, read_manifest(tmp_path), bad, d.targets, d.years)
         with pytest.raises(DatasetError, match="non-finite"):
             load_dataset(tmp_path)
+
+    def test_a_torn_save_loads_the_old_or_the_new_dataset(self, tmp_path, monkeypatch):
+        """A save over a dataset that dies at any of its renames leaves one
+        whole dataset behind: the old one or the new one, never a mix."""
+        old, new = make_dataset(n=6, seed=1), make_dataset(n=6, seed=2)
+        renames = []
+
+        def fail_at(k):
+            def replace(src, dst):
+                renames.append(dst)
+                if len(renames) == k:
+                    raise OSError("the save dies here")
+                os.replace(src, dst)
+            renames.clear()
+            monkeypatch.setattr(data_mod, "os", SimpleNamespace(**{**vars(os),
+                                                                   "replace": replace}))
+
+        fail_at(0)
+        save_dataset(new, tmp_path / "count")
+        commits = len(renames)
+        assert commits >= 1
+        for k in range(1, commits + 1):
+            root = tmp_path / f"torn{k}"
+            fail_at(0)
+            save_dataset(old, root)
+            fail_at(k)
+            with pytest.raises(OSError, match="the save dies here"):
+                save_dataset(new, root)
+            loaded = load_dataset(root)
+            assert loaded == old or loaded == new, k
 
 
 class TestSplitByYear:

@@ -649,6 +649,28 @@ def test_loss_selector_requires_target():
         g.backward(selector="loss")
 
 
+@pytest.mark.parametrize("shape", [(5, 1), (1,), (4,), (5, 5)])
+@pytest.mark.parametrize("n_classes", [None, 3], ids=["regression", "classification"])
+def test_target_must_have_one_entry_per_row(shape, n_classes):
+    """A (5, 1) or (1,) target broadcasts against the batch and gives a wrong loss."""
+    m = build(ModelSpec(Architecture.MLP, width=4), grid_schema(2, 3, n_classes), seed=0)
+    x = uniform(rng(0), (5, 2, 3))
+    m.graph.forward_loss(x, np.zeros(5))
+    for call in (m.graph.forward_loss, m.graph.forward):
+        with pytest.raises(GraphError, match=rf"target shape \({shape[0]},"):
+            call(x, np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_cross_entropy_rejects_a_class_index_out_of_range(bad):
+    """Index -1 would otherwise score the last class."""
+    m = build(ModelSpec(Architecture.MLP, width=4), grid_schema(2, 3, 3), seed=0)
+    x = uniform(rng(0), (5, 2, 3))
+    target = np.array([0, 1, 2, 1, bad])
+    with pytest.raises(GraphError, match=r"class indices must lie in \[0, 3\)"):
+        m.graph.forward_loss(x, target)
+
+
 def test_input_batch_shape_validated():
     g = build_mlp_regression()
     with pytest.raises(GraphError, match="does not match slot"):

@@ -1,5 +1,7 @@
 """Deterministic SVG chart emission."""
 
+import xml.etree.ElementTree as ET
+
 from conftest import fab_curve
 
 from roarsel.roar import DeletionOrder
@@ -19,6 +21,12 @@ def test_line_chart_is_a_single_svg_document():
     assert text.count("<polyline ") == 2
     assert ">validation</text>" in text and ">test</text>" in text
     assert ">demo</text>" in text
+
+
+def test_title_is_escaped_into_well_formed_svg():
+    root = ET.fromstring(curve_chart(sample_curve(), title="R&D <bands>"))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "R&D <bands>" in texts
 
 
 def test_line_chart_bytes_are_deterministic():
