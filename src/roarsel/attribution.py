@@ -12,23 +12,26 @@ meaningful while data shrinks.
 The explained scalar is the predicted-class logit for classification (labels
 never consulted) and the model output for regression.
 
-``run_estimator`` is one loop over blocks of samples, with the replicas of
-the base estimator inside each block: a plain tag is one noise-free replica,
-and an ``sgs-`` or ``vargrad-`` tag runs R noised ones and reduces them per
-entry by the mean square or the variance. A Shapley block's permutation plan
-reads no input value, so its replicas share it, and each replica builds its
-rows with one gather through it. A sample's Shapley rows are the baseline,
-composites 1..G-1 of each of its P permutations, and the sample: prefixes 0
-and G are the same row in every permutation, so P*(G-1)+2 rows carry all
-P*(G+1) prefix values. A block's replicas are reduced to scores in one pass.
+``run_estimator`` maps one function over blocks of samples, with the
+replicas of the base estimator inside each block: a plain tag is one
+noise-free replica, and an ``sgs-`` or ``vargrad-`` tag runs R noised ones
+and reduces them per entry by the mean square or the variance. A Shapley
+block's permutation plan reads no input value, so its replicas share it, and
+each replica builds its rows with one gather through it. A sample's Shapley
+rows are the baseline, composites 1..G-1 of each of its P permutations, and
+the sample: prefixes 0 and G are the same row in every permutation, so
+P*(G-1)+2 rows carry all P*(G+1) prefix values. A block's replicas are
+reduced to scores in one pass.
 
 Determinism: each sample has one random stream per call, keyed by (seed,
 sample id). It draws the sample's permutations first and then each replica's
 noise, one replica at a time in replica order. A Shapley sample gets one
 forward call per replica, so its row depends on neither the block size nor
-the batch order; a guided-backprop block is one forward call. With zero noise
-every replica reproduces the base attribution exactly, which is what the
-collapse properties assert.
+the batch order; a guided-backprop block is one forward call. So a block's
+rows depend on no other block, and the blocks may run in the forked lanes of
+``lanes.fork_map``: the bytes are the same in any number of lanes. With zero
+noise every replica reproduces the base attribution exactly, which is what
+the collapse properties assert.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .codec import decode
 from .data import FeatureSchema, Task, TensorDataset
 from .engine import DTYPE
 from .errors import EstimatorError
+from .lanes import fork_map
 from .models import Model
 
 ESTIMATOR_TAGS = ("svs", "gb", "sgs-svs", "sgs-gb", "vargrad-svs", "vargrad-gb")
@@ -369,7 +373,8 @@ def run_estimator(
     positions). No samples, a non-finite sample, baseline or noise range, a
     noise standard deviation beyond float32 range, a negative sample id or a
     negative seed is an ``EstimatorError``, raised before any forward call;
-    so is a noised sample beyond float32 range, when it is drawn.
+    so is a noised sample beyond float32 range, when it is drawn, and a
+    forked lane that exits without sending its blocks' scores.
     """
     if tag not in ESTIMATOR_TAGS:
         raise EstimatorError(f"unknown estimator tag {tag!r}")
@@ -401,10 +406,10 @@ def run_estimator(
     classes = _predicted_classes(model, samples)  # fixed across noisy replicas
     p, g = budget.n_permutations, groups.n_groups
     per_block = _FORWARD_CHUNK if base == "gb" else max(1, _SVS_BLOCK_ROWS // (p * (g + 1)))
-    scores = np.empty((len(ids), g), dtype=DTYPE)
-    stderr = np.zeros_like(scores) if tag == "svs" else None
-    for lo in range(0, len(ids), per_block):
-        block = slice(lo, lo + per_block)
+
+    def block_rows(i: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Block ``i``'s score rows, and its stderr rows for plain ``svs``."""
+        block = slice(i * per_block, (i + 1) * per_block)
         cls = None if classes is None else classes[block]
         # one stream per sample: the plan draws its permutations first, then
         # each replica draws its noise when it runs
@@ -413,6 +418,7 @@ def run_estimator(
         plan = _svs_plan(streams, groups, p) if base == "svs" else None
         inputs = (_noised(samples[block], streams, scale)
                   for _ in range(budget.ensemble_size if kind else 1))
+        stderr = None
         if base == "gb":
             replicas = np.stack([_gb_rows(model, xs, groups, cls) for xs in inputs])
         else:
@@ -421,9 +427,16 @@ def run_estimator(
             # [R, n, P, G]: each group's marginal contribution in each permutation
             marginals = np.take_along_axis(np.diff(values, axis=3), plan[0][None], axis=3)
             replicas = marginals.mean(axis=2).astype(DTYPE)
-            if stderr is not None and p > 1:
-                stderr[block] = marginals[0].std(axis=1, ddof=1) / math.sqrt(p)
-        scores[block] = _reduced(kind, replicas) if kind else replicas[0]
+            if tag == "svs":
+                stderr = (marginals[0].std(axis=1, ddof=1) / math.sqrt(p) if p > 1
+                          else np.zeros(replicas.shape[1:])).astype(DTYPE)
+        return (_reduced(kind, replicas) if kind else replicas[0]).astype(DTYPE), stderr
+
+    blocks = fork_map(block_rows, math.ceil(len(ids) / per_block),
+                      lambda lost: EstimatorError("an explaining process exited "
+                                                  f"without the scores of blocks {lost}"))
+    scores = np.concatenate([rows for rows, _ in blocks])
+    stderr = np.concatenate([rows for _, rows in blocks]) if tag == "svs" else None
     return AttributionMatrix(
         sample_ids=ids, axis=groups.axis, group_ids=groups.ids,
         scores=scores, estimator_tag=tag, stderr=stderr,

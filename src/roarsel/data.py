@@ -13,7 +13,8 @@ Everything in it is little-endian:
 - values f32 [N,T,B], targets f32 [N] and years u32 [N], row-major.
 
 Format version 1 kept the manifest and each array in a file of its own; a
-directory in that layout is rejected by name.
+directory in that layout is rejected by name, and saving into it removes
+those four files once ``dataset.mmts`` is in place.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ MAGIC = b"MMTS"
 FORMAT_VERSION = 2
 DATASET_FILE = "dataset.mmts"
 _HEAD = 24  # magic, then version, manifest length, N, T, B as u32
+_VERSION_1_FILES = ("manifest", "values.bin", "targets.bin", "years.bin")
 
 
 class Task(str, Enum):
@@ -217,14 +219,20 @@ class SplitTriple:
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``."""
+    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``.
+    A write or rename that fails removes the sibling and leaves ``path`` as
+    it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -237,7 +245,9 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def save_dataset(d: TensorDataset, path: str | Path) -> None:
-    """Write a dataset directory's one file in one atomic rename. Bit-exact."""
+    """Write a dataset directory's one file in one atomic rename. Bit-exact.
+    The files of a format version 1 dataset in the directory go once the
+    new file is in place."""
     if d.n_samples == 0:
         raise DatasetError("empty dataset")
     if not np.all(np.isfinite(d.values)):
@@ -258,6 +268,8 @@ def save_dataset(d: TensorDataset, path: str | Path) -> None:
         np.ascontiguousarray(d.targets, dtype="<f4"),
         np.ascontiguousarray(d.years, dtype="<u4"),
     )))
+    for name in _VERSION_1_FILES:
+        (out / name).unlink(missing_ok=True)
 
 
 def load_dataset(path: str | Path) -> TensorDataset:

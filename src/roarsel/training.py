@@ -21,9 +21,6 @@ not depend on which lane trained what.
 
 from __future__ import annotations
 
-import itertools
-import os
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -33,6 +30,7 @@ import numpy as np
 from .codec import decode_enums
 from .data import SplitTriple, Task, TensorDataset
 from .errors import BuildError, TrainingDiverged, TrainingError
+from .lanes import fork_map
 from .models import Architecture, Model, ModelSpec, build, dropout_masks
 
 
@@ -275,20 +273,23 @@ def select_model(
 ) -> tuple[Model, SelectionReport]:
     """Train every candidate and pick the best validation metric.
 
-    Each candidate is built and trained from ``seed``, in one of
-    ``_lanes(len(grid))`` processes (see ``_train_candidates``); this process
-    then rebuilds every trained model from its parameters, so the result does
-    not depend on the lanes. Ties keep the earlier grid index. Per-candidate
-    training errors are recorded and the grid continues; all candidates
-    failing is an error. The test split is consulted only after ranking, so
-    it never influences the ranking.
+    Each candidate is built and trained from ``seed``, in one of the lanes
+    of ``lanes.fork_map``; this process then rebuilds every trained model
+    from its parameters, so the result does not depend on the lanes. Ties
+    keep the earlier grid index. Per-candidate training errors are recorded
+    and the grid continues; all candidates failing is an error. The test
+    split is consulted only after ranking, so it never influences the
+    ranking.
     """
     if not grid:
         raise TrainingError("empty selection grid")
     ok: list[CandidateResult] = []
     failed: list[CandidateResult] = []
     models: dict[int, Model] = {}
-    for i, outcome in enumerate(_train_candidates(grid, splits, seed)):
+    outcomes = fork_map(lambda i: _fit(*grid[i], splits, seed), len(grid),
+                        lambda lost: TrainingError("a training process exited without "
+                                                   f"the outcome of candidates {lost}"))
+    for i, outcome in enumerate(outcomes):
         spec, cfg = grid[i]
         if isinstance(outcome, str):
             failed.append(CandidateResult(i, spec.architecture, cfg.learning_rate,
@@ -327,105 +328,6 @@ def _fit(spec: ModelSpec, cfg: TrainConfig, splits: SplitTriple, seed: int) -> _
     except (TrainingError, BuildError) as exc:
         return str(exc)
     return model.graph.params, report.val_metric.value
-
-
-def _lanes(n_candidates: int) -> int:
-    """How many processes train the candidates: one per usable CPU and at
-    most one per candidate. It is one when this process runs more than one
-    OS thread, since forking a threaded process is unsafe (OpenBLAS starts
-    threads at import unless pinned to one), or has no ``/proc/self/task``."""
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-        cpus = len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):
-        return 1
-    return min(cpus, n_candidates) if threads == 1 else 1
-
-
-class _LaneTraceback(Exception):
-    """The traceback text of an exception raised in a forked lane."""
-
-
-def _train_candidates(grid, splits: SplitTriple, seed: int) -> list[_Outcome]:
-    """Every candidate's outcome, in grid order.
-
-    With one lane this process trains the candidates in grid order. With
-    more, it claims candidate 0, forks the other lanes, and every lane then
-    claims the next grid index from one shared counter; a forked lane sends
-    its outcomes back once the counter runs out. A forked lane's unexpected
-    exception is raised here with the lane's traceback as its cause, and a
-    lane that exits without sending loses its candidates, a
-    ``TrainingError``. Any exception here terminates and joins every lane
-    before it propagates.
-    """
-    n = len(grid)
-    lanes = _lanes(n)
-    if lanes == 1:
-        return [_fit(*grid[i], splits, seed) for i in range(n)]
-
-    # imported here: they cost every other command 15-20 ms of start-up
-    import multiprocessing
-    import signal
-    import traceback
-
-    ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("i", 1)  # candidate 0 is this process's
-
-    def claims():
-        while True:
-            with counter.get_lock():
-                i = counter.value
-                counter.value = i + 1
-            if i >= n:
-                return
-            yield i
-
-    def lane(conn):
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it
-        with conn:
-            try:
-                done = {i: _fit(*grid[i], splits, seed) for i in claims()}
-            except Exception as exc:
-                conn.send((exc, traceback.format_exc()))
-            else:
-                conn.send((done, None))
-
-    outcomes: dict[int, _Outcome] = {}
-    procs, readers = [], []
-    sys.stdout.flush()  # a forked lane would write out a copy of any buffer
-    sys.stderr.flush()
-    try:
-        for _ in range(lanes - 1):
-            reader, writer = ctx.Pipe(duplex=False)
-            readers.append(reader)
-            with writer:  # the lane holds the only writing end
-                proc = ctx.Process(target=lane, args=(writer,), daemon=True)
-                proc.start()
-            procs.append(proc)
-        for i in itertools.chain([0], claims()):
-            outcomes[i] = _fit(*grid[i], splits, seed)
-        for reader in readers:
-            try:
-                sent, lane_traceback = reader.recv()
-            except EOFError:  # the lane exited without sending
-                continue
-            if lane_traceback is not None:
-                raise sent from _LaneTraceback(lane_traceback)
-            outcomes.update(sent)
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc in procs:
-            proc.join()
-        for reader in readers:
-            reader.close()
-    lost = [i for i in range(n) if i not in outcomes]
-    if lost:
-        raise TrainingError(
-            f"a training process exited without the outcome of candidates {lost}")
-    return [outcomes[i] for i in range(n)]
 
 
 def default_grid(base: TrainConfig) -> list[tuple[ModelSpec, TrainConfig]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roarsel import training
+from roarsel import lanes
 from roarsel.attribution import (
     FeatureGroups,
     GroupingAxis,
@@ -266,10 +266,11 @@ def tiny_classification():
 
 @pytest.fixture(autouse=True)
 def one_lane(monkeypatch):
-    """An in-process ``select`` trains every candidate in the test's own
-    process, however many threads BLAS started; the forked lanes are tested
-    in subprocesses (``run_pinned``)."""
-    monkeypatch.setattr(training, "_lanes", lambda n_candidates: 1)
+    """An in-process ``select`` or estimator call runs every job in the
+    test's own process, however many threads BLAS started, so a test can
+    count its forward calls; the forked lanes are tested in subprocesses
+    (``run_pinned``)."""
+    monkeypatch.setattr(lanes, "lane_count", lambda n_jobs: 1)
 
 
 def _usable_cpus() -> int:
@@ -281,7 +282,7 @@ def _usable_cpus() -> int:
 
 forked_lanes = pytest.mark.skipif(
     _usable_cpus() < 2 or not os.path.isdir("/proc/self/task"),
-    reason="select forks its lanes only on Linux with at least two usable CPUs",
+    reason="jobs fork their lanes only on Linux with at least two usable CPUs",
 )
 
 _TESTS = Path(__file__).resolve().parent
@@ -289,8 +290,8 @@ _TESTS = Path(__file__).resolve().parent
 
 def run_pinned(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """``python -W error *args`` with BLAS pinned to one thread, so the process
-    runs a single thread and ``select`` forks its lanes; the package and the
-    test modules are importable."""
+    runs a single thread and ``select`` and the estimators fork their lanes;
+    the package and the test modules are importable."""
     path = os.pathsep.join([str(_TESTS.parent / "src"), str(_TESTS)])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=path)

@@ -20,6 +20,7 @@ from roarsel.data import (
     load_dataset,
     save_dataset,
     split_by_year,
+    write_atomic,
 )
 
 from conftest import make_dataset, write_version_1_dataset
@@ -251,6 +252,37 @@ class TestRoundTrip:
                 save_dataset(new, root)
             loaded = load_dataset(root)
             assert loaded == old or loaded == new, k
+
+    def test_a_failed_rename_leaves_the_old_dataset_and_no_tmp_file(self, tmp_path,
+                                                                    monkeypatch):
+        old = make_dataset(n=6, seed=1)
+        save_dataset(old, tmp_path)
+
+        def replace(src, dst):
+            raise OSError("the rename fails")
+
+        monkeypatch.setattr(data_mod, "os", SimpleNamespace(**{**vars(os),
+                                                               "replace": replace}))
+        with pytest.raises(OSError, match="the rename fails"):
+            save_dataset(make_dataset(n=6, seed=2), tmp_path)
+        assert load_dataset(tmp_path) == old
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.mmts"]
+
+    def test_a_failed_write_leaves_the_old_file_and_no_tmp_file(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_atomic(path, "cycle\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "\udcff")  # a lone surrogate encodes in no codec
+        assert path.read_text() == "cycle\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+    def test_saving_into_a_version_1_directory_removes_its_four_files(self, tmp_path):
+        write_version_1_dataset(tmp_path, make_dataset(seed=1))
+        (tmp_path / "notes.txt").write_text("not the dataset's")
+        new = make_dataset(seed=2)
+        save_dataset(new, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.mmts", "notes.txt"]
+        assert load_dataset(tmp_path) == new
 
 
 class TestSplitByYear:

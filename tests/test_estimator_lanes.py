@@ -1,0 +1,236 @@
+"""The estimators' sample blocks in forked lanes: the same bytes as one
+process, failures that surface, and no process left behind.
+
+An in-process estimator call takes the one-lane path (conftest's
+``one_lane``). Each test here runs its estimator calls or its ``roar`` in a
+subprocess whose BLAS is pinned to one thread (``run_pinned``), so that the
+Shapley blocks fork one lane per usable CPU.
+"""
+
+import json
+
+import numpy as np
+from conftest import forked_lanes, grid_schema, run_pinned
+
+from roarsel import attribution
+from roarsel.attribution import ExplainBudget, GroupingAxis, feature_groups, run_estimator
+from roarsel.cli import main
+from roarsel.engine import DTYPE
+from roarsel.errors import EstimatorError
+from roarsel.models import Architecture, ModelSpec, build
+
+pytestmark = forked_lanes
+
+TAGS = ("svs", "sgs-svs", "vargrad-svs")
+HEADS = {"regression": None, "classification": 3}
+
+
+def estimate(tag: str, n_classes):
+    """``tag`` on 30 samples of a T=3, B=4 MLP, by band: 64 permutations of 4
+    groups give 3 samples per Shapley block, so 10 blocks."""
+    schema = grid_schema(3, 4, n_classes)
+    model = build(ModelSpec(Architecture.MLP, width=8), schema, seed=3)
+    samples = np.random.default_rng(11).normal(size=(30, 3, 4)).astype(DTYPE)
+    return run_estimator(tag, model, samples, feature_groups(schema, GroupingAxis.BY_BAND),
+                         ExplainBudget(n_permutations=64, ensemble_size=3, noise_scale=0.2),
+                         seed=5, baseline=samples.mean(axis=0),
+                         noise_range=np.ones((3, 4), DTYPE), sample_ids=range(100, 130))
+
+
+# Saves every tag's and head's scores and stderr to argv[2], with
+# `_svs_values` wrapped to append the pid of every process that explains to
+# argv[1]; exits 1 if a child process is left.
+ESTIMATES = """
+import os, sys
+import numpy as np
+from roarsel import attribution
+from test_estimator_lanes import HEADS, TAGS, estimate
+
+svs_values = attribution._svs_values
+
+def recording_svs_values(*args, **kwargs):
+    with open(sys.argv[1], "a") as f:
+        f.write(f"{os.getpid()}\\n")
+    return svs_values(*args, **kwargs)
+
+attribution._svs_values = recording_svs_values
+arrays = {}
+for head, n_classes in HEADS.items():
+    for tag in TAGS:
+        m = estimate(tag, n_classes)
+        arrays[f"{tag} {head} scores"] = m.scores
+        if m.stderr is not None:
+            arrays[f"{tag} {head} stderr"] = m.stderr
+np.savez(sys.argv[2], **arrays)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(0)
+sys.exit("a child process outlived the estimator")
+"""
+
+
+def test_forked_blocks_give_the_one_lane_bytes(tmp_path):
+    pids, out = tmp_path / "pids", tmp_path / "forked.npz"
+    done = run_pinned("-c", ESTIMATES, str(pids), str(out))
+    assert done.returncode == 0, done.stderr
+    assert len(set(pids.read_text().split())) >= 2  # the lanes really forked
+    with np.load(out) as forked:
+        assert len(forked.files) == 2 * (len(TAGS) + 1)
+        for head, n_classes in HEADS.items():
+            for tag in TAGS:
+                m = estimate(tag, n_classes)
+                assert forked[f"{tag} {head} scores"].tobytes() == m.scores.tobytes()
+                if m.stderr is not None:
+                    assert forked[f"{tag} {head} stderr"].tobytes() == m.stderr.tobytes()
+
+
+PLANT = {"n": 240, "t": 3, "b": 4, "signal_bands": [1, 3],
+         "signal_steps": [0, 1, 2], "noise": 0.2}
+
+
+def _config(tmp_path, budget, plans):
+    cfg = {"seed": 5, "out_dir": str(tmp_path / "out"),
+           "dataset": {"path": str(tmp_path / "data"), "plant": PLANT},
+           "train": {"max_epochs": 6, "patience": 2, "batch_size": 32,
+                     "learning_rate": 0.003},
+           "model": {"architecture": "mlp", "width": 16},
+           "budget": budget, "plans": plans}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(path)]) == 0
+    return str(path)
+
+
+# Runs `roar` with `_svs_values` wrapped to append the pid of every process
+# that explains to argv[2], then exits with roar's code once no child is left.
+RECORDING_ROAR = """
+import os, sys
+from roarsel import attribution
+from roarsel.cli import main
+
+svs_values = attribution._svs_values
+
+def recording_svs_values(*args, **kwargs):
+    with open(sys.argv[2], "a") as f:
+        f.write(f"{os.getpid()}\\n")
+    return svs_values(*args, **kwargs)
+
+attribution._svs_values = recording_svs_values
+code = main(["roar", "--config", sys.argv[1], "--out", sys.argv[3]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit("a child process outlived roar")
+"""
+
+
+def test_forked_roar_writes_the_one_lane_bytes(tmp_path):
+    # 24 samples: 8 Shapley blocks by band (G=4), 6 by time step (G=3)
+    path = _config(tmp_path, {"n_samples": 24, "n_permutations": 64, "ensemble_size": 2},
+                   [{"axis": "by_band", "order": "least_first", "estimator_tag": "svs"},
+                    {"axis": "by_timestep", "order": "most_first",
+                     "estimator_tag": "sgs-svs"}])
+    assert main(["roar", "--config", path, "--out", str(tmp_path / "one")]) == 0
+    pids = tmp_path / "pids"
+    done = run_pinned("-c", RECORDING_ROAR, path, str(pids), str(tmp_path / "forked"))
+    assert done.returncode == 0, done.stderr
+    artifacts = sorted(p.name for p in (tmp_path / "one").iterdir()
+                       if p.name.endswith((".curve.json", ".curve.csv", ".svg")))
+    assert len(artifacts) == 6
+    for name in artifacts:
+        assert (tmp_path / "forked" / name).read_bytes() == \
+               (tmp_path / "one" / name).read_bytes(), name
+    assert len(set(pids.read_text().split())) >= 2  # the lanes really forked
+
+
+FAILING_ID = 12  # all training samples are explained, so block 4 holds id 12
+
+
+def failing_block(noised):
+    """``_noised`` that raises an ``EstimatorError`` in the block that
+    explains training sample ``FAILING_ID``."""
+    def noised_or_fail(samples, streams, scale):
+        if any(rng.bit_generator.seed_seq.entropy[1] == FAILING_ID for rng in streams):
+            raise EstimatorError(f"the block of sample {FAILING_ID} fails")
+        return noised(samples, streams, scale)
+    return noised_or_fail
+
+
+# Runs `roar` with `_noised` slowed once in this process, so the lanes claim
+# the later blocks, and with argv[2]'s behaviour in every process: `fail`
+# raises in the block of FAILING_ID and appends the failing pid to argv[3];
+# `lane_exit` ends every forked lane at its first block. Prints its own pid.
+SPLIT_NOISED = """
+import os, sys, time
+from roarsel import attribution
+from roarsel.cli import main
+from test_estimator_lanes import failing_block
+
+parent, noised, slowed = os.getpid(), attribution._noised, []
+failing = failing_block(noised)
+
+def fail(samples, streams, scale):
+    try:
+        return failing(samples, streams, scale)
+    except Exception:
+        with open(sys.argv[3], "a") as f:
+            f.write(f"{os.getpid()}\\n")
+        raise
+
+def lane_exit(samples, streams, scale):
+    if os.getpid() != parent:
+        os._exit(1)
+    return noised(samples, streams, scale)
+
+def split_noised(*args):
+    if os.getpid() == parent and not slowed:
+        time.sleep(0.3)
+        slowed.append(True)
+    return globals()[sys.argv[2]](*args)
+
+attribution._noised = split_noised
+try:
+    code = main(["roar", "--config", sys.argv[1]])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        print("a child process outlived roar", file=sys.stderr)
+    print(parent)
+sys.exit(code)
+"""
+
+EXPLAIN_ALL = {"n_permutations": 64, "ensemble_size": 2}  # 3 samples per block
+ONE_PLAN = [{"axis": "by_band", "order": "least_first", "estimator_tag": "sgs-svs"}]
+
+
+def test_an_estimator_error_in_a_lane_exits_3_with_the_one_lane_message(
+        tmp_path, monkeypatch, capsys):
+    path = _config(tmp_path, EXPLAIN_ALL, ONE_PLAN)
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(attribution, "_noised", failing_block(attribution._noised))
+        assert main(["roar", "--config", path]) == 3
+    one_lane = capsys.readouterr().err
+    assert one_lane == ("error: sgs-svs_least_first_by_band: cycle 0 failed: "
+                        f"the block of sample {FAILING_ID} fails\n")
+    failed = tmp_path / "failed"
+    done = run_pinned("-c", SPLIT_NOISED, path, "fail", str(failed), timeout=60)
+    assert done.returncode == 3
+    assert done.stderr == one_lane
+    (raiser,) = failed.read_text().split()
+    assert raiser not in done.stdout.split()  # a forked lane raised it
+
+
+def test_a_lane_that_dies_exits_3_naming_its_lost_blocks(tmp_path):
+    path = _config(tmp_path, EXPLAIN_ALL, ONE_PLAN)
+    done = run_pinned("-c", SPLIT_NOISED, path, "lane_exit", timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: sgs-svs_least_first_by_band: cycle 0 failed: "
+                                  "an explaining process exited without the scores "
+                                  "of blocks [")
+    assert "outlived" not in done.stderr

@@ -209,16 +209,16 @@ def test_forked_ranking_never_reads_test_split():
 
 LANES = """
 import threading
-from roarsel.training import _lanes
+from roarsel.lanes import lane_count
 
-before = _lanes(5)
+before = lane_count(5)
 stop = threading.Event()
 thread = threading.Thread(target=stop.wait)
 thread.start()
-during = _lanes(5)
+during = lane_count(5)
 stop.set()
 thread.join()
-print(before, during, _lanes(1))
+print(before, during, lane_count(1))
 """
 
 
