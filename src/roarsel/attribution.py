@@ -10,28 +10,30 @@ series of one band. Groups carry the schema's stable ids, so rankings stay
 meaningful while data shrinks.
 
 The explained scalar is the predicted-class logit for classification (labels
-never consulted) and the model output for regression.
+never consulted) and the model output for regression: the argmax column of
+the model's output, which is column 0 for a one-column regression head.
 
 ``run_estimator`` maps one function over blocks of samples, with the
 replicas of the base estimator inside each block: a plain tag is one
 noise-free replica, and an ``sgs-`` or ``vargrad-`` tag runs R noised ones
 and reduces them per entry by the mean square or the variance. A Shapley
 block's permutation plan reads no input value, so its replicas share it, and
-each replica builds its rows with one gather through it. A sample's Shapley
-rows are the baseline, composites 1..G-1 of each of its P permutations, and
-the sample: prefixes 0 and G are the same row in every permutation, so
-P*(G-1)+2 rows carry all P*(G+1) prefix values. A block's replicas are
-reduced to scores in one pass.
+each replica builds its rows with one ``np.where`` through it. A sample's
+Shapley rows are the baseline, composites 1..G-1 of each of its P
+permutations, and the sample: prefixes 0 and G are the same row in every
+permutation, so P*(G-1)+2 rows carry all P*(G+1) prefix values. A block's
+replicas are reduced to scores in one pass.
 
 Determinism: each sample has one random stream per call, keyed by (seed,
 sample id). It draws the sample's permutations first and then each replica's
-noise, one replica at a time in replica order. A Shapley sample gets one
-forward call per replica, so its row depends on neither the block size nor
-the batch order; a guided-backprop block is one forward call. So a block's
-rows depend on no other block, and the blocks may run in the forked lanes of
-``lanes.fork_map``: the bytes are the same in any number of lanes. With zero
-noise every replica reproduces the base attribution exactly, which is what
-the collapse properties assert.
+noise, one replica at a time in replica order. Every forward and guided
+backward runs over the fixed-shape tiles of ``models.tiles``, and everything
+after it works entry by entry, so a sample's scores depend on the model, its
+id and its values alone: not on the other samples, the block size or
+``n_samples``. So the blocks may run in the forked lanes of
+``lanes.fork_map``, and the bytes are the same in any number of lanes. With
+zero noise every replica reproduces the base attribution exactly, which is
+what the collapse properties assert.
 """
 
 from __future__ import annotations
@@ -44,16 +46,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codec import decode
-from .data import FeatureSchema, Task, TensorDataset
+from .data import FeatureSchema, TensorDataset
 from .engine import DTYPE
 from .errors import EstimatorError
 from .lanes import fork_map
-from .models import Model
+from .models import TILE, Model, tiles
 
 ESTIMATOR_TAGS = ("svs", "gb", "sgs-svs", "sgs-gb", "vargrad-svs", "vargrad-gb")
 
-_FORWARD_CHUNK = 4096
-_SVS_BLOCK_ROWS = 1024  # svs prefix values per block, P*(G+1) per sample
+_BLOCK_ROWS = 8 * TILE  # forward rows per block and replica, a memory bound
 
 
 class GroupingAxis(str, Enum):
@@ -194,19 +195,7 @@ def cell_span(train: TensorDataset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar extraction
-
-
-def _predicted_classes(model: Model, samples: np.ndarray) -> Optional[np.ndarray]:
-    if model.task is not Task.CLASSIFICATION:
-        return None
-    return model.infer(samples, _FORWARD_CHUNK).argmax(axis=1)
-
-
-def _scalar_batch(model: Model, xs: np.ndarray, class_idx: Optional[int]) -> np.ndarray:
-    """Explained scalar for a batch sharing one fixed output column."""
-    col = 0 if class_idx is None else int(class_idx)
-    return model.infer(xs, _FORWARD_CHUNK)[:, col].astype(np.float64)
+# input checks
 
 
 def _check_inputs(
@@ -244,42 +233,32 @@ def _svs_plan(streams: list[np.random.Generator], groups: FeatureGroups,
               n_permutations: int) -> tuple[np.ndarray, np.ndarray]:
     """A block's permutation plan, which reads no input value: ``pos``
     [n, P, G], each group's position in each of a sample's P permutations,
-    drawn from the sample's stream, and ``index`` [n, P*(G-1)+2, T*B], the
-    flat position in the block's [n, 2, T*B] source of (baseline, sample)
-    cells that each cell of each of a sample's rows reads. A sample's rows
-    are the baseline, composites 1..G-1 of each permutation (composite k
-    takes from the sample the cells whose group lies at a position below
-    k), then the sample: prefixes 0 and G are one row for every
-    permutation."""
+    drawn from the sample's stream, and ``on`` bool [n, P*(G-1)+2, T*B],
+    whether each cell of each of a sample's rows takes the sample's value
+    rather than the baseline's. A sample's rows are the baseline, composites
+    1..G-1 of each permutation (composite k takes from the sample the cells
+    whose group lies at a position below k), then the sample: prefixes 0 and
+    G are one row for every permutation."""
     n, g, cell_group = len(streams), groups.n_groups, groups.cell_group
-    d = cell_group.size
     order = np.tile(np.arange(g), (n_permutations, 1))
     pos = np.argsort(np.stack([rng.permuted(order, axis=1) for rng in streams]), axis=2)
-    index = np.empty((n, n_permutations * (g - 1) + 2, d), dtype=np.intp)
-    index[:, 0] = 0  # the baseline
-    index[:, 1:-1] = (pos[..., cell_group][:, :, None, :] < np.arange(1, g)[:, None]
-                      ).reshape(n, -1, d)
-    index[:, -1] = 1  # the sample
-    index *= d
-    index += np.arange(n)[:, None, None] * (2 * d) + np.arange(d)
-    return pos, index
+    on = np.empty((n, n_permutations * (g - 1) + 2, cell_group.size), dtype=bool)
+    on[:, 0] = False  # the baseline
+    on[:, 1:-1] = (pos[..., cell_group][:, :, None, :] < np.arange(1, g)[:, None]
+                   ).reshape(n, -1, cell_group.size)
+    on[:, -1] = True  # the sample
+    return pos, on
 
 
 def _svs_values(model: Model, xs: np.ndarray, plan: tuple[np.ndarray, np.ndarray],
-                baseline: np.ndarray, classes: Optional[np.ndarray]) -> np.ndarray:
+                baseline: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """The explained scalar at every prefix of the plan's permutations,
-    [n, P, G+1]. Each sample gets its own forward call over its P*(G-1)+2
-    rows, so its values do not depend on the rest of the block."""
-    pos, index = plan
+    [n, P, G+1], from one ``Model.infer`` over all the block's rows."""
+    pos, on = plan
     n, p, g = pos.shape
-    source = np.empty((n, 2, baseline.size), dtype=DTYPE)
-    source[:, 0] = baseline.reshape(-1)
-    source[:, 1] = xs.reshape(n, -1)
-    rows = source.take(index).reshape(*index.shape[:2], *xs.shape[1:])
-    out = np.stack([
-        _scalar_batch(model, r, None if classes is None else classes[i])
-        for i, r in enumerate(rows)
-    ])
+    rows = np.where(on, xs.reshape(n, 1, -1), baseline.reshape(-1))
+    out = model.infer(rows.reshape(-1, *xs.shape[1:])).reshape(n, on.shape[1], -1)
+    out = np.take_along_axis(out, classes[:, None, None], axis=2)[..., 0]
     values = np.empty((n, p, g + 1))
     values[:, :, 0] = out[:, :1]
     values[:, :, 1:g] = out[:, 1:-1].reshape(n, p, g - 1)
@@ -292,13 +271,17 @@ def _svs_values(model: Model, xs: np.ndarray, plan: tuple[np.ndarray, np.ndarray
 
 
 def _gb_rows(model: Model, xs: np.ndarray, groups: FeatureGroups,
-             classes: Optional[np.ndarray]) -> np.ndarray:
-    """Signed group sums of the guided input gradient, from one forward pass
-    and one guided backward over ``xs``."""
-    model.forward(xs)
-    grad = model.graph.backward_guided(0 if classes is None else classes)
+             classes: np.ndarray) -> np.ndarray:
+    """Signed group sums of the guided input gradient of each sample's
+    ``classes`` column, from a forward and a guided backward over each of
+    the ``tiles`` that ``Model.infer`` forwards; padding rows select 0."""
     masks = groups.mask.reshape(groups.n_groups, -1).astype(np.float64)
-    return (grad.reshape(len(xs), -1).astype(np.float64) @ masks.T).astype(DTYPE)
+    rows = []
+    for tile, cls in zip(tiles(xs), tiles(classes)):
+        model.forward(tile)
+        grad = model.graph.backward_guided(cls)
+        rows.append(grad.reshape(len(tile), -1).astype(np.float64) @ masks.T)
+    return np.concatenate(rows)[:len(xs)].astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +386,14 @@ def run_estimator(
         if std is None:
             raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
         scale = std.astype(np.float64)
-    classes = _predicted_classes(model, samples)  # fixed across noisy replicas
+    classes = model.infer(samples).argmax(axis=1)  # fixed across noisy replicas
     p, g = budget.n_permutations, groups.n_groups
-    per_block = _FORWARD_CHUNK if base == "gb" else max(1, _SVS_BLOCK_ROWS // (p * (g + 1)))
+    per_block = max(1, _BLOCK_ROWS // (p * (g - 1) + 2 if base == "svs" else 1))
 
     def block_rows(i: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Block ``i``'s score rows, and its stderr rows for plain ``svs``."""
         block = slice(i * per_block, (i + 1) * per_block)
-        cls = None if classes is None else classes[block]
+        cls = classes[block]
         # one stream per sample: the plan draws its permutations first, then
         # each replica draws its noise when it runs
         streams = ([np.random.default_rng(np.random.SeedSequence([seed, sid]))

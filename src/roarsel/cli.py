@@ -13,16 +13,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .codec import encode
 from .config import RunConfig, load_config, save_effective_config, section_seed
-from .data import load_dataset, save_dataset, split_by_year, write_atomic, write_json
+from .data import (
+    DATASET_FILE,
+    load_dataset,
+    save_dataset,
+    split_by_year,
+    write_atomic,
+    write_json,
+)
 from .errors import ConfigError, RoarAborted, RoarselError
 from .roar import (
+    CURVE_FORMAT,
     DeletionOrder,
     load_curve,
     necessary_set,
@@ -128,12 +139,27 @@ def _plan_slug(plan, used: set[str]) -> str:
     return slug
 
 
+def _fingerprint(cfg: RunConfig, plan) -> str:
+    """The sha256 of what a plan's curve is computed from: the plan, the
+    model, the training and split configs, the roar seed and
+    ``CURVE_FORMAT`` as sorted JSON, then the dataset file's bytes. The
+    output directory and the dataset's path are left out."""
+    inputs = [encode(plan), encode(cfg.model), encode(cfg.model.train_config(cfg.train)),
+              encode(cfg.split), section_seed(cfg.seed, "roar"), CURVE_FORMAT]
+    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode())
+    with open(Path(cfg.dataset.path, DATASET_FILE), "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
     """Run every configured deletion campaign; one CSV + SVG per plan.
 
     With ``resume``, a plan whose curve file already exists is reused
-    instead of recomputed; reruns are deterministic either way. A plan
-    that is computed checkpoints its curve so far after every cycle.
+    instead of recomputed when its fingerprint matches this run's (see
+    ``_fingerprint``); reruns are deterministic either way. A plan that is
+    computed checkpoints its curve so far after every cycle.
     """
     if cfg.model is None:
         raise ConfigError("roar needs a model block")
@@ -151,21 +177,27 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
         csv_path = out / f"{slug}.curve.csv"
         svg_path = out / f"{slug}.svg"
         partials = (Path(f"{curve_path}.partial"), Path(f"{csv_path}.partial"))
-        if resume and curve_path.exists():
-            curve = load_curve(curve_path)
+        fingerprint = _fingerprint(cfg, plan)
+        curve = load_curve(curve_path) if resume and curve_path.exists() else None
+        if curve is not None and curve.fingerprint == fingerprint:
             print(f"{slug}: reusing the completed campaign on disk")
         else:
+            if curve is not None:
+                print(f"{slug}: the curve on disk was made by another config, "
+                      "dataset or version; recomputing")
             # an earlier run's files would disagree with this run's config
             for path in (curve_path, csv_path, svg_path, *partials):
                 path.unlink(missing_ok=True)
 
             def checkpoint(so_far):
+                so_far = replace(so_far, fingerprint=fingerprint)
                 save_curve(so_far, partials[0])
                 save_curve_csv(so_far, partials[1])
 
             try:
-                curve = run_roar(splits, cfg.model, train_cfg, plan,
-                                 seed=section_seed(cfg.seed, "roar"), on_cycle=checkpoint)
+                curve = replace(run_roar(splits, cfg.model, train_cfg, plan,
+                                         seed=section_seed(cfg.seed, "roar"),
+                                         on_cycle=checkpoint), fingerprint=fingerprint)
             except RoarAborted as exc:
                 raise RoarAborted(f"{slug}: {exc}") from exc
             save_curve(curve, curve_path)

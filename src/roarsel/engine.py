@@ -277,6 +277,7 @@ class Graph:
             if m.shape != (n, *shape):
                 raise GraphError(f"mask {name!r} has shape {m.shape}")
             feeds[name] = m
+        self._cache = None  # free the last call's activations before this call's
         values: list = [None] * len(self.nodes)
         # divergence shows up as inf/nan in the loss; no point warning per op
         with np.errstate(over="ignore", invalid="ignore"):

@@ -40,11 +40,12 @@ def fork_map(job: Callable[[int], T], n: int,
              lost: Callable[[list[int]], Exception]) -> list[T]:
     """``[job(0), ..., job(n - 1)]``, computed in ``lane_count(n)`` lanes.
 
-    With one lane this process runs the jobs in index order. A forked lane's
-    exception is raised here, once this process has run its own jobs, with
-    the lane's traceback as its cause. A lane that exits without sending
-    loses its jobs, and ``lost(indices)`` is raised. Any exception here
-    terminates and joins every lane before it propagates.
+    With one lane this process runs the jobs in index order. A forked lane
+    whose job raises ends every lane's claims, and its exception is raised
+    here, once this process has finished its current job, with the lane's
+    traceback as its cause. A lane that exits without sending loses its
+    jobs, and ``lost(indices)`` is raised. Any exception here terminates and
+    joins every lane before it propagates.
     """
     lanes = lane_count(n)
     if lanes < 2:
@@ -73,6 +74,8 @@ def fork_map(job: Callable[[int], T], n: int,
             try:
                 done = {i: job(i) for i in claims()}
             except Exception as exc:
+                with counter.get_lock():
+                    counter.value = n  # no process claims another job
                 conn.send((exc, traceback.format_exc()))
             else:
                 conn.send((done, None))

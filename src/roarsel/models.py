@@ -44,6 +44,8 @@ from .data import FeatureSchema, Task
 from .engine import DTYPE, Graph
 from .errors import BuildError
 
+TILE = 256  # rows in every inference forward call
+
 
 class Architecture(str, Enum):
     MLP = "mlp"
@@ -106,16 +108,24 @@ class Model:
     def forward(self, x, masks=None):
         return self.graph.forward(x, masks=masks)
 
-    def infer(self, x: np.ndarray, rows: int) -> np.ndarray:
-        """Evaluation-mode output over ``x``, forwarded in calls of at most
-        ``rows`` rows; call sizes matter, since the last bits of a row can
-        depend on them."""
-        return np.concatenate([self.graph.forward(x[start:start + rows])
-                               for start in range(0, len(x), rows)])
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Evaluation-mode output over ``x``, forwarded in ``tiles``, so a
+        row's bytes depend on the model and that row alone."""
+        return np.concatenate([self.graph.forward(tile) for tile in tiles(x)])[:len(x)]
 
     @property
     def n_params(self) -> int:
         return sum(p.size for p in self.graph.params.values())
+
+
+def tiles(x: np.ndarray):
+    """``x`` in ``TILE``-row pieces, the last one zero-padded to ``TILE`` rows:
+    the last bits of a forward row can depend on the row count of its call."""
+    for start in range(0, len(x), TILE):
+        tile = x[start:start + TILE]
+        if len(tile) < TILE:
+            tile = np.concatenate([tile, np.zeros((TILE - len(tile), *x.shape[1:]), x.dtype)])
+        yield tile
 
 
 # ---------------------------------------------------------------------------

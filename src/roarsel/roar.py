@@ -40,6 +40,9 @@ from .models import ModelSpec, resize_for_input
 from .training import MetricValue, TrainConfig, TrainReport, evaluate, train
 
 
+CURVE_FORMAT = 1  # part of a curve's fingerprint; bump it when curve bytes change
+
+
 class DeletionOrder(str, Enum):
     MOST_FIRST = "most_first"
     LEAST_FIRST = "least_first"
@@ -113,11 +116,16 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class DeletionCurve:
-    """A campaign's full trace: baseline plus one record per deletion."""
+    """A campaign's full trace: baseline plus one record per deletion.
+
+    ``fingerprint`` is the sha256 of what the curve was computed from, which
+    ``roar --resume`` compares before it reuses a curve file.
+    """
 
     plan: DeletionPlan
     baseline: CycleRecord
     records: tuple[CycleRecord, ...]
+    fingerprint: Optional[str] = None
 
     def __post_init__(self):
         if self.baseline.cycle != 0 or self.baseline.removed_ids:

@@ -219,7 +219,7 @@ def split_loss(model: Model, split: TensorDataset, batch_size: int = 256) -> flo
 
 def predict(model: Model, split: TensorDataset) -> np.ndarray:
     """Class labels (classification) or point predictions (regression)."""
-    out = model.infer(split.values, 256)
+    out = model.infer(split.values)
     if model.task is Task.CLASSIFICATION:
         return out.argmax(axis=1)
     return out.reshape(-1)

@@ -15,8 +15,6 @@ from roarsel.attribution import (
     GroupingAxis,
     ImportanceRanking,
     _check_inputs,
-    _predicted_classes,
-    _scalar_batch,
 )
 from roarsel.codec import encode
 from roarsel.data import Task, TensorDataset, default_schema
@@ -153,8 +151,7 @@ def exact_shapley(
     baseline = np.ascontiguousarray(baseline, dtype=DTYPE)
     _check_inputs(model, sample[None], baseline, groups)
 
-    class_idx = _predicted_classes(model, sample[None])
-    ci = None if class_idx is None else int(class_idx[0])
+    col = int(model.infer(sample[None]).argmax(axis=1)[0])  # 0 for regression
     n_sets = 1 << g
     subsets = np.arange(n_sets, dtype=np.int64)
     member = ((subsets[:, None] >> np.arange(g)[None, :]) & 1).astype(bool)  # [S, G]
@@ -162,7 +159,7 @@ def exact_shapley(
     composites = np.where(
         cell_on, sample.reshape(-1), baseline.reshape(-1)
     ).reshape(n_sets, *sample.shape)
-    values = _scalar_batch(model, composites, ci)  # [S]
+    values = model.infer(composites)[:, col].astype(np.float64)  # [S]
 
     sizes = member.sum(axis=1)
     fact = [math.factorial(i) for i in range(g + 1)]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from roarsel import attribution
+from roarsel import attribution, models
 from roarsel.attribution import (
     AttributionMatrix,
     ExplainBudget,
@@ -160,12 +160,10 @@ def _permutation_positions(g, p, seed, sid):
 
 def _reference_svs(model, samples, ids, groups, baseline, p, seed):
     """svs one sample and one composite at a time; svs must match its bytes.
-    A sample's one forward call holds the baseline, composites 1..G-1 of each
-    permutation, then the sample."""
+    A sample's rows are the baseline, composites 1..G-1 of each permutation,
+    then the sample, forwarded through ``Model.infer`` on their own."""
     g = groups.n_groups
-    classes = None
-    if model.task is Task.CLASSIFICATION:
-        classes = model.forward(samples).argmax(axis=1)
+    classes = model.infer(samples).argmax(axis=1)  # column 0 for regression
     scores = np.empty((len(samples), g), dtype=DTYPE)
     stderr = np.zeros_like(scores)
     for i, sid in enumerate(ids):
@@ -176,8 +174,7 @@ def _reference_svs(model, samples, ids, groups, baseline, p, seed):
                 on = groups.mask[pos[j] < k].any(axis=0)
                 rows.append(np.where(on, samples[i], baseline))
         rows.append(samples[i])
-        col = 0 if classes is None else int(classes[i])
-        out = model.forward(np.stack(rows).astype(DTYPE))[:, col].astype(np.float64)
+        out = model.infer(np.stack(rows).astype(DTYPE))[:, classes[i]].astype(np.float64)
         values = np.empty((p, g + 1))
         values[:, 0], values[:, g] = out[0], out[-1]
         values[:, 1:g] = out[1:-1].reshape(p, g - 1)
@@ -220,18 +217,17 @@ SVS_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block_rows", [None, 40])
+@pytest.mark.parametrize("block_rows", [200, 40])
 @pytest.mark.parametrize("head, t, b, axis", SVS_CASES)
 def test_svs_blocks_match_the_per_sample_reference(
     head, t, b, axis, block_rows, monkeypatch
 ):
     """Same bytes as the per-sample loop over several blocks and a partial one."""
-    if block_rows is not None:
-        monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(attribution, "_BLOCK_ROWS", block_rows)
     model = small_mlp(head=head, t=t, b=b, seed=4)
     groups = feature_groups(grid_schema(t, b), axis)
     p = 8
-    per_block = max(1, attribution._SVS_BLOCK_ROWS // (p * (groups.n_groups + 1)))
+    per_block = max(1, block_rows // (p * (groups.n_groups - 1) + 2))
     n = 3 * per_block + per_block // 2 + 1
     r = np.random.default_rng(6)
     x = r.normal(size=(n, t, b)).astype(DTYPE)
@@ -437,11 +433,11 @@ def test_noisy_ensembles_nonnegative_and_deterministic():
 def test_noisy_svs_ensembles_are_per_sample(tag, head, monkeypatch):
     """Each sample's replicas draw from its own (seed, id, replica) streams,
     so its row does not depend on the other samples explained with it."""
-    monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", 100)
+    monkeypatch.setattr(attribution, "_BLOCK_ROWS", 100)
     model = small_mlp(head=head, seed=4)
     groups = by_band(model)
     p = 8
-    per_block = attribution._SVS_BLOCK_ROWS // (p * (groups.n_groups + 1))
+    per_block = attribution._BLOCK_ROWS // (p * (groups.n_groups - 1) + 2)
     n = 2 * per_block + 2
     r = np.random.default_rng(7)
     x = r.normal(size=(n, 2, 3)).astype(DTYPE)
@@ -490,10 +486,11 @@ def test_replica_reduction_does_not_depend_on_the_block(kind):
 @pytest.mark.parametrize("head", [REG, CLS])
 @pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
 def test_forward_call_sizes(tag, head, monkeypatch):
-    """The rows of every forward call, in order: the last bits of a row depend
-    on the size of the call that computed it."""
-    monkeypatch.setattr(attribution, "_FORWARD_CHUNK", 3)
-    monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", 20)
+    """Every forward call has ``TILE`` rows, however the samples fall into
+    blocks: the last bits of a row depend on the size of the call that
+    computed it."""
+    monkeypatch.setattr(models, "TILE", 4)
+    monkeypatch.setattr(attribution, "_BLOCK_ROWS", 12)
     model = small_mlp(head=head)  # T=2, B=3: three band groups
     sizes = []
     forward = model.graph.forward
@@ -508,19 +505,53 @@ def test_forward_call_sizes(tag, head, monkeypatch):
                   budget(n_permutations=2, ensemble_size=2, noise_scale=0.2), seed=1,
                   baseline=np.zeros((2, 3), DTYPE), noise_range=np.ones((2, 3), DTYPE))
     replicas = 2 if "-" in tag else 1
-    classes = [3, 2] if head is CLS else []  # predicted once, in chunks
-    if tag.endswith("gb"):  # blocks of _FORWARD_CHUNK samples, replicas inside
-        expected = classes + [3] * replicas + [2] * replicas
-    else:  # each sample's 2 * (3 - 1) + 2 rows, in chunks, once per replica
-        expected = classes + [3, 3] * 5 * replicas
-    assert sizes == expected
+    # the explained columns: 5 rows in 2 tiles
+    if tag.endswith("gb"):  # one block of 5 samples: 2 tiles per replica
+        calls = 2 + 2 * replicas
+    else:  # 2 * (3 - 1) + 2 rows a sample, blocks of 2, 2 and 1 samples
+        calls = 2 + (3 + 3 + 2) * replicas
+    assert sizes == [4] * calls
+
+
+FAMILIES = {
+    "mlp": ModelSpec(Architecture.MLP, width=8),
+    "tempcnn": ModelSpec(Architecture.TEMPCNN, depth=2, kernel_size=2, channels=4,
+                         dense_size=8),
+    "gru": ModelSpec(Architecture.GRU, hidden_size=4),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("head", [REG, CLS], ids=["reg", "cls"])
+@pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
+def test_a_samples_scores_depend_on_it_alone(tag, head, family, monkeypatch):
+    """A sample's scores and svs stderr have the same bytes explained alone,
+    at any position in any block, and in a call of any size."""
+    monkeypatch.setattr(attribution, "_BLOCK_ROWS", 24)  # gb: 24 samples a block
+    schema = grid_schema(3, 4, head[1])
+    model = build(FAMILIES[family], schema, seed=2)
+    groups = feature_groups(schema, GroupingAxis.BY_TIMESTEP)  # svs: 10 rows a sample
+    x = np.random.default_rng(10).normal(size=(30, 3, 4)).astype(DTYPE)
+    base, ids = x.mean(axis=0), np.arange(200, 230)
+    loud = budget(n_permutations=4, ensemble_size=2, noise_scale=0.3)
+
+    def run(part):
+        return run_estimator(tag, model, x[part], groups, loud, seed=8, baseline=base,
+                             noise_range=np.ones((3, 4), DTYPE), sample_ids=ids[part])
+
+    full = run(slice(None))
+    for part in [slice(i, i + 1) for i in (0, 5, 13, 23, 24, 29)] + [slice(7, 20)]:
+        m = run(part)
+        assert m.scores.tobytes() == full.scores[part].tobytes(), part
+        if tag == "svs":
+            assert m.stderr.tobytes() == full.stderr[part].tobytes(), part
 
 
 @pytest.mark.parametrize("tag", attribution.ESTIMATOR_TAGS)
 def test_each_sample_draws_its_permutations_once_per_call(tag, monkeypatch):
     """One (seed, id) stream per sample and call feeds its permutations and
     then every replica's noise; plain gb draws nothing."""
-    monkeypatch.setattr(attribution, "_SVS_BLOCK_ROWS", 30)
+    monkeypatch.setattr(attribution, "_BLOCK_ROWS", 30)
     model = small_mlp(seed=2)
     lengths = []
     real = np.random.SeedSequence

@@ -1,6 +1,7 @@
 """End-to-end command tests through the argparse front door."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from conftest import fab_curve, make_dataset, write_version_1_dataset
 
 from roarsel import cli, roar
 from roarsel.cli import _selection_rows, cmd_report, main
-from roarsel.config import section_seed
+from roarsel.config import load_config, section_seed
 from roarsel.data import load_dataset
 from roarsel.errors import RoarAborted, TrainingDiverged
 from roarsel.models import Architecture
@@ -242,6 +243,67 @@ def test_roar_resume_reuses_completed_campaigns(workspace, monkeypatch, capsys):
     assert capsys.readouterr().out.count("reusing") == 4
 
 
+RECOMPUTING = ("the curve on disk was made by another config, dataset or version; "
+               "recomputing")
+
+
+def _campaign_files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name.endswith((".curve.json", ".curve.csv", ".svg"))}
+
+
+def test_resume_recomputes_the_curves_of_another_model_and_train_config(
+        workspace, tmp_path, capsys):
+    """Run at width 8 for 5 epochs, then resume at width 32 for 9: every
+    plan is recomputed, to the bytes of a fresh width-32 run."""
+    cfg = base_config(workspace.root)
+    cfg["plans"] = cfg["plans"][:2]
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["model"]["width"], cfg["train"]["max_epochs"] = 8, 5
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["roar", "--config", str(p)]) == 0
+    cfg["model"]["width"], cfg["train"]["max_epochs"] = 32, 9
+    write_config(p, cfg)
+    capsys.readouterr()
+    assert main(["roar", "--config", str(p), "--resume"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(RECOMPUTING) == 2 and "reusing" not in out
+    assert main(["roar", "--config", str(p), "--out", str(tmp_path / "fresh")]) == 0
+    resumed = _campaign_files(tmp_path / "out")
+    assert len(resumed) == 6
+    assert resumed == _campaign_files(tmp_path / "fresh")
+    capsys.readouterr()
+    assert main(["roar", "--config", str(p), "--resume"]) == 0
+    assert capsys.readouterr().out.count("reusing the completed campaign on disk") == 2
+    assert _campaign_files(tmp_path / "out") == resumed
+
+
+def test_resume_recomputes_the_curves_of_another_dataset(workspace, tmp_path, capsys):
+    """The same config over a dataset regenerated with another seed."""
+    cfg = base_config(tmp_path)
+    cfg["plans"] = cfg["plans"][:1]
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["generate", "--config", str(p)]) == 0
+    assert main(["roar", "--config", str(p)]) == 0
+    assert main(["generate", "--config", str(p), "--seed", "6",
+                 "--out", str(tmp_path / "other")]) == 0
+    capsys.readouterr()
+    assert main(["roar", "--config", str(p), "--resume"]) == 0
+    assert RECOMPUTING in capsys.readouterr().out
+
+
+def test_resume_recomputes_a_curve_without_a_fingerprint(workspace, tmp_path, capsys):
+    p = _one_plan_config(workspace, tmp_path)
+    assert main(["roar", "--config", str(p)]) == 0
+    path = tmp_path / "out" / "svs_least_first_by_band.curve.json"
+    written = path.read_bytes()
+    save_curve(replace(load_curve(path), fingerprint=None), path)
+    capsys.readouterr()
+    assert main(["roar", "--config", str(p), "--resume"]) == 0
+    assert capsys.readouterr().out.startswith(f"svs_least_first_by_band: {RECOMPUTING}\n")
+    assert path.read_bytes() == written
+
+
 def test_roar_without_model_block_is_a_config_error(workspace, tmp_path, capsys):
     cfg = base_config(workspace.root)
     del cfg["model"]
@@ -377,7 +439,9 @@ def test_roar_abort_labels_partial_outputs(workspace, tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == "error: svs_least_first_by_band: cycle 2 failed: boom\n"
     out = tmp_path / "out"
     saved = load_curve(out / "svs_least_first_by_band.curve.json.partial")
-    assert encode(saved) == encode(partial)
+    cfg = load_config(p)
+    assert saved.fingerprint == cli._fingerprint(cfg, cfg.plans[0])
+    assert encode(replace(saved, fingerprint=None)) == encode(partial)
     assert ((out / "svs_least_first_by_band.curve.csv.partial").read_text()
             == curve_csv_text(partial))
     assert not (out / "svs_least_first_by_band.curve.json").exists()

@@ -42,7 +42,8 @@ PLANT = PlantSpec(n=10, t=2, b=3, signal_bands=frozenset({0, 2}),
                   task=Task.CLASSIFICATION, year_start=2000, n_years=2)
 TRAIN = TrainConfig(max_epochs=9, patience=2, batch_size=8, learning_rate=0.01)
 CURVE = dataclasses.replace(
-    fab_curve([0.9, 0.8, 0.7], [[4], [1]], DeletionOrder.MOST_FIRST), plan=PLAN)
+    fab_curve([0.9, 0.8, 0.7], [[4], [1]], DeletionOrder.MOST_FIRST), plan=PLAN,
+    fingerprint="0" * 64)
 DATASET = DatasetConfig(path="d", plant=PLANT)
 SPLIT = SplitConfig(holdout_years=1)
 RUN = RunConfig(seed=3, out_dir="o", dataset=DATASET, split=SPLIT,

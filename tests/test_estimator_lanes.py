@@ -4,7 +4,7 @@ process, failures that surface, and no process left behind.
 An in-process estimator call takes the one-lane path (conftest's
 ``one_lane``). Each test here runs its estimator calls or its ``roar`` in a
 subprocess whose BLAS is pinned to one thread (``run_pinned``), so that the
-Shapley blocks fork one lane per usable CPU.
+sample blocks fork one lane per usable CPU.
 """
 
 import json
@@ -21,13 +21,14 @@ from roarsel.models import Architecture, ModelSpec, build
 
 pytestmark = forked_lanes
 
-TAGS = ("svs", "sgs-svs", "vargrad-svs")
+TAGS = attribution.ESTIMATOR_TAGS
 HEADS = {"regression": None, "classification": 3}
+FORKED_BLOCK_ROWS = 10  # 30 samples: 3 gb blocks, 30 Shapley blocks
 
 
 def estimate(tag: str, n_classes):
     """``tag`` on 30 samples of a T=3, B=4 MLP, by band: 64 permutations of 4
-    groups give 3 samples per Shapley block, so 10 blocks."""
+    groups, 194 forward rows a Shapley sample."""
     schema = grid_schema(3, 4, n_classes)
     model = build(ModelSpec(Architecture.MLP, width=8), schema, seed=3)
     samples = np.random.default_rng(11).normal(size=(30, 3, 4)).astype(DTYPE)
@@ -37,23 +38,27 @@ def estimate(tag: str, n_classes):
                          noise_range=np.ones((3, 4), DTYPE), sample_ids=range(100, 130))
 
 
-# Saves every tag's and head's scores and stderr to argv[2], with
-# `_svs_values` wrapped to append the pid of every process that explains to
-# argv[1]; exits 1 if a child process is left.
+# Saves every tag's and head's scores and stderr to argv[2], in blocks of
+# FORKED_BLOCK_ROWS forward rows, with `_svs_values` and `_gb_rows` wrapped to
+# append "<function> <pid>" for every replica of every block to argv[1];
+# exits 1 if a child process is left.
 ESTIMATES = """
 import os, sys
 import numpy as np
 from roarsel import attribution
-from test_estimator_lanes import HEADS, TAGS, estimate
+from test_estimator_lanes import FORKED_BLOCK_ROWS, HEADS, TAGS, estimate
 
-svs_values = attribution._svs_values
+def recording(name):
+    real = getattr(attribution, name)
+    def recorded(*args, **kwargs):
+        with open(sys.argv[1], "a") as f:
+            f.write(f"{name} {os.getpid()}\\n")
+        return real(*args, **kwargs)
+    setattr(attribution, name, recorded)
 
-def recording_svs_values(*args, **kwargs):
-    with open(sys.argv[1], "a") as f:
-        f.write(f"{os.getpid()}\\n")
-    return svs_values(*args, **kwargs)
-
-attribution._svs_values = recording_svs_values
+recording("_svs_values")
+recording("_gb_rows")
+attribution._BLOCK_ROWS = FORKED_BLOCK_ROWS
 arrays = {}
 for head, n_classes in HEADS.items():
     for tag in TAGS:
@@ -71,10 +76,14 @@ sys.exit("a child process outlived the estimator")
 
 
 def test_forked_blocks_give_the_one_lane_bytes(tmp_path):
-    pids, out = tmp_path / "pids", tmp_path / "forked.npz"
-    done = run_pinned("-c", ESTIMATES, str(pids), str(out))
+    """Every tag, forked in small blocks, against one lane in the default ones."""
+    calls, out = tmp_path / "calls", tmp_path / "forked.npz"
+    done = run_pinned("-c", ESTIMATES, str(calls), str(out))
     assert done.returncode == 0, done.stderr
-    assert len(set(pids.read_text().split())) >= 2  # the lanes really forked
+    calls = [line.split() for line in calls.read_text().splitlines()]
+    assert len({pid for _, pid in calls}) >= 2  # the lanes really forked
+    # 3 gb blocks a call, with 1, 3 and 3 replicas, for each head
+    assert sum(name == "_gb_rows" for name, _ in calls) == 2 * 3 * (1 + 3 + 3)
     with np.load(out) as forked:
         assert len(forked.files) == 2 * (len(TAGS) + 1)
         for head, n_classes in HEADS.items():
@@ -102,12 +111,15 @@ def _config(tmp_path, budget, plans):
     return str(path)
 
 
-# Runs `roar` with `_svs_values` wrapped to append the pid of every process
-# that explains to argv[2], then exits with roar's code once no child is left.
+# Runs `roar` in blocks of at most 400 forward rows, with `_svs_values`
+# wrapped to append the pid of every process that explains to argv[2], then
+# exits with roar's code once no child is left.
 RECORDING_ROAR = """
 import os, sys
 from roarsel import attribution
 from roarsel.cli import main
+
+attribution._BLOCK_ROWS = 400
 
 svs_values = attribution._svs_values
 
@@ -127,7 +139,8 @@ sys.exit("a child process outlived roar")
 
 
 def test_forked_roar_writes_the_one_lane_bytes(tmp_path):
-    # 24 samples: 8 Shapley blocks by band (G=4), 6 by time step (G=3)
+    # 24 samples: 12 Shapley blocks by band (G=4) and 8 by time step (G=3)
+    # forked, 2 and 1 in one lane
     path = _config(tmp_path, {"n_samples": 24, "n_permutations": 64, "ensemble_size": 2},
                    [{"axis": "by_band", "order": "least_first", "estimator_tag": "svs"},
                     {"axis": "by_timestep", "order": "most_first",
@@ -145,7 +158,9 @@ def test_forked_roar_writes_the_one_lane_bytes(tmp_path):
     assert len(set(pids.read_text().split())) >= 2  # the lanes really forked
 
 
-FAILING_ID = 12  # all training samples are explained, so block 4 holds id 12
+# all training samples are explained, 64 * 3 + 2 forward rows each by band,
+# so this is the first sample of block 1
+FAILING_ID = attribution._BLOCK_ROWS // (64 * 3 + 2)
 
 
 def failing_block(noised):
@@ -158,37 +173,48 @@ def failing_block(noised):
     return noised_or_fail
 
 
-# Runs `roar` with `_noised` slowed once in this process, so the lanes claim
-# the later blocks, and with argv[2]'s behaviour in every process: `fail`
-# raises in the block of FAILING_ID and appends the failing pid to argv[3];
-# `lane_exit` ends every forked lane at its first block. Prints its own pid.
+# Runs `roar` with argv[2]'s behaviour in every forked lane: `fail` raises in
+# the block of FAILING_ID, and `lane_exit` ends the lane at its first block.
+# Either first writes the lane's pid to the marker file argv[3]. This
+# process's first block waits until that lane has exited, so a lane claims
+# block 1 whatever the timing. Prints this process's pid and the first
+# sample id of every block it explained, as JSON.
 SPLIT_NOISED = """
-import os, sys, time
+import json, os, sys, time
+from pathlib import Path
 from roarsel import attribution
 from roarsel.cli import main
 from test_estimator_lanes import failing_block
 
-parent, noised, slowed = os.getpid(), attribution._noised, []
-failing = failing_block(noised)
+parent, noised, marker = os.getpid(), attribution._noised, Path(sys.argv[3])
+failing, explained = failing_block(noised), []
+
+def mark():
+    Path(f"{marker}.tmp").write_text(str(os.getpid()))
+    os.replace(f"{marker}.tmp", marker)
 
 def fail(samples, streams, scale):
     try:
         return failing(samples, streams, scale)
     except Exception:
-        with open(sys.argv[3], "a") as f:
-            f.write(f"{os.getpid()}\\n")
+        mark()
         raise
 
 def lane_exit(samples, streams, scale):
-    if os.getpid() != parent:
-        os._exit(1)
-    return noised(samples, streams, scale)
+    mark()
+    os._exit(1)
 
-def split_noised(*args):
-    if os.getpid() == parent and not slowed:
-        time.sleep(0.3)
-        slowed.append(True)
-    return globals()[sys.argv[2]](*args)
+def split_noised(samples, streams, scale):
+    if os.getpid() != parent:
+        return globals()[sys.argv[2]](samples, streams, scale)
+    if not explained:
+        for _ in range(600):
+            if marker.exists():
+                break
+            time.sleep(0.1)
+        os.waitid(os.P_PID, int(marker.read_text()), os.WEXITED | os.WNOWAIT)
+    explained.append(int(streams[0].bit_generator.seed_seq.entropy[1]))
+    return noised(samples, streams, scale)
 
 attribution._noised = split_noised
 try:
@@ -200,11 +226,11 @@ finally:
         pass
     else:
         print("a child process outlived roar", file=sys.stderr)
-    print(parent)
+    print(json.dumps({"pid": parent, "blocks": sorted(set(explained))}))
 sys.exit(code)
 """
 
-EXPLAIN_ALL = {"n_permutations": 64, "ensemble_size": 2}  # 3 samples per block
+EXPLAIN_ALL = {"n_permutations": 64, "ensemble_size": 2}
 ONE_PLAN = [{"axis": "by_band", "order": "least_first", "estimator_tag": "sgs-svs"}]
 
 
@@ -218,17 +244,20 @@ def test_an_estimator_error_in_a_lane_exits_3_with_the_one_lane_message(
     one_lane = capsys.readouterr().err
     assert one_lane == ("error: sgs-svs_least_first_by_band: cycle 0 failed: "
                         f"the block of sample {FAILING_ID} fails\n")
-    failed = tmp_path / "failed"
-    done = run_pinned("-c", SPLIT_NOISED, path, "fail", str(failed), timeout=60)
+    marker = tmp_path / "failed"
+    done = run_pinned("-c", SPLIT_NOISED, path, "fail", str(marker), timeout=60)
     assert done.returncode == 3
     assert done.stderr == one_lane
-    (raiser,) = failed.read_text().split()
-    assert raiser not in done.stdout.split()  # a forked lane raised it
+    parent = json.loads(done.stdout)
+    assert int(marker.read_text()) != parent["pid"]  # a forked lane raised it
+    # once the lane failed, this process claimed no block after its first
+    assert parent["blocks"] == [0]
 
 
 def test_a_lane_that_dies_exits_3_naming_its_lost_blocks(tmp_path):
     path = _config(tmp_path, EXPLAIN_ALL, ONE_PLAN)
-    done = run_pinned("-c", SPLIT_NOISED, path, "lane_exit", timeout=60)
+    done = run_pinned("-c", SPLIT_NOISED, path, "lane_exit", str(tmp_path / "exited"),
+                      timeout=60)
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("error: sgs-svs_least_first_by_band: cycle 0 failed: "
                                   "an explaining process exited without the scores "
