@@ -278,7 +278,7 @@ def _gb_rows(model: Model, xs: np.ndarray, groups: FeatureGroups,
     masks = groups.mask.reshape(groups.n_groups, -1).astype(np.float64)
     rows = []
     for tile, cls in zip(tiles(xs), tiles(classes)):
-        model.forward(tile)
+        model.graph.forward(tile)
         grad = model.graph.backward_guided(cls)
         rows.append(grad.reshape(len(tile), -1).astype(np.float64) @ masks.T)
     return np.concatenate(rows)[:len(xs)].astype(DTYPE)

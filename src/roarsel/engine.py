@@ -86,6 +86,7 @@ class Graph:
         self.mask_shapes: dict[str, tuple[int, ...]] = {}
         self.output: Optional[int] = None
         self.loss: Optional[int] = None
+        self._loss_kernel: Optional[Callable] = None
         self._cache: Optional[list] = None
         self.input_node = self._slot("input", "x", self.input_shape)
 
@@ -236,6 +237,7 @@ class Graph:
     def _loss(self, op: str, x: int, fwd, bwd) -> int:
         """Scalar loss of ``x`` against the target slot; None without a target."""
         t = self._slot("target", "target", ())
+        self._loss_kernel = fwd
         self.loss = self._add(
             op, (x, t), {}, (),
             lambda v: None if v[t] is None else fwd(v[x], v[t]),
@@ -301,6 +303,15 @@ class Graph:
             raise GraphError("graph has no loss node")
         self.forward(x, target=target, masks=masks)
         return float(self._cache[self.loss])
+
+    def loss_of(self, output: np.ndarray, target: np.ndarray) -> float:
+        """The loss node's kernel over an ``output`` computed elsewhere (by
+        ``Model.infer``); as in ``forward``, a diverged output gives a
+        non-finite loss without a warning."""
+        if self.loss is None:
+            raise GraphError("graph has no loss node")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self._loss_kernel(output, target))
 
     # -- reverse mode -------------------------------------------------------
 

@@ -105,9 +105,6 @@ class Model:
     task: Task
     notes: list[str] = field(default_factory=list)
 
-    def forward(self, x, masks=None):
-        return self.graph.forward(x, masks=masks)
-
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode output over ``x``, forwarded in ``tiles``, so a
         row's bytes depend on the model and that row alone."""

@@ -40,7 +40,7 @@ from .models import ModelSpec, resize_for_input
 from .training import MetricValue, TrainConfig, TrainReport, evaluate, train
 
 
-CURVE_FORMAT = 1  # part of a curve's fingerprint; bump it when curve bytes change
+CURVE_FORMAT = 2  # part of a curve's fingerprint; bump it when curve bytes change
 
 
 class DeletionOrder(str, Enum):
@@ -112,6 +112,8 @@ class CycleRecord:
             raise CurveError("removed ids must be unique")
         if len(self.ranking.group_ids) != self.remaining:
             raise CurveError("ranking must cover exactly the remaining groups")
+        if self.val_metric != self.report.val_metric:
+            raise CurveError("val_metric must equal report.val_metric")
 
 
 @dataclass(frozen=True)

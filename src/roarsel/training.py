@@ -6,9 +6,11 @@ float32 buffer per quantity (parameters, first and second moments, the
 gathered gradient), and each ``graph.params`` entry is a view of the
 parameter buffer, during training and after it. Training is bit-deterministic
 per seed: batch shuffles, dropout masks, and parameter initialization all
-derive from fixed streams. Early stopping keeps the weights of the epoch with
-the lowest validation loss (ties keep the earlier epoch), written back into
-the parameter buffer, and stops after ``patience`` epochs without
+derive from fixed streams. ``batch_size`` sizes the training batches only:
+each epoch's validation loss, like every evaluation-mode forward, comes from
+``Model.infer``'s fixed tiles. Early stopping keeps the weights of the epoch
+with the lowest validation loss (ties keep the earlier epoch), written back
+into the parameter buffer, and stops after ``patience`` epochs without
 improvement.
 
 Selection trains every grid candidate, ranks by the validation metric, and
@@ -77,8 +79,10 @@ class TrainReport:
     val_metric: MetricValue
 
     def __post_init__(self):
-        if self.best_epoch > self.epochs_run:
-            raise TrainingError("best_epoch cannot exceed epochs_run")
+        if not 1 <= self.best_epoch <= self.epochs_run:
+            raise TrainingError("best_epoch must lie in [1, epochs_run]")
+        if not len(self.train_loss) == len(self.val_loss) == self.epochs_run:
+            raise TrainingError("train_loss and val_loss need one entry per epoch run")
 
 
 BETA1 = 0.9
@@ -177,7 +181,7 @@ def train(
             epoch_loss += loss * len(idx)
         train_hist.append(epoch_loss / train_split.n_samples)
 
-        val_loss = split_loss(model, val_split, cfg.batch_size)
+        val_loss = split_loss(model, val_split)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         val_hist.append(val_loss)
@@ -203,41 +207,27 @@ def train(
     return model, report
 
 
-def split_loss(model: Model, split: TensorDataset, batch_size: int = 256) -> float:
-    """Sample-weighted mean loss over a split, evaluation mode."""
+def split_loss(model: Model, split: TensorDataset) -> float:
+    """Mean loss over a split, evaluation mode: the graph's loss kernel over
+    ``Model.infer``'s output, so it depends on no batch size."""
     if split.n_samples == 0:
         raise TrainingError("cannot take the loss of an empty split")
-    total = 0.0
-    for start in range(0, split.n_samples, batch_size):
-        stop = min(start + batch_size, split.n_samples)
-        loss = model.graph.forward_loss(
-            split.values[start:stop], split.targets[start:stop]
-        )
-        total += loss * (stop - start)
-    return total / split.n_samples
-
-
-def predict(model: Model, split: TensorDataset) -> np.ndarray:
-    """Class labels (classification) or point predictions (regression)."""
-    out = model.infer(split.values)
-    if model.task is Task.CLASSIFICATION:
-        return out.argmax(axis=1)
-    return out.reshape(-1)
+    return model.graph.loss_of(model.infer(split.values), split.targets)
 
 
 def evaluate(model: Model, split: TensorDataset) -> MetricValue:
     """Accuracy for classification; R^2 about the split's target mean."""
     if split.n_samples == 0:
         raise TrainingError("cannot evaluate an empty split")
-    preds = predict(model, split)
+    out = model.infer(split.values)
     if model.task is Task.CLASSIFICATION:
-        value = float(np.mean(preds == split.targets))
+        value = float(np.mean(out.argmax(axis=1) == split.targets))
         return MetricValue(MetricKind.ACCURACY, value)
     targets = split.targets.astype(np.float64)
     ss_tot = float(np.sum((targets - targets.mean()) ** 2))
     if ss_tot == 0.0:
         raise TrainingError("constant targets")
-    ss_res = float(np.sum((targets - preds.astype(np.float64)) ** 2))
+    ss_res = float(np.sum((targets - out.reshape(-1).astype(np.float64)) ** 2))
     return MetricValue(MetricKind.R2, 1.0 - ss_res / ss_tot)
 
 

@@ -223,8 +223,8 @@ def test_exact_shapley_satisfies_efficiency():
 
         model = _scalar_model()
         xs = r.standard_normal((5, 2, 5)).astype(DTYPE)
-        f_x = model.forward(xs)[:, 0].astype(np.float64)
-        f_b = float(model.forward(baseline[None])[0, 0])
+        f_x = model.graph.forward(xs)[:, 0].astype(np.float64)
+        f_b = float(model.graph.forward(baseline[None])[0, 0])
         for x, fx in zip(xs, f_x):
             total = float(exact_shapley(model, x, groups, baseline).sum())
             assert abs(total - (fx - f_b)) < 1e-4
@@ -232,9 +232,9 @@ def test_exact_shapley_satisfies_efficiency():
         clf = resize_for_input(ModelSpec(Architecture.MLP, width=24),
                                grid_schema(2, 5, 3), seed=5)
         for x in xs:
-            logits = clf.forward(x[None])[0]
+            logits = clf.graph.forward(x[None])[0]
             c = int(np.argmax(logits))
-            f_gap = float(logits[c]) - float(clf.forward(baseline[None])[0, c])
+            f_gap = float(logits[c]) - float(clf.graph.forward(baseline[None])[0, c])
             total = float(exact_shapley(clf, x, groups, baseline).sum())
             assert abs(total - f_gap) < 1e-4
 
@@ -378,7 +378,7 @@ def test_resize_after_any_deletion_builds_fresh_models():
                     if b < full_b:
                         cut = delete_bands(cut, range(b, full_b))
                     model = resize_for_input(spec, cut.schema, seed=2)
-                    out = model.forward(cut.values)
+                    out = model.graph.forward(cut.values)
                     assert out.shape == (4, 1)
                     assert np.all(np.isfinite(out))
                     for name, p in model.graph.params.items():

@@ -192,7 +192,7 @@ def _full_composite_svs(model, samples, ids, groups, baseline, p, seed):
     prefix = np.arange(g + 1)[None, :, None]
     classes = None
     if model.task is Task.CLASSIFICATION:
-        classes = model.forward(samples).argmax(axis=1)
+        classes = model.graph.forward(samples).argmax(axis=1)
     scores = np.empty((len(samples), g), dtype=DTYPE)
     for i, sid in enumerate(ids):
         pos = _permutation_positions(g, p, seed, sid)
@@ -201,7 +201,7 @@ def _full_composite_svs(model, samples, ids, groups, baseline, p, seed):
             cell_on.astype(bool), samples[i].reshape(-1), baseline.reshape(-1)
         ).astype(DTYPE).reshape(p * (g + 1), *samples.shape[1:])
         col = 0 if classes is None else int(classes[i])
-        values = model.forward(composites)[:, col].astype(np.float64)
+        values = model.graph.forward(composites)[:, col].astype(np.float64)
         marginals = np.take_along_axis(
             np.diff(values.reshape(p, g + 1), axis=1), pos, axis=1
         )
@@ -289,10 +289,10 @@ def test_exact_shapley_efficiency(head):
     x = r.normal(size=(2, 3)).astype(DTYPE)
     base = r.normal(size=(2, 3)).astype(DTYPE)
     scores = exact_shapley(model, x, cell_groups(2, 3), base)
-    out_x = model.forward(x[None])
+    out_x = model.graph.forward(x[None])
     col = int(out_x.argmax(axis=1)[0]) if head is CLS else 0
     f_x = float(out_x[0, col])
-    f_base = float(model.forward(base[None])[0, col])
+    f_base = float(model.graph.forward(base[None])[0, col])
     assert float(scores.sum()) == pytest.approx(f_x - f_base, abs=1e-4)
 
 

@@ -583,6 +583,17 @@ def test_report_unreadable_curve_exits_3(tmp_path, capsys):
     assert "unreadable curve" in capsys.readouterr().err
 
 
+def test_report_on_a_curve_with_two_validation_metrics_exits_3(tmp_path, capsys):
+    p = tmp_path / "least.curve.json"
+    save_curve(fab_curve([0.9, 0.8], [[4]], DeletionOrder.LEAST_FIRST), p)
+    raw = json.loads(p.read_text())
+    raw["records"][0]["report"]["val_metric"]["value"] = 0.123
+    p.write_text(json.dumps(raw))
+    assert main(["report", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert f"unreadable curve {p}" in err
+    assert "val_metric must equal report.val_metric" in err
+
 
 @pytest.mark.parametrize("content, fragment", [
     ("truncated", "unreadable curve"),

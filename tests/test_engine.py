@@ -170,6 +170,24 @@ def test_mean_squared_error_hand_value():
     assert loss == pytest.approx(6.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("task", list(Task))
+def test_loss_of_a_forwarded_output_is_forward_loss(task):
+    classify = task is Task.CLASSIFICATION
+    m = build(ModelSpec(Architecture.MLP, width=8),
+              grid_schema(3, 2, 4 if classify else None), seed=0)
+    x = uniform(rng(1), (5, 3, 2))
+    target = np.arange(5) % 4 if classify else uniform(rng(2), (5,))
+    loss = m.graph.forward_loss(x, target)
+    assert m.graph.loss_of(m.graph.forward(x), target) == loss
+
+
+def test_loss_of_needs_a_loss_node():
+    g = Graph(input_shape=(1,))
+    g.mark_output(linear(g, g.input_node, g.param("w", np.eye(1))))
+    with pytest.raises(GraphError, match="no loss node"):
+        g.loss_of(np.zeros((2, 1), dtype=DTYPE), np.zeros(2))
+
+
 def test_slice_time_and_flatten_shapes():
     g = Graph(input_shape=(4, 3))
     sliced = g.slice_time(g.input_node, 2)

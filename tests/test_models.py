@@ -43,7 +43,7 @@ def test_mlp_fan_in_shrinks_after_band_deletion():
 
 def test_tempcnn_default_output_matches_head():
     m = build(ModelSpec(Architecture.TEMPCNN), grid_schema(12, 18, CLASSES), seed=0)
-    out = m.forward(batch(12, 18))
+    out = m.graph.forward(batch(12, 18))
     assert out.shape == (3, 4)
     assert m.graph.params["conv0/w"].shape == (5, 18, 64)
     assert m.graph.params["conv1/w"].shape == (5, 64, 64)
@@ -53,14 +53,14 @@ def test_tempcnn_default_output_matches_head():
 def test_tempcnn_resize_adjusts_first_conv_channels():
     m = resize_for_input(ModelSpec(Architecture.TEMPCNN), grid_schema(12, 17, CLASSES), seed=1)
     assert m.graph.params["conv0/w"].shape == (5, 17, 64)
-    assert m.forward(batch(12, 17)).shape == (3, 4)
+    assert m.graph.forward(batch(12, 17)).shape == (3, 4)
 
 
 @pytest.mark.parametrize("arch", list(Architecture))
 def test_regression_head_outputs_one_value(arch):
     spec = ModelSpec(arch, **SMALL)
     m = build(spec, grid_schema(6, 3), seed=2)
-    out = m.forward(batch(6, 3))
+    out = m.graph.forward(batch(6, 3))
     assert out.shape == (3, 1)
     assert m.graph.loss is not None
 
@@ -102,7 +102,7 @@ def test_resize_clamps_kernel_with_warning():
         m = resize_for_input(spec, grid_schema(3, 4, CLASSES), seed=0)
     assert m.notes == ["kernel clamped from 5 to 3 for input length 3"]
     assert m.graph.params["conv0/w"].shape[0] == 3
-    assert m.forward(batch(3, 4)).shape == (3, 4)
+    assert m.graph.forward(batch(3, 4)).shape == (3, 4)
 
 
 def test_an_even_kernel_is_fitted_at_every_layer():
@@ -115,14 +115,14 @@ def test_an_even_kernel_is_fitted_at_every_layer():
         m = resize_for_input(spec, schema, 0)
     assert m.notes == ["kernel clamped from 4 to 3 for input length 3"]
     assert [m.graph.params[f"conv{i}/w"].shape[0] for i in range(3)] == [4, 3, 3]
-    assert m.forward(batch(4, 2)).shape == (3, 1)
+    assert m.graph.forward(batch(4, 2)).shape == (3, 1)
 
 
 def test_resize_handles_single_step_input():
     spec = ModelSpec(Architecture.TEMPCNN, **SMALL)
     with pytest.warns(UserWarning):
         m = resize_for_input(spec, grid_schema(1, 2, CLASSES), seed=0)
-    assert m.forward(batch(1, 2)).shape == (3, 4)
+    assert m.graph.forward(batch(1, 2)).shape == (3, 4)
 
 
 # -- shape fuzz --------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_shape_fuzz_build_and_forward(arch):
         if arch is Architecture.TEMPCNN:
             kwargs["kernel_size"] = min(5, t)
         m = build(ModelSpec(arch, **kwargs), grid_schema(t, b, CLASSES), seed=7)
-        out = m.forward(batch(t, b, n=2, seed=t * 64 + b))
+        out = m.graph.forward(batch(t, b, n=2, seed=t * 64 + b))
         assert out.shape == (2, 4), (arch, t, b)
 
 
@@ -183,7 +183,7 @@ def test_gru_follows_update_gate_convention():
     h2 = (1.0 - z2) * h1 + z2 * n2
     expected = h2 @ p["head/w"] + p["head/b"]
 
-    np.testing.assert_allclose(m.forward(x).ravel(), expected.ravel(), rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(m.graph.forward(x).ravel(), expected.ravel(), rtol=1e-5, atol=1e-6)
 
 
 def test_lstm_cell_state_recurrence():
@@ -211,7 +211,7 @@ def test_lstm_cell_state_recurrence():
     h2 = sigmoid(g2["o"]) * np.tanh(c2)
     expected = h2 @ p["head/w"] + p["head/b"]
 
-    np.testing.assert_allclose(m.forward(x).ravel(), expected.ravel(), rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(m.graph.forward(x).ravel(), expected.ravel(), rtol=1e-5, atol=1e-6)
 
 
 def reference_lstm(xs, q):
@@ -254,7 +254,7 @@ def test_stacked_cells_match_the_reference_recurrence(arch, reference):
                       gate_blocks(p, "cell1", arch.value))
         expected.append(h[-1] @ p["head/w"] + p["head/b"])
 
-    np.testing.assert_allclose(m.forward(x).ravel(), np.ravel(expected),
+    np.testing.assert_allclose(m.graph.forward(x).ravel(), np.ravel(expected),
                                rtol=1e-5, atol=1e-6)
 
 
@@ -263,7 +263,7 @@ def test_stacked_recurrent_layers():
     m = build(spec, grid_schema(3, 2, CLASSES), seed=8)
     assert "cell0/wx" in m.graph.params and "cell1/wx" in m.graph.params
     assert m.graph.params["cell1/wx"].shape == (4, 4)
-    assert m.forward(batch(3, 2)).shape == (3, 4)
+    assert m.graph.forward(batch(3, 2)).shape == (3, 4)
 
 
 @pytest.mark.parametrize("arch", [Architecture.RNN, Architecture.LSTM, Architecture.GRU])
@@ -296,7 +296,7 @@ def test_fused_cell_tensors_hold_the_per_gate_draws(arch):
 def test_single_step_recurrent_input():
     for arch in (Architecture.RNN, Architecture.LSTM, Architecture.GRU):
         m = build(ModelSpec(arch, hidden_size=4), grid_schema(1, 3), seed=9)
-        assert m.forward(batch(1, 3)).shape == (3, 1)
+        assert m.graph.forward(batch(1, 3)).shape == (3, 1)
 
 
 # -- dropout masks -----------------------------------------------------------
@@ -328,11 +328,11 @@ def test_dropout_changes_training_forward_only(arch):
     m = build(spec, grid_schema(6, 2), seed=0)
     assert sorted(m.graph.mask_shapes) == [f"drop{i}" for i in range(sites)]
     x = batch(6, 2)
-    eval_out = m.forward(x)
+    eval_out = m.graph.forward(x)
     masks = dropout_masks(m, 3, np.random.default_rng(1))
-    train_out = m.forward(x, masks=masks)
+    train_out = m.graph.forward(x, masks=masks)
     assert not np.array_equal(eval_out, train_out)
-    np.testing.assert_array_equal(m.forward(x), eval_out)
+    np.testing.assert_array_equal(m.graph.forward(x), eval_out)
 
 
 @pytest.mark.parametrize("arch", list(Architecture))

@@ -288,12 +288,24 @@ def test_explained_ids_subsample_deterministically():
 @pytest.mark.parametrize("key, value, message", [
     ("cycle", 2, "curve: cycle indices must be consecutive"),
     ("val_metric", {"kind": "r2", "value": 2.0}, "curve.records[0].val_metric: r2 above 1"),
+    ("report.val_metric", {"kind": "r2", "value": 0.123},
+     "curve.records[0]: val_metric must equal report.val_metric"),
+    ("report.train_loss", [0.5, 0.4],
+     "curve.records[0].report: train_loss and val_loss need one entry per epoch run"),
+    ("report.val_loss", [],
+     "curve.records[0].report: train_loss and val_loss need one entry per epoch run"),
+    ("report.best_epoch", 0,
+     "curve.records[0].report: best_epoch must lie in [1, epochs_run]"),
 ])
 def test_a_curve_failing_its_own_checks_names_the_block(tmp_path, key, value, message):
     path = tmp_path / "c.curve.json"
     save_curve(fab_curve([0.9, 0.8], [[4]], DeletionOrder.LEAST_FIRST), path)
     raw = json.loads(path.read_text())
-    raw["records"][0][key] = value
+    *blocks, leaf = key.split(".")
+    record = raw["records"][0]
+    for name in blocks:
+        record = record[name]
+    record[leaf] = value
     path.write_text(json.dumps(raw))
     with pytest.raises(CurveError) as excinfo:
         load_curve(path)

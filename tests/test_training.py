@@ -1,5 +1,7 @@
 """Training loop, metrics, and the selection harness."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ from roarsel import training
 from roarsel.data import SplitTriple, Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE, Graph
 from roarsel.errors import TrainingDiverged, TrainingError
-from roarsel.models import Architecture, Model, ModelSpec, build
+from roarsel.models import TILE, Architecture, Model, ModelSpec, build
 from roarsel.training import (
     BETA1,
     BETA2,
@@ -50,6 +52,16 @@ def separable_splits(n=64, t=2, b=3, seed=0):
     half = n // 2
     d = TensorDataset(schema, x, y, years)
     return d.take(np.arange(half)), d.take(np.arange(half, n))
+
+
+def task_splits(task):
+    """Separable classification splits, or a regression pair on one grid."""
+    if task is Task.CLASSIFICATION:
+        return separable_splits()
+    r = np.random.default_rng(0)
+    x = r.normal(size=(64, 2, 3))
+    d = regression_dataset(x, x[:, 0, 0] + 0.1 * r.normal(size=64), t=2, b=3)
+    return d.take(np.arange(32)), d.take(np.arange(32, 64))
 
 
 def passthrough_model() -> Model:
@@ -209,8 +221,8 @@ def test_restored_best_weights_forward_through_the_views():
     flat = m.graph.params["layer0/w"].base
     assert flat is not None
     assert all(p.base is flat for p in m.graph.params.values())
-    assert split_loss(m, val_split, cfg.batch_size) == report.val_loss[0]
-    assert split_loss(m, val_split, cfg.batch_size) != report.val_loss[-1]
+    assert split_loss(m, val_split) == report.val_loss[0]
+    assert split_loss(m, val_split) != report.val_loss[-1]
 
 
 def test_best_epoch_weights_reproduce_best_val_loss():
@@ -220,8 +232,59 @@ def test_best_epoch_weights_reproduce_best_val_loss():
     m, report = train(m, train_split, val_split, cfg, seed=4)
     best = min(report.val_loss)
     assert report.val_loss[report.best_epoch - 1] == best
-    recomputed = split_loss(m, val_split, cfg.batch_size)
-    assert recomputed == pytest.approx(best, rel=1e-6)
+    assert split_loss(m, val_split) == best
+
+
+def test_forward_loss_serves_training_batches_only(monkeypatch):
+    """Targeted forwards are the training batches; the validation loss and
+    the metric forward whole ``TILE``-row tiles without a target."""
+    r = np.random.default_rng(7)
+    schema = default_schema(2, 3, Task.CLASSIFICATION, n_classes=2)
+    d = TensorDataset(schema, r.normal(size=(450, 2, 3)).astype(DTYPE),
+                      r.integers(0, 2, size=450), np.full(450, 2020, dtype=np.int64))
+    train_split, val_split = d.take(np.arange(300)), d.take(np.arange(300, 450))
+    calls = []
+    real = Graph.forward
+
+    def spy(self, x, target=None, masks=None):
+        calls.append((len(x), target is not None))
+        return real(self, x, target, masks)
+
+    monkeypatch.setattr(Graph, "forward", spy)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), schema, seed=7)
+    cfg = TrainConfig(max_epochs=5, patience=4, batch_size=32)
+    _, report = train(m, train_split, val_split, cfg, seed=7)
+    assert report.epochs_run == 5
+    assert sum(targeted for _, targeted in calls) == 5 * math.ceil(300 / 32)
+    assert {rows for rows, targeted in calls if not targeted} == {TILE}
+
+
+# Per task, a head weight and a validation value scale whose outputs make the
+# loss kernel overflow: inf logits make inf - inf in the softmax, and a large
+# finite prediction has an overflowing square.
+OVERFLOW = [(Task.CLASSIFICATION, 3e38, 5e37), (Task.REGRESSION, 1e30, 1e20)]
+
+
+@pytest.mark.parametrize("task, head, _", OVERFLOW)
+def test_the_loss_of_overflowing_outputs_is_non_finite_without_a_warning(task, head, _):
+    train_split, val_split = task_splits(task)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), train_split.schema, seed=0)
+    m.graph.params["head/w"][...] = head
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(split_loss(m, val_split))
+
+
+@pytest.mark.parametrize("task, _, scale", OVERFLOW)
+def test_an_overflowing_validation_split_diverges_at_epoch_1(task, _, scale):
+    train_split, val_split = task_splits(task)
+    huge = replace(val_split, values=np.sign(val_split.values) * scale)
+    m = build(ModelSpec(Architecture.MLP, **SMALL), train_split.schema, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged,
+                           match=r"^non-finite validation loss at epoch 1$"):
+            train(m, train_split, huge, TrainConfig(max_epochs=5, patience=4), seed=0)
 
 
 def test_training_with_dropout_is_deterministic():
