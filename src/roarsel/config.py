@@ -30,16 +30,16 @@ from .roar import DeletionPlan
 from .synthetic import PlantSpec
 from .training import TrainConfig, default_grid
 
-# lane 1 is claimed by the training loop, 5 by the explained-sample draw,
-# and the campaign loop keys three-element sequences; these two-element
-# lanes stay clear of all of them
-_SECTION_LANES = {"split": 2, "select": 3, "roar": 4, "generate": 6}
+# random-stream index 1 is claimed by the training loop, 5 by the
+# explained-sample draw, and the campaign loop keys three-element sequences;
+# these two-element streams stay clear of all of them
+_SECTION_STREAMS = {"split": 2, "select": 3, "roar": 4, "generate": 6}
 
 
 def section_seed(seed: int, section: str) -> int:
     """Stable per-command seed derived from the experiment seed."""
-    lane = _SECTION_LANES[section]
-    return int(np.random.SeedSequence([int(seed), lane]).generate_state(1)[0])
+    stream = _SECTION_STREAMS[section]
+    return int(np.random.SeedSequence([int(seed), stream]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)

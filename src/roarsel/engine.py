@@ -5,9 +5,11 @@ validated at build time (per-sample shapes; the batch dimension is implicit).
 Each builder method binds its node to a forward and a backward kernel next to
 its shape check, so ``forward`` and ``backward`` are two generic loops over
 the tape: ``forward`` caches activations, ``backward`` walks them in reverse.
-The batch enters through leaf slots (the input, the target, dropout masks);
-kernels see only argument values and never reference the Graph, so a dropped
-model is freed without waiting for the cyclic collector.
+The batch enters through leaf slots (the input and dropout masks); kernels
+see only argument values and never reference the Graph, so a dropped model is
+freed without waiting for the cyclic collector.
+The tape ends at the model's output; the loss is a pair of kernels over it,
+its value and its output gradient (``_LOSSES``), off the tape.
 
 Guided mode changes the backward rule at ReLU nodes only: the upstream
 gradient is clipped at zero before the standard rule, so it is zeroed
@@ -56,14 +58,14 @@ Selector = Union[str, int, np.ndarray]
 class Node:
     """One tape entry. ``fwd(values)`` computes this node's value from the
     tape's values; ``bwd(g, y, values)`` returns one gradient, or None, per
-    entry of ``args``. Slots (input, target, masks) have neither and read
-    their value from the batch's feeds by name."""
+    entry of ``args``. Slots (input, masks) have neither and read their value
+    from the batch's feeds by name."""
 
     idx: int
     op: str
     args: tuple[int, ...]
     attrs: dict
-    shape: tuple[int, ...]  # per-sample shape; () for scalar losses
+    shape: tuple[int, ...]  # per-sample shape
     fwd: Optional[Callable] = field(default=None, repr=False, compare=False)
     bwd: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -77,7 +79,8 @@ class Gradients:
 
 
 class Graph:
-    """Static operator graph over batched input, target and mask slots."""
+    """Static operator graph over batched input and mask slots, ending at a
+    marked output; ``loss`` names the loss kernel pair over that output."""
 
     def __init__(self, input_shape: tuple[int, ...]):
         self.nodes: list[Node] = []
@@ -85,9 +88,9 @@ class Graph:
         self.input_shape = tuple(int(s) for s in input_shape)
         self.mask_shapes: dict[str, tuple[int, ...]] = {}
         self.output: Optional[int] = None
-        self.loss: Optional[int] = None
-        self._loss_kernel: Optional[Callable] = None
+        self.loss: Optional[str] = None
         self._cache: Optional[list] = None
+        self._target: Optional[np.ndarray] = None  # forward_loss's, for backward
         self.input_node = self._slot("input", "x", self.input_shape)
 
     # -- construction -------------------------------------------------------
@@ -221,45 +224,31 @@ class Graph:
                          lambda v: fwd(v[x], v[wx], v[wh], v[b]),
                          lambda g, y, v: bwd(g, y.base, v[x], v[wx], v[wh]))
 
-    def softmax_cross_entropy(self, logits: int) -> int:
+    def softmax_cross_entropy(self, logits: int) -> None:
         ls = self._shape(logits)
         if len(ls) != 1:
             raise GraphError(f"cross-entropy logits must be [C], got {ls}")
-        return self._loss("softmax_xent", logits, _softmax_xent_forward,
-                          _softmax_xent_backward)
+        self.mark_output(logits)
+        self.loss = "softmax_xent"
 
-    def mean_squared_error(self, pred: int) -> int:
+    def mean_squared_error(self, pred: int) -> None:
         ps = self._shape(pred)
         if ps not in ((), (1,)):
             raise GraphError(f"mse prediction must be scalar per sample, got {ps}")
-        return self._loss("mse", pred, _mse_forward, _mse_backward)
-
-    def _loss(self, op: str, x: int, fwd, bwd) -> int:
-        """Scalar loss of ``x`` against the target slot; None without a target."""
-        t = self._slot("target", "target", ())
-        self._loss_kernel = fwd
-        self.loss = self._add(
-            op, (x, t), {}, (),
-            lambda v: None if v[t] is None else fwd(v[x], v[t]),
-            lambda g, y, v: (bwd(g, v[x], v[t]), None),
-        )
-        return self.loss
+        self.mark_output(pred)
+        self.loss = "mse"
 
     def mark_output(self, idx: int) -> None:
         self.output = idx
 
     # -- execution ----------------------------------------------------------
 
-    def forward(
-        self,
-        x: np.ndarray,
-        target: np.ndarray | None = None,
-        masks: dict[str, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Run the graph on a batch; caches activations for backward.
+    def forward(self, x: np.ndarray,
+                masks: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Run the graph on a batch and return its output; caches activations
+        for backward and forgets ``forward_loss``'s target.
 
-        Mask slots not supplied are bound to ones. The loss node is computed
-        only when a target is given.
+        Mask slots not supplied are bound to ones.
         """
         x = np.ascontiguousarray(x, dtype=DTYPE)
         if x.ndim != len(self.input_shape) + 1 or x.shape[1:] != self.input_shape:
@@ -267,9 +256,7 @@ class Graph:
                 f"input shape {x.shape[1:]} does not match slot {self.input_shape}"
             )
         n = x.shape[0]
-        if target is not None and np.shape(target) != (n,):
-            raise GraphError(f"target shape {np.shape(target)} is not the batch's ({n},)")
-        feeds = {"x": x, "target": target}
+        feeds = {"x": x}
         masks = masks or {}
         for name, shape in self.mask_shapes.items():
             if name not in masks:
@@ -279,9 +266,10 @@ class Graph:
             if m.shape != (n, *shape):
                 raise GraphError(f"mask {name!r} has shape {m.shape}")
             feeds[name] = m
-        self._cache = None  # free the last call's activations before this call's
+        # free the last call's activations first, and forget its target
+        self._cache = self._target = None
         values: list = [None] * len(self.nodes)
-        # divergence shows up as inf/nan in the loss; no point warning per op
+        # divergence shows up as inf/nan in the output; no point warning per op
         with np.errstate(over="ignore", invalid="ignore"):
             for node in self.nodes:
                 if node.fwd is None:
@@ -293,32 +281,32 @@ class Graph:
             raise GraphError("graph has no marked output")
         return values[self.output]
 
-    def forward_loss(
-        self,
-        x: np.ndarray,
-        target: np.ndarray,
-        masks: dict[str, np.ndarray] | None = None,
-    ) -> float:
-        if self.loss is None:
-            raise GraphError("graph has no loss node")
-        self.forward(x, target=target, masks=masks)
-        return float(self._cache[self.loss])
+    def forward_loss(self, x: np.ndarray, target: np.ndarray,
+                     masks: dict[str, np.ndarray] | None = None) -> float:
+        """``forward``, then the loss of its output; ``backward("loss")``
+        differentiates that loss until the next forward."""
+        loss = self.loss_of(self.forward(x, masks=masks), target)
+        self._target = target
+        return loss
 
     def loss_of(self, output: np.ndarray, target: np.ndarray) -> float:
-        """The loss node's kernel over an ``output`` computed elsewhere (by
-        ``Model.infer``); as in ``forward``, a diverged output gives a
-        non-finite loss without a warning."""
+        """The mean loss of a batch's ``output`` against its ``target`` (n,);
+        a diverged output gives a non-finite loss without a warning."""
         if self.loss is None:
-            raise GraphError("graph has no loss node")
+            raise GraphError("graph has no loss attached")
+        n = len(output)
+        if np.shape(target) != (n,):
+            raise GraphError(f"target shape {np.shape(target)} is not the batch's ({n},)")
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(self._loss_kernel(output, target))
+            return float(_LOSSES[self.loss][0](output, target))
 
     # -- reverse mode -------------------------------------------------------
 
     def backward(self, selector: Selector = "loss", guided: bool = False) -> Gradients:
         """Exact reverse-mode gradients of one scalar w.r.t. input and params.
 
-        ``selector`` is either ``"loss"``, an output column index (the scalar
+        ``selector`` is either ``"loss"`` (the loss of the last forward, when
+        that was ``forward_loss``), an output column index (the scalar
         is the per-sample value of that column, summed over the batch), or a
         per-sample column-index array (one scalar per row, e.g. the predicted
         class logit). ``guided`` applies the guided rule at ReLU nodes.
@@ -365,9 +353,9 @@ class Graph:
         if isinstance(selector, str):
             if selector != "loss":
                 raise GraphError(f"non-scalar selection: {selector!r}")
-            if self.loss is None or values[self.loss] is None:
+            if self._target is None:
                 raise GraphError("loss not computed; forward with a target first")
-            grads[self.loss] = np.asarray(1.0, dtype=DTYPE)
+            grads[self.output] = _LOSSES[self.loss][1](values[self.output], self._target)
             return
         if self.output is None or values[self.output] is None:
             raise GraphError("graph has no computed output")
@@ -658,14 +646,6 @@ def _gru_backward(g, buf, x, wx, wh):
     return _recurrent_grads(dxw, da, h, x, wx)
 
 
-# cell name -> (gates k, forward, backward)
-_CELLS = {
-    "rnn": (1, _rnn_forward, _rnn_backward),
-    "lstm": (4, _lstm_forward, _lstm_backward),
-    "gru": (3, _gru_forward, _gru_backward),
-}
-
-
 def _softmax_xent_forward(logits, target):
     idx = np.asarray(target).astype(int)
     if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
@@ -676,11 +656,11 @@ def _softmax_xent_forward(logits, target):
     return np.mean(logsum - picked, dtype=DTYPE)
 
 
-def _softmax_xent_backward(g, logits, target):
+def _softmax_xent_backward(logits, target):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     grad = e / e.sum(axis=1, keepdims=True)  # the softmax, less one at each target
-    grad[np.arange(logits.shape[0]), target.astype(int)] -= 1.0
-    return g * grad / DTYPE(logits.shape[0])
+    grad[np.arange(logits.shape[0]), np.asarray(target).astype(int)] -= 1.0
+    return grad / DTYPE(logits.shape[0])
 
 
 def _mse_diff(pred, target):
@@ -692,5 +672,20 @@ def _mse_forward(pred, target):
     return np.mean(diff * diff, dtype=DTYPE)
 
 
-def _mse_backward(g, pred, target):
-    return (g * DTYPE(2.0 / pred.shape[0]) * _mse_diff(pred, target)).reshape(pred.shape)
+def _mse_backward(pred, target):
+    return (DTYPE(2.0 / pred.shape[0]) * _mse_diff(pred, target)).reshape(pred.shape)
+
+
+# cell name -> (gates k, forward, backward)
+_CELLS = {
+    "rnn": (1, _rnn_forward, _rnn_backward),
+    "lstm": (4, _lstm_forward, _lstm_backward),
+    "gru": (3, _gru_forward, _gru_backward),
+}
+
+
+# loss name -> (mean loss, its gradient w.r.t. the output)
+_LOSSES = {
+    "softmax_xent": (_softmax_xent_forward, _softmax_xent_backward),
+    "mse": (_mse_forward, _mse_backward),
+}

@@ -251,7 +251,6 @@ def _cell_params(g, rng, cell, in_dim, hid, prefix):
 def _attach_head(g, schema, last, fan, rng):
     classify = schema.task is Task.CLASSIFICATION
     out = _dense(g, rng, last, fan, schema.n_classes if classify else 1, "head")
-    g.mark_output(out)
     if classify:
         g.softmax_cross_entropy(out)
     else:

@@ -168,9 +168,9 @@ class DeletionCurve:
 # the campaign loop
 
 
-def _lane_seed(seed: int, cycle: int, lane: int) -> int:
-    """Per-cycle derived seed; lane 0 builds and trains, lane 1 explains."""
-    return int(np.random.SeedSequence([int(seed), int(cycle), lane]).generate_state(1)[0])
+def _cycle_seed(seed: int, cycle: int, stream: int) -> int:
+    """Per-cycle derived seed; stream 0 builds and trains, stream 1 explains."""
+    return int(np.random.SeedSequence([int(seed), int(cycle), stream]).generate_state(1)[0])
 
 
 def _explained_ids(n_train: int, n_samples: Optional[int], seed: int) -> tuple[int, ...]:
@@ -191,7 +191,7 @@ def _run_cycle(
     cycle: int,
     removed_ids: tuple[int, ...],
 ) -> CycleRecord:
-    fit_seed = _lane_seed(seed, cycle, 0)
+    fit_seed = _cycle_seed(seed, cycle, 0)
     model = resize_for_input(spec, cur.train.schema, fit_seed)
     model, report = train(model, cur.train, cur.validation, cfg, fit_seed)
     test = evaluate(model, cur.test)
@@ -203,7 +203,7 @@ def _run_cycle(
         cur.train.values[np.asarray(sample_ids, dtype=np.int64)],
         groups,
         plan.budget,
-        _lane_seed(seed, cycle, 1),
+        _cycle_seed(seed, cycle, 1),
         baseline=mean_baseline(cur.train),
         noise_range=cell_span(cur.train),
         sample_ids=sample_ids,

@@ -6,11 +6,12 @@ float32 buffer per quantity (parameters, first and second moments, the
 gathered gradient), and each ``graph.params`` entry is a view of the
 parameter buffer, during training and after it. Training is bit-deterministic
 per seed: batch shuffles, dropout masks, and parameter initialization all
-derive from fixed streams. ``batch_size`` sizes the training batches only:
-each epoch's validation loss, like every evaluation-mode forward, comes from
-``Model.infer``'s fixed tiles. Early stopping keeps the weights of the epoch
-with the lowest validation loss (ties keep the earlier epoch), written back
-into the parameter buffer, and stops after ``patience`` epochs without
+derive from fixed streams. ``batch_size`` sizes the training batches only,
+each one ``Graph.forward_loss`` and the backward of that loss. Each epoch's
+validation loss is ``Graph.loss_of`` over ``Model.infer``, whose fixed tiles
+serve every evaluation-mode forward. Early stopping keeps the weights of the
+epoch with the lowest validation loss (ties keep the earlier epoch), written
+back into the parameter buffer, and stops after ``patience`` epochs without
 improvement.
 
 Selection trains every grid candidate, ranks by the validation metric, and
@@ -208,7 +209,7 @@ def train(
 
 
 def split_loss(model: Model, split: TensorDataset) -> float:
-    """Mean loss over a split, evaluation mode: the graph's loss kernel over
+    """Mean loss over a split, evaluation mode: ``Graph.loss_of`` over
     ``Model.infer``'s output, so it depends on no batch size."""
     if split.n_samples == 0:
         raise TrainingError("cannot take the loss of an empty split")

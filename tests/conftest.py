@@ -45,17 +45,17 @@ def _relu_signs(g) -> list[np.ndarray]:
     return [g._cache[node.args[0]] > 0 for node in g.nodes if node.op == "relu"]
 
 
-def steps_cross_a_kink(g, x, h=1e-3, target=None) -> bool:
+def steps_cross_a_kink(g, x, h=1e-3) -> bool:
     """True when moving any one coordinate by +h or -h turns a relu on or
     off, so that a central difference there would straddle a kink."""
-    g.forward(x, target=target)
+    g.forward(x)
     signs = _relu_signs(g)
     for _, flat, batch in _coordinates(g, x):
         for i in range(flat.size):
             orig = flat[i]
             for step in (h, -h):
                 flat[i] = orig + DTYPE(step)
-                g.forward(batch, target=target)
+                g.forward(batch)
                 flipped = any((a != b).any() for a, b in zip(signs, _relu_signs(g)))
                 flat[i] = orig
                 if flipped:
@@ -63,22 +63,21 @@ def steps_cross_a_kink(g, x, h=1e-3, target=None) -> bool:
     return False
 
 
-def draw_clean_input(g, shape, seed, target=None):
+def draw_clean_input(g, shape, seed):
     """Sample a batch that no finite-difference step moves across a relu kink."""
     r = np.random.default_rng(seed)
     for _ in range(64):
         x = r.normal(scale=1.0, size=shape).astype(DTYPE)
-        if not steps_cross_a_kink(g, x, target=target):
+        if not steps_cross_a_kink(g, x):
             return x
     raise AssertionError("could not sample an input away from kinks")
 
 
 def loss64(g, target) -> float:
-    """The graph's loss recomputed in float64 from its cached prediction."""
-    node = g.nodes[g.loss]
-    pred = g._cache[node.args[0]].astype(np.float64)
+    """The graph's loss recomputed in float64 from its cached output."""
+    pred = g._cache[g.output].astype(np.float64)
     n = pred.shape[0]
-    if node.op == "mse":
+    if g.loss == "mse":
         diff = pred.reshape(n) - np.asarray(target, dtype=DTYPE).astype(np.float64)
         return float(np.mean(diff * diff))
     z = pred - pred.max(axis=1, keepdims=True)
@@ -98,17 +97,26 @@ def finite_difference_check(g, x, h=1e-3, tolerance=1e-3, selector="loss",
                             target=None) -> FdReport:
     """Compare reverse-mode gradients against central finite differences.
 
-    The differenced scalar is computed in float64 from the float32 output (the
-    loss from its prediction node), so the oracle adds no float32 rounding of
-    its own. Relative error per coordinate is |a - b| / max(1, |a|, |b|); the
-    report carries the max over the input and every parameter tensor.
+    The differenced scalar is computed in float64 from the float32 output,
+    so the oracle adds no float32 rounding of its own. The ``"loss"`` selector
+    runs ``forward_loss`` and any other selector ``forward``. Relative error
+    per coordinate is |a - b| / max(1, |a|, |b|); the report carries the max
+    over the input and every parameter tensor.
     """
     assert h > 0, "finite differences need h > 0"
-    g.forward(x, target=target)
+
+    def run(xv) -> np.ndarray:
+        if isinstance(selector, str):
+            g.forward_loss(xv, target)
+        else:
+            g.forward(xv)
+        return g._cache[g.output]
+
+    run(x)
     ad = g.backward(selector)
 
     def scalar(xv) -> float:
-        out = g.forward(xv, target=target)
+        out = run(xv)
         if isinstance(selector, str):
             return loss64(g, target)
         if isinstance(selector, (int, np.integer)):
@@ -135,7 +143,7 @@ def finite_difference_check(g, x, h=1e-3, tolerance=1e-3, selector="loss",
         per_tensor[label] = worst
 
     worst = max(per_tensor.values())
-    g.forward(x, target=target)  # leave a clean cache behind
+    run(x)  # leave a clean cache behind
     return FdReport(max_rel_error=worst, tolerance=tolerance,
                     passed=worst <= tolerance, per_tensor=per_tensor)
 

@@ -63,9 +63,9 @@ def _uniform(r, shape, lo=-0.5, hi=0.5):
 # -- 1: gradient correctness ------------------------------------------------
 
 ALL_OPS = frozenset({
-    "dense", "mul", "relu", "conv1d", "flatten", "slice_time", "mse", "softmax_xent",
-    "recurrent",
+    "dense", "mul", "relu", "conv1d", "flatten", "slice_time", "recurrent",
 })
+LOSSES = frozenset({"mse", "softmax_xent"})  # loss kinds, off the tape
 CELLS = {"rnn": 1, "lstm": 4, "gru": 3}  # recurrent cell -> gates
 
 
@@ -135,13 +135,11 @@ def random_graph(seed, linear_only=False, cell=None):
         out = g.dense(h, param((d, 1)), param((1,)))
         g.mark_output(out)
         g.mean_squared_error(out)
-        used.add("mse")
         return g, used, "mse"
     n_classes = int(r.integers(2, 4))
     out = g.dense(h, param((d, n_classes)), param((n_classes,)))
     g.mark_output(out)
     g.softmax_cross_entropy(out)
-    used.add("softmax_xent")
     return g, used, n_classes
 
 
@@ -156,33 +154,38 @@ def test_reverse_mode_gradients_match_finite_differences():
     with criterion("criterion 1: reverse-mode gradients match central finite "
                    "differences on random graphs covering every operator"):
         start = time.monotonic()
-        covered, cells = set(), set()
+        covered, cells, losses = set(), set(), set()
         # 24 random graphs, then one that starts with each recurrent cell
         for i, cell in enumerate([None] * 24 + list(CELLS)):
             g, used, kind = random_graph(1000 + i, cell=cell)
             target = _graph_target(kind, 3, i)
-            x = draw_clean_input(g, (3, *g.input_shape), 2000 + i, target=target)
+            x = draw_clean_input(g, (3, *g.input_shape), 2000 + i)
             report = finite_difference_check(g, x, h=1e-3, tolerance=1e-3,
                                              target=target)
             assert report.passed, (i, report.max_rel_error, sorted(used))
             covered |= used
+            losses.add(g.loss)
             cells |= {n.attrs["cell"] for n in g.nodes if n.op == "recurrent"}
         assert covered == ALL_OPS, sorted(ALL_OPS - covered)
+        assert losses == LOSSES, sorted(LOSSES - losses)
         assert cells == set(CELLS), sorted(set(CELLS) - cells)
         assert time.monotonic() - start < 60.0
 
 
 def test_all_ops_is_every_op_the_model_families_build():
     """Criterion 1 covers every graph operator: ``ALL_OPS`` is exactly what
-    the five families build, both heads and dropout included, besides the
-    slots that read the batch and the parameters."""
-    built = set()
+    the five families build, dropout included, besides the slots that read
+    the batch and the parameters; ``LOSSES`` is both heads' losses."""
+    built, losses = set(), set()
     for arch in Architecture:
         for schema in (grid_schema(5, 3), grid_schema(5, 3, 3)):
             spec = ModelSpec(arch, width=4, channels=2, dense_size=4,
                              hidden_size=2, kernel_size=3, dropout=0.5)
-            built |= {n.op for n in resize_for_input(spec, schema, seed=0).graph.nodes}
-    assert built == ALL_OPS | {"input", "param", "mask", "target"}
+            graph = resize_for_input(spec, schema, seed=0).graph
+            built |= {n.op for n in graph.nodes}
+            losses.add(graph.loss)
+    assert built == ALL_OPS | {"input", "param", "mask"}
+    assert losses == LOSSES
 
 
 # -- 2 and 3: Shapley estimates ----------------------------------------------

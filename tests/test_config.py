@@ -303,8 +303,8 @@ def test_workers_and_holdout_validation():
 
 def test_section_seeds_are_stable_and_distinct():
     assert section_seed(0, "split") == section_seed(0, "split")
-    lanes = {section_seed(0, s) for s in ("split", "select", "roar", "generate")}
-    assert len(lanes) == 4
+    seeds = {section_seed(0, s) for s in ("split", "select", "roar", "generate")}
+    assert len(seeds) == 4
     assert section_seed(1, "split") != section_seed(0, "split")
 
 

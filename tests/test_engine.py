@@ -170,6 +170,20 @@ def test_mean_squared_error_hand_value():
     assert loss == pytest.approx(6.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("n_classes", [None, 3], ids=["regression", "classification"])
+def test_a_list_target_differentiates_like_an_array(n_classes):
+    """forward_loss takes any (n,) sequence; backward must too."""
+    m = build(ModelSpec(Architecture.MLP, width=4), grid_schema(2, 3, n_classes), seed=0)
+    x = uniform(rng(0), (3, 2, 3))
+    target = [0, 2, 1]
+    losses, grads = [], []
+    for t in (target, np.array(target)):
+        losses.append(m.graph.forward_loss(x, t))
+        grads.append(m.graph.backward("loss").input)
+    assert losses[0] == losses[1]
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
 @pytest.mark.parametrize("task", list(Task))
 def test_loss_of_a_forwarded_output_is_forward_loss(task):
     classify = task is Task.CLASSIFICATION
@@ -181,10 +195,10 @@ def test_loss_of_a_forwarded_output_is_forward_loss(task):
     assert m.graph.loss_of(m.graph.forward(x), target) == loss
 
 
-def test_loss_of_needs_a_loss_node():
+def test_loss_of_needs_a_loss():
     g = Graph(input_shape=(1,))
     g.mark_output(linear(g, g.input_node, g.param("w", np.eye(1))))
-    with pytest.raises(GraphError, match="no loss node"):
+    with pytest.raises(GraphError, match="no loss attached"):
         g.loss_of(np.zeros((2, 1), dtype=DTYPE), np.zeros(2))
 
 
@@ -409,7 +423,7 @@ def build_recurrent_cell(seed=2):
 def test_finite_difference_mlp_loss():
     g = build_mlp_regression()
     target = np.array([0.3, -0.2, 0.8], dtype=DTYPE)
-    x = draw_clean_input(g, (3, 5), seed=10, target=target)
+    x = draw_clean_input(g, (3, 5), seed=10)
     report = finite_difference_check(g, x, target=target)
     assert report.passed, report.per_tensor
     assert report.max_rel_error <= 1e-3
@@ -418,7 +432,7 @@ def test_finite_difference_mlp_loss():
 def test_finite_difference_conv_classifier_loss():
     g = build_conv_classifier()
     target = np.array([0, 2])
-    x = draw_clean_input(g, (2, 6, 2), seed=11, target=target)
+    x = draw_clean_input(g, (2, 6, 2), seed=11)
     report = finite_difference_check(g, x, target=target)
     assert report.passed, report.per_tensor
 
@@ -427,7 +441,7 @@ def test_finite_difference_recurrent_cell_loss():
     """Reused parameter tensors accumulate gradients across time steps."""
     g = build_recurrent_cell()
     target = np.array([0.1, -0.4], dtype=DTYPE)
-    x = draw_clean_input(g, (2, 2, 3), seed=12, target=target)
+    x = draw_clean_input(g, (2, 2, 3), seed=12)
     report = finite_difference_check(g, x, target=target)
     assert report.passed, report.per_tensor
 
@@ -545,8 +559,8 @@ def test_mask_slot_gets_no_gradient_and_dropout_gradients_are_unchanged():
     g = model.graph
     r = rng(4)
     x = r.normal(size=(6, 3, 2)).astype(DTYPE)
-    g.forward(x, target=r.normal(size=6).astype(DTYPE),
-              masks=dropout_masks(model, 6, r))
+    g.forward_loss(x, r.normal(size=6).astype(DTYPE),
+                   masks=dropout_masks(model, 6, r))
     muls = [node for node in g.nodes if node.op == "mul"]
     assert len(muls) == 2 and all(g.nodes[n.args[1]].op == "mask" for n in muls)
     for node in muls:
@@ -665,6 +679,12 @@ def test_loss_selector_requires_target():
     g.forward(rng(0).normal(size=(2, 5)).astype(DTYPE))
     with pytest.raises(GraphError, match="loss not computed"):
         g.backward(selector="loss")
+    # an inference forward forgets the last forward_loss's target, which
+    # would otherwise be differentiated against the new outputs
+    g.forward_loss(rng(1).normal(size=(2, 5)).astype(DTYPE), np.zeros(2, DTYPE))
+    g.forward(rng(2).normal(size=(2, 5)).astype(DTYPE))
+    with pytest.raises(GraphError, match="loss not computed"):
+        g.backward(selector="loss")
 
 
 @pytest.mark.parametrize("shape", [(5, 1), (1,), (4,), (5, 5)])
@@ -674,9 +694,10 @@ def test_target_must_have_one_entry_per_row(shape, n_classes):
     m = build(ModelSpec(Architecture.MLP, width=4), grid_schema(2, 3, n_classes), seed=0)
     x = uniform(rng(0), (5, 2, 3))
     m.graph.forward_loss(x, np.zeros(5))
-    for call in (m.graph.forward_loss, m.graph.forward):
+    out = m.graph.forward(x)
+    for call, batch in ((m.graph.forward_loss, x), (m.graph.loss_of, out)):
         with pytest.raises(GraphError, match=rf"target shape \({shape[0]},"):
-            call(x, np.zeros(shape))
+            call(batch, np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 7])

@@ -243,20 +243,30 @@ def test_forward_loss_serves_training_batches_only(monkeypatch):
     d = TensorDataset(schema, r.normal(size=(450, 2, 3)).astype(DTYPE),
                       r.integers(0, 2, size=450), np.full(450, 2020, dtype=np.int64))
     train_split, val_split = d.take(np.arange(300)), d.take(np.arange(300, 450))
-    calls = []
-    real = Graph.forward
+    targeted, untargeted, inside = [], [], []
+    real_forward, real_forward_loss = Graph.forward, Graph.forward_loss
 
-    def spy(self, x, target=None, masks=None):
-        calls.append((len(x), target is not None))
-        return real(self, x, target, masks)
+    def spy_forward_loss(self, x, target, masks=None):
+        targeted.append(len(x))
+        inside.append(True)
+        try:
+            return real_forward_loss(self, x, target, masks)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(Graph, "forward", spy)
+    def spy_forward(self, x, masks=None):
+        if not inside:
+            untargeted.append(len(x))
+        return real_forward(self, x, masks)
+
+    monkeypatch.setattr(Graph, "forward_loss", spy_forward_loss)
+    monkeypatch.setattr(Graph, "forward", spy_forward)
     m = build(ModelSpec(Architecture.MLP, **SMALL), schema, seed=7)
     cfg = TrainConfig(max_epochs=5, patience=4, batch_size=32)
     _, report = train(m, train_split, val_split, cfg, seed=7)
     assert report.epochs_run == 5
-    assert sum(targeted for _, targeted in calls) == 5 * math.ceil(300 / 32)
-    assert {rows for rows, targeted in calls if not targeted} == {TILE}
+    assert len(targeted) == 5 * math.ceil(300 / 32)
+    assert set(untargeted) == {TILE}
 
 
 # Per task, a head weight and a validation value scale whose outputs make the
