@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -216,8 +217,10 @@ def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> st
     """Summarize saved curves: sufficient set, necessary set, slack.
 
     The necessary-set floor defaults to half the curve's baseline metric;
-    pass ``floor`` to override.
+    pass a finite ``floor`` to override.
     """
+    if floor is not None and not math.isfinite(floor):
+        raise ConfigError(f"--floor must be a finite number, not {floor}")
     lines: list[str] = []
     for raw in paths:
         path = Path(raw)

@@ -327,6 +327,8 @@ def split_by_year(
     Validation and test each need one sample, or two for a regression
     dataset, whose R^2 needs two targets.
     """
+    if holdout_years < 1:
+        raise DatasetError(f"holdout_years must be at least 1, not {holdout_years}")
     distinct = np.unique(d.years)
     if len(distinct) <= holdout_years:
         raise DatasetError(

@@ -32,7 +32,7 @@ class EstimatorError(RoarselError):
 
 
 class CurveError(RoarselError):
-    """Deletion-curve query on a curve of the wrong kind."""
+    """A deletion curve that fails its checks, or a query it cannot answer."""
 
 
 class ConfigError(RoarselError):

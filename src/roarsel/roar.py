@@ -132,7 +132,7 @@ class DeletionCurve:
     def __post_init__(self):
         if self.baseline.cycle != 0 or self.baseline.removed_ids:
             raise CurveError("baseline must be cycle 0 with nothing removed")
-        if self.baseline.ranking.axis is not self.plan.axis:
+        if any(r.ranking.axis is not self.plan.axis for r in self.all_records()):
             raise CurveError("ranking axis must match the plan")
         survivors = set(self.baseline.ranking.group_ids)
         remaining = self.baseline.remaining
@@ -155,13 +155,6 @@ class DeletionCurve:
 
     def all_records(self) -> tuple[CycleRecord, ...]:
         return (self.baseline, *self.records)
-
-    def survivors_after(self, cycle: int) -> frozenset[int]:
-        """Stable ids still present once the given cycle has run."""
-        alive = set(self.baseline.ranking.group_ids)
-        for rec in self.records[:cycle]:
-            alive -= set(rec.removed_ids)
-        return frozenset(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +266,11 @@ def sufficient_set(curve: DeletionCurve) -> tuple[frozenset[int], MetricValue]:
     if curve.plan.order is not DeletionOrder.LEAST_FIRST:
         raise CurveError("sufficient set needs a least_first curve")
     floor = curve.baseline.val_metric.value - curve.plan.tolerance
-    best = frozenset(curve.baseline.ranking.group_ids)
-    metric = curve.baseline.val_metric
-    survivors = set(best)
-    for rec in curve.records:
-        survivors -= set(rec.removed_ids)
-        # survivor count strictly decreases, so a later qualifying cycle
-        # always wins the "smallest" comparison
-        if rec.val_metric.value >= floor:
-            best = frozenset(survivors)
-            metric = rec.val_metric
-    return best, metric
+    # survivors shrink every cycle, so the last record that keeps the floor
+    # ranks the smallest set; the baseline keeps it, as tolerance >= 0
+    rec = next((r for r in reversed(curve.records) if r.val_metric.value >= floor),
+               curve.baseline)
+    return frozenset(rec.ranking.group_ids), rec.val_metric
 
 
 def necessary_set(curve: DeletionCurve, floor: float) -> frozenset[int]:
@@ -291,12 +278,10 @@ def necessary_set(curve: DeletionCurve, floor: float) -> frozenset[int]:
     falls below ``floor``; empty if the curve never crosses it."""
     if curve.plan.order is not DeletionOrder.MOST_FIRST:
         raise CurveError("necessary set needs a most_first curve")
-    removed: set[int] = set()
-    for rec in curve.records:
-        removed |= set(rec.removed_ids)
-        if rec.val_metric.value < floor:
-            return frozenset(removed)
-    return frozenset()
+    if not math.isfinite(floor):
+        raise CurveError(f"necessary-set floor must be finite, not {floor}")
+    rec = next((r for r in curve.records if r.val_metric.value < floor), curve.baseline)
+    return frozenset(curve.baseline.ranking.group_ids) - set(rec.ranking.group_ids)
 
 
 # ---------------------------------------------------------------------------

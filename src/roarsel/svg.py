@@ -25,6 +25,8 @@ _SERIES_COLORS = ("#1f6fb4", "#d95f02")  # validation, test
 _AXIS_COLOR = "#444444"
 _GRID_COLOR = "#dddddd"
 _BASELINE_COLOR = "#888888"
+_MIDDLE = ' text-anchor="middle"'
+_END = ' text-anchor="end"'
 
 
 def _num(v: float) -> str:
@@ -47,6 +49,23 @@ def _escape(text: str) -> str:
     """Text as XML character data. ``xml.sax.saxutils.escape`` does the same,
     but importing it loads urllib and about forty other modules."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _stroke(color: str, width: float) -> str:
+    return f'stroke="{color}" stroke-width="{width}"'
+
+
+def _line(x1, y1, x2, y2, color: str, width: float = 1, after: str = "") -> str:
+    """One ``<line>``; ``after`` holds raw attributes that follow the stroke."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_stroke(color, width)}{after}/>'
+
+
+def _text(x, y, body: str, size: int = 11, fill: str = _AXIS_COLOR,
+          before: str = "", after: str = "") -> str:
+    """One ``<text>``; ``before`` and ``after`` hold raw attributes that
+    precede the font and follow the fill."""
+    return (f'<text x="{x}" y="{y}"{before} font-family="sans-serif" '
+            f'font-size="{size}" fill="{fill}"{after}>{body}</text>')
 
 
 def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
@@ -76,6 +95,7 @@ def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    right, bottom = WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -87,90 +107,41 @@ def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{_num(WIDTH / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#222222">{_escape(title)}</text>',
+        _text(_num(WIDTH / 2), 24, _escape(title), 15, "#222222", _MIDDLE),
     ]
-
     for yt in _ticks(y_lo, y_hi):
         y = _num(py(yt))
-        out.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{WIDTH - MARGIN_RIGHT}" '
-            f'y2="{y}" stroke="{_GRID_COLOR}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y}" text-anchor="end" '
-            f'dominant-baseline="middle" font-family="sans-serif" font-size="11" '
-            f'fill="{_AXIS_COLOR}">{_label(yt)}</text>'
-        )
+        out.append(_line(MARGIN_LEFT, y, right, y, _GRID_COLOR))
+        out.append(_text(MARGIN_LEFT - 8, y, _label(yt),
+                         before=_END + ' dominant-baseline="middle"'))
     for xt in _ticks(x_lo, x_hi):
         x = _num(px(xt))
-        base = HEIGHT - MARGIN_BOTTOM
-        out.append(
-            f'<line x1="{x}" y1="{base}" x2="{x}" y2="{base + 5}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x}" y="{base + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" '
-            f'fill="{_AXIS_COLOR}">{_label(xt)}</text>'
-        )
-
-    out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{HEIGHT - MARGIN_BOTTOM}" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-        f'x2="{WIDTH - MARGIN_RIGHT}" y2="{HEIGHT - MARGIN_BOTTOM}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
+        out.append(_line(x, bottom, x, bottom + 5, _AXIS_COLOR))
+        out.append(_text(x, bottom + 18, _label(xt), before=_MIDDLE))
+    out.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom, _AXIS_COLOR))
+    out.append(_line(MARGIN_LEFT, bottom, right, bottom, _AXIS_COLOR))
 
     y = _num(py(baseline))
-    out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{WIDTH - MARGIN_RIGHT}" '
-        f'y2="{y}" stroke="{_BASELINE_COLOR}" stroke-width="1.5" '
-        f'stroke-dasharray="6,4"/>'
-    )
-    out.append(
-        f'<text x="{WIDTH - MARGIN_RIGHT - 4}" y="{_num(py(baseline) - 6)}" '
-        f'text-anchor="end" font-family="sans-serif" font-size="11" '
-        f'fill="{_BASELINE_COLOR}">baseline {_label(baseline)}</text>'
-    )
+    out.append(_line(MARGIN_LEFT, y, right, y, _BASELINE_COLOR, 1.5,
+                     ' stroke-dasharray="6,4"'))
+    out.append(_text(right - 4, _num(py(baseline) - 6), f"baseline {_label(baseline)}",
+                     fill=_BASELINE_COLOR, before=_END))
 
     for i, ((name, points), color) in enumerate(zip(series, _SERIES_COLORS)):
         coords = " ".join(f"{_num(px(x))},{_num(py(y))}" for x, y in points)
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="2"/>'
-        )
+        out.append(f'<polyline points="{coords}" fill="none" {_stroke(color, 2)}/>')
         for x, y in points:
-            out.append(
-                f'<circle cx="{_num(px(x))}" cy="{_num(py(y))}" r="3" '
-                f'fill="{color}"/>'
-            )
+            out.append(f'<circle cx="{_num(px(x))}" cy="{_num(py(y))}" r="3" fill="{color}"/>')
         lx = MARGIN_LEFT + 12
         ly = MARGIN_TOP + 14 + 16 * i
-        out.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 24}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222">{name}</text>'
-        )
+        out.append(_line(lx, ly, lx + 18, ly, color, 2))
+        out.append(_text(lx + 24, ly + 4, name, fill="#222222"))
 
-    out.append(
-        f'<text x="{_num(MARGIN_LEFT + plot_w / 2)}" y="{HEIGHT - 14}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-        f'fill="{_AXIS_COLOR}">fraction of groups removed</text>'
-    )
-    cy = MARGIN_TOP + plot_h / 2
-    out.append(
-        f'<text x="18" y="{_num(cy)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}" '
-        f'transform="rotate(-90 18 {_num(cy)})">{metric.kind.value}</text>'
-    )
-
+    out.append(_text(_num(MARGIN_LEFT + plot_w / 2), HEIGHT - 14,
+                     "fraction of groups removed", 12, before=_MIDDLE))
+    cy = _num(MARGIN_TOP + plot_h / 2)
+    out.append(_text(18, cy, metric.kind.value, 12, before=_MIDDLE,
+                     after=f' transform="rotate(-90 18 {cy})"'))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

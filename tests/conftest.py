@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -291,6 +292,17 @@ forked_lanes = pytest.mark.skipif(
 )
 
 _TESTS = Path(__file__).resolve().parent
+
+
+def await_a_lane(forked) -> None:
+    """Return once ``forked()`` is true. A script that records where its jobs
+    ran calls this in this process's first job, so a forked lane records one
+    however late it starts; after 60 s the script fails saying so."""
+    deadline = time.monotonic() + 60
+    while not forked():
+        if time.monotonic() > deadline:
+            raise AssertionError("no forked lane recorded a job within 60 s")
+        time.sleep(0.01)
 
 
 def run_pinned(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:

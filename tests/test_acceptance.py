@@ -321,7 +321,7 @@ def test_planted_signal_deletion_curves_recover_the_signal_bands():
         for rec in least.records:
             if rec.cycle <= 6:
                 assert rec.val_metric.value >= base - 0.05, (rec.cycle, rec.val_metric)
-        assert least.survivors_after(6) == frozenset({2, 5})
+        assert set(least.all_records()[6].ranking.group_ids) == {2, 5}
         ids, _ = sufficient_set(least)
         assert ids == frozenset({2, 5})
 

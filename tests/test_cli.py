@@ -571,6 +571,15 @@ def test_report_floor_override(tmp_path, capsys):
     assert "necessary set (floor 0.5000): [1, 3]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+def test_report_with_a_non_finite_floor_exits_2_before_reading_a_curve(tmp_path, capsys,
+                                                                      floor):
+    # the curve file does not exist: reading it first would exit 3
+    assert main(["report", str(tmp_path / "nope.curve.json"), f"--floor={floor}"]) == 2
+    assert capsys.readouterr().err == f"config error: --floor must be a finite number, " \
+                                      f"not {float(floor)}\n"
+
+
 def test_report_missing_file_exits_3(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope.curve.json")]) == 3
     assert "no curve file" in capsys.readouterr().err

@@ -352,6 +352,12 @@ class TestSplitByYear:
         with pytest.raises(DatasetError, match="too few distinct years"):
             split_by_year(d, holdout_years=2)
 
+    @pytest.mark.parametrize("holdout", [0, -1])
+    def test_holdout_years_below_one_is_rejected(self, holdout):
+        d = make_dataset(n=40)  # 4 years of 10 samples
+        with pytest.raises(DatasetError, match=f"holdout_years must be at least 1, not {holdout}"):
+            split_by_year(d, holdout_years=holdout)
+
 
 class TestTake:
     @pytest.mark.parametrize("empty", [[], (), np.arange(0)], ids=["list", "tuple", "array"])

@@ -41,18 +41,25 @@ def estimate(tag: str, n_classes):
 # Saves every tag's and head's scores and stderr to argv[2], in blocks of
 # FORKED_BLOCK_ROWS forward rows, with `_svs_values` and `_gb_rows` wrapped to
 # append "<function> <pid>" for every replica of every block to argv[1];
-# exits 1 if a child process is left.
+# exits 1 if a child process is left. This process's first block waits until
+# a forked lane has recorded one.
 ESTIMATES = """
 import os, sys
+from pathlib import Path
 import numpy as np
+from conftest import await_a_lane
 from roarsel import attribution
 from test_estimator_lanes import FORKED_BLOCK_ROWS, HEADS, TAGS, estimate
+
+parent, calls = os.getpid(), Path(sys.argv[1])
 
 def recording(name):
     real = getattr(attribution, name)
     def recorded(*args, **kwargs):
-        with open(sys.argv[1], "a") as f:
+        with open(calls, "a") as f:
             f.write(f"{name} {os.getpid()}\\n")
+        if os.getpid() == parent:
+            await_a_lane(lambda: len(set(calls.read_text().split()[1::2])) >= 2)
         return real(*args, **kwargs)
     setattr(attribution, name, recorded)
 
@@ -113,19 +120,24 @@ def _config(tmp_path, budget, plans):
 
 # Runs `roar` in blocks of at most 400 forward rows, with `_svs_values`
 # wrapped to append the pid of every process that explains to argv[2], then
-# exits with roar's code once no child is left.
+# exits with roar's code once no child is left. This process's first block
+# waits until a forked lane has recorded one.
 RECORDING_ROAR = """
 import os, sys
+from pathlib import Path
+from conftest import await_a_lane
 from roarsel import attribution
 from roarsel.cli import main
 
 attribution._BLOCK_ROWS = 400
 
-svs_values = attribution._svs_values
+parent, svs_values, pids = os.getpid(), attribution._svs_values, Path(sys.argv[2])
 
 def recording_svs_values(*args, **kwargs):
-    with open(sys.argv[2], "a") as f:
+    with open(pids, "a") as f:
         f.write(f"{os.getpid()}\\n")
+    if os.getpid() == parent:
+        await_a_lane(lambda: len(set(pids.read_text().split())) >= 2)
     return svs_values(*args, **kwargs)
 
 attribution._svs_values = recording_svs_values

@@ -90,15 +90,17 @@ def test_five_bands_k1_runs_four_cycles():
 def test_removed_plus_survivors_cover_every_group():
     curve = tiny_run(b=5)
     removed = {g for r in curve.records for g in r.removed_ids}
-    survivors = curve.survivors_after(len(curve.records))
+    survivors = set(curve.all_records()[len(curve.records)].ranking.group_ids)
     assert removed | survivors == set(range(5))
     assert removed & survivors == set()
 
 
 def test_each_ranking_covers_exactly_the_survivors():
     curve = tiny_run(b=5)
+    alive = set(range(5))
     for rec in curve.all_records():
-        assert set(rec.ranking.group_ids) == curve.survivors_after(rec.cycle)
+        alive -= set(rec.removed_ids)
+        assert set(rec.ranking.group_ids) == alive
 
 
 def test_same_seed_reproduces_the_curve():
@@ -296,6 +298,7 @@ def test_explained_ids_subsample_deterministically():
      "curve.records[0].report: train_loss and val_loss need one entry per epoch run"),
     ("report.best_epoch", 0,
      "curve.records[0].report: best_epoch must lie in [1, epochs_run]"),
+    ("ranking.axis", "by_timestep", "curve: ranking axis must match the plan"),
 ])
 def test_a_curve_failing_its_own_checks_names_the_block(tmp_path, key, value, message):
     path = tmp_path / "c.curve.json"
@@ -415,6 +418,48 @@ def test_necessary_requires_most_first():
     curve = fab_curve([0.9, 0.9], [[4]], DeletionOrder.LEAST_FIRST)
     with pytest.raises(CurveError, match="most_first"):
         necessary_set(curve, floor=0.5)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -float("inf")])
+def test_necessary_rejects_a_non_finite_floor(floor):
+    curve = fab_curve([0.9, 0.1], [[4]], DeletionOrder.MOST_FIRST)
+    with pytest.raises(CurveError, match=f"floor must be finite, not {floor}"):
+        necessary_set(curve, floor=floor)
+
+
+def _walked_queries(curve, floor):
+    """Both queries by walking ``removed_ids`` from the baseline: the reference
+    the ranking-based queries must match."""
+    base = curve.baseline
+    alive, removed = set(base.ranking.group_ids), set()
+    best, metric, crossed = frozenset(alive), base.val_metric, None
+    for rec in curve.records:
+        alive -= set(rec.removed_ids)
+        removed |= set(rec.removed_ids)
+        if rec.val_metric.value >= base.val_metric.value - curve.plan.tolerance:
+            best, metric = frozenset(alive), rec.val_metric
+        if crossed is None and rec.val_metric.value < floor:
+            crossed = frozenset(removed)
+    return (best, metric), crossed or frozenset()
+
+
+def test_set_queries_match_the_removed_ids_walk():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(4, 10))
+        order = rng.permutation(n).tolist()
+        removals = []
+        while len(order) > 1:
+            k = int(rng.integers(2, min(3, len(order) - 1) + 1)) if len(order) > 2 else 1
+            removals.append(order[:k])
+            order = order[k:]
+        # three levels, so records tie with the baseline and with the floor
+        vals = rng.choice([0.2, 0.5, 0.9], size=len(removals) + 1).tolist()
+        floor = float(rng.choice(vals))
+        least, most = (fab_curve(vals, removals, o, tolerance=0.0, n_groups=n)
+                       for o in (DeletionOrder.LEAST_FIRST, DeletionOrder.MOST_FIRST))
+        assert sufficient_set(least) == _walked_queries(least, floor)[0]
+        assert necessary_set(most, floor) == _walked_queries(most, floor)[1]
 
 
 # -- plan validation ----------------------------------------------------------

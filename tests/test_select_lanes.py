@@ -30,16 +30,21 @@ SHORT_TEMPCNN = {"architecture": "tempcnn", "channels": 4, "kernel_size": 9,
 
 # Runs `select` with `train` wrapped to append the pid of every process that
 # trains to argv[2], then exits with select's code once no child is left.
+# This process's first job waits until a forked lane has recorded one.
 RECORDING_SELECT = """
 import os, sys
+from pathlib import Path
+from conftest import await_a_lane
 from roarsel import training
 from roarsel.cli import main
 
-train = training.train
+parent, train, pids = os.getpid(), training.train, Path(sys.argv[2])
 
 def recording_train(*args, **kwargs):
-    with open(sys.argv[2], "a") as f:
+    with open(pids, "a") as f:
         f.write(f"{os.getpid()}\\n")
+    if os.getpid() == parent:
+        await_a_lane(lambda: len(set(pids.read_text().split())) >= 2)
     return train(*args, **kwargs)
 
 training.train = recording_train
@@ -167,8 +172,10 @@ def test_an_interrupt_terminates_and_joins_every_lane(tmp_path):
 
 # The pinned counterpart of test_training's test_ranking_never_reads_test_split:
 # the guard opens once every process together has trained every candidate.
+# This process's first job waits until a forked lane has trained one.
 GUARDED_SELECT = """
 import multiprocessing, os
+from conftest import await_a_lane
 from roarsel import training
 from roarsel.data import SplitTriple
 from roarsel.models import Architecture, ModelSpec
@@ -179,6 +186,8 @@ calls, forked_calls = ctx.Value("i", 0), ctx.Value("i", 0)
 parent, train = os.getpid(), training.train
 
 def counting_train(*args, **kwargs):
+    if os.getpid() == parent:
+        await_a_lane(lambda: forked_calls.value >= 1)
     result = train(*args, **kwargs)
     with calls.get_lock():
         calls.value += 1

@@ -1,6 +1,9 @@
 """Deterministic SVG chart emission."""
 
+import hashlib
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from conftest import fab_curve
 
@@ -27,6 +30,19 @@ def test_title_is_escaped_into_well_formed_svg():
     root = ET.fromstring(curve_chart(sample_curve(), title="R&D <bands>"))
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert "R&D <bands>" in texts
+
+
+@pytest.mark.parametrize("chart, digest", [
+    (lambda: curve_chart(sample_curve()),
+     "b13562e4c9e3d9931ab4feee38df1b810dc874df77853db0a7db8d58e2d92ed0"),
+    # a flat metric takes the padding branch for an empty y range
+    (lambda: curve_chart(fab_curve([0.5] * 5, [[4], [3], [2], [1]], DeletionOrder.MOST_FIRST)),
+     "4b7fd057216cc9e25fa2c6ec310e6a991b3a9bde5a1cde581ee78f6e82590039"),
+    (lambda: curve_chart(sample_curve(), title="R&D <bands>"),
+     "9182b091fdfc2de762dfdbc7fc59ccd32141c7d79a3d80d8bed629a1b93d8373"),
+], ids=["sample", "flat", "escaped-title"])
+def test_chart_bytes_are_pinned(chart, digest):
+    assert hashlib.sha256(chart().encode()).hexdigest() == digest
 
 
 def test_line_chart_bytes_are_deterministic():
