@@ -216,7 +216,8 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
 def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> str:
     """Summarize saved curves: sufficient set, necessary set, slack.
 
-    The necessary-set floor defaults to half the curve's baseline metric;
+    The necessary-set floor defaults to the curve's baseline metric less
+    half its magnitude: half a positive baseline, and below a negative one;
     pass a finite ``floor`` to override.
     """
     if floor is not None and not math.isfinite(floor):
@@ -243,7 +244,7 @@ def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> st
             )
             lines.append("  necessary set: n/a (needs a most_first curve)")
         else:
-            cut = 0.5 * base.value if floor is None else floor
+            cut = base.value - 0.5 * abs(base.value) if floor is None else floor
             ids = necessary_set(curve, floor=cut)
             lines.append("  sufficient set: n/a (needs a least_first curve)")
             lines.append(f"  necessary set (floor {cut:.4f}): {sorted(ids)}")
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="summarize saved deletion curves")
     p_report.add_argument("curves", nargs="+", help="curve JSON files")
     p_report.add_argument("--floor", type=float,
-                          help="necessary-set floor (default: half the baseline)")
+                          help="necessary-set floor (default: the baseline less half "
+                               "its magnitude)")
     return parser
 
 

@@ -325,8 +325,11 @@ def split_by_year(
     held out, shuffled by ``seed``, and divided 50/50 into validation and test
     (odd count: validation gets the extra sample). Everything older trains.
     Validation and test each need one sample, or two for a regression
-    dataset, whose R^2 needs two targets.
+    dataset, whose R^2 needs two targets. A negative seed is a
+    ``DatasetError``.
     """
+    if seed < 0:
+        raise DatasetError(f"seed must not be negative, got {seed}")
     if holdout_years < 1:
         raise DatasetError(f"holdout_years must be at least 1, not {holdout_years}")
     distinct = np.unique(d.years)

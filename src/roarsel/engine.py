@@ -5,9 +5,9 @@ validated at build time (per-sample shapes; the batch dimension is implicit).
 Each builder method binds its node to a forward and a backward kernel next to
 its shape check, so ``forward`` and ``backward`` are two generic loops over
 the tape: ``forward`` caches activations, ``backward`` walks them in reverse.
-The batch enters through leaf slots (the input and dropout masks); kernels
-see only argument values and never reference the Graph, so a dropped model is
-freed without waiting for the cyclic collector.
+The batch enters through the input slot. Kernels see only argument values,
+never the Graph, so a dropped model is freed without the cyclic collector;
+and none writes into an argument value, so a node may return one as its own.
 The tape ends at the model's output; the loss is a pair of kernels over it,
 its value and its output gradient (``_LOSSES``), off the tape.
 
@@ -19,9 +19,10 @@ gradient are ANDed with an all-ones or all-zeros word, bit-identical to
 ``np.where(keep, g, 0)`` (``-0.0``, NaN and infinities included).
 
 Every layer op (dense, conv1d, recurrent) takes its bias as an argument and
-adds it inside its kernel, in place on the fresh product; ``mul`` takes two
-operands of one per-sample shape, and no op broadcasts any other way. ``mul``
-computes no gradient for a mask slot operand, since nothing reads one.
+adds it inside its kernel, in place on the fresh product; no op broadcasts.
+``dropout`` multiplies by a mask slot that gets no gradient and that only a
+training forward (one given a generator) fills, drawing in tape order; any
+other forward leaves it None, and the node returns its input array itself.
 
 conv1d's forward and its weight gradient are one matmul each over the
 columns that one builder, ``_columns``, lays out tap-major from the padded
@@ -58,8 +59,8 @@ Selector = Union[str, int, np.ndarray]
 class Node:
     """One tape entry. ``fwd(values)`` computes this node's value from the
     tape's values; ``bwd(g, y, values)`` returns one gradient, or None, per
-    entry of ``args``. Slots (input, masks) have neither and read their value
-    from the batch's feeds by name."""
+    entry of ``args``. Slots (the input, dropout masks) have neither: the
+    input holds the batch, and a mask is drawn by a training forward."""
 
     idx: int
     op: str
@@ -79,8 +80,8 @@ class Gradients:
 
 
 class Graph:
-    """Static operator graph over batched input and mask slots, ending at a
-    marked output; ``loss`` names the loss kernel pair over that output."""
+    """Static operator graph over a batched input slot, ending at a marked
+    output; ``loss`` names the loss kernel pair over that output."""
 
     def __init__(self, input_shape: tuple[int, ...]):
         self.nodes: list[Node] = []
@@ -91,7 +92,7 @@ class Graph:
         self.loss: Optional[str] = None
         self._cache: Optional[list] = None
         self._target: Optional[np.ndarray] = None  # forward_loss's, for backward
-        self.input_node = self._slot("input", "x", self.input_shape)
+        self.input_node = self._add("input", (), {}, self.input_shape)
 
     # -- construction -------------------------------------------------------
     # Kernels read argument values off the tape by index; they capture those
@@ -105,9 +106,6 @@ class Graph:
         self.nodes.append(node)
         return node.idx
 
-    def _slot(self, op: str, name: str, shape) -> int:
-        return self._add(op, (), {"name": name}, shape)
-
     def _shape(self, idx: int) -> tuple[int, ...]:
         return self.nodes[idx].shape
 
@@ -119,12 +117,18 @@ class Graph:
         return self._add("param", (), {"name": name}, params[name].shape,
                          lambda v: params[name])
 
-    def mask_input(self, name: str, shape: tuple[int, ...]) -> int:
-        """Batched auxiliary input slot (dropout masks); defaults to ones."""
+    def dropout(self, x: int, name: str, rate: float) -> int:
+        """Inverted dropout of ``x`` at ``rate`` through the mask slot
+        ``name``: ``x`` times a fresh mask in a training forward, else ``x``."""
         if name in self.mask_shapes:
             raise GraphError(f"duplicate mask slot {name!r}")
-        self.mask_shapes[name] = tuple(shape)
-        return self._slot("mask", name, shape)
+        if not 0.0 <= rate < 1.0:
+            raise GraphError(f"dropout rate must lie in [0, 1), got {rate}")
+        shape = self.mask_shapes[name] = self._shape(x)
+        m = self._add("mask", (), {"name": name, "rate": float(rate)}, shape)
+        return self._add("dropout", (x, m), {}, shape,
+                         lambda v: v[x] if v[m] is None else v[x] * v[m],
+                         lambda g, y, v: (g if v[m] is None else g * v[m], None))
 
     def dense(self, x: int, w: int, b: int) -> int:
         """``x @ w + b`` for ``x`` [in], ``w`` [in, out] and ``b`` [out]."""
@@ -136,20 +140,6 @@ class Graph:
         return self._add("dense", (x, w, b), {}, (ws[1],),
                          lambda v: iadd(v[x] @ v[w], v[b]),
                          lambda g, y, v: (g @ v[w].T, v[x].T @ g, g.sum(axis=(0,))))
-
-    def mul(self, a: int, b: int) -> int:
-        sa, sb = self._shape(a), self._shape(b)
-        if sa != sb:
-            raise GraphError(f"mul shape mismatch: {sa} vs {sb}")
-        kind = self.nodes[b].op
-
-        def bwd(g, y, v):
-            if kind == "mask":  # a dropout mask is fed, so nothing reads its gradient
-                return g * v[b], None
-            gb = g * v[a]  # a parameter holds one value for the whole batch
-            return g * v[b], gb.sum(axis=0) if kind == "param" else gb
-
-        return self._add("mul", (a, b), {}, sa, lambda v: v[a] * v[b], bwd)
 
     def relu(self, x: int) -> int:
         return self._add("relu", (x,), {}, self._shape(x),
@@ -244,11 +234,12 @@ class Graph:
     # -- execution ----------------------------------------------------------
 
     def forward(self, x: np.ndarray,
-                masks: dict[str, np.ndarray] | None = None) -> np.ndarray:
+                rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Run the graph on a batch and return its output; caches activations
         for backward and forgets ``forward_loss``'s target.
 
-        Mask slots not supplied are bound to ones.
+        With ``rng`` the forward trains: each dropout slot draws its mask from
+        it, in tape order. Without, every dropout node passes its input on.
         """
         x = np.ascontiguousarray(x, dtype=DTYPE)
         if x.ndim != len(self.input_shape) + 1 or x.shape[1:] != self.input_shape:
@@ -256,24 +247,15 @@ class Graph:
                 f"input shape {x.shape[1:]} does not match slot {self.input_shape}"
             )
         n = x.shape[0]
-        feeds = {"x": x}
-        masks = masks or {}
-        for name, shape in self.mask_shapes.items():
-            if name not in masks:
-                feeds[name] = np.ones((n, *shape), dtype=DTYPE)
-                continue
-            m = np.ascontiguousarray(masks[name], dtype=DTYPE)
-            if m.shape != (n, *shape):
-                raise GraphError(f"mask {name!r} has shape {m.shape}")
-            feeds[name] = m
         # free the last call's activations first, and forget its target
         self._cache = self._target = None
         values: list = [None] * len(self.nodes)
         # divergence shows up as inf/nan in the output; no point warning per op
         with np.errstate(over="ignore", invalid="ignore"):
             for node in self.nodes:
-                if node.fwd is None:
-                    values[node.idx] = feeds[node.attrs["name"]]
+                if node.fwd is None:  # a slot: the batch, or dropout's mask
+                    values[node.idx] = x if node.op == "input" else _dropout_mask(
+                        rng, (n, *node.shape), node.attrs["rate"])
                 else:
                     values[node.idx] = node.fwd(values)
         self._cache = values
@@ -282,10 +264,10 @@ class Graph:
         return values[self.output]
 
     def forward_loss(self, x: np.ndarray, target: np.ndarray,
-                     masks: dict[str, np.ndarray] | None = None) -> float:
+                     rng: Optional[np.random.Generator] = None) -> float:
         """``forward``, then the loss of its output; ``backward("loss")``
         differentiates that loss until the next forward."""
-        loss = self.loss_of(self.forward(x, masks=masks), target)
+        loss = self.loss_of(self.forward(x, rng), target)
         self._target = target
         return loss
 
@@ -395,6 +377,15 @@ def _keep(g: np.ndarray, keep: np.ndarray) -> np.ndarray:
     np.negative(word, out=word)
     np.bitwise_and(word, g.view(np.int32), out=word)
     return word.view(DTYPE)
+
+
+def _dropout_mask(rng, size, rate):
+    """An inverted-dropout mask, each entry 1 / (1 - rate) with probability
+    1 - rate and else 0; None without a generator, outside training."""
+    if rng is None:
+        return None
+    keep = 1.0 - rate
+    return ((rng.random(size=size) < keep).astype(DTYPE) / DTYPE(keep)).astype(DTYPE)
 
 
 def _columns(x, k, padding):

@@ -6,7 +6,9 @@ bands as per-step features, and a 1-D temporal CNN. ``ModelSpec`` holds only
 what a user sets; the dataset's ``FeatureSchema`` supplies the rest. Its time
 steps and bands give the input grid [T, B], and its task and class count give
 the head: a dense layer producing class logits (softmax cross-entropy) or a
-single regression output (mean squared error).
+single regression output (mean squared error). A positive ``dropout`` adds
+an engine ``dropout`` node, ``drop<i>``, after each hidden MLP layer, the
+temporal CNN's dense layer, or a recurrent reader's last step.
 
 Each layer's weights and bias go into one engine node, ``dense``, ``conv1d``
 or ``recurrent``; a recurrent layer is read out at its last step. Its
@@ -178,11 +180,8 @@ def _dense(g, rng, x, fan_in, fan_out, name):
 
 
 def _dropout(g, spec, h, site):
-    """``h`` times the mask slot ``drop<site>``; no slot at rate zero, where
-    the mask would be all ones."""
-    if spec.dropout <= 0.0:
-        return h
-    return g.mul(h, g.mask_input(f"drop{site}", g.nodes[h].shape))
+    """``h`` through the dropout node ``drop<site>``; none at rate zero."""
+    return g.dropout(h, f"drop{site}", spec.dropout) if spec.dropout > 0.0 else h
 
 
 def _mlp_body(g, spec, t, b, rng):
@@ -256,19 +255,3 @@ def _attach_head(g, schema, last, fan, rng):
     else:
         g.mean_squared_error(out)
 
-
-# ---------------------------------------------------------------------------
-# dropout masks
-
-
-def dropout_masks(model: Model, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Inverted-dropout masks for every slot; empty dict when rate is zero."""
-    rate = model.spec.dropout
-    if rate <= 0.0:
-        return {}
-    keep = 1.0 - rate
-    masks = {}
-    for name, shape in model.graph.mask_shapes.items():
-        bern = rng.random(size=(n, *shape)) < keep
-        masks[name] = (bern.astype(DTYPE) / DTYPE(keep)).astype(DTYPE)
-    return masks

@@ -229,8 +229,10 @@ def run_roar(
     receives the curve so far, so a caller can checkpoint it; the last
     such curve is returned. Any package error inside a cycle (training
     divergence, constant targets, an estimator failure) aborts the run
-    with ``RoarAborted``.
+    with ``RoarAborted``; a negative seed is a ``ConfigError``, raised first.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative, got {seed}")
     step = plan.step_size(feature_groups(splits.train.schema, plan.axis).n_groups)
     sample_ids = _explained_ids(splits.train.n_samples, plan.budget.n_samples, seed)
     records: list[CycleRecord] = []  # records[0] is the baseline

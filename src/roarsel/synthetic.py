@@ -57,6 +57,9 @@ class PlantSpec:
             raise DatasetError("noise level cannot be negative")
         if self.n_years < 1:
             raise DatasetError("need at least one year")
+        last = self.year_start + min(self.n, self.n_years) - 1
+        if self.year_start < 0 or last >= 2**32:
+            raise DatasetError(f"years {self.year_start} to {last} must lie in [0, 2**32)")
         if self.cell_weights is not None:
             cells = self.signal_cells
             for cell in self.cell_weights:
@@ -82,7 +85,10 @@ class PlantSpec:
 
 
 def generate(spec: PlantSpec, seed: int) -> TensorDataset:
-    """Draw the dataset; bit-deterministic per seed."""
+    """Draw the dataset; bit-deterministic per seed. A negative seed is a
+    ``DatasetError``."""
+    if seed < 0:
+        raise DatasetError(f"seed must not be negative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     values = rng.standard_normal((spec.n, spec.t, spec.b), dtype=DTYPE)
 
@@ -99,5 +105,6 @@ def generate(spec: PlantSpec, seed: int) -> TensorDataset:
         targets = latent.astype(DTYPE)
         schema = default_schema(spec.t, spec.b, Task.REGRESSION)
 
-    years = (spec.year_start + np.arange(spec.n) % spec.n_years).astype(np.int64)
+    # row i < n has i % n_years == i % min(n, n_years), which fits in an int64
+    years = (spec.year_start + np.arange(spec.n) % min(spec.n, spec.n_years)).astype(np.int64)
     return TensorDataset(schema=schema, values=values, targets=targets, years=years)

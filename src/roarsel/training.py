@@ -5,14 +5,14 @@ The optimizer is the adaptive-moment method with the canonical constants
 float32 buffer per quantity (parameters, first and second moments, the
 gathered gradient), and each ``graph.params`` entry is a view of the
 parameter buffer, during training and after it. Training is bit-deterministic
-per seed: batch shuffles, dropout masks, and parameter initialization all
-derive from fixed streams. ``batch_size`` sizes the training batches only,
-each one ``Graph.forward_loss`` and the backward of that loss. Each epoch's
-validation loss is ``Graph.loss_of`` over ``Model.infer``, whose fixed tiles
-serve every evaluation-mode forward. Early stopping keeps the weights of the
-epoch with the lowest validation loss (ties keep the earlier epoch), written
-back into the parameter buffer, and stops after ``patience`` epochs without
-improvement.
+per seed: the batch shuffles and dropout masks draw from one stream, and the
+parameter initialization from another. ``batch_size`` sizes training batches
+only, each one ``Graph.forward_loss`` (which draws its masks) and the
+backward of that loss. Each epoch's validation loss is ``Graph.loss_of`` over
+``Model.infer``, whose fixed tiles serve every evaluation-mode forward. Early
+stopping keeps the weights of the epoch with the lowest validation loss (ties
+keep the earlier epoch), written back into the parameter buffer, and stops
+after ``patience`` epochs without improvement.
 
 Selection trains every grid candidate, ranks by the validation metric, and
 reports test metrics for the winner only after ranking; the test split never
@@ -34,7 +34,7 @@ from .codec import decode_enums
 from .data import SplitTriple, Task, TensorDataset
 from .errors import BuildError, TrainingDiverged, TrainingError
 from .lanes import fork_map
-from .models import Architecture, Model, ModelSpec, build, dropout_masks
+from .models import Architecture, Model, ModelSpec, build
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,7 @@ def train(
         for bi, idx in enumerate(_batches(train_split.n_samples, cfg.batch_size, rng)):
             xb = train_split.values[idx]
             yb = train_split.targets[idx]
-            masks = dropout_masks(model, len(idx), rng)
-            loss = graph.forward_loss(xb, yb, masks=masks)
+            loss = graph.forward_loss(xb, yb, rng)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite training loss {loss} at epoch {epoch}, batch {bi}"

@@ -33,6 +33,12 @@ def linear(g, x, w):
     return g.dense(x, w, g.param(f"{g.nodes[w].attrs['name']}/zero_bias", zero))
 
 
+def masks_rng():
+    """The generator of every finite-difference forward: each one is a
+    training forward, and each draws the same dropout masks."""
+    return np.random.default_rng(0)
+
+
 def _coordinates(g, x):
     """(label, flat view, batch to forward) for a copy of the input batch and
     for every parameter: each coordinate a finite-difference step moves."""
@@ -49,14 +55,14 @@ def _relu_signs(g) -> list[np.ndarray]:
 def steps_cross_a_kink(g, x, h=1e-3) -> bool:
     """True when moving any one coordinate by +h or -h turns a relu on or
     off, so that a central difference there would straddle a kink."""
-    g.forward(x)
+    g.forward(x, masks_rng())
     signs = _relu_signs(g)
     for _, flat, batch in _coordinates(g, x):
         for i in range(flat.size):
             orig = flat[i]
             for step in (h, -h):
                 flat[i] = orig + DTYPE(step)
-                g.forward(batch)
+                g.forward(batch, masks_rng())
                 flipped = any((a != b).any() for a, b in zip(signs, _relu_signs(g)))
                 flat[i] = orig
                 if flipped:
@@ -102,15 +108,16 @@ def finite_difference_check(g, x, h=1e-3, tolerance=1e-3, selector="loss",
     so the oracle adds no float32 rounding of its own. The ``"loss"`` selector
     runs ``forward_loss`` and any other selector ``forward``. Relative error
     per coordinate is |a - b| / max(1, |a|, |b|); the report carries the max
-    over the input and every parameter tensor.
+    over the input and every parameter tensor. Every forward trains, with
+    the dropout masks of ``masks_rng``.
     """
     assert h > 0, "finite differences need h > 0"
 
     def run(xv) -> np.ndarray:
         if isinstance(selector, str):
-            g.forward_loss(xv, target)
+            g.forward_loss(xv, target, masks_rng())
         else:
-            g.forward(xv)
+            g.forward(xv, masks_rng())
         return g._cache[g.output]
 
     run(x)

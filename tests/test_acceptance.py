@@ -63,7 +63,7 @@ def _uniform(r, shape, lo=-0.5, hi=0.5):
 # -- 1: gradient correctness ------------------------------------------------
 
 ALL_OPS = frozenset({
-    "dense", "mul", "relu", "conv1d", "flatten", "slice_time", "recurrent",
+    "dense", "dropout", "relu", "conv1d", "flatten", "slice_time", "recurrent",
 })
 LOSSES = frozenset({"mse", "softmax_xent"})  # loss kinds, off the tape
 CELLS = {"rnn": 1, "lstm": 4, "gru": 3}  # recurrent cell -> gates
@@ -94,7 +94,7 @@ def random_graph(seed, linear_only=False, cell=None):
 
     if cell is not None:
         recurrent(cell)
-    seq_ops = ["conv1d", "mulp"]
+    seq_ops = ["conv1d", "dropout"]
     if not linear_only:
         seq_ops += ["nl", "recurrent"]
     for _ in range(int(r.integers(1, 3))):
@@ -111,9 +111,9 @@ def random_graph(seed, linear_only=False, cell=None):
             used.add("conv1d")
         elif op == "recurrent":
             recurrent(str(r.choice(list(CELLS))))
-        elif op == "mulp":
-            h = g.mul(h, param((ht, hc)))
-            used.add("mul")
+        elif op == "dropout":
+            h = g.dropout(h, f"drop{len(g.mask_shapes)}", 0.5)
+            used.add("dropout")
         else:
             h = g.relu(h)
             used.add("relu")

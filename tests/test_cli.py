@@ -122,6 +122,20 @@ def test_oversized_plant_exits_2_naming_its_sizes(tmp_path, capsys, n, t, b):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("year_start", [-3, 2**32 - 1])
+def test_plant_years_outside_u32_exit_2_naming_the_key(tmp_path, capsys, year_start):
+    """Years are stored as u32: a plant whose years leave that range is a
+    config error naming its block, before any data is drawn."""
+    cfg = base_config(tmp_path)
+    cfg["dataset"]["plant"].update(year_start=year_start, n_years=4)
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["generate", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.dataset.plant: years ")
+    assert "must lie in [0, 2**32)" in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["bogus"] = True
@@ -569,6 +583,22 @@ def test_report_floor_override(tmp_path, capsys):
     save_curve(most, p)
     assert main(["report", str(p), "--floor", "0.5"]) == 0
     assert "necessary set (floor 0.5000): [1, 3]" in capsys.readouterr().out
+
+
+def test_report_default_floor_lies_below_a_negative_baseline(tmp_path, capsys):
+    """Half of a negative baseline lies above it, where a removal that raised
+    the metric would count as necessary; the default floor is 1.5 times it."""
+    most = fab_curve([-0.2, -0.15, -0.1, -0.05, 0.0], [[4], [3], [2], [1]],
+                     DeletionOrder.MOST_FIRST)
+    p = tmp_path / "most.curve.json"
+    save_curve(most, p)
+    assert main(["report", str(p)]) == 0
+    assert "necessary set (floor -0.3000): []" in capsys.readouterr().out
+    falling = fab_curve([-0.2, -0.25, -0.35, -0.4, -0.5], [[4], [3], [2], [1]],
+                        DeletionOrder.MOST_FIRST)
+    save_curve(falling, p)
+    assert main(["report", str(p)]) == 0
+    assert "necessary set (floor -0.3000): [3, 4]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])

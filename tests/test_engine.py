@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from roarsel.data import Task
 from roarsel.engine import DTYPE, Graph, _keep
-from roarsel.models import Architecture, ModelSpec, build, dropout_masks
+from roarsel.models import Architecture, ModelSpec, build
 from roarsel.errors import GraphError
 
 
@@ -365,8 +365,7 @@ def test_backward_gradients_are_float32(arch, schema):
     x = uniform(r, (6, 5, 3), -2, 2)
     target = (r.integers(0, 3, size=6) if schema.task is Task.CLASSIFICATION
               else uniform(r, (6,)))
-    masks = {k: np.ones((6, *s), DTYPE) for k, s in m.graph.mask_shapes.items()}
-    m.graph.forward_loss(x, target, masks=masks)
+    m.graph.forward_loss(x, target, r)
     grads = m.graph.backward("loss")
     assert grads.input.dtype == DTYPE
     assert {k: v.dtype for k, v in grads.params.items()} == {
@@ -403,18 +402,18 @@ def build_conv_classifier(seed=1):
 
 
 def build_recurrent_cell(seed=2):
-    """Two relu steps that share ``wx`` and ``b``, joined by a product and a
-    state layer that uses ``b`` a third time."""
+    """One relu step applied twice to the last time step, sharing ``wx`` and
+    ``b``, with dropout between the two, then a state layer that uses ``b`` a
+    third time."""
     r = rng(seed)
-    g = Graph(input_shape=(2, 3))
-    wx = g.param("wx", uniform(r, (3, 4)))
+    g = Graph(input_shape=(2, 4))
+    wx = g.param("wx", uniform(r, (4, 4)))
     wh = g.param("wh", uniform(r, (4, 4)))
     b = g.param("b", uniform(r, (4,)))
     wo = g.param("wo", uniform(r, (4, 1)))
-    h1 = g.relu(g.dense(g.slice_time(g.input_node, 0), wx, b))
-    u = g.relu(g.dense(g.slice_time(g.input_node, 1), wx, b))
-    h2 = g.relu(g.dense(g.mul(h1, u), wh, b))
-    out = linear(g, h2, wo)
+    h1 = g.relu(g.dense(g.slice_time(g.input_node, 1), wx, b))
+    h2 = g.relu(g.dense(g.dropout(h1, "drop0", 0.25), wx, b))
+    out = linear(g, g.relu(g.dense(h2, wh, b)), wo)
     g.mark_output(out)
     g.mean_squared_error(out)
     return g
@@ -438,10 +437,11 @@ def test_finite_difference_conv_classifier_loss():
 
 
 def test_finite_difference_recurrent_cell_loss():
-    """Reused parameter tensors accumulate gradients across time steps."""
+    """Reused parameter tensors accumulate gradients across the steps that
+    share them, through a drawn dropout mask."""
     g = build_recurrent_cell()
     target = np.array([0.1, -0.4], dtype=DTYPE)
-    x = draw_clean_input(g, (2, 2, 3), seed=12)
+    x = draw_clean_input(g, (2, 2, 4), seed=12)
     report = finite_difference_check(g, x, target=target)
     assert report.passed, report.per_tensor
 
@@ -527,30 +527,55 @@ def test_per_sample_selector_matches_columns():
     np.testing.assert_array_equal(picked[2], by_col[1][2])
 
 
-# -- masks -------------------------------------------------------------------
+# -- dropout -----------------------------------------------------------------
 
 
-def test_mask_defaults_to_ones():
-    g = Graph(input_shape=(3,))
-    m = g.mask_input("drop0", (3,))
-    g.mark_output(g.mul(g.input_node, m))
+def dropout_graph(rate=0.5, width=3):
+    """``x`` [width] through one dropout node into a linear readout."""
+    g = Graph(input_shape=(width,))
+    d = g.dropout(g.input_node, "drop0", rate)
+    g.mark_output(linear(g, d, g.param("w", np.ones((width, 1)))))
+    return g, d
+
+
+def test_dropout_passes_its_input_through_outside_training():
+    """Without a generator the slot holds None and the node's value is its
+    input array itself: nothing is allocated or multiplied."""
+    g, d = dropout_graph()
     x = rng(0).normal(size=(4, 3)).astype(DTYPE)
-    default = g.forward(x)
-    explicit = g.forward(x, masks={"drop0": np.ones((4, 3), dtype=DTYPE)})
-    np.testing.assert_array_equal(default, explicit)
-    np.testing.assert_array_equal(default, x)
+    g.forward(x)
+    mask = g.nodes[d].args[1]
+    assert g._cache[mask] is None
+    assert g._cache[d] is g._cache[g.input_node]
+    np.testing.assert_array_equal(g._cache[d], x)
+    # the backward of an inference forward passes the gradient on
+    np.testing.assert_array_equal(g.backward(0).input, np.ones((4, 3), DTYPE))
+
+
+def test_a_training_forward_draws_inverted_masks_from_its_generator():
+    """Entries are 0 or 1 / (1 - rate), and equal generators draw equal
+    bytes."""
+    g, d = dropout_graph(rate=0.75, width=50)
+    x = np.ones((200, 50), DTYPE)
+    g.forward(x, rng(3))
+    mask = g._cache[g.nodes[d].args[1]]
+    assert mask.shape == (200, 50) and mask.dtype == DTYPE
+    assert set(np.unique(mask)) == {0.0, 4.0}
+    assert 0.2 < (mask > 0).mean() < 0.3
+    np.testing.assert_array_equal(g._cache[d], x * mask)
+    first = g._cache[d].copy()
+    g.forward(x, rng(3))
+    assert g._cache[d].tobytes() == first.tobytes()
+    g.forward(x, rng(4))
+    assert g._cache[d].tobytes() != first.tobytes()
 
 
 def test_mask_zero_blocks_gradient():
-    g = Graph(input_shape=(2,))
-    m = g.mask_input("drop0", (2,))
-    w = g.param("w", np.ones((2, 1)))
-    g.mark_output(linear(g, g.mul(g.input_node, m), w))
-    x = np.ones((1, 2), dtype=DTYPE)
-    mask = np.array([[1.0, 0.0]], dtype=DTYPE)
-    g.forward(x, masks={"drop0": mask})
-    grads = g.backward(selector=0)
-    np.testing.assert_array_equal(grads.input, [[1.0, 0.0]])
+    g, d = dropout_graph(rate=0.5, width=64)
+    g.forward(np.ones((1, 64), DTYPE), rng(1))
+    mask = g._cache[g.nodes[d].args[1]]
+    assert 0 < np.count_nonzero(mask) < 64
+    np.testing.assert_array_equal(g.backward(selector=0).input, mask)
 
 
 def test_mask_slot_gets_no_gradient_and_dropout_gradients_are_unchanged():
@@ -559,16 +584,15 @@ def test_mask_slot_gets_no_gradient_and_dropout_gradients_are_unchanged():
     g = model.graph
     r = rng(4)
     x = r.normal(size=(6, 3, 2)).astype(DTYPE)
-    g.forward_loss(x, r.normal(size=6).astype(DTYPE),
-                   masks=dropout_masks(model, 6, r))
-    muls = [node for node in g.nodes if node.op == "mul"]
-    assert len(muls) == 2 and all(g.nodes[n.args[1]].op == "mask" for n in muls)
-    for node in muls:
+    g.forward_loss(x, r.normal(size=6).astype(DTYPE), r)
+    drops = [node for node in g.nodes if node.op == "dropout"]
+    assert len(drops) == 2 and all(g.nodes[n.args[1]].op == "mask" for n in drops)
+    for node in drops:
         upstream = np.ones((6, *node.shape), dtype=DTYPE)
         assert node.bwd(upstream, None, g._cache)[1] is None
     got = g.backward("loss")
     # the reference rule computes the mask's gradient too, and backward drops it
-    for node in muls:
+    for node in drops:
         a, b = node.args
         g.nodes[node.idx] = replace(
             node, bwd=lambda gr, y, v, a=a, b=b: (gr * v[b], gr * v[a]))
@@ -577,6 +601,17 @@ def test_mask_slot_gets_no_gradient_and_dropout_gradients_are_unchanged():
     assert got.params.keys() == want.params.keys()
     for name, value in want.params.items():
         assert got.params[name].tobytes() == value.tobytes(), name
+
+
+def test_dropout_checks_its_name_and_rate():
+    g = Graph(input_shape=(3,))
+    g.dropout(g.input_node, "drop0", 0.5)
+    with pytest.raises(GraphError, match="duplicate mask slot 'drop0'"):
+        g.dropout(g.input_node, "drop0", 0.25)
+    for rate in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(GraphError, match="dropout rate must lie in"):
+            g.dropout(g.input_node, f"drop{rate}", rate)
+    assert list(g.mask_shapes) == ["drop0"]
 
 
 # -- determinism and isolation -----------------------------------------------
@@ -601,9 +636,8 @@ def test_shape_mismatch_rejected_at_build_time():
         g.dense(g.input_node, w, g.param("b", np.ones(2)))
 
 
-def test_bias_and_mul_shape_mismatch_rejected():
-    """A bias must be a parameter of the layer's output width, and ``mul``
-    takes operands of one per-sample shape only, without broadcasting."""
+def test_bias_shape_mismatch_rejected():
+    """A bias must be a parameter of the layer's output width."""
     g = Graph(input_shape=(4, 3))
     flat = g.flatten(g.input_node)
     w = g.param("w", np.ones((12, 2)))
@@ -618,12 +652,6 @@ def test_bias_and_mul_shape_mismatch_rejected():
             g.conv1d(g.input_node, k, g.param(f"conv{shape}", np.ones(shape)))
     with pytest.raises(GraphError, match="conv1d bias must be a parameter"):
         g.conv1d(g.input_node, k, g.flatten(g.input_node))
-    for shape in [(3,), (1, 3), (3, 4), (4, 3, 1)]:
-        with pytest.raises(GraphError, match="mul shape mismatch"):
-            g.mul(g.input_node, g.param(f"mul{shape}", np.ones(shape)))
-    with pytest.raises(GraphError, match="mul shape mismatch"):
-        g.mul(g.input_node, flat)
-    assert g.nodes[g.mul(g.input_node, g.param("scale", np.ones((4, 3))))].shape == (4, 3)
 
 
 def test_conv_kernel_longer_than_input_rejected():

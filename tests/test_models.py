@@ -13,7 +13,6 @@ from roarsel.models import (
     Architecture,
     ModelSpec,
     build,
-    dropout_masks,
     resize_for_input,
 )
 
@@ -303,16 +302,25 @@ def test_single_step_recurrent_input():
 
 
 def test_dropout_masks_empty_for_zero_rate():
+    """At rate zero a model has no mask slot, so a training forward draws
+    nothing from its generator and equals an inference forward."""
     m = build(ModelSpec(Architecture.MLP, **SMALL), grid_schema(4, 2, CLASSES), seed=0)
-    assert dropout_masks(m, 5, np.random.default_rng(0)) == {}
+    assert m.graph.mask_shapes == {}
+    x = batch(4, 2)
+    r = np.random.default_rng(0)
+    state = r.bit_generator.state
+    assert m.graph.forward(x, r).tobytes() == m.graph.forward(x).tobytes()
+    assert r.bit_generator.state == state
 
 
 def test_dropout_masks_are_inverted_scaled():
     spec = ModelSpec(Architecture.MLP, dropout=0.5, **SMALL)
     m = build(spec, grid_schema(4, 2, CLASSES), seed=0)
-    masks = dropout_masks(m, 200, np.random.default_rng(3))
-    assert sorted(masks) == ["drop0", "drop1"]
-    for mask in masks.values():
+    assert list(m.graph.mask_shapes) == ["drop0", "drop1"]
+    m.graph.forward(batch(4, 2, n=200), np.random.default_rng(3))
+    masks = [m.graph._cache[n.idx] for n in m.graph.nodes if n.op == "mask"]
+    assert len(masks) == 2
+    for mask in masks:
         assert mask.shape == (200, 8)
         assert mask.dtype == DTYPE
         assert set(np.unique(mask)) <= {0.0, 2.0}
@@ -329,10 +337,22 @@ def test_dropout_changes_training_forward_only(arch):
     assert sorted(m.graph.mask_shapes) == [f"drop{i}" for i in range(sites)]
     x = batch(6, 2)
     eval_out = m.graph.forward(x)
-    masks = dropout_masks(m, 3, np.random.default_rng(1))
-    train_out = m.graph.forward(x, masks=masks)
+    train_out = m.graph.forward(x, np.random.default_rng(1))
     assert not np.array_equal(eval_out, train_out)
     np.testing.assert_array_equal(m.graph.forward(x), eval_out)
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+@pytest.mark.parametrize("n_classes", [None, CLASSES], ids=["regression", "classification"])
+def test_dropout_leaves_inference_bytes_unchanged(arch, n_classes):
+    """Inverted dropout is the identity outside training: a dropout model's
+    ``infer`` gives the bytes of the same spec and seed at rate zero."""
+    schema = grid_schema(6, 2, n_classes)
+    x = batch(6, 2, n=300, seed=4)
+    plain = build(ModelSpec(arch, **SMALL), schema, seed=3)
+    dropped = build(ModelSpec(arch, dropout=0.4, **SMALL), schema, seed=3)
+    assert dropped.graph.mask_shapes and not plain.graph.mask_shapes
+    assert dropped.infer(x).tobytes() == plain.infer(x).tobytes()
 
 
 @pytest.mark.parametrize("arch", list(Architecture))

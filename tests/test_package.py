@@ -6,9 +6,13 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import roarsel
+from roarsel import roar
 from roarsel.codec import encode
 from roarsel.config import load_config
+from roarsel.errors import ConfigError, DatasetError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,3 +50,35 @@ def test_readme_complete_config_loads_and_echoes_its_values(tmp_path):
     path.write_text(block)
     cfg = load_config(path)
     assert _within(json.loads(block), encode(cfg))
+
+
+# A negative seed is the package's own error, named, and raised before any
+# work: not NumPy's bare ``ValueError`` from a seed sequence.
+
+PLANT = roarsel.PlantSpec(n=40, t=2, b=3, signal_bands=frozenset({1}),
+                          signal_steps=frozenset({0, 1}))
+
+
+def test_generate_refuses_a_negative_seed():
+    with pytest.raises(DatasetError, match="^seed must not be negative, got -1$"):
+        roarsel.generate(PLANT, seed=-1)
+
+
+def test_split_by_year_refuses_a_negative_seed_first():
+    # holdout_years=0 would fail too; the seed is checked before it
+    with pytest.raises(DatasetError, match="^seed must not be negative, got -2$"):
+        roarsel.split_by_year(roarsel.generate(PLANT, seed=0), holdout_years=0, seed=-2)
+
+
+def test_run_roar_refuses_a_negative_seed_before_any_work(monkeypatch):
+    splits = roarsel.split_by_year(roarsel.generate(PLANT, seed=0), seed=0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_roar worked before checking its seed")
+
+    monkeypatch.setattr(roar, "feature_groups", no_work)
+    monkeypatch.setattr(roar, "resize_for_input", no_work)
+    plan = roarsel.DeletionPlan(axis="by_band", order="least_first", estimator_tag="gb")
+    with pytest.raises(ConfigError, match="^seed must not be negative, got -3$"):
+        roarsel.run_roar(splits, roarsel.ModelSpec("mlp", width=4),
+                         roarsel.TrainConfig(max_epochs=2, patience=1), plan, seed=-3)

@@ -53,6 +53,28 @@ def test_years_round_robin():
     )
 
 
+@pytest.mark.parametrize("n, year_start, n_years, years", [
+    (10, -3, 4, "-3 to 0"),
+    (10, -1, 1, "-1 to -1"),
+    (10, 2**32 - 3, 4, "4294967293 to 4294967296"),
+    (2, 2**32 - 1, 4, "4294967295 to 4294967296"),
+])
+def test_years_outside_u32_are_rejected(n, year_start, n_years, years):
+    """The dataset file stores years as u32: a plant whose years leave that
+    range is refused before anything is drawn."""
+    with pytest.raises(DatasetError, match=f"years {years} must lie in"):
+        spec(n=n, year_start=year_start, n_years=n_years)
+
+
+@pytest.mark.parametrize("n, year_start, n_years", [
+    (10, 0, 4), (10, 2**32 - 4, 4), (3, 2**32 - 3, 100), (1, 2**32 - 1, 5),
+    (3, 0, 2**63), (3, 2016, 10**30)])
+def test_years_at_the_ends_of_u32_are_kept(n, year_start, n_years):
+    """So is an ``n_years`` beyond int64: each sample's year still fits."""
+    d = generate(spec(n=n, year_start=year_start, n_years=n_years), seed=0)
+    assert d.years.min() == year_start and d.years.max() < 2**32
+
+
 def test_classification_thresholds_latent_at_zero():
     reg = generate(spec(noise=0.0), seed=7)
     cls = generate(spec(noise=0.0, task=Task.CLASSIFICATION), seed=7)

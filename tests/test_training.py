@@ -246,18 +246,18 @@ def test_forward_loss_serves_training_batches_only(monkeypatch):
     targeted, untargeted, inside = [], [], []
     real_forward, real_forward_loss = Graph.forward, Graph.forward_loss
 
-    def spy_forward_loss(self, x, target, masks=None):
+    def spy_forward_loss(self, x, target, rng=None):
         targeted.append(len(x))
         inside.append(True)
         try:
-            return real_forward_loss(self, x, target, masks)
+            return real_forward_loss(self, x, target, rng)
         finally:
             inside.pop()
 
-    def spy_forward(self, x, masks=None):
+    def spy_forward(self, x, rng=None):
         if not inside:
             untargeted.append(len(x))
-        return real_forward(self, x, masks)
+        return real_forward(self, x, rng)
 
     monkeypatch.setattr(Graph, "forward_loss", spy_forward_loss)
     monkeypatch.setattr(Graph, "forward", spy_forward)
