@@ -202,10 +202,11 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
             except RoarAborted as exc:
                 raise RoarAborted(f"{slug}: {exc}") from exc
             save_curve(curve, curve_path)
-            for path in partials:
-                path.unlink()
         save_curve_csv(curve, csv_path)
         save_chart(curve_chart(curve, title=slug.replace("_", " ")), svg_path)
+        # a kill after save_curve leaves partials that a reused plan removes too
+        for path in partials:
+            path.unlink(missing_ok=True)
         written.extend([curve_path, csv_path, svg_path])
         base = curve.baseline.val_metric
         print(f"{slug}: {len(curve.records)} cycles, "

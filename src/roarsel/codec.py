@@ -75,15 +75,21 @@ _SCALARS = {int: ({int}, "an integer"), float: ({int, float}, "a number"),
             str: ({str}, "a string")}
 
 
+def finite(x) -> bool:
+    """``x`` is a real that a float holds: not NaN or an infinity, and not
+    an integer beyond the range of a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _valid(tp, items: list) -> bool:
     """Every item is a JSON value of the scalar type ``tp``; a real is also
     finite, so the NaN and Infinity that Python's parser reads are not."""
     if not set(map(type, items)) <= _SCALARS[tp][0]:
         return False
-    try:
-        return tp is not float or all(map(math.isfinite, items))
-    except OverflowError:  # an integer beyond the range of a float
-        return False
+    return tp is not float or all(map(finite, items))
 
 
 def _object(cls, raw, where: str):

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .attribution import ExplainBudget
-from .codec import decode, encode
+from .codec import decode, encode, finite
 from .data import write_json
 from .errors import ConfigError
 from .models import ModelSpec
@@ -53,6 +53,8 @@ class CandidateConfig(ModelSpec):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.learning_rate is not None and not finite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 

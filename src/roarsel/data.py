@@ -400,11 +400,10 @@ def default_schema(
     n_bands: int,
     task: Task,
     n_classes: int | None = None,
-    modality: str = "synthetic",
 ) -> FeatureSchema:
     """Convenience schema with generated names, ids 0..K-1."""
     return FeatureSchema(
-        bands=tuple(Band(i, f"band{i:02d}", modality) for i in range(n_bands)),
+        bands=tuple(Band(i, f"band{i:02d}", "synthetic") for i in range(n_bands)),
         timesteps=tuple(TimeStep(i, f"t{i:02d}") for i in range(n_timesteps)),
         task=task,
         n_classes=n_classes,

@@ -52,7 +52,7 @@ from .errors import GraphError
 
 DTYPE = np.float32
 
-Selector = Union[str, int, np.ndarray]
+Selector = Union[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -288,14 +288,14 @@ class Graph:
         """Exact reverse-mode gradients of one scalar w.r.t. input and params.
 
         ``selector`` is either ``"loss"`` (the loss of the last forward, when
-        that was ``forward_loss``), an output column index (the scalar
-        is the per-sample value of that column, summed over the batch), or a
-        per-sample column-index array (one scalar per row, e.g. the predicted
-        class logit). ``guided`` applies the guided rule at ReLU nodes.
+        that was ``forward_loss``) or a per-sample column-index array (one
+        scalar per row, e.g. the predicted class logit, summed over the
+        batch). ``guided`` applies the guided rule at ReLU nodes.
 
         Each node's first gradient is kept as its kernel returned it, so the
         returned arrays may alias one another (or an upstream gradient) and
-        are read-only: copy one before changing it in place.
+        are read-only: copy one before changing it in place. A parameter or
+        an input that the selection does not reach gets None.
         """
         if self._cache is None:
             raise GraphError("backward requires a prior forward")
@@ -314,18 +314,8 @@ class Graph:
                     continue
                 grads[a] = ga if grads[a] is None else grads[a] + ga
 
-        param_grads = {}
-        for node in self.nodes:
-            if node.op == "param":
-                name = node.attrs["name"]
-                g = grads[node.idx]
-                if g is None:
-                    g = np.zeros_like(self.params[name])
-                param_grads[name] = g
-        gin = grads[self.input_node]
-        if gin is None:
-            gin = np.zeros((values[self.input_node].shape[0], *self.input_shape), DTYPE)
-        return Gradients(input=gin, params=param_grads)
+        params = {n.attrs["name"]: grads[n.idx] for n in self.nodes if n.op == "param"}
+        return Gradients(input=grads[self.input_node], params=params)
 
     def backward_guided(self, selector: Selector) -> np.ndarray:
         """Guided-backprop gradient w.r.t. the input; parameters untouched."""
@@ -345,14 +335,11 @@ class Graph:
         if out.ndim != 2:
             raise GraphError("output selection requires a [N, C] output")
         n, c = out.shape
-        if isinstance(selector, (int, np.integer)):
-            cols = np.array([int(selector)])  # one column for every row
-        elif isinstance(selector, np.ndarray) and selector.ndim == 1:
-            if selector.shape[0] != n:
-                raise GraphError("per-sample selector length must equal batch size")
-            cols = selector.astype(int)
-        else:
+        if not isinstance(selector, np.ndarray) or selector.ndim != 1:
             raise GraphError(f"non-scalar selection: {selector!r}")
+        if selector.shape[0] != n:
+            raise GraphError("per-sample selector length must equal batch size")
+        cols = selector.astype(int)
         bad = cols[(cols < 0) | (cols >= c)]
         if bad.size:
             raise GraphError(f"output index {bad[0]} out of range")

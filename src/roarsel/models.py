@@ -133,7 +133,8 @@ def tiles(x: np.ndarray):
 
 def build(spec: ModelSpec, schema: FeatureSchema, seed: int) -> Model:
     """Seeded construction over the schema's grid; errors when a convolution
-    kernel exceeds the length of its layer's input."""
+    kernel exceeds the length of its layer's input or a parameter is too
+    large to allocate."""
     return _construct(spec, schema, seed, notes=None)
 
 
@@ -169,8 +170,13 @@ def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int,
 
 
 def _init(rng, shape, fan_in):
+    """Weights uniform in ±sqrt(6 / fan_in); a shape NumPy cannot allocate
+    is a ``BuildError``."""
     limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+    try:
+        return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+    except (MemoryError, ValueError) as exc:
+        raise BuildError(f"cannot allocate a parameter of shape {shape}: {exc}") from None
 
 
 def _dense(g, rng, x, fan_in, fan_out, name):

@@ -33,7 +33,7 @@ from .attribution import (
     mean_baseline,
     run_estimator,
 )
-from .codec import decode, decode_enums, encode
+from .codec import decode, decode_enums, encode, finite
 from .data import SplitTriple, delete_bands, delete_timesteps, write_atomic, write_json
 from .errors import ConfigError, CurveError, RoarAborted, RoarselError
 from .models import ModelSpec, resize_for_input
@@ -76,6 +76,8 @@ class DeletionPlan:
             raise ConfigError(f"unknown estimator tag {self.estimator_tag!r}")
         if self.k is not None and self.k < 1:
             raise ConfigError("k must be at least 1")
+        if not finite(self.tolerance):
+            raise ConfigError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 0:
             raise ConfigError("tolerance cannot be negative")
 

@@ -9,7 +9,6 @@ groups removed, with a dashed horizontal rule at the baseline metric.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
 
 from .data import write_atomic
 from .roar import DeletionCurve
@@ -38,11 +37,10 @@ def _label(v: float) -> str:
     return f"{v:.3g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks over a non-empty range."""
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _escape(text: str) -> str:
@@ -68,7 +66,7 @@ def _text(x, y, body: str, size: int = 11, fill: str = _AXIS_COLOR,
             f'font-size="{size}" fill="{fill}"{after}>{body}</text>')
 
 
-def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
+def curve_chart(curve: DeletionCurve, title: str) -> str:
     """Validation and test metric against the fraction of groups removed,
     with a dashed rule at the baseline metric, as one SVG document."""
     records = curve.all_records()
@@ -80,9 +78,6 @@ def curve_chart(curve: DeletionCurve, title: Optional[str] = None) -> str:
     ]
     metric = curve.baseline.val_metric
     baseline = metric.value
-    plan = curve.plan
-    if title is None:
-        title = f"{plan.estimator_tag} / {plan.order.value} / {plan.axis.value}"
 
     x_lo, x_hi = min(fractions), max(fractions)
     ys = [y for _, pts in series for _, y in pts] + [baseline]

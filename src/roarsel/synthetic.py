@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import decode_enums
+from .codec import decode_enums, finite
 from .data import Task, TensorDataset, default_schema
 from .errors import DatasetError
 from .engine import DTYPE
@@ -53,6 +53,9 @@ class PlantSpec:
             raise DatasetError("signal band out of range")
         if not all(0 <= t_ < self.t for t_ in self.signal_steps):
             raise DatasetError("signal step out of range")
+        for name, value in (("weight", self.weight), ("noise", self.noise)):
+            if not finite(value):
+                raise DatasetError(f"{name} must be finite, got {value}")
         if self.noise < 0:
             raise DatasetError("noise level cannot be negative")
         if self.n_years < 1:
@@ -62,9 +65,11 @@ class PlantSpec:
             raise DatasetError(f"years {self.year_start} to {last} must lie in [0, 2**32)")
         if self.cell_weights is not None:
             cells = self.signal_cells
-            for cell in self.cell_weights:
+            for cell, w in self.cell_weights.items():
                 if tuple(cell) not in cells:
                     raise DatasetError(f"weight for non-signal cell {cell}")
+                if not finite(w):
+                    raise DatasetError(f"cell_weights for {cell} must be finite, got {w}")
         object.__setattr__(self, "signal_bands", frozenset(self.signal_bands))
         object.__setattr__(self, "signal_steps", frozenset(self.signal_steps))
 
@@ -76,12 +81,6 @@ class PlantSpec:
         if self.cell_weights and (t_, b_) in self.cell_weights:
             return self.cell_weights[(t_, b_)]
         return self.weight
-
-    @property
-    def max_r2(self) -> float:
-        """Attainable R^2 ceiling: signal variance over total variance."""
-        sig = sum(self.cell_weight(t_, b_) ** 2 for t_, b_ in self.signal_cells)
-        return sig / (sig + self.noise ** 2)
 
 
 def generate(spec: PlantSpec, seed: int) -> TensorDataset:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codec import decode_enums
+from .codec import decode_enums, finite
 from .data import SplitTriple, Task, TensorDataset
 from .errors import BuildError, TrainingDiverged, TrainingError
 from .lanes import fork_map
@@ -49,6 +49,8 @@ class TrainConfig:
             raise TrainingError("epochs, patience, and batch size must be positive")
         if self.patience >= self.max_epochs:
             raise TrainingError("patience must be smaller than max_epochs")
+        if not finite(self.learning_rate):
+            raise TrainingError(f"learning rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise TrainingError("learning rate must be positive")
 

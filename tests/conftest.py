@@ -127,8 +127,6 @@ def finite_difference_check(g, x, h=1e-3, tolerance=1e-3, selector="loss",
         out = run(xv)
         if isinstance(selector, str):
             return loss64(g, target)
-        if isinstance(selector, (int, np.integer)):
-            return float(out[:, int(selector)].sum(dtype=np.float64))
         return float(out[np.arange(out.shape[0]), selector.astype(int)].sum(dtype=np.float64))
 
     per_tensor: dict[str, float] = {}

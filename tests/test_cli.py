@@ -203,6 +203,22 @@ def test_select_seeds_every_candidate_from_the_select_section(workspace, tmp_pat
     assert seen == [section_seed(11, "select")]
 
 
+def test_a_grid_model_too_large_to_allocate_fails_its_candidate(workspace, tmp_path):
+    """NumPy refuses more than intp's maximum number of bytes before it
+    allocates; the candidate is recorded as failed and the grid goes on."""
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["grid"] = [{"architecture": "mlp", "width": 10**18},
+                   {"architecture": "mlp", "width": 16}]
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["select", "--config", str(p)]) == 0
+    report = json.loads((tmp_path / "out" / "selection.json").read_text())
+    failed, ok = sorted(report["ranking"], key=lambda row: row["index"])
+    assert failed["error"].startswith("cannot allocate a parameter of shape (12, ")
+    assert failed["val_metric"] is None and ok["error"] is None
+    assert report["best_index"] == ok["index"]
+
+
 def test_selection_rows_note_ties_and_failures():
     def ok(i, arch, v):
         return CandidateResult(index=i, architecture=arch, learning_rate=1e-3,
@@ -507,6 +523,36 @@ def test_completed_plan_removes_its_stale_partials(workspace, tmp_path, monkeypa
     assert not any(path.exists() for path in partials)
     for suffix in (".curve.json", ".curve.csv", ".svg"):
         assert Path(f"{slug}{suffix}").exists()
+
+
+def test_a_reused_plan_removes_its_stale_partials(workspace, tmp_path, capsys):
+    """A kill between save_curve and the unlinks leaves a complete curve and
+    its partials; --resume reuses the curve and removes the partials."""
+    p = _one_plan_config(workspace, tmp_path)
+    assert main(["roar", "--config", str(p)]) == 0
+    slug = tmp_path / "out" / "svs_least_first_by_band"
+    before = _campaign_files(tmp_path / "out")
+    partials = []
+    for suffix in (".curve.json", ".curve.csv"):
+        partials.append(Path(f"{slug}{suffix}.partial"))
+        partials[-1].write_bytes(Path(f"{slug}{suffix}").read_bytes())
+    capsys.readouterr()
+    assert main(["roar", "--config", str(p), "--resume"]) == 0
+    assert "reusing the completed campaign on disk" in capsys.readouterr().out
+    assert not any(path.exists() for path in partials)
+    assert _campaign_files(tmp_path / "out") == before
+
+
+def test_a_model_too_large_to_allocate_aborts_roar_with_exit_3(workspace, tmp_path,
+                                                              capsys):
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["model"]["width"] = 10**18
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["roar", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: svs_least_first_by_band: cycle 0 failed: "
+                          "cannot allocate a parameter of shape (12, ")
 
 
 def test_every_tag_reruns_byte_identical_from_the_echoed_config(workspace, tmp_path):

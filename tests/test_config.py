@@ -6,6 +6,7 @@ import pytest
 
 from roarsel.codec import encode
 from roarsel.config import (
+    CandidateConfig,
     RunConfig,
     load_config,
     save_effective_config,
@@ -97,6 +98,12 @@ def test_candidate_learning_rate_inheritance():
     grid = cfg.candidates()
     assert grid[0][1].learning_rate == 1e-3      # explicit on the entry
     assert grid[1][1].learning_rate == 0.003     # inherited from train
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_candidate_rejects_a_non_finite_learning_rate(value):
+    with pytest.raises(ConfigError, match=f"^learning_rate must be finite, got {value}$"):
+        CandidateConfig(Architecture.MLP, learning_rate=value)
 
 
 def test_candidate_requires_architecture():

@@ -143,7 +143,7 @@ def test_dense_gradients_linear_form():
     g.mark_output(g.dense(g.input_node, w, g.param("b", [4.0])))
     x = np.array([[5.0, 7.0], [1.0, 1.0]])
     np.testing.assert_array_equal(g.forward(x), [[35.0], [9.0]])
-    grads = g.backward(selector=0)
+    grads = g.backward(selector=np.full(2, 0))
     np.testing.assert_array_equal(grads.input, [[2.0, 3.0], [2.0, 3.0]])
     np.testing.assert_array_equal(grads.params["w"], [[6.0], [8.0]])
     np.testing.assert_array_equal(grads.params["b"], [2.0])
@@ -219,7 +219,7 @@ def test_slice_time_gradient_scatters_to_one_step():
     w = g.param("w", np.ones((2, 1)))
     g.mark_output(linear(g, g.slice_time(g.input_node, 1), w))
     g.forward(np.ones((2, 3, 2), dtype=DTYPE))
-    grads = g.backward(selector=0)
+    grads = g.backward(selector=np.full(2, 0))
     expected = np.zeros((2, 3, 2), dtype=DTYPE)
     expected[:, 1, :] = 1.0
     np.testing.assert_array_equal(grads.input, expected)
@@ -234,9 +234,9 @@ def test_guided_zeroes_negative_upstream_gradient():
     g.mark_output(linear(g, g.relu(g.input_node), g.param("w", [[-1.0]])))
     x = np.array([[1.0]])
     g.forward(x)
-    assert g.backward(selector=0).input.item() == pytest.approx(-1.0)
+    assert g.backward(selector=np.full(1, 0)).input.item() == pytest.approx(-1.0)
     g.forward(x)
-    assert g.backward_guided(selector=0).item() == 0.0
+    assert g.backward_guided(selector=np.full(1, 0)).item() == 0.0
 
 
 def test_guided_zeroes_non_positive_forward_input():
@@ -245,9 +245,9 @@ def test_guided_zeroes_non_positive_forward_input():
     g.mark_output(g.relu(linear(g, g.input_node, g.param("w", [[-1.0]]))))
     x = np.array([[1.0]])
     g.forward(x)
-    assert g.backward(selector=0).input.item() == 0.0
+    assert g.backward(selector=np.full(1, 0)).input.item() == 0.0
     g.forward(x)
-    assert g.backward_guided(selector=0).item() == 0.0
+    assert g.backward_guided(selector=np.full(1, 0)).item() == 0.0
 
 
 def test_guided_passes_positive_path():
@@ -255,7 +255,7 @@ def test_guided_passes_positive_path():
     g = Graph(input_shape=(1,))
     g.mark_output(linear(g, g.relu(g.input_node), g.param("w", [[2.0]])))
     g.forward(np.array([[3.0]]))
-    assert g.backward_guided(selector=0).item() == pytest.approx(2.0)
+    assert g.backward_guided(selector=np.full(1, 0)).item() == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -272,9 +272,9 @@ def test_guided_equals_standard_without_relu(seed):
     g.mark_output(linear(g, g.flatten(h), w2))
     x = uniform(r, (4, 3, 2), -2, 2)
     g.forward(x)
-    standard = g.backward(selector=1).input
+    standard = g.backward(selector=np.full(4, 1)).input
     g.forward(x)
-    guided = g.backward_guided(selector=1)
+    guided = g.backward_guided(selector=np.full(4, 1))
     np.testing.assert_array_equal(standard, guided)
 
 
@@ -286,9 +286,9 @@ def test_guided_differs_from_standard_with_relu():
     g.mark_output(linear(g, g.relu(linear(g, g.input_node, w1)), w2))
     x = uniform(r, (16, 4), -2, 2)
     g.forward(x)
-    standard = g.backward(selector=0).input
+    standard = g.backward(selector=np.full(16, 0)).input
     g.forward(x)
-    guided = g.backward_guided(selector=0)
+    guided = g.backward_guided(selector=np.full(16, 0))
     assert not np.array_equal(standard, guided)
 
 
@@ -467,7 +467,7 @@ def build_recurrent_stack(cell, depth, seed=6):
     return g
 
 
-@pytest.mark.parametrize("selector", ["loss", 1])
+@pytest.mark.parametrize("selector", ["loss", pytest.param(np.full(3, 1), id="1")])
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
 def test_finite_difference_recurrent_op(cell, depth, selector):
@@ -509,7 +509,7 @@ def test_recurrent_op_validates_its_arguments():
 def test_finite_difference_output_column_selector():
     g = build_conv_classifier(seed=3)
     x = draw_clean_input(g, (2, 6, 2), seed=13)
-    report = finite_difference_check(g, x, selector=1)
+    report = finite_difference_check(g, x, selector=np.full(2, 1))
     assert report.passed, report.per_tensor
 
 
@@ -521,7 +521,7 @@ def test_per_sample_selector_matches_columns():
     by_col = []
     for col in range(3):
         g.forward(x)
-        by_col.append(g.backward(selector=col).input)
+        by_col.append(g.backward(selector=np.full(3, col)).input)
     np.testing.assert_array_equal(picked[0], by_col[0][0])
     np.testing.assert_array_equal(picked[1], by_col[2][1])
     np.testing.assert_array_equal(picked[2], by_col[1][2])
@@ -549,7 +549,7 @@ def test_dropout_passes_its_input_through_outside_training():
     assert g._cache[d] is g._cache[g.input_node]
     np.testing.assert_array_equal(g._cache[d], x)
     # the backward of an inference forward passes the gradient on
-    np.testing.assert_array_equal(g.backward(0).input, np.ones((4, 3), DTYPE))
+    np.testing.assert_array_equal(g.backward(np.full(4, 0)).input, np.ones((4, 3), DTYPE))
 
 
 def test_a_training_forward_draws_inverted_masks_from_its_generator():
@@ -575,7 +575,7 @@ def test_mask_zero_blocks_gradient():
     g.forward(np.ones((1, 64), DTYPE), rng(1))
     mask = g._cache[g.nodes[d].args[1]]
     assert 0 < np.count_nonzero(mask) < 64
-    np.testing.assert_array_equal(g.backward(selector=0).input, mask)
+    np.testing.assert_array_equal(g.backward(selector=np.full(1, 0)).input, mask)
 
 
 def test_mask_slot_gets_no_gradient_and_dropout_gradients_are_unchanged():
@@ -621,7 +621,7 @@ def test_forward_is_pure():
     g = build_conv_classifier(seed=5)
     x = rng(20).normal(size=(8, 6, 2)).astype(DTYPE)
     first = g.forward(x).copy()
-    g.backward(selector=0)
+    g.backward(selector=np.full(8, 0))
     second = g.forward(x)
     assert first.tobytes() == second.tobytes()
 
@@ -671,7 +671,7 @@ def test_duplicate_parameter_name_rejected():
 def test_backward_before_forward_rejected():
     g = build_mlp_regression()
     with pytest.raises(GraphError, match="prior forward"):
-        g.backward(selector=0)
+        g.backward(selector=np.full(1, 0))
 
 
 def test_non_scalar_selection_rejected():
@@ -681,13 +681,17 @@ def test_non_scalar_selection_rejected():
         g.backward(selector="everything")
     with pytest.raises(GraphError, match="non-scalar selection"):
         g.backward(selector=np.ones((2, 2)))
+    # a bare column index is not a per-row selection
+    for column in (0, np.int64(0)):
+        with pytest.raises(GraphError, match="non-scalar selection"):
+            g.backward(selector=column)
 
 
 def test_output_index_out_of_range():
     g = build_conv_classifier()
     g.forward(rng(0).normal(size=(2, 6, 2)).astype(DTYPE))
     with pytest.raises(GraphError, match="out of range"):
-        g.backward(selector=9)
+        g.backward(selector=np.full(2, 9))
 
 
 @pytest.mark.parametrize("bad", [3, 5, -1])

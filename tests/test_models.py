@@ -8,6 +8,7 @@ import pytest
 from conftest import grid_schema
 
 from roarsel.engine import DTYPE
+from roarsel import models
 from roarsel.errors import BuildError
 from roarsel.models import (
     Architecture,
@@ -382,6 +383,28 @@ def test_spec_validation():
         ModelSpec(Architecture.MLP, dropout=1.0)
     with pytest.raises(BuildError, match="depth must be positive"):
         ModelSpec(Architecture.MLP, depth=0)
+
+
+# Each of these asks for more than intp's maximum number of bytes, which
+# NumPy refuses before it allocates anything.
+@pytest.mark.parametrize("arch, size", [
+    (Architecture.MLP, dict(width=10**18)),
+    (Architecture.MLP, dict(width=10**19)),
+    (Architecture.GRU, dict(hidden_size=10**18)),
+    (Architecture.TEMPCNN, dict(channels=10**18)),
+], ids=["mlp-too-big", "mlp-dimension", "gru", "tempcnn"])
+def test_a_parameter_too_large_to_allocate_is_a_build_error(arch, size):
+    with pytest.raises(BuildError, match=r"cannot allocate a parameter of shape \("):
+        build(ModelSpec(arch, **size), grid_schema(8, 3), seed=0)
+
+
+def test_an_exhausted_allocation_is_a_build_error_naming_the_shape():
+    class Exhausted:
+        def uniform(self, *args, **kwargs):
+            raise MemoryError("Unable to allocate 8.73 TiB")
+
+    with pytest.raises(BuildError, match=r"shape \(12, 5\): Unable to allocate"):
+        models._init(Exhausted(), (12, 5), 12)
 
 
 def test_default_depths():

@@ -470,6 +470,13 @@ def test_plan_rejects_singleton_axis():
         DeletionPlan(axis="singleton", order=DeletionOrder.LEAST_FIRST)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_plan_rejects_a_non_finite_tolerance(value):
+    with pytest.raises(ConfigError, match=f"^tolerance must be finite, got {value}$"):
+        DeletionPlan(axis=GroupingAxis.BY_BAND, order=DeletionOrder.LEAST_FIRST,
+                     tolerance=value)
+
+
 def test_plan_rejects_unknown_order():
     with pytest.raises(ConfigError, match="sideways"):
         DeletionPlan(axis=GroupingAxis.BY_BAND, order="sideways")

@@ -85,13 +85,6 @@ def test_classification_thresholds_latent_at_zero():
     assert cls.values.tobytes() == reg.values.tobytes()
 
 
-def test_max_r2_accounts_for_noise():
-    s = spec(signal_bands=frozenset({0, 2}), noise=1.0)
-    # 8 signal cells of weight 1 against unit noise
-    assert s.max_r2 == pytest.approx(8 / 9)
-    assert spec(noise=0.0).max_r2 == 1.0
-
-
 def test_cell_weights_override_uniform_weight():
     s = spec(t=1, signal_steps=frozenset({0}), signal_bands=frozenset({0, 2}),
              weight=2.0, cell_weights={(0, 2): 5.0}, noise=0.0)
@@ -109,6 +102,15 @@ def test_spec_validation():
         spec(noise=-0.1)
     with pytest.raises(DatasetError, match="non-signal cell"):
         spec(cell_weights={(0, 1): 2.0})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["weight", "noise", "cell_weights"])
+def test_spec_rejects_a_non_finite_real(field, value):
+    """Refused when built, naming the field, before anything is drawn."""
+    kw = {"cell_weights": {(0, 2): value}} if field == "cell_weights" else {field: value}
+    with pytest.raises(DatasetError, match=f"^{field} .*must be finite, got {value}$"):
+        spec(**kw)
 
 
 def test_spec_dict_round_trip():

@@ -356,6 +356,12 @@ def test_an_empty_validation_split_fails_each_candidate():
         select_model(grid, splits, seed=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_a_non_finite_learning_rate(value):
+    with pytest.raises(TrainingError, match=f"^learning rate must be finite, got {value}$"):
+        TrainConfig(learning_rate=value)
+
+
 def test_config_validation():
     with pytest.raises(TrainingError, match="patience"):
         TrainConfig(max_epochs=10, patience=10)
