@@ -11,6 +11,14 @@ and none writes into an argument value, so a node may return one as its own.
 The tape ends at the model's output; the loss is a pair of kernels over it,
 its value and its output gradient (``_LOSSES``), off the tape.
 
+Each node records once, when it is added, whether a parameter lies at or
+behind it. ``backward(..., input_grad=False)`` computes parameter gradients
+only: it skips every node with no parameter behind it, and a layer op
+(dense, conv1d, recurrent) whose first argument has none behind it skips that
+argument's gradient, so the first layer never computes the input gradient.
+The returned input gradient is then None, and every parameter gradient holds
+the same bytes as in a full backward.
+
 Guided mode changes the backward rule at ReLU nodes only: the upstream
 gradient is clipped at zero before the standard rule, so it is zeroed
 wherever the forward input was <= 0 or the upstream gradient is < 0.
@@ -59,14 +67,17 @@ Selector = Union[str, np.ndarray]
 class Node:
     """One tape entry. ``fwd(values)`` computes this node's value from the
     tape's values; ``bwd(g, y, values)`` returns one gradient, or None, per
-    entry of ``args``. Slots (the input, dropout masks) have neither: the
-    input holds the batch, and a mask is drawn by a training forward."""
+    entry of ``args``, and a layer op's ``bwd(g, y, values, False)`` returns
+    None for its first. Slots (the input, dropout masks) have neither: the
+    input holds the batch, and a mask is drawn by a training forward.
+    ``learns`` marks a node with a parameter at or behind it."""
 
     idx: int
     op: str
     args: tuple[int, ...]
     attrs: dict
     shape: tuple[int, ...]  # per-sample shape
+    learns: bool
     fwd: Optional[Callable] = field(default=None, repr=False, compare=False)
     bwd: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -75,7 +86,7 @@ class Node:
 class Gradients:
     """Reverse-mode gradients of one scalar selection."""
 
-    input: np.ndarray
+    input: Optional[np.ndarray]  # None from a parameters-only backward
     params: dict[str, np.ndarray]
 
 
@@ -99,10 +110,12 @@ class Graph:
     # indices and attributes, never ``self``.
 
     def _add(self, op, args, attrs, shape, fwd=None, bwd=None) -> int:
-        node = Node(len(self.nodes), op, tuple(args), attrs, tuple(shape), fwd, bwd)
-        for a in node.args:
-            if not 0 <= a < node.idx:
-                raise GraphError(f"node {node.idx} references unknown node {a}")
+        idx = len(self.nodes)
+        for a in args:
+            if not 0 <= a < idx:
+                raise GraphError(f"node {idx} references unknown node {a}")
+        learns = op == "param" or any(self.nodes[a].learns for a in args)
+        node = Node(idx, op, tuple(args), attrs, tuple(shape), learns, fwd, bwd)
         self.nodes.append(node)
         return node.idx
 
@@ -139,7 +152,8 @@ class Graph:
             raise GraphError(f"dense shape mismatch: {xs} @ {ws} + {bs}")
         return self._add("dense", (x, w, b), {}, (ws[1],),
                          lambda v: iadd(v[x] @ v[w], v[b]),
-                         lambda g, y, v: (g @ v[w].T, v[x].T @ g, g.sum(axis=(0,))))
+                         lambda g, y, v, gx=True: (g @ v[w].T if gx else None,
+                                                   v[x].T @ g, g.sum(axis=(0,))))
 
     def relu(self, x: int) -> int:
         return self._add("relu", (x,), {}, self._shape(x),
@@ -169,12 +183,13 @@ class Graph:
         return self._add(
             "conv1d", (x, w, b), {"padding": padding}, (t_out, c_out),
             lambda v: _conv1d_forward(v[x], v[w], v[b], padding),
-            lambda g, y, v: _conv1d_backward(v[x], v[w], g, padding),
+            lambda g, y, v, gx=True: _conv1d_backward(v[x], v[w], g, padding, gx),
         )
 
     def flatten(self, x: int) -> int:
-        return self._add("flatten", (x,), {}, (math.prod(self._shape(x)),),
-                         lambda v: v[x].reshape(v[x].shape[0], -1),
+        size = math.prod(self._shape(x))
+        return self._add("flatten", (x,), {}, (size,),
+                         lambda v: v[x].reshape(len(v[x]), size),
                          lambda g, y, v: (g.reshape(v[x].shape),))
 
     def slice_time(self, x: int, t: int) -> int:
@@ -212,7 +227,7 @@ class Graph:
         # also holds the saved gates; the backward reads them through y.base
         return self._add("recurrent", (x, wx, wh, b), {"cell": cell}, (xs[0], hid),
                          lambda v: fwd(v[x], v[wx], v[wh], v[b]),
-                         lambda g, y, v: bwd(g, y.base, v[x], v[wx], v[wh]))
+                         lambda g, y, v, gx=True: bwd(g, y.base, v[x], v[wx], v[wh], gx))
 
     def softmax_cross_entropy(self, logits: int) -> None:
         ls = self._shape(logits)
@@ -273,24 +288,33 @@ class Graph:
 
     def loss_of(self, output: np.ndarray, target: np.ndarray) -> float:
         """The mean loss of a batch's ``output`` against its ``target`` (n,);
-        a diverged output gives a non-finite loss without a warning."""
+        a diverged output gives a non-finite loss without a warning, and a
+        batch of zero rows has no mean loss."""
         if self.loss is None:
             raise GraphError("graph has no loss attached")
         n = len(output)
         if np.shape(target) != (n,):
             raise GraphError(f"target shape {np.shape(target)} is not the batch's ({n},)")
+        if not n:
+            raise GraphError("a batch of zero rows has no mean loss")
         with np.errstate(over="ignore", invalid="ignore"):
             return float(_LOSSES[self.loss][0](output, target))
 
     # -- reverse mode -------------------------------------------------------
 
-    def backward(self, selector: Selector = "loss", guided: bool = False) -> Gradients:
+    def backward(self, selector: Selector = "loss", guided: bool = False,
+                 input_grad: bool = True) -> Gradients:
         """Exact reverse-mode gradients of one scalar w.r.t. input and params.
 
         ``selector`` is either ``"loss"`` (the loss of the last forward, when
         that was ``forward_loss``) or a per-sample column-index array (one
         scalar per row, e.g. the predicted class logit, summed over the
         batch). ``guided`` applies the guided rule at ReLU nodes.
+
+        With ``input_grad`` false only the parameter gradients are computed:
+        no node without a parameter behind it is differentiated, so the input
+        gradient is None, and the parameter gradients hold the bytes of a
+        full backward.
 
         Each node's first gradient is kept as its kernel returned it, so the
         returned arrays may alias one another (or an upstream gradient) and
@@ -300,22 +324,28 @@ class Graph:
         if self._cache is None:
             raise GraphError("backward requires a prior forward")
         values = self._cache
-        grads: list = [None] * len(self.nodes)
+        nodes = self.nodes
+        grads: list = [None] * len(nodes)
         self._seed(selector, grads, values)
 
-        for node in reversed(self.nodes):
+        for node in reversed(nodes):
             g = grads[node.idx]
-            if g is None or node.bwd is None:
+            if g is None or node.bwd is None or not (input_grad or node.learns):
                 continue
             if guided and node.op == "relu":
                 g = _keep(g, g > 0)
-            for a, ga in zip(node.args, node.bwd(g, values[node.idx], values)):
+            if input_grad or nodes[node.args[0]].learns:
+                arg_grads = node.bwd(g, values[node.idx], values)
+            else:  # a layer op over the input side: its parameters only
+                arg_grads = node.bwd(g, values[node.idx], values, False)
+            for a, ga in zip(node.args, arg_grads):
                 if ga is None:
                     continue
                 grads[a] = ga if grads[a] is None else grads[a] + ga
 
-        params = {n.attrs["name"]: grads[n.idx] for n in self.nodes if n.op == "param"}
-        return Gradients(input=grads[self.input_node], params=params)
+        params = {n.attrs["name"]: grads[n.idx] for n in nodes if n.op == "param"}
+        return Gradients(input=grads[self.input_node] if input_grad else None,
+                         params=params)
 
     def backward_guided(self, selector: Selector) -> np.ndarray:
         """Guided-backprop gradient w.r.t. the input; parameters untouched."""
@@ -339,17 +369,32 @@ class Graph:
             raise GraphError(f"non-scalar selection: {selector!r}")
         if selector.shape[0] != n:
             raise GraphError("per-sample selector length must equal batch size")
-        cols = selector.astype(int)
+        cols = _integral(selector, "output indices")
         bad = cols[(cols < 0) | (cols >= c)]
         if bad.size:
             raise GraphError(f"output index {bad[0]} out of range")
         seed = np.zeros_like(out)
-        seed[np.arange(n), cols] = 1.0
+        seed[np.arange(n), cols.astype(int, copy=False)] = 1.0
         grads[self.output] = seed
 
 
 # ---------------------------------------------------------------------------
 # op kernels
+
+
+def _integral(a, what: str) -> np.ndarray:
+    """``a`` as an array of whole numbers: integers, or floats without a
+    fractional part. A bool array, or a value that is not a whole number, is
+    a ``GraphError`` that names it."""
+    a = np.asarray(a)
+    if a.dtype.kind in "iu":
+        return a
+    if a.dtype.kind != "f":
+        raise GraphError(f"{what} must be whole numbers, got a {a.dtype} array")
+    bad = a[~(np.isfinite(a) & (a == np.round(a)))]
+    if bad.size:
+        raise GraphError(f"{what} must be whole numbers, got {bad[0]}")
+    return a
 
 
 def _keep(g: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -390,19 +435,23 @@ def _columns(x, k, padding):
 
 
 def _conv1d_forward(x, w, b, padding):
+    n, t, _ = x.shape
     k, c_in, c_out = w.shape
-    cols = _columns(x, k, padding)
-    return iadd((cols @ w.reshape(k * c_in, c_out)).reshape(len(x), -1, c_out), b)
+    y = _columns(x, k, padding) @ w.reshape(k * c_in, c_out)
+    return iadd(y.reshape(n, t + 2 * padding - k + 1, c_out), b)
 
 
-def _conv1d_backward(x, w, g, padding):
+def _conv1d_backward(x, w, g, padding, gx):
     n, t, c_in = x.shape
     k, _, c_out = w.shape
     gw = _columns(x, k, padding).T @ g.reshape(-1, c_out)
-    gx_pad = np.zeros((n, t + 2 * padding, c_in), dtype=x.dtype)
-    for ki in range(k):
-        gx_pad[:, ki : ki + g.shape[1]] += g @ w[ki].T
-    return gx_pad[:, padding : padding + t], gw.reshape(k, c_in, c_out), g.sum(axis=(0, 1))
+    gx_pad = None
+    if gx:
+        gx_pad = np.zeros((n, t + 2 * padding, c_in), dtype=x.dtype)
+        for ki in range(k):
+            gx_pad[:, ki : ki + g.shape[1]] += g @ w[ki].T
+        gx_pad = gx_pad[:, padding : padding + t]
+    return gx_pad, gw.reshape(k, c_in, c_out), g.sum(axis=(0, 1))
 
 
 # The recurrent kernels work feature-major: a step's state is [H, N] and its
@@ -457,17 +506,17 @@ def _features(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
 
 
-def _recurrent_grads(dxw, da, h, x, wx):
-    """Gradients of x, wx, wh and b from the feature-major pre-activation
-    gradients, [T, k·H, N]: ``dxw`` w.r.t. ``x @ wx + b`` and ``da`` w.r.t.
-    ``h_prev @ wh`` (None when they are the same). Step 0 has no previous
-    state and so no ``wh`` term."""
+def _recurrent_grads(dxw, da, h, x, wx, gx):
+    """Gradients of x (None unless ``gx``), wx, wh and b from the
+    feature-major pre-activation gradients, [T, k·H, N]: ``dxw`` w.r.t.
+    ``x @ wx + b`` and ``da`` w.r.t. ``h_prev @ wh`` (None when they are the
+    same). Step 0 has no previous state and so no ``wh`` term."""
     n = x.shape[0]
     dxw_f = _features(dxw)
     da_f = dxw_f[:, n:] if da is None else _features(da[1:])
     dwh = _features(h[:-1]) @ da_f.T
     dwx = _features(x.transpose(1, 2, 0)) @ dxw_f.T
-    dx = np.ascontiguousarray(np.matmul(wx, dxw).transpose(2, 0, 1))
+    dx = np.ascontiguousarray(np.matmul(wx, dxw).transpose(2, 0, 1)) if gx else None
     return dx, dwx, dwh, dxw_f.sum(axis=1)
 
 
@@ -488,7 +537,7 @@ def _rnn_forward(x, wx, wh, b):
     return _states(buf, hid)
 
 
-def _rnn_backward(g, buf, x, wx, wh):
+def _rnn_backward(g, buf, x, wx, wh, gx):
     t = buf.shape[0]
     g = _upstream(g)
     deriv = 1 - buf * buf
@@ -499,7 +548,7 @@ def _rnn_backward(g, buf, x, wx, wh):
         if s:
             dh = wh @ dpre[s]
             dh += g[s - 1]
-    return _recurrent_grads(dpre, None, buf, x, wx)
+    return _recurrent_grads(dpre, None, buf, x, wx, gx)
 
 
 def _lstm_forward(x, wx, wh, b):
@@ -529,7 +578,7 @@ def _lstm_forward(x, wx, wh, b):
     return _states(buf, hid)
 
 
-def _lstm_backward(g, buf, x, wx, wh):
+def _lstm_backward(g, buf, x, wx, wh, gx):
     t, width, n = buf.shape
     hid = width // 7
     g = _upstream(g)
@@ -558,7 +607,7 @@ def _lstm_backward(g, buf, x, wx, wh):
         if s:
             dh = wh @ dpre[s]
             dh += g[s - 1]
-    return _recurrent_grads(dpre, None, buf[:, :hid], x, wx)
+    return _recurrent_grads(dpre, None, buf[:, :hid], x, wx, gx)
 
 
 def _gru_forward(x, wx, wh, b):
@@ -590,7 +639,7 @@ def _gru_forward(x, wx, wh, b):
     return _states(buf, hid)
 
 
-def _gru_backward(g, buf, x, wx, wh):
+def _gru_backward(g, buf, x, wx, wh, gx):
     t, width, n = buf.shape
     hid = width // 7
     g = _upstream(g)
@@ -621,17 +670,23 @@ def _gru_backward(g, buf, x, wx, wh):
             dh_prev += dh * keep[s]
             dh_prev += g[s - 1]
             dh = dh_prev
-    return _recurrent_grads(dxw, da, h, x, wx)
+    return _recurrent_grads(dxw, da, h, x, wx, gx)
+
+
+def _mean(a):
+    """``np.mean(a, dtype=DTYPE)`` of a 1-D float32 ``a`` without its Python
+    wrapper; byte-equal while float32 holds ``len(a)`` exactly (up to 2**24)."""
+    return np.add.reduce(a, dtype=DTYPE) / DTYPE(len(a))
 
 
 def _softmax_xent_forward(logits, target):
-    idx = np.asarray(target).astype(int)
+    idx = _integral(target, "class indices")
     if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
         raise GraphError(f"class indices must lie in [0, {logits.shape[1]})")
     z = logits - logits.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(logits.shape[0]), idx]
-    return np.mean(logsum - picked, dtype=DTYPE)
+    picked = z[np.arange(logits.shape[0]), idx.astype(int, copy=False)]
+    return _mean(logsum - picked)
 
 
 def _softmax_xent_backward(logits, target):
@@ -647,7 +702,7 @@ def _mse_diff(pred, target):
 
 def _mse_forward(pred, target):
     diff = _mse_diff(pred, target)
-    return np.mean(diff * diff, dtype=DTYPE)
+    return _mean(diff * diff)
 
 
 def _mse_backward(pred, target):

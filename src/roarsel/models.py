@@ -109,7 +109,10 @@ class Model:
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode output over ``x``, forwarded in ``tiles``, so a
-        row's bytes depend on the model and that row alone."""
+        row's bytes depend on the model and that row alone; zero rows give
+        the empty output."""
+        if not len(x):
+            return self.graph.forward(x)
         return np.concatenate([self.graph.forward(tile) for tile in tiles(x)])[:len(x)]
 
     @property

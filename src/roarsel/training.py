@@ -3,16 +3,18 @@
 The optimizer is the adaptive-moment method with the canonical constants
 ``BETA1`` 0.9, ``BETA2`` 0.999 and ``EPS`` 1e-8. Its state is one flat
 float32 buffer per quantity (parameters, first and second moments, the
-gathered gradient), and each ``graph.params`` entry is a view of the
-parameter buffer, during training and after it. Training is bit-deterministic
+gathered gradient, one scratch buffer), and each ``graph.params`` entry is a
+view of the parameter buffer, during training and after it. A step updates
+these buffers in place and allocates no array. Training is bit-deterministic
 per seed: the batch shuffles and dropout masks draw from one stream, and the
 parameter initialization from another. ``batch_size`` sizes training batches
 only, each one ``Graph.forward_loss`` (which draws its masks) and the
-backward of that loss. Each epoch's validation loss is ``Graph.loss_of`` over
-``Model.infer``, whose fixed tiles serve every evaluation-mode forward. Early
-stopping keeps the weights of the epoch with the lowest validation loss (ties
-keep the earlier epoch), written back into the parameter buffer, and stops
-after ``patience`` epochs without improvement.
+parameters-only backward of that loss, which skips the input gradient. Each
+epoch's validation loss is ``Graph.loss_of`` over ``Model.infer``, whose
+fixed tiles serve every evaluation-mode forward. Early stopping keeps the
+weights of the epoch with the lowest validation loss (ties keep the earlier
+epoch), written back into the parameter buffer, and stops after ``patience``
+epochs without improvement.
 
 Selection trains every grid candidate, ranks by the validation metric, and
 reports test metrics for the winner only after ranking; the test split never
@@ -32,6 +34,7 @@ import numpy as np
 
 from .codec import decode_enums, finite
 from .data import SplitTriple, Task, TensorDataset
+from .engine import DTYPE
 from .errors import BuildError, TrainingDiverged, TrainingError
 from .lanes import fork_map
 from .models import Architecture, Model, ModelSpec, build
@@ -91,20 +94,27 @@ class TrainReport:
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# the float32 values a float32 array operation rounds the constants to
+_BETA1, _BETA2, _EPS = DTYPE(BETA1), DTYPE(BETA2), DTYPE(EPS)
+_1_BETA1, _1_BETA2 = DTYPE(1.0 - BETA1), DTYPE(1.0 - BETA2)
 
 
 class _Adam:
     """Adaptive-moment updates over one flat float32 buffer per quantity.
 
     The constructor packs the parameters, in ``params`` order, into ``flat``
-    and rebinds each ``params[name]`` to a view of it; ``m``, ``v`` and the
-    gathered gradient ``g`` are buffers of the same size. A step is then one
-    vectorised expression over all tensors, element-wise the same as one per
-    tensor.
+    and rebinds each ``params[name]`` to a view of it; ``m``, ``v``, the
+    gathered gradient ``g`` and the scratch ``tmp`` are buffers of the same
+    size. A step runs the float32 operations of ``m = β1 m + (1 - β1) g``,
+    ``v = β2 v + (1 - β2) g²`` and ``flat -= lr (m / b1t) / (√(v / b2t) + ε)``
+    in that order over all tensors at once, element-wise the same as one per
+    tensor. Each writes into these buffers (``g`` once the moments have read
+    it), with its constant rounded to float32 as a float32 array operation
+    rounds a Python float, so the bytes are those of the expressions.
     """
 
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
-        self.learning_rate = learning_rate
+        self.learning_rate = DTYPE(learning_rate)
         self.names = list(params)
         self.flat = np.concatenate([params[k].reshape(-1) for k in self.names])
         offset = 0
@@ -115,16 +125,27 @@ class _Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.g = np.empty_like(self.flat)
+        self.tmp = np.empty_like(self.flat)
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]):
         self.t += 1
-        b1t = 1.0 - BETA1 ** self.t
-        b2t = 1.0 - BETA2 ** self.t
-        g = np.concatenate([grads[k].reshape(-1) for k in self.names], out=self.g)
-        m = self.m = BETA1 * self.m + (1.0 - BETA1) * g
-        v = self.v = BETA2 * self.v + (1.0 - BETA2) * (g * g)
-        self.flat -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+        m, v, g, tmp = self.m, self.v, self.g, self.tmp
+        np.concatenate([grads[k].reshape(-1) for k in self.names], out=g)
+        m *= _BETA1
+        np.multiply(g, _1_BETA1, out=tmp)
+        m += tmp
+        v *= _BETA2
+        np.multiply(g, g, out=tmp)
+        tmp *= _1_BETA2
+        v += tmp
+        np.divide(m, DTYPE(1.0 - BETA1 ** self.t), out=g)
+        g *= self.learning_rate
+        np.divide(v, DTYPE(1.0 - BETA2 ** self.t), out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += _EPS
+        g /= tmp
+        self.flat -= g
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -178,8 +199,7 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite training loss {loss} at epoch {epoch}, batch {bi}"
                 )
-            grads = graph.backward("loss")
-            opt.step(grads.params)
+            opt.step(graph.backward("loss", input_grad=False).params)
             epoch_loss += loss * len(idx)
         train_hist.append(epoch_loss / train_split.n_samples)
 

@@ -92,6 +92,23 @@ def loss64(g, target) -> float:
     return float(np.mean(np.log(np.exp(z).sum(axis=1)) - picked))
 
 
+def _np_mean_xent(logits, target):
+    z = logits - logits.max(axis=1, keepdims=True)
+    logsum = np.log(np.exp(z).sum(axis=1))
+    picked = z[np.arange(logits.shape[0]), np.asarray(target).astype(int)]
+    return np.mean(logsum - picked, dtype=DTYPE)
+
+
+def _np_mean_mse(pred, target):
+    diff = pred.reshape(pred.shape[0]) - np.asarray(target, dtype=DTYPE)
+    return np.mean(diff * diff, dtype=DTYPE)
+
+
+# loss name -> its value taking the mean with ``np.mean(..., dtype=float32)``:
+# the byte oracle for the engine's loss values
+NP_MEAN_LOSSES = {"softmax_xent": _np_mean_xent, "mse": _np_mean_mse}
+
+
 @dataclass
 class FdReport:
     max_rel_error: float

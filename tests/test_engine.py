@@ -4,11 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import draw_clean_input, finite_difference_check, grid_schema, linear
+from conftest import (
+    NP_MEAN_LOSSES,
+    draw_clean_input,
+    finite_difference_check,
+    grid_schema,
+    linear,
+)
 from numpy.lib.stride_tricks import sliding_window_view
 
 from roarsel.data import Task
-from roarsel.engine import DTYPE, Graph, _keep
+from roarsel.engine import _LOSSES, DTYPE, Graph, _keep
 from roarsel.models import Architecture, ModelSpec, build
 from roarsel.errors import GraphError
 
@@ -372,6 +378,81 @@ def test_backward_gradients_are_float32(arch, schema):
         k: DTYPE for k in m.graph.params}
 
 
+# -- the parameters-only backward --------------------------------------------
+
+SCHEMAS = [grid_schema(5, 3), grid_schema(5, 3, 3)]
+HEADS = ["regression", "classification"]
+
+
+def trained_forward(arch, schema, dropout, seed=0):
+    """A two-layer model of ``arch`` after a training forward of six rows,
+    each dropout slot holding a drawn mask."""
+    spec = ModelSpec(arch, width=8, channels=4, dense_size=8, hidden_size=4,
+                     kernel_size=3, depth=2, dropout=dropout)
+    m = build(spec, schema, seed=seed)
+    r = rng(seed + 1)
+    x = uniform(r, (6, 5, 3), -2, 2)
+    target = (r.integers(0, 3, size=6) if schema.task is Task.CLASSIFICATION
+              else uniform(r, (6,)))
+    m.graph.forward_loss(x, target, r)
+    return m.graph
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+@pytest.mark.parametrize("schema", SCHEMAS, ids=HEADS)
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_a_parameters_only_backward_keeps_every_parameter_gradients_bytes(
+        arch, schema, dropout):
+    g = trained_forward(arch, schema, dropout)
+    full = g.backward("loss")
+    got = g.backward("loss", input_grad=False)
+    assert full.input is not None and got.input is None
+    assert got.params.keys() == full.params.keys() == g.params.keys()
+    for name, want in full.params.items():
+        assert got.params[name].dtype == DTYPE, name
+        assert got.params[name].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_a_parameters_only_backward_skips_the_first_layers_input_gradient(arch):
+    """Only the first layer op, whose first argument has no parameter behind
+    it, is told to skip that gradient; no node before it is differentiated."""
+    g = trained_forward(arch, grid_schema(5, 3, 3), 0.3)
+    calls = {}
+    for node in g.nodes:
+        if node.bwd is not None:
+            def spy(*args, node=node, bwd=node.bwd):
+                calls[node.idx] = args[3:]
+                return bwd(*args)
+            g.nodes[node.idx] = replace(node, bwd=spy)
+    g.backward("loss", input_grad=False)
+    learning = {n.idx for n in g.nodes if n.bwd is not None and n.learns}
+    assert calls.keys() == learning
+    first = min(n.idx for n in g.nodes if n.op in ("dense", "conv1d", "recurrent"))
+    assert {i for i, extra in calls.items() if extra} == {first}
+    assert calls[first] == (False,)
+    assert not g.nodes[g.nodes[first].args[0]].learns
+    calls.clear()
+    g.backward("loss")
+    assert calls.keys() == {n.idx for n in g.nodes if n.bwd is not None}
+    assert not any(calls.values())
+
+
+@pytest.mark.parametrize("n_classes", [None, 3], ids=HEADS)
+def test_each_loss_value_is_the_float32_mean(n_classes):
+    """The loss value's mean equals ``np.mean(..., dtype=float32)``, the
+    form it replaced, at every batch size from 1 to 300."""
+    r = rng(9)
+    name = "mse" if n_classes is None else "softmax_xent"
+    for n in range(1, 301):
+        out = (r.standard_normal((n, n_classes or 1)) * 10.0 ** r.integers(-3, 4)
+               ).astype(DTYPE)
+        target = (r.standard_normal(n).astype(DTYPE) if n_classes is None
+                  else r.integers(0, n_classes, size=n))
+        got, want = _LOSSES[name][0](out, target), NP_MEAN_LOSSES[name](out, target)
+        assert got.dtype == DTYPE and got.tobytes() == want.tobytes(), n
+
+
 # -- finite differences ------------------------------------------------------
 
 
@@ -704,6 +785,62 @@ def test_per_sample_selector_entries_are_range_checked(bad):
         g.backward(selector=np.array([bad, 0]))
     with pytest.raises(GraphError, match=f"output index {bad} out of range"):
         g.backward(selector=np.array([0, bad]))
+
+
+@pytest.mark.parametrize("selector, named", [
+    (np.array([True, False]), "bool"),
+    (np.array([0.6, 1.2]), "0.6"),
+    (np.array([1.0, 2.5]), "2.5"),
+    (np.array([0.0, np.nan]), "nan"),
+    (np.array(["0", "1"]), "<U1"),
+])
+def test_a_selector_that_is_not_whole_numbers_is_refused(selector, named):
+    """A per-row bool selector would read as columns [1, 0], and a
+    fractional one would be truncated."""
+    g = build_conv_classifier()
+    g.forward(rng(0).normal(size=(2, 6, 2)).astype(DTYPE))
+    with pytest.raises(GraphError, match=f"output indices must be whole numbers, got .*{named}"):
+        g.backward(selector=selector)
+
+
+def test_a_selector_of_whole_floats_reads_as_integers():
+    g = build_conv_classifier()
+    g.forward(rng(0).normal(size=(2, 6, 2)).astype(DTYPE))
+    want = g.backward(selector=np.array([2, 0])).input
+    assert g.backward(selector=np.array([2.0, 0.0])).input.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("target, named", [
+    (np.array([0.7, 1.9]), "0.7"),
+    (np.array([0.0, 1.5]), "1.5"),
+    (np.array([np.inf, 0.0]), "inf"),
+    (np.array([True, False]), "bool"),
+])
+def test_a_class_target_that_is_not_whole_numbers_is_refused(target, named):
+    """[0.7, 1.9] would be scored as classes [0, 1]."""
+    m = build(ModelSpec(Architecture.MLP, width=4), grid_schema(2, 3, 3), seed=0)
+    x = uniform(rng(0), (2, 2, 3))
+    out = m.graph.forward(x)
+    for call, batch in ((m.graph.loss_of, out), (m.graph.forward_loss, x)):
+        with pytest.raises(GraphError, match=f"class indices must be whole numbers, got .*{named}"):
+            call(batch, target)
+
+
+@pytest.mark.parametrize("n_classes", [None, 3], ids=["regression", "classification"])
+def test_the_loss_of_zero_rows_is_an_error(n_classes):
+    """The mean over no rows would be a silent NaN."""
+    m = build(ModelSpec(Architecture.MLP, width=4), grid_schema(2, 3, n_classes), seed=0)
+    x = uniform(rng(0), (0, 2, 3))
+    for call, batch in ((m.graph.loss_of, m.graph.forward(x)), (m.graph.forward_loss, x)):
+        with pytest.raises(GraphError, match="zero rows has no mean loss"):
+            call(batch, np.zeros(0))
+
+
+def test_a_class_target_of_whole_floats_reads_as_integers():
+    m = build(ModelSpec(Architecture.MLP, width=4), grid_schema(2, 3, 3), seed=0)
+    out = m.graph.forward(uniform(rng(0), (3, 2, 3)))
+    assert m.graph.loss_of(out, np.array([2.0, 0.0, 1.0])) == \
+        m.graph.loss_of(out, np.array([2, 0, 1]))
 
 
 def test_loss_selector_requires_target():

@@ -357,6 +357,19 @@ def test_dropout_leaves_inference_bytes_unchanged(arch, n_classes):
 
 
 @pytest.mark.parametrize("arch", list(Architecture))
+@pytest.mark.parametrize("n_classes", [None, CLASSES], ids=["regression", "classification"])
+def test_zero_rows_give_the_empty_output(arch, n_classes):
+    """A zero-row batch forwards like any other: ``flatten`` and conv1d
+    reshape to their static sizes, and ``infer`` returns the empty output."""
+    m = build(ModelSpec(arch, dropout=0.2, kernel_size=3, **SMALL),
+              grid_schema(6, 2, n_classes), seed=0)
+    empty = (0, n_classes or 1)
+    x = batch(6, 2, n=0)
+    for out in (m.graph.forward(x), m.infer(x)):
+        assert out.shape == empty and out.dtype == DTYPE
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
 def test_used_model_is_freed_without_the_cyclic_collector(arch):
     """Kernels never reference their Graph, so no reference cycle keeps a
     trained-on model and its activation cache alive after the last use."""

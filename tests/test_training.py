@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import grid_schema, linear
+from conftest import NP_MEAN_LOSSES, grid_schema, linear
 
-from roarsel import training
+from roarsel import engine, training
 from roarsel.data import SplitTriple, Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE, Graph
 from roarsel.errors import TrainingDiverged, TrainingError
@@ -207,6 +207,39 @@ def test_flat_adam_matches_the_per_tensor_reference(arch):
         assert p.tobytes() == want[name].tobytes(), name
 
 
+def expression_adam_step(opt, grads):
+    """The step as one NumPy expression per moment, each allocating fresh
+    arrays: the byte oracle for the in-place step."""
+    opt.t += 1
+    b1t = 1.0 - BETA1 ** opt.t
+    b2t = 1.0 - BETA2 ** opt.t
+    g = np.concatenate([grads[k].reshape(-1) for k in opt.names], out=opt.g)
+    m = opt.m = BETA1 * opt.m + (1.0 - BETA1) * g
+    v = opt.v = BETA2 * opt.v + (1.0 - BETA2) * (g * g)
+    opt.flat -= float(opt.learning_rate) * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+
+
+@pytest.mark.parametrize("lr", [1e-3, 3e-3, 0.7])
+def test_the_in_place_adam_step_matches_the_expression_form(lr):
+    spec = ModelSpec(Architecture.GRU, width=8, hidden_size=8)
+    params = build(spec, grid_schema(5, 3, 2), seed=2).graph.params
+    r = np.random.default_rng(2)
+    grad_steps = [
+        {k: (r.standard_normal(p.shape) * 10.0 ** r.integers(-8, 3)).astype(DTYPE)
+         for k, p in params.items()}
+        for _ in range(60)
+    ]
+    grad_steps[7] = {k: np.zeros(p.shape, DTYPE) for k, p in params.items()}
+    got = _Adam(dict(params), lr)
+    want = _Adam(dict(params), lr)
+    for step, grads in enumerate(grad_steps):
+        got.step(grads)
+        expression_adam_step(want, grads)
+        for name in ("flat", "m", "v"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == DTYPE and a.tobytes() == b.tobytes(), (step, name)
+
+
 def test_restored_best_weights_forward_through_the_views():
     """Val loss rises every epoch, so the best epoch is the first of eleven
     and the restore must overwrite the last epoch's weights in place."""
@@ -306,6 +339,53 @@ def test_training_with_dropout_is_deterministic():
                           TrainConfig(max_epochs=8, patience=4), seed=5)
         losses.append(report.train_loss)
     assert losses[0] == losses[1]
+
+
+def _fit_small(arch, task):
+    r = np.random.default_rng(4)
+    x = r.normal(size=(60, 5, 3)).astype(DTYPE)
+    classify = task is Task.CLASSIFICATION
+    y = ((x[:, 0, 0] > 0).astype(np.int64) + (x[:, 1, 1] > 0) if classify
+         else x[:, 0, 0] - x[:, 2, 1])
+    d = TensorDataset(default_schema(5, 3, task, 3 if classify else None), x, y,
+                      np.full(60, 2020, dtype=np.int64))
+    train_split, val_split = d.take(np.arange(40)), d.take(np.arange(40, 60))
+    spec = ModelSpec(arch, kernel_size=3, dropout=0.3, **SMALL)
+    m = build(spec, d.schema, seed=4)
+    cfg = TrainConfig(max_epochs=6, patience=5, batch_size=12, learning_rate=3e-3)
+    return train(m, train_split, val_split, cfg, seed=4)
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+@pytest.mark.parametrize("task", list(Task))
+def test_training_keeps_the_bytes_of_the_full_step(arch, task, monkeypatch):
+    """``train`` with the full backward, the expression form of the Adam step
+    and ``np.mean`` in the loss values patched in gives the same parameters,
+    loss histories and report: the lean step computes no other bytes."""
+    model, report = _fit_small(arch, task)
+    calls = []
+    real_backward = Graph.backward
+
+    def full_backward(self, selector="loss", guided=False, input_grad=True):
+        calls.append("backward")
+        grads = real_backward(self, selector, guided)
+        assert grads.input is not None
+        return grads
+
+    def adam_step(opt, grads):
+        calls.append("adam")
+        expression_adam_step(opt, grads)
+
+    monkeypatch.setattr(Graph, "backward", full_backward)
+    monkeypatch.setattr(_Adam, "step", adam_step)
+    for name, value in NP_MEAN_LOSSES.items():
+        monkeypatch.setitem(engine._LOSSES, name, (value, engine._LOSSES[name][1]))
+    want_model, want = _fit_small(arch, task)
+    assert calls.count("backward") == calls.count("adam") > 0
+    assert report == want
+    assert model.graph.params.keys() == want_model.graph.params.keys()
+    for name, p in model.graph.params.items():
+        assert p.tobytes() == want_model.graph.params[name].tobytes(), name
 
 
 def test_divergence_aborts_with_diagnostic():
