@@ -17,21 +17,25 @@ the model's output, which is column 0 for a one-column regression head.
 replicas of the base estimator inside each block: a plain tag is one
 noise-free replica, and an ``sgs-`` or ``vargrad-`` tag runs R noised ones
 and reduces them per entry by the mean square or the variance. A Shapley
-block's permutation plan reads no input value, so its replicas share it, and
-each replica builds its rows with one ``np.where`` through it. A sample's
-Shapley rows are the baseline, composites 1..G-1 of each of its P
-permutations, and the sample: prefixes 0 and G are the same row in every
-permutation, so P*(G-1)+2 rows carry all P*(G+1) prefix values. A block's
-replicas are reduced to scores in one pass.
+block's permutation plan reads no input value, so its replicas share it.
+A sample's prefix values are the baseline's, those of composites 1..G-1 of
+each of its P permutations, and the sample's. Composite k is one of the
+C(G, k) coalitions of k groups, so a sample's composites repeat: the plan
+lists each sample's distinct coalitions once. Each replica forwards those
+and the samples, and the block's first replica forwards the baseline too,
+once for the block; the outputs are scattered back to every prefix. Blocks
+are sized on the expected count of distinct coalitions (``_block_samples``).
+A block's replicas are reduced to scores one at a time.
 
 Determinism: each sample has one random stream per call, keyed by (seed,
 sample id). It draws the sample's permutations first and then each replica's
 noise, one replica at a time in replica order. Every forward and guided
 backward runs over the fixed-shape tiles of ``models.tiles``, and everything
 after it works entry by entry, so a sample's scores depend on the model, its
-id and its values alone: not on the other samples, the block size or
-``n_samples``. So the blocks may run in the forked lanes of
-``lanes.fork_map``, and the bytes are the same in any number of lanes. With
+id and its values alone: not on the other samples, the block size,
+``n_samples``, or which rows are forwarded once and read many times. So the
+blocks may run in the forked lanes of ``lanes.fork_map``, and the bytes are
+the same in any number of lanes. With
 zero noise every replica reproduces the base attribution exactly, which is
 what the collapse properties assert.
 """
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -229,41 +233,112 @@ def _check_inputs(
 # Shapley value sampling
 
 
+def _expected_svs_rows(p: int, g: int) -> float:
+    """Expected forward rows per Shapley sample and replica: the sample, the
+    baseline, and the sample's distinct composites. Composite k of a random
+    permutation is one of C(G, k) coalitions, uniformly, so P draws hold
+    C·(1 - (1 - 1/C)^P) distinct ones in expectation; beyond 2**64·P
+    coalitions that is P to float precision."""
+    rows = 2.0
+    for k in range(1, g):
+        c = math.comb(g, k)
+        rows += p if c > 2**64 * p else -c * math.expm1(p * math.log1p(-1 / c))
+    return rows
+
+
+def _block_samples(base: str, p: int, g: int, cells: int) -> int:
+    """Samples per block. A ``gb`` sample is one forward row. A Shapley
+    block holds ``_BLOCK_ROWS`` forward rows per replica in expectation, and
+    its float64 prefix values and marginals, P*(G+1) entries per sample, no
+    more entries than those rows hold cells.
+
+    A block's rows vary with its draws. At worst a sample's composite k
+    takes min(P, C(G, k)) distinct values, at most 1/(1 - 1/e), about 1.58,
+    times their expected count, so a block forwards at most about
+    1.58 * ``_BLOCK_ROWS`` rows per replica, or one sample's rows when those
+    alone exceed ``_BLOCK_ROWS``."""
+    if base == "gb":
+        return _BLOCK_ROWS
+    return max(1, min(int(_BLOCK_ROWS // _expected_svs_rows(p, g)),
+                      _BLOCK_ROWS * cells // (p * (g + 1))))
+
+
 def _svs_plan(streams: list[np.random.Generator], groups: FeatureGroups,
-              n_permutations: int) -> tuple[np.ndarray, np.ndarray]:
-    """A block's permutation plan, which reads no input value: ``pos``
-    [n, P, G], each group's position in each of a sample's P permutations,
-    drawn from the sample's stream, and ``on`` bool [n, P*(G-1)+2, T*B],
-    whether each cell of each of a sample's rows takes the sample's value
-    rather than the baseline's. A sample's rows are the baseline, composites
-    1..G-1 of each permutation (composite k takes from the sample the cells
-    whose group lies at a position below k), then the sample: prefixes 0 and
-    G are one row for every permutation."""
-    n, g, cell_group = len(streams), groups.n_groups, groups.cell_group
+              n_permutations: int) -> tuple[np.ndarray, ...]:
+    """A block's permutation plan, which reads no input value.
+
+    ``at`` [n, P, G] is each group's position in each of a sample's P
+    permutations, drawn from the sample's stream, as a flat index into an
+    [n, P, G] array. Composite k (k = 1..G-1) of a permutation takes from
+    the sample the cells whose group lies at a position below k; prefixes 0
+    and G are the baseline and the sample. A sample's composites repeat, so
+    the plan lists its distinct ones once:
+    ``owner`` [D], the sample of each, sample by sample; ``off`` bool
+    [D, T*B], the cells that keep the baseline's value; and ``inverse``
+    [n, P*(G-1)], the distinct composite at each of a sample's composites,
+    permutation by permutation."""
+    n, g = len(streams), groups.n_groups
     order = np.tile(np.arange(g), (n_permutations, 1))
-    pos = np.argsort(np.stack([rng.permuted(order, axis=1) for rng in streams]), axis=2)
-    on = np.empty((n, n_permutations * (g - 1) + 2, cell_group.size), dtype=bool)
-    on[:, 0] = False  # the baseline
-    on[:, 1:-1] = (pos[..., cell_group][:, :, None, :] < np.arange(1, g)[:, None]
-                   ).reshape(n, -1, cell_group.size)
-    on[:, -1] = True  # the sample
-    return pos, on
+    perms = np.empty((n, n_permutations, g), dtype=np.int64)  # the group at each position
+    for rng, sample in zip(streams, perms):
+        rng.permuted(order, axis=1, out=sample)
+    at = np.argsort(perms, axis=2)
+    at += np.arange(0, at.size, g).reshape(n, n_permutations, 1)
+    keys = _composite_keys(perms)
+    by_key = np.lexsort(keys, axis=-1)  # each sample's equal composites side by side
+    keys = np.take_along_axis(keys, by_key[None], axis=2)
+    first = np.ones(by_key.shape, dtype=bool)
+    np.any(keys[..., 1:] != keys[..., :-1], axis=0, out=first[:, 1:])
+    inverse = np.empty_like(by_key)
+    np.put_along_axis(inverse, by_key, np.cumsum(first).reshape(by_key.shape) - 1, axis=1)
+    members = np.unpackbits(keys[:, first].T.astype("<u8").view(np.uint8), axis=1,
+                            count=g, bitorder="little")
+    return at, np.nonzero(first)[0], members[:, groups.cell_group] == 0, inverse
 
 
-def _svs_values(model: Model, xs: np.ndarray, plan: tuple[np.ndarray, np.ndarray],
-                baseline: np.ndarray, classes: np.ndarray) -> np.ndarray:
+def _composite_keys(perms: np.ndarray) -> np.ndarray:
+    """The members of composites 1..G-1 of each permutation [n, P, G] as
+    bits packed into W = ceil(G/64) uint64 words: [W, n, P*(G-1)]. Composite
+    k adds the bit of the group at position k-1 to composite k-1. Overwrites
+    ``perms``."""
+    n, p, g = perms.shape
+    bits = perms.view(np.uint64)
+    word = bits >> np.uint64(6)
+    np.left_shift(np.uint64(1), bits & np.uint64(63), out=bits)
+    keys = np.where(word == np.arange(-(-g // 64), dtype=np.uint64)[:, None, None, None],
+                    bits, np.uint64(0))
+    np.cumsum(keys, axis=3, out=keys)
+    return keys[..., :-1].reshape(len(keys), n, p * (g - 1))
+
+
+def _svs_values(model: Model, inputs: Iterator[np.ndarray], plan: tuple[np.ndarray, ...],
+                baseline: np.ndarray, classes: np.ndarray) -> Iterator[np.ndarray]:
     """The explained scalar at every prefix of the plan's permutations,
-    [n, P, G+1], from one ``Model.infer`` over all the block's rows."""
-    pos, on = plan
-    n, p, g = pos.shape
-    rows = np.where(on, xs.reshape(n, 1, -1), baseline.reshape(-1))
-    out = model.infer(rows.reshape(-1, *xs.shape[1:])).reshape(n, on.shape[1], -1)
-    out = np.take_along_axis(out, classes[:, None, None], axis=2)[..., 0]
+    [n, P, G+1], for each replica input in turn, from one ``Model.infer``
+    over its distinct composites and its samples. The first replica's call
+    forwards the baseline too, once for the block. Each replica overwrites
+    the array the last one yielded."""
+    at, owner, off, inverse = plan
+    n, p, g = at.shape
+    d = len(owner)
+    rows = np.empty((1 + d + n, baseline.size), dtype=DTYPE)  # reused by every replica
+    rows[0] = baseline.reshape(-1)
+    composites, sample_rows = rows[1:1 + d], rows[1 + d:]
     values = np.empty((n, p, g + 1))
-    values[:, :, 0] = out[:, :1]
-    values[:, :, 1:g] = out[:, 1:-1].reshape(n, p, g - 1)
-    values[:, :, g] = out[:, -1:]
-    return values
+    start = 0
+    for xs in inputs:
+        flat = xs.reshape(n, -1)
+        np.take(flat, owner, axis=0, out=composites, mode="clip")
+        np.copyto(composites, rows[:1], where=off)
+        sample_rows[:] = flat
+        out = model.infer(rows[start:].reshape(-1, *xs.shape[1:]))
+        if start == 0:
+            values[:, :, 0] = out[0, classes][:, None]
+            start = 1
+        out = out[-d - n:]
+        values[:, :, 1:g] = out[np.arange(d), classes[owner]][inverse].reshape(n, p, g - 1)
+        values[:, :, g] = out[d + np.arange(n), classes][:, None]
+        yield values
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +430,11 @@ def run_estimator(
     needs a ``baseline``; rows are keyed by ``sample_ids`` (default:
     positions). No samples, a non-finite sample, baseline or noise range, a
     noise standard deviation beyond float32 range, a negative sample id or a
-    negative seed is an ``EstimatorError``, raised before any forward call;
-    so is a noised sample beyond float32 range, when it is drawn, and a
-    forked lane that exits without sending its blocks' scores.
+    negative seed is an ``EstimatorError``, raised before any forward call,
+    as is an svs ``budget.n_permutations`` too large to allocate one
+    sample's permutations; so is a noised sample beyond float32 range, when
+    it is drawn, and a forked lane that exits without sending its blocks'
+    scores.
     """
     if tag not in ESTIMATOR_TAGS:
         raise EstimatorError(f"unknown estimator tag {tag!r}")
@@ -386,9 +463,15 @@ def run_estimator(
         if std is None:
             raise EstimatorError("noisy ensembles need a noise_range (see cell_span)")
         scale = std.astype(np.float64)
-    classes = model.infer(samples).argmax(axis=1)  # fixed across noisy replicas
     p, g = budget.n_permutations, groups.n_groups
-    per_block = max(1, _BLOCK_ROWS // (p * (g - 1) + 2 if base == "svs" else 1))
+    if base == "svs":
+        try:  # one sample's plan: the only part of a block _BLOCK_ROWS does not bound
+            np.empty((p, g, -(-g // 64)), dtype=np.uint64)
+        except (MemoryError, ValueError) as exc:
+            raise EstimatorError(f"n_permutations {p} is too large to plan one sample's "
+                                 f"permutations: {exc}") from None
+    per_block = _block_samples(base, p, g, samples[0].size)
+    classes = model.infer(samples).argmax(axis=1)  # fixed across noisy replicas
 
     def block_rows(i: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Block ``i``'s score rows, and its stderr rows for plain ``svs``."""
@@ -398,21 +481,22 @@ def run_estimator(
         # each replica draws its noise when it runs
         streams = ([np.random.default_rng(np.random.SeedSequence([seed, sid]))
                     for sid in ids[block]] if base == "svs" or scale is not None else None)
-        plan = _svs_plan(streams, groups, p) if base == "svs" else None
         inputs = (_noised(samples[block], streams, scale)
                   for _ in range(budget.ensemble_size if kind else 1))
         stderr = None
         if base == "gb":
             replicas = np.stack([_gb_rows(model, xs, groups, cls) for xs in inputs])
         else:
-            values = np.stack([_svs_values(model, xs, plan, baseline, cls)
-                               for xs in inputs])
-            # [R, n, P, G]: each group's marginal contribution in each permutation
-            marginals = np.take_along_axis(np.diff(values, axis=3), plan[0][None], axis=3)
-            replicas = marginals.mean(axis=2).astype(DTYPE)
+            plan = _svs_plan(streams, groups, p)
+            replicas = []
+            for values in _svs_values(model, inputs, plan, baseline, cls):
+                # [n, P, G]: each group's marginal contribution in each permutation
+                marginals = np.take(np.diff(values, axis=2), plan[0])
+                replicas.append(marginals.mean(axis=1).astype(DTYPE))
             if tag == "svs":
-                stderr = (marginals[0].std(axis=1, ddof=1) / math.sqrt(p) if p > 1
-                          else np.zeros(replicas.shape[1:])).astype(DTYPE)
+                stderr = (marginals.std(axis=1, ddof=1) / math.sqrt(p) if p > 1
+                          else np.zeros(replicas[0].shape)).astype(DTYPE)
+            replicas = np.stack(replicas)
         return (_reduced(kind, replicas) if kind else replicas[0]).astype(DTYPE), stderr
 
     blocks = fork_map(block_rows, math.ceil(len(ids) / per_block),

@@ -102,7 +102,7 @@ class Graph:
         self.output: Optional[int] = None
         self.loss: Optional[str] = None
         self._cache: Optional[list] = None
-        self._target: Optional[np.ndarray] = None  # forward_loss's, for backward
+        self._kept = None  # what forward_loss's loss kernel kept for backward
         self.input_node = self._add("input", (), {}, self.input_shape)
 
     # -- construction -------------------------------------------------------
@@ -251,7 +251,7 @@ class Graph:
     def forward(self, x: np.ndarray,
                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Run the graph on a batch and return its output; caches activations
-        for backward and forgets ``forward_loss``'s target.
+        for backward and forgets what ``forward_loss`` kept.
 
         With ``rng`` the forward trains: each dropout slot draws its mask from
         it, in tape order. Without, every dropout node passes its input on.
@@ -262,8 +262,8 @@ class Graph:
                 f"input shape {x.shape[1:]} does not match slot {self.input_shape}"
             )
         n = x.shape[0]
-        # free the last call's activations first, and forget its target
-        self._cache = self._target = None
+        # free the last call's activations first, and what its loss kept
+        self._cache = self._kept = None
         values: list = [None] * len(self.nodes)
         # divergence shows up as inf/nan in the output; no point warning per op
         with np.errstate(over="ignore", invalid="ignore"):
@@ -281,15 +281,19 @@ class Graph:
     def forward_loss(self, x: np.ndarray, target: np.ndarray,
                      rng: Optional[np.random.Generator] = None) -> float:
         """``forward``, then the loss of its output; ``backward("loss")``
-        differentiates that loss until the next forward."""
-        loss = self.loss_of(self.forward(x, rng), target)
-        self._target = target
-        return loss
+        differentiates that loss until the next forward, from what the loss
+        kernel kept of its work."""
+        loss, self._kept = self._loss(self.forward(x, rng), target)
+        return float(loss)
 
     def loss_of(self, output: np.ndarray, target: np.ndarray) -> float:
         """The mean loss of a batch's ``output`` against its ``target`` (n,);
         a diverged output gives a non-finite loss without a warning, and a
         batch of zero rows has no mean loss."""
+        return float(self._loss(output, target)[0])
+
+    def _loss(self, output: np.ndarray, target: np.ndarray):
+        """The loss kernel's mean loss, and what it keeps for the gradient."""
         if self.loss is None:
             raise GraphError("graph has no loss attached")
         n = len(output)
@@ -298,7 +302,7 @@ class Graph:
         if not n:
             raise GraphError("a batch of zero rows has no mean loss")
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(_LOSSES[self.loss][0](output, target))
+            return _LOSSES[self.loss][0](output, target)
 
     # -- reverse mode -------------------------------------------------------
 
@@ -355,9 +359,9 @@ class Graph:
         if isinstance(selector, str):
             if selector != "loss":
                 raise GraphError(f"non-scalar selection: {selector!r}")
-            if self._target is None:
+            if self._kept is None:
                 raise GraphError("loss not computed; forward with a target first")
-            grads[self.output] = _LOSSES[self.loss][1](values[self.output], self._target)
+            grads[self.output] = _LOSSES[self.loss][1](values[self.output], self._kept)
             return
         if self.output is None or values[self.output] is None:
             raise GraphError("graph has no computed output")
@@ -684,29 +688,26 @@ def _softmax_xent_forward(logits, target):
     if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
         raise GraphError(f"class indices must lie in [0, {logits.shape[1]})")
     z = logits - logits.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(logits.shape[0]), idx.astype(int, copy=False)]
-    return _mean(logsum - picked)
+    e = np.exp(z)
+    sums = e.sum(axis=1, keepdims=True)
+    rows = (np.arange(logits.shape[0]), idx.astype(int, copy=False))
+    return _mean(np.log(sums[:, 0]) - z[rows]), (e, sums, rows)
 
 
-def _softmax_xent_backward(logits, target):
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    grad = e / e.sum(axis=1, keepdims=True)  # the softmax, less one at each target
-    grad[np.arange(logits.shape[0]), np.asarray(target).astype(int)] -= 1.0
+def _softmax_xent_backward(logits, kept):
+    e, sums, rows = kept
+    grad = e / sums  # the softmax, less one at each target
+    grad[rows] -= 1.0
     return grad / DTYPE(logits.shape[0])
 
 
-def _mse_diff(pred, target):
-    return pred.reshape(pred.shape[0]) - np.asarray(target, dtype=DTYPE)
-
-
 def _mse_forward(pred, target):
-    diff = _mse_diff(pred, target)
-    return _mean(diff * diff)
+    diff = pred.reshape(pred.shape[0]) - np.asarray(target, dtype=DTYPE)
+    return _mean(diff * diff), diff
 
 
-def _mse_backward(pred, target):
-    return (DTYPE(2.0 / pred.shape[0]) * _mse_diff(pred, target)).reshape(pred.shape)
+def _mse_backward(pred, diff):
+    return (DTYPE(2.0 / pred.shape[0]) * diff).reshape(pred.shape)
 
 
 # cell name -> (gates k, forward, backward)
@@ -717,7 +718,8 @@ _CELLS = {
 }
 
 
-# loss name -> (mean loss, its gradient w.r.t. the output)
+# loss name -> (mean loss and what the gradient reads of its work, the
+# gradient w.r.t. the output from that)
 _LOSSES = {
     "softmax_xent": (_softmax_xent_forward, _softmax_xent_backward),
     "mse": (_mse_forward, _mse_backward),

@@ -84,10 +84,18 @@ class PlantSpec:
 
 
 def generate(spec: PlantSpec, seed: int) -> TensorDataset:
-    """Draw the dataset; bit-deterministic per seed. A negative seed is a
-    ``DatasetError``."""
+    """Draw the dataset; bit-deterministic per seed. A negative seed, or a
+    plant too large to allocate, is a ``DatasetError``."""
     if seed < 0:
         raise DatasetError(f"seed must not be negative, got {seed}")
+    try:
+        return _draw(spec, seed)
+    except MemoryError as exc:
+        raise DatasetError(f"cannot allocate a plant of N={spec.n}, T={spec.t}, "
+                           f"B={spec.b}: {exc}") from None
+
+
+def _draw(spec: PlantSpec, seed: int) -> TensorDataset:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     values = rng.standard_normal((spec.n, spec.t, spec.b), dtype=DTYPE)
 

@@ -109,6 +109,30 @@ def _np_mean_mse(pred, target):
 NP_MEAN_LOSSES = {"softmax_xent": _np_mean_xent, "mse": _np_mean_mse}
 
 
+def _recomputed_xent_grad(logits, target):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    grad = e / e.sum(axis=1, keepdims=True)  # the softmax, less one at each target
+    grad[np.arange(logits.shape[0]), np.asarray(target).astype(int)] -= 1.0
+    return grad / DTYPE(logits.shape[0])
+
+
+def _recomputed_mse_grad(pred, target):
+    diff = pred.reshape(pred.shape[0]) - np.asarray(target, dtype=DTYPE)
+    return (DTYPE(2.0 / pred.shape[0]) * diff).reshape(pred.shape)
+
+
+# loss name -> its gradient recomputed from the output and the target, as
+# the engine did before its loss kernels kept their forward work: the byte
+# oracle for the engine's loss gradients
+RECOMPUTED_LOSS_GRADS = {"softmax_xent": _recomputed_xent_grad, "mse": _recomputed_mse_grad}
+
+# loss name -> a kernel pair for ``engine._LOSSES`` made of the two oracles:
+# the forward keeps the target, and the gradient recomputes from it
+ORACLE_LOSSES = {name: (lambda out, target, mean=NP_MEAN_LOSSES[name]: (mean(out, target), target),
+                        RECOMPUTED_LOSS_GRADS[name])
+                 for name in NP_MEAN_LOSSES}
+
+
 @dataclass
 class FdReport:
     max_rel_error: float

@@ -153,34 +153,65 @@ def test_svs_deterministic_per_seed_and_keyed_by_sample_id():
     np.testing.assert_array_equal(c.scores[::-1], a.scores)
 
 
+def _permutations(rng, g, p):
+    """The groups of each of P permutations, in order, drawn as svs draws
+    them from a sample's stream: [P, G]."""
+    return np.stack([rng.permutation(g) for _ in range(p)])
+
+
+def _stream(seed, sid):
+    return np.random.default_rng(np.random.SeedSequence([seed, sid]))
+
+
 def _permutation_positions(g, p, seed, sid):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, sid]))
-    return np.argsort(np.stack([rng.permutation(g) for _ in range(p)]), axis=1)
+    return np.argsort(_permutations(_stream(seed, sid), g, p), axis=1)
 
 
-def _reference_svs(model, samples, ids, groups, baseline, p, seed):
-    """svs one sample and one composite at a time; svs must match its bytes.
-    A sample's rows are the baseline, composites 1..G-1 of each permutation,
-    then the sample, forwarded through ``Model.infer`` on their own."""
+def _distinct_composites(g, p, seed, sid):
+    """How many distinct coalitions composites 1..G-1 of a sample's
+    permutations take."""
+    return len({frozenset(perm[:k]) for perm in _permutations(_stream(seed, sid), g, p).tolist()
+                for k in range(1, g)})
+
+
+def _reference_svs(model, samples, ids, groups, baseline, p, seed, kind="", replicas=1,
+                   scale=None):
+    """svs one sample, one replica and one composite at a time; every svs
+    tag must match its bytes. A sample's rows are the baseline, composites
+    1..G-1 of each permutation, then the sample, forwarded through
+    ``Model.infer`` on their own. With a ``kind`` (``sgs`` or ``vargrad``)
+    each replica first adds noise of standard deviation ``scale`` to the
+    sample, drawn from its stream after its permutations, and ``_reduced``
+    reduces the replicas' scores."""
     g = groups.n_groups
     classes = model.infer(samples).argmax(axis=1)  # column 0 for regression
     scores = np.empty((len(samples), g), dtype=DTYPE)
     stderr = np.zeros_like(scores)
     for i, sid in enumerate(ids):
-        pos = _permutation_positions(g, p, seed, sid)
-        rows = [baseline]
-        for j in range(p):
-            for k in range(1, g):
-                on = groups.mask[pos[j] < k].any(axis=0)
-                rows.append(np.where(on, samples[i], baseline))
-        rows.append(samples[i])
-        out = model.infer(np.stack(rows).astype(DTYPE))[:, classes[i]].astype(np.float64)
-        values = np.empty((p, g + 1))
-        values[:, 0], values[:, g] = out[0], out[-1]
-        values[:, 1:g] = out[1:-1].reshape(p, g - 1)
-        marginals = np.take_along_axis(np.diff(values, axis=1), pos, axis=1)
-        scores[i] = marginals.mean(axis=0)
-        stderr[i] = marginals.std(axis=0, ddof=1) / math.sqrt(p)
+        rng = _stream(seed, sid)
+        pos = np.argsort(_permutations(rng, g, p), axis=1)
+        reps = []
+        for _ in range(replicas):
+            x = samples[i] if scale is None else samples[i] + (
+                rng.normal(size=samples.shape[1:]) * scale).astype(DTYPE)
+            rows = [baseline]
+            for j in range(p):
+                for k in range(1, g):
+                    on = groups.mask[pos[j] < k].any(axis=0)
+                    rows.append(np.where(on, x, baseline))
+            rows.append(x)
+            out = model.infer(np.stack(rows).astype(DTYPE))[:, classes[i]].astype(np.float64)
+            values = np.empty((p, g + 1))
+            values[:, 0], values[:, g] = out[0], out[-1]
+            values[:, 1:g] = out[1:-1].reshape(p, g - 1)
+            marginals = np.take_along_axis(np.diff(values, axis=1), pos, axis=1)
+            reps.append(marginals.mean(axis=0).astype(DTYPE))
+        if kind:
+            scores[i] = attribution._reduced(kind, np.stack(reps)[:, None])[0]
+        else:
+            scores[i] = reps[0]
+            if p > 1:
+                stderr[i] = marginals.std(axis=0, ddof=1) / math.sqrt(p)
     return scores, stderr
 
 
@@ -227,7 +258,7 @@ def test_svs_blocks_match_the_per_sample_reference(
     model = small_mlp(head=head, t=t, b=b, seed=4)
     groups = feature_groups(grid_schema(t, b), axis)
     p = 8
-    per_block = max(1, block_rows // (p * (groups.n_groups - 1) + 2))
+    per_block = attribution._block_samples("svs", p, groups.n_groups, t * b)
     n = 3 * per_block + per_block // 2 + 1
     r = np.random.default_rng(6)
     x = r.normal(size=(n, t, b)).astype(DTYPE)
@@ -437,7 +468,7 @@ def test_noisy_svs_ensembles_are_per_sample(tag, head, monkeypatch):
     model = small_mlp(head=head, seed=4)
     groups = by_band(model)
     p = 8
-    per_block = attribution._BLOCK_ROWS // (p * (groups.n_groups - 1) + 2)
+    per_block = attribution._block_samples("svs", p, groups.n_groups, 6)
     n = 2 * per_block + 2
     r = np.random.default_rng(7)
     x = r.normal(size=(n, 2, 3)).astype(DTYPE)
@@ -508,8 +539,13 @@ def test_forward_call_sizes(tag, head, monkeypatch):
     # the explained columns: 5 rows in 2 tiles
     if tag.endswith("gb"):  # one block of 5 samples: 2 tiles per replica
         calls = 2 + 2 * replicas
-    else:  # 2 * (3 - 1) + 2 rows a sample, blocks of 2, 2 and 1 samples
-        calls = 2 + (3 + 3 + 2) * replicas
+    else:  # each block's distinct composites and samples, and one baseline
+        per_block = attribution._block_samples("svs", 2, 3, 6)
+        calls = 2
+        for start in range(0, 5, per_block):
+            rows = sum(_distinct_composites(3, 2, 1, sid) + 1
+                       for sid in range(start, min(start + per_block, 5)))
+            calls += math.ceil((rows + 1) / 4) + (replicas - 1) * math.ceil(rows / 4)
     assert sizes == [4] * calls
 
 
@@ -567,6 +603,117 @@ def test_each_sample_draws_its_permutations_once_per_call(tag, monkeypatch):
                   baseline=np.zeros((2, 3), DTYPE), noise_range=np.ones((2, 3), DTYPE))
     assert lengths.count(2) == (0 if tag == "gb" else 7)
     assert len(lengths) == lengths.count(2)
+
+
+# grids whose groups number 1, 2, 3, 8 and 70: (schema grid, grouping); the
+# 70 time steps' member bits span two uint64 words
+GROUPINGS = {
+    "G1": ((3, 1), GroupingAxis.BY_BAND),
+    "G2": ((2, 3), GroupingAxis.BY_TIMESTEP),
+    "G3": ((2, 3), GroupingAxis.BY_BAND),
+    "G8": ((2, 4), "cells"),
+    "G70": ((70, 2), GroupingAxis.BY_TIMESTEP),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 24])
+@pytest.mark.parametrize("grouping", GROUPINGS)
+@pytest.mark.parametrize("family, head", [("mlp", REG), ("gru", CLS)])
+@pytest.mark.parametrize("tag", ["svs", "sgs-svs", "vargrad-svs"])
+def test_every_svs_tag_matches_the_per_sample_reference(tag, family, head, grouping, p,
+                                                        monkeypatch):
+    """Each sample's distinct composites, forwarded once a replica in blocks
+    of any size, give the bytes of forwarding every composite of every
+    permutation on its own."""
+    monkeypatch.setattr(attribution, "_BLOCK_ROWS", 48)
+    (t, b), axis = GROUPINGS[grouping]
+    schema = grid_schema(t, b, head[1])
+    model = build(FAMILIES[family], schema, seed=3)
+    groups = cell_groups(t, b) if axis == "cells" else feature_groups(schema, axis)
+    n = 2 if t == 70 else 5
+    r = np.random.default_rng(12)
+    x = r.normal(size=(n, t, b)).astype(DTYPE)
+    base = r.normal(size=(t, b)).astype(DTYPE)
+    span = np.abs(r.normal(size=(t, b))).astype(DTYPE)
+    ids = [7 * i + 1 for i in range(n)]
+    kind = tag.rpartition("-")[0]
+    loud = budget(n_permutations=p, ensemble_size=2, noise_scale=0.3)
+    m = run_estimator(tag, model, x, groups, loud, seed=13, baseline=base,
+                      noise_range=span, sample_ids=ids)
+    scale = attribution._noise_std(0.3, span).astype(np.float64) if kind else None
+    scores, stderr = _reference_svs(model, x, ids, groups, base, p, 13, kind,
+                                    2 if kind else 1, scale)
+    assert m.scores.tobytes() == scores.tobytes()
+    if tag == "svs":
+        assert m.stderr.tobytes() == stderr.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [2048, 60])
+@pytest.mark.parametrize("tag", ["svs", "sgs-svs"])
+def test_a_block_forwards_its_distinct_composites_and_one_baseline(tag, block_rows,
+                                                                   monkeypatch):
+    """Each replica of a block forwards every distinct composite of its
+    samples and the samples themselves; the first forwards the baseline too."""
+    monkeypatch.setattr(attribution, "_BLOCK_ROWS", block_rows)
+    schema = grid_schema(3, 4, 3)
+    model = build(ModelSpec(Architecture.MLP, width=8), schema, seed=1)
+    groups = feature_groups(schema, GroupingAxis.BY_BAND)  # G=4
+    sizes = []
+    infer = model.infer
+    monkeypatch.setattr(model, "infer", lambda x: sizes.append(len(x)) or infer(x))
+    x = np.random.default_rng(5).normal(size=(20, 3, 4)).astype(DTYPE)
+    ids = list(range(300, 320))
+    replicas = 3 if "-" in tag else 1
+    run_estimator(tag, model, x, groups, budget(n_permutations=5, ensemble_size=replicas,
+                                                noise_scale=0.2),
+                  seed=4, baseline=x.mean(axis=0), noise_range=np.ones((3, 4), DTYPE),
+                  sample_ids=ids)
+    per_block = attribution._block_samples("svs", 5, 4, 12)
+    assert (per_block >= 20) == (block_rows == 2048)  # one block, or several
+    expected = [20]  # the explained columns
+    for start in range(0, 20, per_block):
+        rows = sum(_distinct_composites(4, 5, 4, sid) + 1
+                   for sid in ids[start:start + per_block])
+        expected += [1 + rows] + [rows] * (replicas - 1)
+    assert sizes == expected
+
+
+def test_a_step_shaped_call_at_two_groups_is_one_block_in_process(monkeypatch):
+    """``roar-mlp-step``'s last cycles: 128 samples of 2 time steps, 24
+    permutations and 4 replicas fit one block, and one job runs in this
+    process, however many lanes there are."""
+    schema = grid_schema(2, 4, 2)
+    model = build(ModelSpec(Architecture.MLP, width=64), schema, seed=2)
+    jobs, sizes = [], []
+    fork_map = attribution.fork_map
+    monkeypatch.setattr(attribution, "fork_map",
+                        lambda job, n, lost: jobs.append(n) or fork_map(job, n, lost))
+    infer = model.infer
+    monkeypatch.setattr(model, "infer", lambda x: sizes.append(len(x)) or infer(x))
+    x = np.random.default_rng(8).normal(size=(128, 2, 4)).astype(DTYPE)
+    m = run_estimator("sgs-svs", model, x,
+                      feature_groups(schema, GroupingAxis.BY_TIMESTEP),
+                      budget(n_permutations=24, ensemble_size=4, noise_scale=0.15),
+                      seed=6, baseline=x.mean(axis=0), noise_range=np.ones((2, 4), DTYPE))
+    assert m.scores.shape == (128, 2)
+    assert jobs == [1]
+    assert len(sizes) == 1 + 4  # the explained columns, then one call a replica
+    assert sizes[1] == 1 + 128 * 3  # both one-step composites, every sample
+
+
+@pytest.mark.parametrize("tag", ["svs", "sgs-svs", "vargrad-svs"])
+def test_a_shapley_budget_too_large_to_plan_is_named_before_any_forward_call(
+        tag, monkeypatch):
+    model = small_mlp()
+    forwards = []
+    monkeypatch.setattr(model.graph, "forward", lambda *a, **k: forwards.append(a))
+    x = np.random.default_rng(2).normal(size=(4, 2, 3)).astype(DTYPE)
+    huge = budget(n_permutations=10**18, ensemble_size=2, noise_scale=0.2)
+    with pytest.raises(EstimatorError, match=r"^n_permutations 1000000000000000000 is "
+                                             "too large to plan one sample's permutations"):
+        run_estimator(tag, model, x, by_band(model), huge, seed=0,
+                      baseline=x.mean(axis=0), noise_range=np.ones((2, 3), DTYPE))
+    assert forwards == []
 
 
 # -- aggregation -------------------------------------------------------------

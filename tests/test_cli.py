@@ -122,6 +122,19 @@ def test_oversized_plant_exits_2_naming_its_sizes(tmp_path, capsys, n, t, b):
     assert not (tmp_path / "data").exists()
 
 
+def test_a_plant_too_large_to_allocate_exits_3_without_outputs(tmp_path, capsys):
+    """Within NumPy's size limit but beyond any address space: a runtime
+    error naming the plant, and nothing is written."""
+    cfg = base_config(tmp_path)
+    cfg["dataset"]["plant"]["n"] = 10**17
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["generate", "--config", str(p)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot allocate a plant of N={10**17}, T=3, B=4: ")
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("year_start", [-3, 2**32 - 1])
 def test_plant_years_outside_u32_exit_2_naming_the_key(tmp_path, capsys, year_start):
     """Years are stored as u32: a plant whose years leave that range is a
@@ -553,6 +566,19 @@ def test_a_model_too_large_to_allocate_aborts_roar_with_exit_3(workspace, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: svs_least_first_by_band: cycle 0 failed: "
                           "cannot allocate a parameter of shape (12, ")
+
+
+def test_a_shapley_budget_too_large_to_plan_aborts_roar_with_exit_3(workspace, tmp_path,
+                                                                    capsys):
+    cfg = base_config(workspace.root)
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["budget"]["n_permutations"] = 10**18
+    p = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["roar", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: svs_least_first_by_band: cycle 0 failed: "
+                          f"n_permutations {10**18} is too large to plan one sample's "
+                          "permutations: ")
 
 
 def test_every_tag_reruns_byte_identical_from_the_echoed_config(workspace, tmp_path):

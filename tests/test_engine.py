@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     NP_MEAN_LOSSES,
+    RECOMPUTED_LOSS_GRADS,
     draw_clean_input,
     finite_difference_check,
     grid_schema,
@@ -449,8 +450,44 @@ def test_each_loss_value_is_the_float32_mean(n_classes):
                ).astype(DTYPE)
         target = (r.standard_normal(n).astype(DTYPE) if n_classes is None
                   else r.integers(0, n_classes, size=n))
-        got, want = _LOSSES[name][0](out, target), NP_MEAN_LOSSES[name](out, target)
+        got, want = _LOSSES[name][0](out, target)[0], NP_MEAN_LOSSES[name](out, target)
         assert got.dtype == DTYPE and got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("n_classes", [None, 3], ids=HEADS)
+def test_each_loss_gradient_reads_what_its_forward_kept(n_classes):
+    """The loss gradient from what the forward kept has the bytes of the
+    gradient recomputed from the output and the target, at every batch size
+    from 1 to 300, and reading it twice changes nothing."""
+    r = rng(10)
+    name = "mse" if n_classes is None else "softmax_xent"
+    forward, backward = _LOSSES[name]
+    for n in range(1, 301):
+        out = (r.standard_normal((n, n_classes or 1)) * 10.0 ** r.integers(-3, 4)
+               ).astype(DTYPE)
+        target = (r.standard_normal(n).astype(DTYPE) if n_classes is None
+                  else r.integers(0, n_classes, size=n))
+        kept = forward(out, target)[1]
+        want = RECOMPUTED_LOSS_GRADS[name](out, target)
+        for _ in range(2):
+            got = backward(out, kept)
+            assert got.dtype == DTYPE and got.shape == out.shape, n
+            assert got.tobytes() == want.tobytes(), n
+
+
+def test_the_validation_loss_keeps_nothing_for_backward():
+    """``loss_of`` alone leaves no loss to differentiate; ``forward_loss``
+    keeps one until the next forward."""
+    g = build_mlp_regression()
+    x, target = uniform(rng(3), (4, 5)), np.arange(4, dtype=DTYPE)
+    g.loss_of(g.forward(x), target)
+    with pytest.raises(GraphError, match="loss not computed"):
+        g.backward("loss")
+    g.forward_loss(x, target)
+    g.backward("loss")
+    g.forward(x)
+    with pytest.raises(GraphError, match="loss not computed"):
+        g.backward("loss")
 
 
 # -- finite differences ------------------------------------------------------

@@ -28,7 +28,7 @@ FORKED_BLOCK_ROWS = 10  # 30 samples: 3 gb blocks, 30 Shapley blocks
 
 def estimate(tag: str, n_classes):
     """``tag`` on 30 samples of a T=3, B=4 MLP, by band: 64 permutations of 4
-    groups, 194 forward rows a Shapley sample."""
+    groups, about 16 forward rows a Shapley sample."""
     schema = grid_schema(3, 4, n_classes)
     model = build(ModelSpec(Architecture.MLP, width=8), schema, seed=3)
     samples = np.random.default_rng(11).normal(size=(30, 3, 4)).astype(DTYPE)
@@ -40,7 +40,8 @@ def estimate(tag: str, n_classes):
 
 # Saves every tag's and head's scores and stderr to argv[2], in blocks of
 # FORKED_BLOCK_ROWS forward rows, with `_svs_values` and `_gb_rows` wrapped to
-# append "<function> <pid>" for every replica of every block to argv[1];
+# append "<function> <pid>" for every Shapley block and for every replica of
+# every gb block to argv[1];
 # exits 1 if a child process is left. This process's first block waits until
 # a forked lane has recorded one.
 ESTIMATES = """
@@ -151,8 +152,8 @@ sys.exit("a child process outlived roar")
 
 
 def test_forked_roar_writes_the_one_lane_bytes(tmp_path):
-    # 24 samples: 12 Shapley blocks by band (G=4) and 8 by time step (G=3)
-    # forked, 2 and 1 in one lane
+    # 24 samples: 2 or 3 Shapley blocks in every cycle of either plan forked,
+    # one block in one lane
     path = _config(tmp_path, {"n_samples": 24, "n_permutations": 64, "ensemble_size": 2},
                    [{"axis": "by_band", "order": "least_first", "estimator_tag": "svs"},
                     {"axis": "by_timestep", "order": "most_first",
@@ -170,9 +171,9 @@ def test_forked_roar_writes_the_one_lane_bytes(tmp_path):
     assert len(set(pids.read_text().split())) >= 2  # the lanes really forked
 
 
-# all training samples are explained, 64 * 3 + 2 forward rows each by band,
-# so this is the first sample of block 1
-FAILING_ID = attribution._BLOCK_ROWS // (64 * 3 + 2)
+# all training samples are explained, 64 permutations of the 4 bands of a
+# 3 x 4 grid, so this is the first sample of block 1
+FAILING_ID = attribution._block_samples("svs", 64, 4, 12)
 
 
 def failing_block(noised):

@@ -113,6 +113,14 @@ def test_spec_rejects_a_non_finite_real(field, value):
         spec(**kw)
 
 
+def test_a_plant_too_large_to_allocate_is_a_dataset_error():
+    """Below NumPy's byte limit, so the spec holds, but beyond any address
+    space."""
+    with pytest.raises(DatasetError, match=f"^cannot allocate a plant of N={10**17}, "
+                                           "T=4, B=3: "):
+        generate(spec(n=10**17), seed=0)
+
+
 def test_spec_dict_round_trip():
     s = spec(noise=0.25, task=Task.CLASSIFICATION,
              cell_weights={(1, 2): 3.0})

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import NP_MEAN_LOSSES, grid_schema, linear
+from conftest import ORACLE_LOSSES, grid_schema, linear
 
 from roarsel import engine, training
 from roarsel.data import SplitTriple, Task, TensorDataset, default_schema
@@ -359,9 +359,10 @@ def _fit_small(arch, task):
 @pytest.mark.parametrize("arch", list(Architecture))
 @pytest.mark.parametrize("task", list(Task))
 def test_training_keeps_the_bytes_of_the_full_step(arch, task, monkeypatch):
-    """``train`` with the full backward, the expression form of the Adam step
-    and ``np.mean`` in the loss values patched in gives the same parameters,
-    loss histories and report: the lean step computes no other bytes."""
+    """``train`` with the full backward, the expression form of the Adam step,
+    ``np.mean`` in the loss values and loss gradients recomputed from the
+    target patched in gives the same parameters, loss histories and report:
+    the lean step computes no other bytes."""
     model, report = _fit_small(arch, task)
     calls = []
     real_backward = Graph.backward
@@ -378,8 +379,8 @@ def test_training_keeps_the_bytes_of_the_full_step(arch, task, monkeypatch):
 
     monkeypatch.setattr(Graph, "backward", full_backward)
     monkeypatch.setattr(_Adam, "step", adam_step)
-    for name, value in NP_MEAN_LOSSES.items():
-        monkeypatch.setitem(engine._LOSSES, name, (value, engine._LOSSES[name][1]))
+    for name, kernels in ORACLE_LOSSES.items():
+        monkeypatch.setitem(engine._LOSSES, name, kernels)
     want_model, want = _fit_small(arch, task)
     assert calls.count("backward") == calls.count("adam") > 0
     assert report == want
