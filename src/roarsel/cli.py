@@ -48,10 +48,13 @@ from .synthetic import generate
 from .training import CandidateResult, SelectionReport, select_model
 
 
-def _ensure_out(cfg: RunConfig) -> Path:
+def _make_out(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_effective_config(cfg, out / "effective.json")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"config.out_dir: cannot make the directory {out}: "
+                          f"{exc.strerror}") from exc
     return out
 
 
@@ -74,7 +77,7 @@ def cmd_generate(cfg: RunConfig) -> Path:
         raise ConfigError("generate needs dataset.path to name the output directory")
     d = generate(cfg.dataset.plant, seed=section_seed(cfg.seed, "generate"))
     save_dataset(d, cfg.dataset.path)
-    _ensure_out(cfg)
+    save_effective_config(cfg, _make_out(cfg) / "effective.json")
     print(
         f"wrote dataset {cfg.dataset.path} "
         f"({d.n_samples} samples, {d.schema.n_timesteps} steps x {d.schema.n_bands} bands)"
@@ -102,9 +105,10 @@ def _selection_rows(report: SelectionReport) -> list[tuple[CandidateResult, str]
 
 def cmd_select(cfg: RunConfig) -> Path:
     """Train the grid, rank by validation metric, emit the results table."""
-    model, report = select_model(cfg.candidates(), _load_splits(cfg),
-                                 section_seed(cfg.seed, "select"))
-    out = _ensure_out(cfg)
+    splits = _load_splits(cfg)
+    out = _make_out(cfg)  # a bad out_dir fails before the grid trains
+    model, report = select_model(cfg.candidates(), splits, section_seed(cfg.seed, "select"))
+    save_effective_config(cfg, out / "effective.json")
 
     write_json(out / "selection.json", encode(report))
     rows = _selection_rows(report)
@@ -168,7 +172,8 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
         raise ConfigError("roar needs at least one deletion plan")
     splits = _load_splits(cfg)
     train_cfg = cfg.model.train_config(cfg.train)
-    out = _ensure_out(cfg)
+    out = _make_out(cfg)
+    save_effective_config(cfg, out / "effective.json")
 
     written: list[Path] = []
     slugs: set[str] = set()

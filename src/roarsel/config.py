@@ -89,7 +89,7 @@ class RunConfig:
     out_dir: str = "runs/out"
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
-    grid: tuple[CandidateConfig, ...] = field(default_factory=tuple)
+    grid: Optional[tuple[CandidateConfig, ...]] = None
     model: Optional[CandidateConfig] = None
     train: TrainConfig = field(default_factory=TrainConfig)
     budget: ExplainBudget = field(default_factory=ExplainBudget)
@@ -113,8 +113,8 @@ class RunConfig:
         return self.split.holdout_years
 
     def candidates(self) -> list[tuple[ModelSpec, TrainConfig]]:
-        """The selection grid; empty config grid means the default grid."""
-        if not self.grid:
+        """The selection grid; no config grid means the default grid."""
+        if self.grid is None:
             return default_grid(self.train)
         return [(c, c.train_config(self.train)) for c in self.grid]
 
@@ -126,7 +126,7 @@ class RunConfig:
         the run-level one key by key.
         """
         if isinstance(d, dict):
-            # absent grid falls back to the default grid; a present-but-empty
+            # an absent or null grid means the default grid; a present-but-empty
             # one is a mistake, not a request for zero candidates
             if d.get("grid") == []:
                 raise ConfigError("config.grid must not be empty")
@@ -154,7 +154,9 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
         raw = json.loads(p.read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {p}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if isinstance(raw, dict):
         raw = {**raw, **overrides}
@@ -162,7 +164,5 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
 
 
 def save_effective_config(cfg: RunConfig, path: str | Path) -> None:
-    """Persist the defaults-filled config, atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Persist the defaults-filled config, atomically, in an existing directory."""
     write_json(path, encode(cfg))

@@ -11,10 +11,6 @@ Everything in it is little-endian:
   names or null), padded with spaces so the arrays start at a multiple of 64
   bytes;
 - values f32 [N,T,B], targets f32 [N] and years u32 [N], row-major.
-
-Format version 1 kept the manifest and each array in a file of its own; a
-directory in that layout is rejected by name, and saving into it removes
-those four files once ``dataset.mmts`` is in place.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ MAGIC = b"MMTS"
 FORMAT_VERSION = 2
 DATASET_FILE = "dataset.mmts"
 _HEAD = 24  # magic, then version, manifest length, N, T, B as u32
-_VERSION_1_FILES = ("manifest", "values.bin", "targets.bin", "years.bin")
 
 
 class Task(str, Enum):
@@ -245,9 +240,7 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def save_dataset(d: TensorDataset, path: str | Path) -> None:
-    """Write a dataset directory's one file in one atomic rename. Bit-exact.
-    The files of a format version 1 dataset in the directory go once the
-    new file is in place."""
+    """Write a dataset directory's one file in one atomic rename. Bit-exact."""
     if d.n_samples == 0:
         raise DatasetError("empty dataset")
     if not np.all(np.isfinite(d.values)):
@@ -261,15 +254,16 @@ def save_dataset(d: TensorDataset, path: str | Path) -> None:
     manifest += b" " * (-(_HEAD + len(manifest)) % 64)  # the arrays start 64-aligned
     head = np.array([FORMAT_VERSION, len(manifest), *d.shape], dtype="<u4")
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DatasetError(f"cannot make the dataset directory {out}: {exc.strerror}") from exc
     write_atomic(out / DATASET_FILE, b"".join((
         MAGIC, head, manifest,
         np.ascontiguousarray(d.values, dtype="<f4"),
         np.ascontiguousarray(d.targets, dtype="<f4"),
         np.ascontiguousarray(d.years, dtype="<u4"),
     )))
-    for name in _VERSION_1_FILES:
-        (out / name).unlink(missing_ok=True)
 
 
 def load_dataset(path: str | Path) -> TensorDataset:
@@ -277,11 +271,6 @@ def load_dataset(path: str | Path) -> TensorDataset:
     root = Path(path)
     file = root / DATASET_FILE
     if not file.is_file():
-        if (root / "manifest").is_file():
-            raise DatasetError(
-                f"{root} holds a format version 1 dataset (manifest and .bin "
-                f"files), which this version cannot read; run generate again"
-            )
         raise DatasetError(f"missing {DATASET_FILE} in {root}")
     try:
         raw = file.read_bytes()

@@ -19,7 +19,7 @@ the rnn, ``i, f, o, g`` for the lstm and ``z, r, n`` for the gru, where
 
 ``build`` refuses a convolution kernel longer than its layer's input; the
 resize path used between deletion cycles instead clamps the kernel to that
-length and records a note. An even kernel shortens the series by one step per
+length and warns. An even kernel shortens the series by one step per
 layer, so a later layer can need the clamp when the first does not. Resizing
 always constructs a fresh model: the retraining protocol forbids warm starts,
 which would leak information about deleted features.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -105,7 +105,6 @@ class Model:
     spec: ModelSpec
     graph: Graph
     task: Task
-    notes: list[str] = field(default_factory=list)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode output over ``x``, forwarded in ``tiles``, so a
@@ -138,26 +137,24 @@ def build(spec: ModelSpec, schema: FeatureSchema, seed: int) -> Model:
     """Seeded construction over the schema's grid; errors when a convolution
     kernel exceeds the length of its layer's input or a parameter is too
     large to allocate."""
-    return _construct(spec, schema, seed, notes=None)
+    return _construct(spec, schema, seed, clamp=False)
 
 
 def resize_for_input(spec: ModelSpec, schema: FeatureSchema, seed: int) -> Model:
     """Fresh model for shrunken data; no weight reuse from any prior model.
 
-    A kernel longer than its layer's input is clamped to that length, with a
-    warning and a note on the model for the cycle log, one per clamp.
+    A kernel longer than its layer's input is clamped to that length, and
+    each clamp warns.
     """
-    notes: list[str] = []
-    model = _construct(spec, schema, seed, notes)
-    for note in notes:
-        warnings.warn(note, stacklevel=2)
-    return model
+    return _construct(spec, schema, seed, clamp=True)
 
 
-def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int,
-               notes: Optional[list[str]]) -> Model:
+def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int, clamp: bool) -> Model:
     """The model for ``spec`` over the schema's grid. A kernel that does not
-    fit is a ``BuildError`` when ``notes`` is None, else clamped and noted."""
+    fit is clamped, with a warning, when ``clamp`` is set, and a
+    ``BuildError`` otherwise, as is a negative seed."""
+    if seed < 0:
+        raise BuildError(f"seed must not be negative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     t, b = schema.n_timesteps, schema.n_bands
     g = Graph(input_shape=(t, b))
@@ -165,11 +162,11 @@ def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int,
     if arch is Architecture.MLP:
         last, fan = _mlp_body(g, spec, t, b, rng)
     elif arch is Architecture.TEMPCNN:
-        last, fan = _tempcnn_body(g, spec, t, b, rng, notes)
+        last, fan = _tempcnn_body(g, spec, t, b, rng, clamp)
     else:
         last, fan = _recurrent_body(g, spec, t, b, rng)
     _attach_head(g, schema, last, fan, rng)
-    return Model(spec=spec, graph=g, task=schema.task, notes=notes or [])
+    return Model(spec=spec, graph=g, task=schema.task)
 
 
 def _init(rng, shape, fan_in):
@@ -203,15 +200,17 @@ def _mlp_body(g, spec, t, b, rng):
     return h, fan
 
 
-def _tempcnn_body(g, spec, t, b, rng, notes):
+def _tempcnn_body(g, spec, t, b, rng, clamp):
     h = g.input_node
     length, c_in, k = t, b, spec.kernel_size
     for i in range(spec.resolved_depth):
         if k > length:
-            if notes is None:
+            if not clamp:
                 raise BuildError(
                     f"kernel {k} larger than input length {length} at conv{i}")
-            notes.append(f"kernel clamped from {k} to {length} for input length {length}")
+            # level 4 is the line that called resize_for_input
+            warnings.warn(f"kernel clamped from {k} to {length} for input length {length}",
+                          stacklevel=4)
             k = length
         pad = (k - 1) // 2
         w = g.param(f"conv{i}/w", _init(rng, (k, c_in, spec.channels), k * c_in))

@@ -166,9 +166,11 @@ def train(
     ``seed`` keys the batch shuffles and dropout masks.
 
     Divergence (non-finite training or validation loss) aborts with a
-    diagnostic naming the epoch and batch. A split that is empty or does
-    not fit the model is a ``TrainingError`` naming it.
+    diagnostic naming the epoch and batch. A negative seed, or a split that
+    is empty or does not fit the model, is a ``TrainingError`` naming it.
     """
+    if seed < 0:
+        raise TrainingError(f"seed must not be negative, got {seed}")
     t, b = model.graph.input_shape
     for split, label in ((train_split, "train"), (val_split, "validation")):
         if split.shape[1:] != (t, b):
@@ -291,10 +293,12 @@ def select_model(
     keep the earlier grid index. Per-candidate training errors are recorded
     and the grid continues; all candidates failing is an error. The test
     split is consulted only after ranking, so it never influences the
-    ranking.
+    ranking. An empty grid or a negative seed is a ``TrainingError``.
     """
     if not grid:
         raise TrainingError("empty selection grid")
+    if seed < 0:
+        raise TrainingError(f"seed must not be negative, got {seed}")
     ok: list[CandidateResult] = []
     failed: list[CandidateResult] = []
     models: dict[int, Model] = {}

@@ -391,13 +391,45 @@ def test_empty_test_split_exits_3_naming_the_holdout(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["select", "roar"])
-def test_version_1_dataset_exits_3_naming_its_format(tmp_path, capsys, command):
+def test_a_version_1_directory_exits_3_naming_dataset_mmts(tmp_path, capsys, command):
     cfg = base_config(tmp_path)
     write_version_1_dataset(tmp_path / "data", make_dataset(t=3, b=4))
     p = write_config(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", str(p)]) == 3
+    assert capsys.readouterr().err == f"error: missing dataset.mmts in {tmp_path / 'data'}\n"
+
+
+@pytest.mark.parametrize("case", ["config-dir", "config-binary", "out-file-generate",
+                                  "out-file-select", "out-file-roar", "data-file-generate"])
+def test_a_bad_path_exits_with_one_named_line(workspace, tmp_path, capsys, monkeypatch, case):
+    """A path that is not what its key needs is a config error (exit 2) or
+    a runtime failure (exit 3), never a traceback; ``select`` fails on its
+    output directory before it trains."""
+    monkeypatch.setattr(cli, "select_model",
+                        lambda *args: pytest.fail("select trained before making its out dir"))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    fresh = write_config(tmp_path / "cfg.json", base_config(tmp_path))
+    binary = tmp_path / "cfg.bin"
+    binary.write_bytes(bytes(range(256)))
+    into_file = base_config(tmp_path)
+    into_file["dataset"]["path"] = str(taken)
+    into_file = write_config(tmp_path / "into-file.json", into_file)
+    command, config, extra, code, line = {
+        "config-dir": ("select", tmp_path, [], 2,
+                       f"config error: cannot read config file {tmp_path}: Is a directory"),
+        "config-binary": ("roar", binary, [], 2, "config error: config is not valid JSON: "),
+        **{f"out-file-{c}": (c, fresh if c == "generate" else workspace.cfg_path,
+                             ["--out", str(taken)], 2,
+                             f"config error: config.out_dir: cannot make the directory "
+                             f"{taken}: File exists")
+           for c in ("generate", "select", "roar")},
+        "data-file-generate": ("generate", into_file, [], 3,
+                               f"error: cannot make the dataset directory {taken}: File exists"),
+    }[case]
+    assert main([command, "--config", str(config), *extra]) == code
     err = capsys.readouterr().err
-    assert "holds a format version 1 dataset" in err and "run generate again" in err
+    assert err.startswith(line) and err.count("\n") == 1, err
 
 
 def test_regression_holdout_of_two_exits_3_naming_it(tmp_path, capsys):

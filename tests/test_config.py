@@ -1,6 +1,8 @@
 """Strict run-config parsing and the defaults-filled echo."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -60,7 +62,7 @@ def test_empty_config_uses_defaults():
     assert d["train"]["max_epochs"] == 100
     assert d["budget"]["n_permutations"] == 64
     assert d["dataset"] == {"path": None, "plant": None}
-    assert d["grid"] == [] and d["plans"] == []
+    assert d["grid"] is None and d["plans"] == []
 
 
 @pytest.mark.parametrize("raw, fragment", [
@@ -346,11 +348,29 @@ def test_load_config_wraps_missing_plant_size(tmp_path):
         load_config(p)
 
 
-def test_effective_config_round_trips_and_is_byte_stable(tmp_path):
-    cfg = RunConfig.from_dict(full_dict())
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_effective_config(cfg, a)
-    save_effective_config(cfg, b)
-    assert a.read_bytes() == b.read_bytes()
-    again = RunConfig.from_dict(json.loads(a.read_text()))
-    assert encode(again) == encode(cfg)
+def _readme_config():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    return json.loads(block)
+
+
+def _without(raw, *keys):
+    return {k: v for k, v in raw.items() if k not in keys}
+
+
+@pytest.mark.parametrize("raw", [
+    full_dict(),
+    _readme_config(),
+    _without(full_dict(), "grid"),  # roar only
+    _without(full_dict(), "grid", "model", "plans"),  # select on the default grid
+], ids=["full", "readme", "roar-only", "default-grid"])
+def test_effective_config_round_trips_and_is_byte_stable(tmp_path, raw):
+    """``effective.json`` loads as the config it echoes, and echoes the same bytes."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path)
+    echo, again = tmp_path / "effective.json", tmp_path / "again.json"
+    save_effective_config(cfg, echo)
+    assert load_config(echo) == cfg
+    save_effective_config(load_config(echo), again)
+    assert again.read_bytes() == echo.read_bytes()

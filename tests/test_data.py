@@ -127,15 +127,15 @@ class TestRoundTrip:
         assert len(raw) == 24 + size + 4 * (4 * 3 * 2 + 4 + 4)
         assert raw[24 + size - 1:24 + size] == b" "
 
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DatasetError, match="missing dataset.mmts"):
+    @pytest.mark.parametrize("version_1", [False, True], ids=["empty", "version-1"])
+    def test_missing_manifest(self, tmp_path, version_1):
+        """A directory of format version 1 (a manifest and three .bin files)
+        is rejected as any directory without the dataset file is."""
+        if version_1:
+            write_version_1_dataset(tmp_path, make_dataset())
+        with pytest.raises(DatasetError) as exc:
             load_dataset(tmp_path)
-
-    def test_version_1_directory_is_rejected_by_name(self, tmp_path):
-        write_version_1_dataset(tmp_path, make_dataset())
-        with pytest.raises(DatasetError, match="format version 1 dataset .*"
-                                               "run generate again"):
-            load_dataset(tmp_path)
+        assert str(exc.value) == f"missing dataset.mmts in {tmp_path}"
 
     @pytest.mark.parametrize("edit, error", [
         (lambda raw: b"MMTX" + raw[4:], "missing MMTS magic"),
@@ -276,13 +276,19 @@ class TestRoundTrip:
         assert path.read_text() == "cycle\n"
         assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
-    def test_saving_into_a_version_1_directory_removes_its_four_files(self, tmp_path):
+    def test_saving_touches_no_other_file_in_the_directory(self, tmp_path):
         write_version_1_dataset(tmp_path, make_dataset(seed=1))
-        (tmp_path / "notes.txt").write_text("not the dataset's")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         new = make_dataset(seed=2)
         save_dataset(new, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.mmts", "notes.txt"]
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert after.pop("dataset.mmts") and after == before
         assert load_dataset(tmp_path) == new
+
+    def test_a_path_that_names_a_file_is_a_dataset_error(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory")
+        with pytest.raises(DatasetError, match="cannot make the dataset directory .*file"):
+            save_dataset(make_dataset(), tmp_path / "file")
 
 
 class TestSplitByYear:

@@ -96,13 +96,20 @@ def test_build_rejects_kernel_longer_than_input():
         build(ModelSpec(Architecture.TEMPCNN), grid_schema(3, 4, CLASSES), seed=0)
 
 
-def test_resize_clamps_kernel_with_warning():
+@pytest.mark.parametrize("t, clamps", [
+    (3, ["kernel clamped from 5 to 3 for input length 3"]),
+    # kernel 4 pads by 1, so the 4 steps conv0 fits leave 3 for conv1
+    (4, ["kernel clamped from 5 to 4 for input length 4",
+         "kernel clamped from 4 to 3 for input length 3"]),
+])
+def test_resize_clamps_kernel_with_warning(t, clamps):
     spec = ModelSpec(Architecture.TEMPCNN, **SMALL)
-    with pytest.warns(UserWarning, match="kernel clamped from 5 to 3"):
-        m = resize_for_input(spec, grid_schema(3, 4, CLASSES), seed=0)
-    assert m.notes == ["kernel clamped from 5 to 3 for input length 3"]
-    assert m.graph.params["conv0/w"].shape[0] == 3
-    assert m.graph.forward(batch(3, 4)).shape == (3, 4)
+    with pytest.warns(UserWarning) as record:
+        m = resize_for_input(spec, grid_schema(t, 4, CLASSES), seed=0)
+    assert [str(w.message) for w in record] == clamps  # one per clamp
+    assert {w.filename for w in record} == {__file__}  # the caller's line
+    assert m.graph.params["conv0/w"].shape[0] == min(t, 5)
+    assert m.graph.forward(batch(t, 4)).shape == (3, 4)
 
 
 def test_an_even_kernel_is_fitted_at_every_layer():
@@ -111,9 +118,9 @@ def test_an_even_kernel_is_fitted_at_every_layer():
     schema = grid_schema(4, 2)
     with pytest.raises(BuildError, match="kernel 4 larger than input length 3 at conv1"):
         build(spec, schema, 0)
-    with pytest.warns(UserWarning, match="kernel clamped from 4 to 3"):
+    with pytest.warns(UserWarning) as record:
         m = resize_for_input(spec, schema, 0)
-    assert m.notes == ["kernel clamped from 4 to 3 for input length 3"]
+    assert [str(w.message) for w in record] == ["kernel clamped from 4 to 3 for input length 3"]
     assert [m.graph.params[f"conv{i}/w"].shape[0] for i in range(3)] == [4, 3, 3]
     assert m.graph.forward(batch(4, 2)).shape == (3, 1)
 

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import roarsel
-from roarsel import roar
+from roarsel import models, roar, training
 from roarsel.codec import encode
 from roarsel.config import load_config
-from roarsel.errors import ConfigError, DatasetError
+from roarsel.errors import BuildError, ConfigError, DatasetError, TrainingError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -82,3 +82,28 @@ def test_run_roar_refuses_a_negative_seed_before_any_work(monkeypatch):
     with pytest.raises(ConfigError, match="^seed must not be negative, got -3$"):
         roarsel.run_roar(splits, roarsel.ModelSpec("mlp", width=4),
                          roarsel.TrainConfig(max_epochs=2, patience=1), plan, seed=-3)
+
+
+@pytest.mark.parametrize("entry", ["build", "resize_for_input", "train", "select_model"])
+def test_model_entries_refuse_a_negative_seed_before_any_work(monkeypatch, entry):
+    splits = roarsel.split_by_year(roarsel.generate(PLANT, seed=0), seed=0)
+    spec = roarsel.ModelSpec("mlp", width=4)
+    cfg = roarsel.TrainConfig(max_epochs=2, patience=1)
+    model = models.build(spec, splits.train.schema, seed=0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{entry} worked before checking its seed")
+
+    for owner, name in ((models, "Graph"), (training, "_Adam"), (training, "fork_map")):
+        monkeypatch.setattr(owner, name, no_work)
+    error, call = {
+        "build": (BuildError, lambda: models.build(spec, splits.train.schema, seed=-1)),
+        "resize_for_input": (BuildError, lambda: models.resize_for_input(
+            spec, splits.train.schema, seed=-1)),
+        "train": (TrainingError, lambda: training.train(
+            model, splits.train, splits.validation, cfg, seed=-1)),
+        "select_model": (TrainingError, lambda: training.select_model(
+            [(spec, cfg)], splits, seed=-1)),
+    }[entry]
+    with pytest.raises(error, match="^seed must not be negative, got -1$"):
+        call()
