@@ -49,7 +49,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import decode
+from .codec import decode, finite
 from .data import FeatureSchema, TensorDataset
 from .engine import DTYPE
 from .errors import EstimatorError
@@ -138,12 +138,6 @@ class ImportanceRanking:
     group_ids: tuple[int, ...]
     scores: tuple[float, ...]  # aggregated, aligned with group_ids
 
-    def top(self, k: int) -> tuple[int, ...]:
-        return self.group_ids[:k]
-
-    def bottom(self, k: int) -> tuple[int, ...]:
-        return self.group_ids[len(self.group_ids) - k:]
-
 
 def aggregate_rank(m: AttributionMatrix) -> ImportanceRanking:
     if m.scores.shape[0] == 0:
@@ -182,7 +176,7 @@ class ExplainBudget:
             raise EstimatorError("n_samples must be positive")
         if self.n_permutations < 1 or self.ensemble_size < 1:
             raise EstimatorError("permutations and ensemble size must be positive")
-        if not math.isfinite(self.noise_scale):
+        if not finite(self.noise_scale):
             raise EstimatorError(f"noise scale must be finite, got {self.noise_scale}")
         if self.noise_scale < 0:
             raise EstimatorError("noise scale cannot be negative")

@@ -12,20 +12,18 @@ completes.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .codec import encode
-from .config import RunConfig, load_config, save_effective_config, section_seed
+from .codec import encode, finite
+from .config import RunConfig, load_config, section_seed
 from .data import (
     DATASET_FILE,
+    csv_text,
     load_dataset,
     save_dataset,
     split_by_year,
@@ -76,8 +74,9 @@ def cmd_generate(cfg: RunConfig) -> Path:
     if not cfg.dataset.path:
         raise ConfigError("generate needs dataset.path to name the output directory")
     d = generate(cfg.dataset.plant, seed=section_seed(cfg.seed, "generate"))
+    out = _make_out(cfg)  # a bad out_dir fails before the dataset is written
     save_dataset(d, cfg.dataset.path)
-    save_effective_config(cfg, _make_out(cfg) / "effective.json")
+    write_json(out / "effective.json", encode(cfg))
     print(
         f"wrote dataset {cfg.dataset.path} "
         f"({d.n_samples} samples, {d.schema.n_timesteps} steps x {d.schema.n_bands} bands)"
@@ -108,20 +107,16 @@ def cmd_select(cfg: RunConfig) -> Path:
     splits = _load_splits(cfg)
     out = _make_out(cfg)  # a bad out_dir fails before the grid trains
     model, report = select_model(cfg.candidates(), splits, section_seed(cfg.seed, "select"))
-    save_effective_config(cfg, out / "effective.json")
+    write_json(out / "effective.json", encode(cfg))
 
     write_json(out / "selection.json", encode(report))
     rows = _selection_rows(report)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["architecture", "learning_rate", "val_metric",
-                     "test_metric", "note"])
-    for c, note in rows:
-        writer.writerow([c.architecture.value, c.learning_rate,
-                         "" if c.val_metric is None else c.val_metric,
-                         "" if c.test_metric is None else c.test_metric, note])
     csv_path = out / "selection.csv"
-    write_atomic(csv_path, buf.getvalue())
+    write_atomic(csv_path, csv_text(
+        [["architecture", "learning_rate", "val_metric", "test_metric", "note"]]
+        + [[c.architecture.value, c.learning_rate,
+            "" if c.val_metric is None else c.val_metric,
+            "" if c.test_metric is None else c.test_metric, note] for c, note in rows]))
 
     print(f"best: {model.spec.architecture.value} "
           f"(candidate #{report.best_index})")
@@ -173,7 +168,7 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
     splits = _load_splits(cfg)
     train_cfg = cfg.model.train_config(cfg.train)
     out = _make_out(cfg)
-    save_effective_config(cfg, out / "effective.json")
+    write_json(out / "effective.json", encode(cfg))
 
     written: list[Path] = []
     slugs: set[str] = set()
@@ -226,7 +221,7 @@ def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> st
     half its magnitude: half a positive baseline, and below a negative one;
     pass a finite ``floor`` to override.
     """
-    if floor is not None and not math.isfinite(floor):
+    if floor is not None and not finite(floor):
         raise ConfigError(f"--floor must be a finite number, not {floor}")
     lines: list[str] = []
     for raw in paths:
@@ -300,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # overrides replace the file's keys before decoding, so they pass
         # the same checks as the config's own values
         overrides = {} if args.seed is None else {"seed": args.seed}
-        if args.out:
+        if args.out is not None:
             overrides["out_dir"] = args.out
         cfg = load_config(args.config, **overrides)
         if args.command == "generate":

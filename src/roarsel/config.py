@@ -19,14 +19,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .attribution import ExplainBudget
-from .codec import decode, encode, finite
-from .data import write_json
+from .codec import decode, finite
 from .errors import ConfigError
 from .models import ModelSpec
-from .roar import DeletionPlan
+from .roar import DeletionPlan, child_seed
 from .synthetic import PlantSpec
 from .training import TrainConfig, default_grid
 
@@ -38,8 +35,7 @@ _SECTION_STREAMS = {"split": 2, "select": 3, "roar": 4, "generate": 6}
 
 def section_seed(seed: int, section: str) -> int:
     """Stable per-command seed derived from the experiment seed."""
-    stream = _SECTION_STREAMS[section]
-    return int(np.random.SeedSequence([int(seed), stream]).generate_state(1)[0])
+    return child_seed(seed, _SECTION_STREAMS[section])
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be positive")
 
@@ -161,8 +159,3 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     if isinstance(raw, dict):
         raw = {**raw, **overrides}
     return RunConfig.from_dict(raw)
-
-
-def save_effective_config(cfg: RunConfig, path: str | Path) -> None:
-    """Persist the defaults-filled config, atomically, in an existing directory."""
-    write_json(path, encode(cfg))

@@ -15,6 +15,8 @@ Everything in it is little-endian:
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass, replace
@@ -233,6 +235,13 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 def write_json(path: str | Path, obj) -> None:
     """Atomic, key-sorted, two-space-indented JSON with a final newline."""
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """CSV lines ending in a bare newline; floats keep their shortest repr."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

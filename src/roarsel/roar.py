@@ -11,8 +11,6 @@ necessary to stay above a chosen floor.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,7 +32,14 @@ from .attribution import (
     run_estimator,
 )
 from .codec import decode, decode_enums, encode, finite
-from .data import SplitTriple, delete_bands, delete_timesteps, write_atomic, write_json
+from .data import (
+    SplitTriple,
+    csv_text,
+    delete_bands,
+    delete_timesteps,
+    write_atomic,
+    write_json,
+)
 from .errors import ConfigError, CurveError, RoarAborted, RoarselError
 from .models import ModelSpec, resize_for_input
 from .training import MetricValue, TrainConfig, TrainReport, evaluate, train
@@ -163,9 +168,10 @@ class DeletionCurve:
 # the campaign loop
 
 
-def _cycle_seed(seed: int, cycle: int, stream: int) -> int:
-    """Per-cycle derived seed; stream 0 builds and trains, stream 1 explains."""
-    return int(np.random.SeedSequence([int(seed), int(cycle), stream]).generate_state(1)[0])
+def child_seed(*key: int) -> int:
+    """The first word of ``SeedSequence(key)``: a cycle's seed from ``(seed, cycle,
+    stream)``, stream 0 to train and 1 to explain, or ``config.section_seed``."""
+    return int(np.random.SeedSequence([int(k) for k in key]).generate_state(1)[0])
 
 
 def _explained_ids(n_train: int, n_samples: Optional[int], seed: int) -> tuple[int, ...]:
@@ -186,7 +192,7 @@ def _run_cycle(
     cycle: int,
     removed_ids: tuple[int, ...],
 ) -> CycleRecord:
-    fit_seed = _cycle_seed(seed, cycle, 0)
+    fit_seed = child_seed(seed, cycle, 0)
     model = resize_for_input(spec, cur.train.schema, fit_seed)
     model, report = train(model, cur.train, cur.validation, cfg, fit_seed)
     test = evaluate(model, cur.test)
@@ -198,7 +204,7 @@ def _run_cycle(
         cur.train.values[np.asarray(sample_ids, dtype=np.int64)],
         groups,
         plan.budget,
-        _cycle_seed(seed, cycle, 1),
+        child_seed(seed, cycle, 1),
         baseline=mean_baseline(cur.train),
         noise_range=cell_span(cur.train),
         sample_ids=sample_ids,
@@ -252,11 +258,9 @@ def run_roar(
             on_cycle(curve)
         if record.remaining <= 1:
             return curve
-        n_del = min(step, record.remaining - 1)
-        if plan.order is DeletionOrder.MOST_FIRST:
-            removed = record.ranking.top(n_del)
-        else:
-            removed = record.ranking.bottom(n_del)
+        k = min(step, record.remaining - 1)
+        ranked = record.ranking.group_ids  # most important first
+        removed = ranked[:k] if plan.order is DeletionOrder.MOST_FIRST else ranked[-k:]
         cur = cur.map(lambda d, ids=removed: _DELETE[plan.axis](d, ids))
 
 
@@ -282,7 +286,7 @@ def necessary_set(curve: DeletionCurve, floor: float) -> frozenset[int]:
     falls below ``floor``; empty if the curve never crosses it."""
     if curve.plan.order is not DeletionOrder.MOST_FIRST:
         raise CurveError("necessary set needs a most_first curve")
-    if not math.isfinite(floor):
+    if not finite(floor):
         raise CurveError(f"necessary-set floor must be finite, not {floor}")
     rec = next((r for r in curve.records if r.val_metric.value < floor), curve.baseline)
     return frozenset(curve.baseline.ranking.group_ids) - set(rec.ranking.group_ids)
@@ -297,14 +301,10 @@ CURVE_CSV_COLUMNS = ("cycle", "fraction_removed", "val_metric", "test_metric")
 
 def curve_csv_text(curve: DeletionCurve) -> str:
     """Flat per-cycle series; floats keep full shortest-repr precision."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVE_CSV_COLUMNS)
     total = curve.n_groups
-    for rec in curve.all_records():
-        fraction = (total - rec.remaining) / total
-        writer.writerow([rec.cycle, fraction, rec.val_metric.value, rec.test_metric.value])
-    return buf.getvalue()
+    return csv_text([CURVE_CSV_COLUMNS] + [
+        [r.cycle, (total - r.remaining) / total, r.val_metric.value, r.test_metric.value]
+        for r in curve.all_records()])
 
 
 def save_curve_csv(curve: DeletionCurve, path: str | Path) -> None:

@@ -148,12 +148,6 @@ class _Adam:
         self.flat -= g
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def train(
     model: Model,
     train_split: TensorDataset,
@@ -187,13 +181,13 @@ def train(
     best: Optional[np.ndarray] = None
     train_hist: list[float] = []
     val_hist: list[float] = []
-    since_best = 0
-    epochs_run = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
         epoch_loss = 0.0
-        for bi, idx in enumerate(_batches(train_split.n_samples, cfg.batch_size, rng)):
+        # the shuffle draws from rng before this epoch's first dropout mask
+        order = rng.permutation(train_split.n_samples)
+        for bi, start in enumerate(range(0, train_split.n_samples, cfg.batch_size)):
+            idx = order[start:start + cfg.batch_size]
             xb = train_split.values[idx]
             yb = train_split.targets[idx]
             loss = graph.forward_loss(xb, yb, rng)
@@ -214,16 +208,13 @@ def train(
             best_val = val_loss
             best_epoch = epoch
             best = opt.flat.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
     opt.flat[...] = best  # the first epoch always improves on inf
     report = TrainReport(
         best_epoch=best_epoch,
-        epochs_run=epochs_run,
+        epochs_run=len(val_hist),
         train_loss=train_hist,
         val_loss=val_hist,
         val_metric=evaluate(model, val_split),

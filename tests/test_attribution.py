@@ -758,11 +758,9 @@ def test_ranking_invariant_under_positive_rescale():
     assert a.group_ids == b.group_ids
 
 
-def test_top_and_bottom_selectors():
+def test_ranking_is_most_important_first():
     r = aggregate_rank(matrix([[4.0, 1.0, 3.0, 2.0]]))
     assert r.group_ids == (0, 2, 3, 1)
-    assert r.top(2) == (0, 2)
-    assert r.bottom(2) == (3, 1)
 
 
 # -- budget ------------------------------------------------------------------
@@ -784,7 +782,8 @@ def test_budget_validation():
         budget(n_samples=0)
 
 
-@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                   pytest.param(10**400, id="10**400")])
 def test_budget_rejects_a_non_finite_noise_scale(scale):
     # a NaN scale used to noise nothing, and an infinite one zeroed every score
     with pytest.raises(EstimatorError, match=f"noise scale must be finite, got {scale}"):

@@ -12,7 +12,7 @@ from roarsel import cli, roar
 from roarsel.cli import _selection_rows, cmd_report, main
 from roarsel.config import load_config, section_seed
 from roarsel.data import load_dataset
-from roarsel.errors import RoarAborted, TrainingDiverged
+from roarsel.errors import ConfigError, RoarAborted, TrainingDiverged
 from roarsel.models import Architecture
 from roarsel.attribution import ESTIMATOR_TAGS
 from roarsel.codec import encode
@@ -404,7 +404,8 @@ def test_a_version_1_directory_exits_3_naming_dataset_mmts(tmp_path, capsys, com
 def test_a_bad_path_exits_with_one_named_line(workspace, tmp_path, capsys, monkeypatch, case):
     """A path that is not what its key needs is a config error (exit 2) or
     a runtime failure (exit 3), never a traceback; ``select`` fails on its
-    output directory before it trains."""
+    output directory before it trains, and ``generate`` before it writes the
+    dataset."""
     monkeypatch.setattr(cli, "select_model",
                         lambda *args: pytest.fail("select trained before making its out dir"))
     taken = tmp_path / "taken"
@@ -430,6 +431,27 @@ def test_a_bad_path_exits_with_one_named_line(workspace, tmp_path, capsys, monke
     assert main([command, "--config", str(config), *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith(line) and err.count("\n") == 1, err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "select", "roar"])
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_an_empty_out_dir_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                  command, route):
+    """An empty ``out_dir``, from the file or from ``--out ""``, is refused
+    by name; it neither means the working directory nor falls back to the
+    file's value."""
+    cfg = base_config(tmp_path)
+    if command != "generate":
+        cfg["dataset"]["path"] = str(workspace.data)
+    extra = ["--out", ""] if route == "flag" else []
+    if route == "config":
+        cfg["out_dir"] = ""
+    p = write_config(tmp_path / "cfg.json", cfg)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(p), *extra]) == 2
+    assert capsys.readouterr().err == "config error: config: out_dir must not be empty\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_regression_holdout_of_two_exits_3_naming_it(tmp_path, capsys):
@@ -763,6 +785,13 @@ def test_a_bad_curve_file_exits_3_naming_it(workspace, tmp_path, capsys,
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert str(path) in err and fragment in err
+
+
+def test_cmd_report_refuses_a_floor_beyond_float_range(tmp_path):
+    """An integer floor too large for a float is not finite either."""
+    with pytest.raises(ConfigError, match=f"^--floor must be a finite number, not {10**400}$"):
+        cmd_report([tmp_path / "nope.curve.json"], floor=10**400)
+
 
 def test_cmd_report_returns_the_printed_text(tmp_path, capsys):
     least = fab_curve([0.9, 0.89], [[4]], DeletionOrder.LEAST_FIRST)

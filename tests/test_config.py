@@ -4,18 +4,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from roarsel.codec import encode
-from roarsel.config import (
-    CandidateConfig,
-    RunConfig,
-    load_config,
-    save_effective_config,
-    section_seed,
-)
+from roarsel.config import CandidateConfig, RunConfig, load_config, section_seed
+from roarsel.data import write_json
 from roarsel.errors import ConfigError
 from roarsel.models import Architecture
+from roarsel.roar import child_seed
 
 
 def full_dict():
@@ -317,6 +314,24 @@ def test_section_seeds_are_stable_and_distinct():
     assert section_seed(1, "split") != section_seed(0, "split")
 
 
+def test_child_seed_is_both_derivations_it_replaced():
+    """The cycle seeds and the section seeds were two copies of one
+    expression; both copies are kept here as oracles."""
+    def cycle_seed(seed, cycle, stream):
+        return int(np.random.SeedSequence([int(seed), int(cycle), stream]).generate_state(1)[0])
+
+    def old_section_seed(seed, section):
+        stream = {"split": 2, "select": 3, "roar": 4, "generate": 6}[section]
+        return int(np.random.SeedSequence([int(seed), stream]).generate_state(1)[0])
+
+    for seed in (0, 1, 7, 2**31 - 1, 2**40 + 3, np.int64(12)):
+        for cycle in (0, 1, 5, 39):
+            for stream in (0, 1):
+                assert child_seed(seed, cycle, stream) == cycle_seed(seed, cycle, stream)
+        for section in ("split", "select", "roar", "generate"):
+            assert section_seed(seed, section) == old_section_seed(seed, section)
+
+
 # -- file boundary -------------------------------------------------------------
 
 
@@ -370,7 +385,7 @@ def test_effective_config_round_trips_and_is_byte_stable(tmp_path, raw):
     path.write_text(json.dumps(raw))
     cfg = load_config(path)
     echo, again = tmp_path / "effective.json", tmp_path / "again.json"
-    save_effective_config(cfg, echo)
+    write_json(echo, encode(cfg))
     assert load_config(echo) == cfg
-    save_effective_config(load_config(echo), again)
+    write_json(again, encode(load_config(echo)))
     assert again.read_bytes() == echo.read_bytes()

@@ -121,6 +121,20 @@ def test_k2_last_cycle_removes_fewer():
     assert [r.remaining for r in curve.records] == [2, 1]
 
 
+@pytest.mark.parametrize("order", list(DeletionOrder))
+def test_each_cycle_removes_its_end_of_the_last_ranking(order):
+    """most_first removes the head of the previous cycle's ranking and
+    least_first its tail, each in ranking order."""
+    curve = tiny_run(order, b=5, k=2)
+    records = curve.all_records()
+    for before, rec in zip(records, records[1:]):
+        ranked = before.ranking.group_ids
+        k = len(rec.removed_ids)
+        end = ranked[:k] if order is DeletionOrder.MOST_FIRST else ranked[len(ranked) - k:]
+        assert rec.removed_ids == end
+    assert [len(r.removed_ids) for r in curve.records] == [2, 2]
+
+
 def test_callback_sees_baseline_and_every_cycle():
     """After each cycle the hook gets the curve so far; the last one is the
     returned curve."""
@@ -420,7 +434,8 @@ def test_necessary_requires_most_first():
         necessary_set(curve, floor=0.5)
 
 
-@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -float("inf"),
+                                   pytest.param(10**400, id="10**400")])
 def test_necessary_rejects_a_non_finite_floor(floor):
     curve = fab_curve([0.9, 0.1], [[4]], DeletionOrder.MOST_FIRST)
     with pytest.raises(CurveError, match=f"floor must be finite, not {floor}"):
