@@ -67,7 +67,7 @@ def _load_splits(cfg: RunConfig):
 # commands
 
 
-def cmd_generate(cfg: RunConfig) -> Path:
+def cmd_generate(cfg: RunConfig) -> None:
     """Write the configured planted dataset as an on-disk directory."""
     if cfg.dataset.plant is None:
         raise ConfigError("generate needs a dataset.plant block")
@@ -81,7 +81,6 @@ def cmd_generate(cfg: RunConfig) -> Path:
         f"wrote dataset {cfg.dataset.path} "
         f"({d.n_samples} samples, {d.schema.n_timesteps} steps x {d.schema.n_bands} bands)"
     )
-    return Path(cfg.dataset.path)
 
 
 def _selection_rows(report: SelectionReport) -> list[tuple[CandidateResult, str]]:
@@ -102,7 +101,7 @@ def _selection_rows(report: SelectionReport) -> list[tuple[CandidateResult, str]
     return rows
 
 
-def cmd_select(cfg: RunConfig) -> Path:
+def cmd_select(cfg: RunConfig) -> None:
     """Train the grid, rank by validation metric, emit the results table."""
     splits = _load_splits(cfg)
     out = _make_out(cfg)  # a bad out_dir fails before the grid trains
@@ -111,8 +110,7 @@ def cmd_select(cfg: RunConfig) -> Path:
 
     write_json(out / "selection.json", encode(report))
     rows = _selection_rows(report)
-    csv_path = out / "selection.csv"
-    write_atomic(csv_path, csv_text(
+    write_atomic(out / "selection.csv", csv_text(
         [["architecture", "learning_rate", "val_metric", "test_metric", "note"]]
         + [[c.architecture.value, c.learning_rate,
             "" if c.val_metric is None else c.val_metric,
@@ -125,7 +123,6 @@ def cmd_select(cfg: RunConfig) -> Path:
         test = "-" if c.test_metric is None else f"{c.test_metric:.4f}"
         suffix = f"  [{note}]" if note else ""
         print(f"  {c.architecture.value:<8} val {val}  test {test}{suffix}")
-    return csv_path
 
 
 def _plan_slug(plan, used: set[str]) -> str:
@@ -153,7 +150,7 @@ def _fingerprint(cfg: RunConfig, plan) -> str:
     return digest.hexdigest()
 
 
-def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
+def cmd_roar(cfg: RunConfig, resume: bool = False) -> None:
     """Run every configured deletion campaign; one CSV + SVG per plan.
 
     With ``resume``, a plan whose curve file already exists is reused
@@ -170,7 +167,6 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
     out = _make_out(cfg)
     write_json(out / "effective.json", encode(cfg))
 
-    written: list[Path] = []
     slugs: set[str] = set()
     for plan in cfg.plans:
         slug = _plan_slug(plan, slugs)
@@ -207,15 +203,13 @@ def cmd_roar(cfg: RunConfig, resume: bool = False) -> list[Path]:
         # a kill after save_curve leaves partials that a reused plan removes too
         for path in partials:
             path.unlink(missing_ok=True)
-        written.extend([curve_path, csv_path, svg_path])
         base = curve.baseline.val_metric
         print(f"{slug}: {len(curve.records)} cycles, "
               f"baseline {base.kind.value} {base.value:.4f}")
-    return written
 
 
-def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> str:
-    """Summarize saved curves: sufficient set, necessary set, slack.
+def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> None:
+    """Print a summary of saved curves: sufficient set, necessary set, slack.
 
     The necessary-set floor defaults to the curve's baseline metric less
     half its magnitude: half a positive baseline, and below a negative one;
@@ -249,9 +243,7 @@ def cmd_report(paths: Sequence[str | Path], floor: Optional[float] = None) -> st
             ids = necessary_set(curve, floor=cut)
             lines.append("  sufficient set: n/a (needs a least_first curve)")
             lines.append(f"  necessary set (floor {cut:.4f}): {sorted(ids)}")
-    text = "\n".join(lines)
-    print(text)
-    return text
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +300,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RoarselError as exc:
+    except (RoarselError, OSError) as exc:  # OSError: an output that cannot be written or removed
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -216,16 +216,13 @@ class SplitTriple:
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Write ``data`` to a ``.tmp`` sibling, then rename it over ``path``.
-    A write or rename that fails removes the sibling and leaves ``path`` as
-    it was."""
+    """Write ``data``, text as UTF-8 whatever the locale, to a ``.tmp``
+    sibling, then rename it over ``path``. A write or rename that fails
+    removes the sibling and leaves ``path`` as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        if isinstance(data, bytes):
-            tmp.write_bytes(data)
-        else:
-            tmp.write_text(data)
+        tmp.write_bytes(data if isinstance(data, bytes) else data.encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -181,7 +181,7 @@ class Graph:
                 f"with padding {padding}"
             )
         return self._add(
-            "conv1d", (x, w, b), {"padding": padding}, (t_out, c_out),
+            "conv1d", (x, w, b), {}, (t_out, c_out),
             lambda v: _conv1d_forward(v[x], v[w], v[b], padding),
             lambda g, y, v, gx=True: _conv1d_backward(v[x], v[w], g, padding, gx),
         )
@@ -202,7 +202,7 @@ class Graph:
             gx[:, t, :] = g
             return (gx,)
 
-        return self._add("slice_time", (x,), {"t": t}, (xs[1],),
+        return self._add("slice_time", (x,), {}, (xs[1],),
                          lambda v: np.ascontiguousarray(v[x][:, t, :]), bwd)
 
     def recurrent(self, x: int, wx: int, wh: int, b: int, cell: str) -> int:
@@ -421,7 +421,7 @@ def _dropout_mask(rng, size, rate):
     if rng is None:
         return None
     keep = 1.0 - rate
-    return ((rng.random(size=size) < keep).astype(DTYPE) / DTYPE(keep)).astype(DTYPE)
+    return (rng.random(size=size) < keep).astype(DTYPE) / DTYPE(keep)
 
 
 def _columns(x, k, padding):

@@ -434,6 +434,28 @@ def test_a_bad_path_exits_with_one_named_line(workspace, tmp_path, capsys, monke
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("command, output", [
+    ("generate", "data/dataset.mmts"),
+    ("select", "out/selection.json"),
+    ("roar", "out/svs_least_first_by_band.curve.json"),
+])
+def test_an_output_that_cannot_be_written_exits_3_with_one_named_line(workspace, tmp_path,
+                                                                     capsys, command, output):
+    """A directory where a command writes or removes a file is a runtime
+    failure that names the path, not a traceback."""
+    cfg = base_config(tmp_path)
+    if command != "generate":
+        cfg["dataset"]["path"] = str(workspace.data)
+    cfg["grid"] = cfg["grid"][:1]
+    cfg["plans"] = cfg["plans"][:1]
+    (tmp_path / output).mkdir(parents=True)
+    assert main([command, "--config", str(write_config(tmp_path / "cfg.json", cfg))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"'{tmp_path / output}'" in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("command", ["generate", "select", "roar"])
 @pytest.mark.parametrize("route", ["config", "flag"])
 def test_an_empty_out_dir_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
@@ -793,10 +815,11 @@ def test_cmd_report_refuses_a_floor_beyond_float_range(tmp_path):
         cmd_report([tmp_path / "nope.curve.json"], floor=10**400)
 
 
-def test_cmd_report_returns_the_printed_text(tmp_path, capsys):
+def test_cmd_report_prints_the_report(tmp_path, capsys):
     least = fab_curve([0.9, 0.89], [[4]], DeletionOrder.LEAST_FIRST)
     p = tmp_path / "c.curve.json"
     save_curve(least, p)
-    text = cmd_report([p])
-    assert capsys.readouterr().out == text + "\n"
+    cmd_report([p])
+    text = capsys.readouterr().out
+    assert text.startswith(f"curve {p}\n") and text.endswith("\n")
     assert "sufficient set" in text

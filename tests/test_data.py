@@ -1,6 +1,9 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -275,6 +278,21 @@ class TestRoundTrip:
             write_atomic(path, "\udcff")  # a lone surrogate encodes in no codec
         assert path.read_text() == "cycle\n"
         assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+    def test_text_is_written_as_utf8_whatever_the_locale(self, tmp_path):
+        """Text goes to disk as UTF-8 under the C locale too, where the
+        locale's own encoding is ASCII."""
+        path = tmp_path / "note.txt"
+        src = str(Path(data_mod.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=src)
+        code = ("import sys; from roarsel.data import write_atomic; "
+                "write_atomic(sys.argv[1], 'caf\\u00e9\\n')")
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes() == "café\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["note.txt"]
 
     def test_saving_touches_no_other_file_in_the_directory(self, tmp_path):
         write_version_1_dataset(tmp_path, make_dataset(seed=1))
