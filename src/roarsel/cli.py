@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,8 +47,19 @@ from .synthetic import generate
 from .training import CandidateResult, SelectionReport, select_model
 
 
+def _on_disk(name: str) -> Path:
+    """The path a config names. The config is UTF-8 text, so a name that
+    the locale's encoding cannot hold (the C locale's is ASCII) is given to
+    the file system as its UTF-8 bytes."""
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        name = os.fsdecode(name.encode("utf-8", "surrogateescape"))
+    return Path(name)
+
+
 def _make_out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
+    out = _on_disk(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -59,7 +71,7 @@ def _make_out(cfg: RunConfig) -> Path:
 def _load_splits(cfg: RunConfig):
     if not cfg.dataset.path:
         raise ConfigError("config needs dataset.path")
-    return split_by_year(load_dataset(cfg.dataset.path), cfg.split.holdout_years,
+    return split_by_year(load_dataset(_on_disk(cfg.dataset.path)), cfg.split.holdout_years,
                          seed=section_seed(cfg.seed, "split"))
 
 
@@ -75,10 +87,11 @@ def cmd_generate(cfg: RunConfig) -> None:
         raise ConfigError("generate needs dataset.path to name the output directory")
     d = generate(cfg.dataset.plant, seed=section_seed(cfg.seed, "generate"))
     out = _make_out(cfg)  # a bad out_dir fails before the dataset is written
-    save_dataset(d, cfg.dataset.path)
+    path = _on_disk(cfg.dataset.path)
+    save_dataset(d, path)
     write_json(out / "effective.json", encode(cfg))
     print(
-        f"wrote dataset {cfg.dataset.path} "
+        f"wrote dataset {path} "
         f"({d.n_samples} samples, {d.schema.n_timesteps} steps x {d.schema.n_bands} bands)"
     )
 
@@ -144,7 +157,7 @@ def _fingerprint(cfg: RunConfig, plan) -> str:
     inputs = [encode(plan), encode(cfg.model), encode(cfg.model.train_config(cfg.train)),
               encode(cfg.split), section_seed(cfg.seed, "roar"), CURVE_FORMAT]
     digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode())
-    with open(Path(cfg.dataset.path, DATASET_FILE), "rb") as f:
+    with open(_on_disk(cfg.dataset.path) / DATASET_FILE, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()

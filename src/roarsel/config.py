@@ -149,7 +149,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     before decoding; any problem at all is a config error."""
     p = Path(path)
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_bytes())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {p}") from exc
     except OSError as exc:  # a directory, or not readable

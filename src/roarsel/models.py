@@ -22,7 +22,8 @@ resize path used between deletion cycles instead clamps the kernel to that
 length and warns. An even kernel shortens the series by one step per
 layer, so a later layer can need the clamp when the first does not. Resizing
 always constructs a fresh model: the retraining protocol forbids warm starts,
-which would leak information about deleted features.
+which would leak information about deleted features. ``macs_per_row`` gives
+a spec's forward cost over a schema without building anything.
 
 All parameters, biases included, draw from a seeded uniform He-style scheme
 U(-sqrt(6/fan_in), +sqrt(6/fan_in)), so two different seeds give models that
@@ -253,6 +254,32 @@ def _cell_params(g, rng, cell, in_dim, hid, prefix):
     blocks = zip(*(drawn[gate] for gate in columns))
     return tuple(g.param(f"{prefix}/{name}", np.concatenate(parts, axis=-1))
                  for name, parts in zip(("wx", "wh", "b"), blocks))
+
+
+def macs_per_row(spec: ModelSpec, schema: FeatureSchema) -> int:
+    """Multiply-adds per input row of one forward pass through the model
+    ``build`` makes of ``spec`` over the schema's grid, weights only:
+    ``fan_in · fan_out`` per dense layer, ``length_out · k · c_in · c_out``
+    per convolution and ``T · k · H · (in + H)`` per recurrent layer of k
+    gates. Nothing is built or drawn. A kernel longer than its layer's input
+    counts as clamped, so a spec that ``build`` refuses has a cost too."""
+    t, b = schema.n_timesteps, schema.n_bands
+    arch, depth = spec.architecture, spec.resolved_depth
+    if arch is Architecture.MLP:
+        macs, fan = t * b * spec.width + (depth - 1) * spec.width ** 2, spec.width
+    elif arch is Architecture.TEMPCNN:
+        macs, length, c_in, k = 0, t, b, spec.kernel_size
+        for _ in range(depth):
+            k = min(k, length)
+            length = length + 2 * ((k - 1) // 2) - k + 1
+            macs += length * k * c_in * spec.channels
+            c_in = spec.channels
+        macs, fan = macs + length * spec.channels * spec.dense_size, spec.dense_size
+    else:
+        gates, h = len(_GATES[arch.value][0]), spec.hidden_size
+        macs, fan = t * gates * h * ((b + h) + (depth - 1) * 2 * h), h
+    out = schema.n_classes if schema.task is Task.CLASSIFICATION else 1
+    return macs + fan * out
 
 
 def _attach_head(g, schema, last, fan, rng):

@@ -319,7 +319,7 @@ def save_curve(curve: DeletionCurve, path: str | Path) -> None:
 def load_curve(path: str | Path) -> DeletionCurve:
     """Read a curve file; any problem with it is a CurveError naming the path."""
     try:
-        return decode(DeletionCurve, json.loads(Path(path).read_text()), "curve")
+        return decode(DeletionCurve, json.loads(Path(path).read_bytes()), "curve")
     except FileNotFoundError:
         raise CurveError(f"no curve file at {path}") from None
     except (OSError, ValueError, RoarselError) as exc:

@@ -37,7 +37,7 @@ from .data import SplitTriple, Task, TensorDataset
 from .engine import DTYPE
 from .errors import BuildError, TrainingDiverged, TrainingError
 from .lanes import fork_map
-from .models import Architecture, Model, ModelSpec, build
+from .models import Architecture, Model, ModelSpec, build, macs_per_row
 
 
 @dataclass(frozen=True)
@@ -279,12 +279,13 @@ def select_model(
     """Train every candidate and pick the best validation metric.
 
     Each candidate is built and trained from ``seed``, in one of the lanes
-    of ``lanes.fork_map``; this process then rebuilds every trained model
-    from its parameters, so the result does not depend on the lanes. Ties
-    keep the earlier grid index. Per-candidate training errors are recorded
-    and the grid continues; all candidates failing is an error. The test
-    split is consulted only after ranking, so it never influences the
-    ranking. An empty grid or a negative seed is a ``TrainingError``.
+    of ``lanes.fork_map``, which claim them in descending ``macs_per_row``;
+    this process then rebuilds every trained model from its parameters, so
+    the result depends on neither the lanes nor that order. Ties keep the
+    earlier grid index. Per-candidate training errors are recorded and the
+    grid continues; all candidates failing is an error. The test split is
+    consulted only after ranking, so it never influences the ranking. An
+    empty grid or a negative seed is a ``TrainingError``.
     """
     if not grid:
         raise TrainingError("empty selection grid")
@@ -293,11 +294,17 @@ def select_model(
     ok: list[CandidateResult] = []
     failed: list[CandidateResult] = []
     models: dict[int, Model] = {}
-    outcomes = fork_map(lambda i: _fit(*grid[i], splits, seed), len(grid),
-                        lambda lost: TrainingError("a training process exited without "
-                                                   f"the outcome of candidates {lost}"))
-    for i, outcome in enumerate(outcomes):
-        spec, cfg = grid[i]
+    # the lanes claim the costliest candidates first, so that none trains
+    # alone at the end; the stable sort keeps grid order on equal costs
+    order = sorted(range(len(grid)),
+                   key=lambda i: -macs_per_row(grid[i][0], splits.train.schema))
+    claimed = fork_map(lambda j: _fit(*grid[order[j]], splits, seed), len(grid),
+                       lambda lost: TrainingError(
+                           "a training process exited without the outcome of "
+                           f"candidates {sorted(order[j] for j in lost)}"))
+    outcomes = dict(zip(order, claimed))
+    for i, (spec, cfg) in enumerate(grid):
+        outcome = outcomes[i]
         if isinstance(outcome, str):
             failed.append(CandidateResult(i, spec.architecture, cfg.learning_rate,
                                           None, outcome))

@@ -1,6 +1,9 @@
 """End-to-end command tests through the argparse front door."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -92,6 +95,31 @@ def test_generate_same_seed_is_byte_identical(workspace, tmp_path):
     b = (tmp_path / "copy2" / "dataset.mmts").read_bytes()
     assert a == b
     assert a == (workspace.data / "dataset.mmts").read_bytes()
+
+
+def test_generate_under_the_c_locale_reads_utf8_and_makes_non_ascii_names(workspace,
+                                                                           tmp_path):
+    """The config is UTF-8 text whatever the locale, and a name that the C
+    locale's ASCII cannot hold is made as its UTF-8 bytes, as under a UTF-8
+    locale."""
+    cfg = base_config(workspace.root)
+    cfg["dataset"]["path"] = str(tmp_path / "data-café")
+    cfg["out_dir"] = str(tmp_path / "out-café")
+    path = tmp_path / "run.json"
+    path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "roarsel", "generate", "--config", str(path)],
+                          env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"wrote dataset {tmp_path}/data-café (".encode("utf-8"))
+    assert sorted(os.listdir(os.fsencode(tmp_path))) == \
+           [b"data-caf\xc3\xa9", b"out-caf\xc3\xa9", b"run.json"]
+    assert (tmp_path / "data-café" / "dataset.mmts").read_bytes() == \
+           (workspace.data / "dataset.mmts").read_bytes()
+    echoed = json.loads((tmp_path / "out-café" / "effective.json").read_bytes())
+    assert (echoed["out_dir"], echoed["dataset"]["path"]) == \
+           (cfg["out_dir"], cfg["dataset"]["path"])
 
 
 def test_generate_seed_override_changes_the_data(workspace, tmp_path):

@@ -1,6 +1,7 @@
 """Architecture builders: shape contracts, determinism, resize rules."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from roarsel.models import (
     Architecture,
     ModelSpec,
     build,
+    macs_per_row,
     resize_for_input,
 )
 
@@ -130,6 +132,57 @@ def test_resize_handles_single_step_input():
     with pytest.warns(UserWarning):
         m = resize_for_input(spec, grid_schema(1, 2, CLASSES), seed=0)
     assert m.graph.forward(batch(1, 2)).shape == (3, 4)
+
+
+# -- forward cost ------------------------------------------------------------
+
+
+def counted_macs(model) -> int:
+    """Multiply-adds per row read off a built graph's parameter shapes: a
+    dense weight counts its size, a convolution kernel its size times the
+    layer's output length, and a recurrent layer its wx and wh sizes times
+    the steps."""
+    g = model.graph
+    macs = 0
+    for node in g.nodes:
+        sizes = [math.prod(g.nodes[a].shape) for a in node.args[1:]]
+        if node.op == "dense":
+            macs += sizes[0]
+        elif node.op == "conv1d":
+            macs += sizes[0] * node.shape[0]
+        elif node.op == "recurrent":
+            macs += (sizes[0] + sizes[1]) * g.input_shape[0]
+    return macs
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(Architecture.MLP, **SMALL),
+    ModelSpec(Architecture.MLP, width=5, depth=3),
+    ModelSpec(Architecture.RNN, **SMALL),
+    ModelSpec(Architecture.RNN, hidden_size=5, depth=2),
+    ModelSpec(Architecture.LSTM, **SMALL),
+    ModelSpec(Architecture.LSTM, hidden_size=3, depth=2),
+    ModelSpec(Architecture.GRU, **SMALL),
+    ModelSpec(Architecture.GRU, hidden_size=6, depth=2),
+    ModelSpec(Architecture.TEMPCNN, **SMALL),
+    ModelSpec(Architecture.TEMPCNN, kernel_size=4, channels=3, dense_size=5),
+    ModelSpec(Architecture.TEMPCNN, kernel_size=2, channels=5, depth=1),
+], ids=lambda spec: f"{spec.architecture.value}-{spec.resolved_depth}-k{spec.kernel_size}")
+@pytest.mark.parametrize("n_classes", [None, CLASSES])
+def test_macs_per_row_counts_the_built_graph(spec, n_classes):
+    schema = grid_schema(9, 4, n_classes)
+    assert macs_per_row(spec, schema) == counted_macs(build(spec, schema, seed=0))
+
+
+@pytest.mark.parametrize("t", [1, 3, 4])
+def test_a_kernel_longer_than_its_input_costs_the_clamped_model(t):
+    spec = ModelSpec(Architecture.TEMPCNN, **SMALL)  # kernel 5
+    schema = grid_schema(t, 2, CLASSES)
+    with pytest.raises(BuildError, match="kernel 5 larger than input length"):
+        build(spec, schema, seed=0)
+    with pytest.warns(UserWarning):
+        clamped = resize_for_input(spec, schema, seed=0)
+    assert macs_per_row(spec, schema) == counted_macs(clamped) > 0
 
 
 # -- shape fuzz --------------------------------------------------------------

@@ -13,6 +13,8 @@ import pytest
 from conftest import forked_lanes, run_pinned
 
 from roarsel.cli import main
+from roarsel.data import load_dataset
+from roarsel.models import ModelSpec, macs_per_row
 
 pytestmark = forked_lanes
 
@@ -28,24 +30,26 @@ FIVE_FAMILIES = [
 SHORT_TEMPCNN = {"architecture": "tempcnn", "channels": 4, "kernel_size": 9,
                  "dense_size": 8}  # kernel 9 > T = 4: the candidate fails
 
-# Runs `select` with `train` wrapped to append the pid of every process that
-# trains to argv[2], then exits with select's code once no child is left.
-# This process's first job waits until a forked lane has recorded one.
+# Runs `select` with `train` wrapped to log to argv[2] the pid of this
+# process, then one line "pid architecture start" per call in any process,
+# and exits with select's code once no child is left. This process's first
+# job waits until a forked lane has logged one.
 RECORDING_SELECT = """
-import os, sys
+import os, sys, time
 from pathlib import Path
 from conftest import await_a_lane
 from roarsel import training
 from roarsel.cli import main
 
-parent, train, pids = os.getpid(), training.train, Path(sys.argv[2])
+parent, train, log = os.getpid(), training.train, Path(sys.argv[2])
+log.write_text(f"{parent}\\n")
 
-def recording_train(*args, **kwargs):
-    with open(pids, "a") as f:
-        f.write(f"{os.getpid()}\\n")
+def recording_train(model, *args, **kwargs):
+    with open(log, "a") as f:
+        f.write(f"{os.getpid()} {model.spec.architecture.value} {time.monotonic()}\\n")
     if os.getpid() == parent:
-        await_a_lane(lambda: len(set(pids.read_text().split())) >= 2)
-    return train(*args, **kwargs)
+        await_a_lane(lambda: len({line.split()[0] for line in log.read_text().splitlines()}) >= 2)
+    return train(model, *args, **kwargs)
 
 training.train = recording_train
 code = main(["select", "--config", sys.argv[1], "--out", sys.argv[3]])
@@ -55,6 +59,20 @@ except ChildProcessError:
     sys.exit(code)
 sys.exit("a child process outlived select")
 """
+
+# ... in at most two lanes, this process and one forked lane
+TWO_LANES = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+
+
+def _train_log(path) -> tuple[str, dict[str, list[str]]]:
+    """The recording process's pid, and the architectures each process
+    trained, in the order it started them."""
+    parent, *lines = path.read_text().splitlines()
+    calls = sorted((float(start), pid, arch) for pid, arch, start in map(str.split, lines))
+    trained: dict[str, list[str]] = {}
+    for _, pid, arch in calls:
+        trained.setdefault(pid, []).append(arch)
+    return parent, trained
 
 
 def _config(tmp_path, grid):
@@ -69,22 +87,41 @@ def _config(tmp_path, grid):
     return str(path)
 
 
+def _recorded_select(tmp_path, path, script=RECORDING_SELECT):
+    """Runs ``select`` in this process and ``script`` pinned, checks that
+    both write the same bytes, and returns the pinned run's train log."""
+    assert main(["select", "--config", path, "--out", str(tmp_path / "one")]) == 0
+    log = tmp_path / "train.log"
+    done = run_pinned("-c", script, path, str(log), str(tmp_path / "forked"))
+    assert done.returncode == 0, done.stderr
+    for name in ("selection.json", "selection.csv"):
+        assert (tmp_path / "forked" / name).read_bytes() == \
+               (tmp_path / "one" / name).read_bytes(), name
+    return log
+
+
 @pytest.mark.parametrize("grid", [FIVE_FAMILIES,
                                   [FIVE_FAMILIES[0], SHORT_TEMPCNN, FIVE_FAMILIES[1]]],
                          ids=["five-families", "failing-tempcnn"])
 def test_forked_select_writes_the_one_lane_bytes(tmp_path, grid):
     path = _config(tmp_path, grid)
-    assert main(["select", "--config", path, "--out", str(tmp_path / "one")]) == 0
-    pids = tmp_path / "pids"
-    done = run_pinned("-c", RECORDING_SELECT, path, str(pids), str(tmp_path / "forked"))
-    assert done.returncode == 0, done.stderr
-    for name in ("selection.json", "selection.csv"):
-        assert (tmp_path / "forked" / name).read_bytes() == \
-               (tmp_path / "one" / name).read_bytes(), name
-    assert len(set(pids.read_text().split())) >= 2  # the lanes really forked
+    log = _recorded_select(tmp_path, path)
+    assert len(_train_log(log)[1]) >= 2  # the lanes really forked
     if SHORT_TEMPCNN in grid:
         rows = (tmp_path / "forked" / "selection.csv").read_text().splitlines()
         assert [r for r in rows if r.startswith("tempcnn,")][0].count("failed: ") == 1
+
+
+def test_forked_lanes_claim_the_costliest_candidates_first(tmp_path):
+    path = _config(tmp_path, FIVE_FAMILIES)
+    schema = load_dataset(tmp_path / "data").schema
+    costs = {c["architecture"]: macs_per_row(ModelSpec(**c), schema) for c in FIVE_FAMILIES}
+    assert sorted(costs, key=costs.get, reverse=True) == ["tempcnn", "lstm", "gru", "mlp", "rnn"]
+    parent, trained = _train_log(_recorded_select(tmp_path, path, TWO_LANES + RECORDING_SELECT))
+    (lane,) = set(trained) - {parent}
+    assert trained[parent][0] == "tempcnn"
+    assert trained[lane][0] == "lstm"
+    assert sorted(trained[parent] + trained[lane]) == sorted(costs)
 
 
 def test_forked_select_with_every_candidate_failing_exits_3(tmp_path, capsys):
@@ -100,7 +137,8 @@ def test_forked_select_with_every_candidate_failing_exits_3(tmp_path, capsys):
 
 
 # Runs `select` with `train` replaced by argv[2]'s behaviour in the parent and
-# argv[3]'s in every forked lane.
+# argv[3]'s in every forked lane; the parent logs to argv[4] the architecture
+# of each candidate it trains.
 SPLIT_TRAIN = """
 import os, sys, time
 from roarsel import training
@@ -123,9 +161,12 @@ def slow():
 def hang():
     time.sleep(90)
 
-def split_train(*args, **kwargs):
+def split_train(model, *args, **kwargs):
+    if os.getpid() == parent:
+        with open(sys.argv[4], "a") as f:
+            f.write(f"{model.spec.architecture.value}\\n")
     globals()[sys.argv[2] if os.getpid() == parent else sys.argv[3]]()
-    return train(*args, **kwargs)
+    return train(model, *args, **kwargs)
 
 training.train = split_train
 try:
@@ -143,13 +184,18 @@ sys.exit(code)
 
 def _split_select(tmp_path, parent: str, lane: str):
     path = _config(tmp_path, FIVE_FAMILIES)
-    return run_pinned("-c", SPLIT_TRAIN, path, parent, lane, timeout=60)
+    return run_pinned("-c", SPLIT_TRAIN, path, parent, lane, str(tmp_path / "parent.log"),
+                      timeout=60)
 
 
 def test_a_lane_that_dies_names_its_lost_candidates(tmp_path):
     done = _split_select(tmp_path, "slow", "lane_exit")
     assert done.returncode == 3, done.stderr
-    assert "without the outcome of candidates [" in done.stderr
+    # every candidate the parent did not train was claimed by a lane that died
+    trained = (tmp_path / "parent.log").read_text().split()
+    lost = [i for i, c in enumerate(FIVE_FAMILIES) if c["architecture"] not in trained]
+    assert lost
+    assert f"without the outcome of candidates {lost}\n" in done.stderr
     assert "outlived" not in done.stderr
 
 

@@ -12,7 +12,7 @@ from roarsel import engine, training
 from roarsel.data import SplitTriple, Task, TensorDataset, default_schema
 from roarsel.engine import DTYPE, Graph
 from roarsel.errors import TrainingDiverged, TrainingError
-from roarsel.models import TILE, Architecture, Model, ModelSpec, build
+from roarsel.models import TILE, Architecture, Model, ModelSpec, build, macs_per_row
 from roarsel.training import (
     BETA1,
     BETA2,
@@ -505,6 +505,36 @@ def test_all_candidates_failing_is_an_error():
     bad = ModelSpec(Architecture.TEMPCNN, **SMALL)
     with pytest.raises(TrainingError, match="every candidate failed"):
         select_model([(bad, quick_cfg())], splits, seed=0)
+
+
+def test_candidates_train_costliest_first_and_keep_their_grid_indices(monkeypatch):
+    splits = three_way_splits()  # T = 2, 3 bands, 2 classes
+    cfg = TrainConfig(max_epochs=3, patience=1, batch_size=16, learning_rate=3e-3)
+    grid = [(ModelSpec(Architecture.MLP, **SMALL), cfg),                   # 128 MACs
+            (ModelSpec(Architecture.TEMPCNN, **SMALL), cfg),               # 236, fails
+            (ModelSpec(Architecture.LSTM, **SMALL), cfg),                  # 720
+            (ModelSpec(Architecture.MLP, **SMALL), replace(cfg, learning_rate=1e-3)),
+            (ModelSpec(Architecture.GRU, **SMALL), cfg),                   # 544
+            (ModelSpec(Architecture.RNN, **SMALL), cfg)]                   # 192
+    assert [macs_per_row(spec, splits.train.schema) for spec, _ in grid] == \
+           [128, 236, 720, 128, 544, 192]
+    trained = []
+
+    def recording_train(model, train_split, val_split, cfg, seed):
+        trained.append((model.spec.architecture.value, cfg.learning_rate))
+        return train(model, train_split, val_split, cfg, seed)
+
+    monkeypatch.setattr(training, "train", recording_train)
+    _, report = select_model(grid, splits, seed=0)
+    # the tempcnn's kernel 5 > T = 2 fails at build, between the gru and the rnn
+    assert trained == [("lstm", 3e-3), ("gru", 3e-3), ("rnn", 3e-3),
+                       ("mlp", 3e-3), ("mlp", 1e-3)]  # equal costs in grid order
+    assert sorted(c.index for c in report.ranking) == list(range(len(grid)))
+    for c in report.ranking:
+        spec, cand_cfg = grid[c.index]
+        assert (c.architecture, c.learning_rate) == (spec.architecture, cand_cfg.learning_rate)
+    (failed,) = [c for c in report.ranking if c.error is not None]
+    assert failed.index == 1 and "kernel 5 larger than input length 2" in failed.error
 
 
 class _GuardedSplit:
