@@ -22,8 +22,10 @@ resize path used between deletion cycles instead clamps the kernel to that
 length and warns. An even kernel shortens the series by one step per
 layer, so a later layer can need the clamp when the first does not. Resizing
 always constructs a fresh model: the retraining protocol forbids warm starts,
-which would leak information about deleted features. ``macs_per_row`` gives
-a spec's forward cost over a schema without building anything.
+which would leak information about deleted features. Each layer reads its
+input's shape off the graph being built, so the engine's shape rules are the
+only ones, and ``macs_per_row`` reads a built model's forward cost off its
+graph.
 
 All parameters, biases included, draw from a seeded uniform He-style scheme
 U(-sqrt(6/fan_in), +sqrt(6/fan_in)), so two different seeds give models that
@@ -157,16 +159,15 @@ def _construct(spec: ModelSpec, schema: FeatureSchema, seed: int, clamp: bool) -
     if seed < 0:
         raise BuildError(f"seed must not be negative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    t, b = schema.n_timesteps, schema.n_bands
-    g = Graph(input_shape=(t, b))
+    g = Graph(input_shape=(schema.n_timesteps, schema.n_bands))
     arch = spec.architecture
     if arch is Architecture.MLP:
-        last, fan = _mlp_body(g, spec, t, b, rng)
+        last = _mlp_body(g, spec, rng)
     elif arch is Architecture.TEMPCNN:
-        last, fan = _tempcnn_body(g, spec, t, b, rng, clamp)
+        last = _tempcnn_body(g, spec, rng, clamp)
     else:
-        last, fan = _recurrent_body(g, spec, t, b, rng)
-    _attach_head(g, schema, last, fan, rng)
+        last = _recurrent_body(g, spec, rng)
+    _attach_head(g, schema, last, rng)
     return Model(spec=spec, graph=g, task=schema.task)
 
 
@@ -180,7 +181,9 @@ def _init(rng, shape, fan_in):
         raise BuildError(f"cannot allocate a parameter of shape {shape}: {exc}") from None
 
 
-def _dense(g, rng, x, fan_in, fan_out, name):
+def _dense(g, rng, x, fan_out, name):
+    """A dense layer over the 1-D node ``x``, whose size is its fan-in."""
+    (fan_in,) = g.nodes[x].shape
     w = g.param(f"{name}/w", _init(rng, (fan_in, fan_out), fan_in))
     bias = g.param(f"{name}/b", _init(rng, (fan_out,), fan_in))
     return g.dense(x, w, bias)
@@ -191,20 +194,18 @@ def _dropout(g, spec, h, site):
     return g.dropout(h, f"drop{site}", spec.dropout) if spec.dropout > 0.0 else h
 
 
-def _mlp_body(g, spec, t, b, rng):
+def _mlp_body(g, spec, rng):
     h = g.flatten(g.input_node)
-    fan = t * b
     for i in range(spec.resolved_depth):
-        h = g.relu(_dense(g, rng, h, fan, spec.width, f"layer{i}"))
+        h = g.relu(_dense(g, rng, h, spec.width, f"layer{i}"))
         h = _dropout(g, spec, h, i)
-        fan = spec.width
-    return h, fan
+    return h
 
 
-def _tempcnn_body(g, spec, t, b, rng, clamp):
-    h = g.input_node
-    length, c_in, k = t, b, spec.kernel_size
+def _tempcnn_body(g, spec, rng, clamp):
+    h, k = g.input_node, spec.kernel_size
     for i in range(spec.resolved_depth):
+        length, c_in = g.nodes[h].shape
         if k > length:
             if not clamp:
                 raise BuildError(
@@ -213,26 +214,19 @@ def _tempcnn_body(g, spec, t, b, rng, clamp):
             warnings.warn(f"kernel clamped from {k} to {length} for input length {length}",
                           stacklevel=4)
             k = length
-        pad = (k - 1) // 2
         w = g.param(f"conv{i}/w", _init(rng, (k, c_in, spec.channels), k * c_in))
         bias = g.param(f"conv{i}/b", _init(rng, (spec.channels,), k * c_in))
-        h = g.relu(g.conv1d(h, w, bias, padding=pad))
-        length = length + 2 * pad - k + 1
-        c_in = spec.channels
-    h = g.flatten(h)
-    fan = length * spec.channels
-    h = g.relu(_dense(g, rng, h, fan, spec.dense_size, "dense"))
-    return _dropout(g, spec, h, 0), spec.dense_size
+        h = g.relu(g.conv1d(h, w, bias, padding=(k - 1) // 2))
+    h = g.relu(_dense(g, rng, g.flatten(h), spec.dense_size, "dense"))
+    return _dropout(g, spec, h, 0)
 
 
-def _recurrent_body(g, spec, t, b, rng):
-    h, in_dim, hid = g.input_node, b, spec.hidden_size
-    cell = spec.architecture.value
+def _recurrent_body(g, spec, rng):
+    h, cell = g.input_node, spec.architecture.value
     for layer in range(spec.resolved_depth):
-        params = _cell_params(g, rng, cell, in_dim, hid, f"cell{layer}")
+        params = _cell_params(g, rng, cell, h, spec.hidden_size, f"cell{layer}")
         h = g.recurrent(h, *params, cell)
-        in_dim = hid
-    return _dropout(g, spec, g.slice_time(h, t - 1), 0), hid
+    return _dropout(g, spec, g.slice_time(h, g.nodes[h].shape[0] - 1), 0)
 
 
 # per cell: the order the gates draw their weights, then the engine's column
@@ -244,10 +238,11 @@ _GATES = {
 }
 
 
-def _cell_params(g, rng, cell, in_dim, hid, prefix):
-    """``prefix/wx`` [in, k·H], ``prefix/wh`` [H, k·H] and ``prefix/b`` [k·H]:
-    each gate draws its wx, wh and b in turn, gate by gate, and the drawn
-    blocks are laid side by side in column order."""
+def _cell_params(g, rng, cell, x, hid, prefix):
+    """``prefix/wx`` [in, k·H], ``prefix/wh`` [H, k·H] and ``prefix/b`` [k·H]
+    for the [T, in] node ``x``: each gate draws its wx, wh and b in turn, gate
+    by gate, and the drawn blocks are laid side by side in column order."""
+    in_dim = g.nodes[x].shape[1]
     draw_order, columns = _GATES[cell]
     drawn = {gate: (_init(rng, (in_dim, hid), in_dim), _init(rng, (hid, hid), hid),
                     _init(rng, (hid,), in_dim)) for gate in draw_order}
@@ -256,35 +251,23 @@ def _cell_params(g, rng, cell, in_dim, hid, prefix):
                  for name, parts in zip(("wx", "wh", "b"), blocks))
 
 
-def macs_per_row(spec: ModelSpec, schema: FeatureSchema) -> int:
-    """Multiply-adds per input row of one forward pass through the model
-    ``build`` makes of ``spec`` over the schema's grid, weights only:
-    ``fan_in · fan_out`` per dense layer, ``length_out · k · c_in · c_out``
-    per convolution and ``T · k · H · (in + H)`` per recurrent layer of k
-    gates. Nothing is built or drawn. A kernel longer than its layer's input
-    counts as clamped, so a spec that ``build`` refuses has a cost too."""
-    t, b = schema.n_timesteps, schema.n_bands
-    arch, depth = spec.architecture, spec.resolved_depth
-    if arch is Architecture.MLP:
-        macs, fan = t * b * spec.width + (depth - 1) * spec.width ** 2, spec.width
-    elif arch is Architecture.TEMPCNN:
-        macs, length, c_in, k = 0, t, b, spec.kernel_size
-        for _ in range(depth):
-            k = min(k, length)
-            length = length + 2 * ((k - 1) // 2) - k + 1
-            macs += length * k * c_in * spec.channels
-            c_in = spec.channels
-        macs, fan = macs + length * spec.channels * spec.dense_size, spec.dense_size
-    else:
-        gates, h = len(_GATES[arch.value][0]), spec.hidden_size
-        macs, fan = t * gates * h * ((b + h) + (depth - 1) * 2 * h), h
-    out = schema.n_classes if schema.task is Task.CLASSIFICATION else 1
-    return macs + fan * out
+def macs_per_row(model: Model) -> int:
+    """Multiply-adds per input row of one forward pass through ``model``,
+    weights only: each dense, conv1d and recurrent node's weight size times
+    its steps, which are 1 for a dense layer, the output length for a
+    convolution and T for a recurrent layer (wx and wh)."""
+    g, macs = model.graph, 0
+    for node in g.nodes:
+        if node.op in ("dense", "conv1d", "recurrent"):
+            steps = 1 if node.op == "dense" else node.shape[0]
+            # the arguments between the input and the bias are the weights
+            macs += steps * sum(math.prod(g.nodes[a].shape) for a in node.args[1:-1])
+    return macs
 
 
-def _attach_head(g, schema, last, fan, rng):
+def _attach_head(g, schema, last, rng):
     classify = schema.task is Task.CLASSIFICATION
-    out = _dense(g, rng, last, fan, schema.n_classes if classify else 1, "head")
+    out = _dense(g, rng, last, schema.n_classes if classify else 1, "head")
     if classify:
         g.softmax_cross_entropy(out)
     else:

@@ -16,12 +16,13 @@ weights of the epoch with the lowest validation loss (ties keep the earlier
 epoch), written back into the parameter buffer, and stops after ``patience``
 epochs without improvement.
 
-Selection trains every grid candidate, ranks by the validation metric, and
-reports test metrics for the winner only after ranking; the test split never
-influences the choice. A process that runs a single OS thread on Linux trains
-the candidates in one forked lane per usable CPU, itself included; the lanes
-return parameters and validation metrics only, and the selection's bytes do
-not depend on which lane trained what.
+Selection builds every grid candidate once, trains each one that builds,
+ranks by the validation metric, and reports test metrics for the winner only
+after ranking; the test split never influences the choice. A process that
+runs a single OS thread on Linux trains the built candidates in one forked
+lane per usable CPU, itself included; the lanes return parameters and
+validation metrics only, and the selection's bytes do not depend on which
+lane trained what.
 """
 
 from __future__ import annotations
@@ -278,12 +279,14 @@ def select_model(
 ) -> tuple[Model, SelectionReport]:
     """Train every candidate and pick the best validation metric.
 
-    Each candidate is built and trained from ``seed``, in one of the lanes
-    of ``lanes.fork_map``, which claim them in descending ``macs_per_row``;
-    this process then rebuilds every trained model from its parameters, so
-    the result depends on neither the lanes nor that order. Ties keep the
-    earlier grid index. Per-candidate training errors are recorded and the
-    grid continues; all candidates failing is an error. The test split is
+    This process builds each candidate once, from ``seed``; a candidate
+    whose build fails is recorded without training. The built models are
+    trained from ``seed`` in the lanes of ``lanes.fork_map``, which claim
+    them in descending ``macs_per_row``, and this process copies each
+    forked lane's parameters into its own copy of the model, so the result
+    depends on neither the lanes nor that order. Ties keep the earlier grid
+    index. Per-candidate training errors are recorded and the grid
+    continues; all candidates failing is an error. The test split is
     consulted only after ranking, so it never influences the ranking. An
     empty grid or a negative seed is a ``TrainingError``.
     """
@@ -294,15 +297,21 @@ def select_model(
     ok: list[CandidateResult] = []
     failed: list[CandidateResult] = []
     models: dict[int, Model] = {}
+    outcomes: dict[int, _Outcome] = {}  # by grid index
+    for i, (spec, _) in enumerate(grid):
+        try:
+            models[i] = build(spec, splits.train.schema, seed=seed)
+        except BuildError as exc:
+            outcomes[i] = str(exc)
     # the lanes claim the costliest candidates first, so that none trains
     # alone at the end; the stable sort keeps grid order on equal costs
-    order = sorted(range(len(grid)),
-                   key=lambda i: -macs_per_row(grid[i][0], splits.train.schema))
-    claimed = fork_map(lambda j: _fit(*grid[order[j]], splits, seed), len(grid),
+    order = sorted(models, key=lambda i: -macs_per_row(models[i]))
+    claimed = fork_map(lambda j: _fit(models[order[j]], grid[order[j]][1], splits, seed),
+                       len(order),
                        lambda lost: TrainingError(
                            "a training process exited without the outcome of "
                            f"candidates {sorted(order[j] for j in lost)}"))
-    outcomes = dict(zip(order, claimed))
+    outcomes.update(zip(order, claimed))
     for i, (spec, cfg) in enumerate(grid):
         outcome = outcomes[i]
         if isinstance(outcome, str):
@@ -310,7 +319,7 @@ def select_model(
                                           None, outcome))
             continue
         params, val_metric = outcome
-        models[i] = build(spec, splits.train.schema, seed=seed)
+        # a candidate this process trained copies each array onto itself
         for name, value in params.items():
             models[i].graph.params[name][...] = value
         ok.append(CandidateResult(i, spec.architecture, cfg.learning_rate, val_metric))
@@ -335,11 +344,10 @@ def select_model(
 _Outcome = Union[tuple[dict[str, np.ndarray], float], str]
 
 
-def _fit(spec: ModelSpec, cfg: TrainConfig, splits: SplitTriple, seed: int) -> _Outcome:
+def _fit(model: Model, cfg: TrainConfig, splits: SplitTriple, seed: int) -> _Outcome:
     try:
-        model = build(spec, splits.train.schema, seed=seed)
         model, report = train(model, splits.train, splits.validation, cfg, seed)
-    except (TrainingError, BuildError) as exc:
+    except TrainingError as exc:
         return str(exc)
     return model.graph.params, report.val_metric.value
 

@@ -1,13 +1,13 @@
 """Architecture builders: shape contracts, determinism, resize rules."""
 
 import gc
-import math
 import weakref
 
 import numpy as np
 import pytest
 from conftest import grid_schema
 
+from roarsel.data import Task
 from roarsel.engine import DTYPE
 from roarsel import models
 from roarsel.errors import BuildError
@@ -137,22 +137,30 @@ def test_resize_handles_single_step_input():
 # -- forward cost ------------------------------------------------------------
 
 
-def counted_macs(model) -> int:
-    """Multiply-adds per row read off a built graph's parameter shapes: a
-    dense weight counts its size, a convolution kernel its size times the
-    layer's output length, and a recurrent layer its wx and wh sizes times
-    the steps."""
-    g = model.graph
-    macs = 0
-    for node in g.nodes:
-        sizes = [math.prod(g.nodes[a].shape) for a in node.args[1:]]
-        if node.op == "dense":
-            macs += sizes[0]
-        elif node.op == "conv1d":
-            macs += sizes[0] * node.shape[0]
-        elif node.op == "recurrent":
-            macs += (sizes[0] + sizes[1]) * g.input_shape[0]
-    return macs
+GATES = {Architecture.RNN: 1, Architecture.LSTM: 4, Architecture.GRU: 3}
+
+
+def closed_form_macs(spec, schema) -> int:
+    """Multiply-adds per row from the spec alone: ``fan_in · fan_out`` per
+    dense layer, ``length_out · k · c_in · c_out`` per convolution and
+    ``T · k · H · (in + H)`` per recurrent layer of k gates. A kernel longer
+    than its layer's input counts as clamped, as ``resize_for_input`` does."""
+    t, b = schema.n_timesteps, schema.n_bands
+    arch, depth = spec.architecture, spec.resolved_depth
+    if arch is Architecture.MLP:
+        macs, fan = t * b * spec.width + (depth - 1) * spec.width ** 2, spec.width
+    elif arch is Architecture.TEMPCNN:
+        macs, length, c_in, k = 0, t, b, spec.kernel_size
+        for _ in range(depth):
+            k = min(k, length)
+            length = length + 2 * ((k - 1) // 2) - k + 1
+            macs += length * k * c_in * spec.channels
+            c_in = spec.channels
+        macs, fan = macs + length * spec.channels * spec.dense_size, spec.dense_size
+    else:
+        h = spec.hidden_size
+        macs, fan = t * GATES[arch] * h * ((b + h) + (depth - 1) * 2 * h), h
+    return macs + fan * (schema.n_classes if schema.task is Task.CLASSIFICATION else 1)
 
 
 @pytest.mark.parametrize("spec", [
@@ -171,7 +179,7 @@ def counted_macs(model) -> int:
 @pytest.mark.parametrize("n_classes", [None, CLASSES])
 def test_macs_per_row_counts_the_built_graph(spec, n_classes):
     schema = grid_schema(9, 4, n_classes)
-    assert macs_per_row(spec, schema) == counted_macs(build(spec, schema, seed=0))
+    assert macs_per_row(build(spec, schema, seed=0)) == closed_form_macs(spec, schema)
 
 
 @pytest.mark.parametrize("t", [1, 3, 4])
@@ -182,7 +190,7 @@ def test_a_kernel_longer_than_its_input_costs_the_clamped_model(t):
         build(spec, schema, seed=0)
     with pytest.warns(UserWarning):
         clamped = resize_for_input(spec, schema, seed=0)
-    assert macs_per_row(spec, schema) == counted_macs(clamped) > 0
+    assert macs_per_row(clamped) == closed_form_macs(spec, schema) > 0
 
 
 # -- shape fuzz --------------------------------------------------------------

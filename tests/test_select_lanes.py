@@ -14,7 +14,7 @@ from conftest import forked_lanes, run_pinned
 
 from roarsel.cli import main
 from roarsel.data import load_dataset
-from roarsel.models import ModelSpec, macs_per_row
+from roarsel.models import ModelSpec, build, macs_per_row
 
 pytestmark = forked_lanes
 
@@ -115,7 +115,8 @@ def test_forked_select_writes_the_one_lane_bytes(tmp_path, grid):
 def test_forked_lanes_claim_the_costliest_candidates_first(tmp_path):
     path = _config(tmp_path, FIVE_FAMILIES)
     schema = load_dataset(tmp_path / "data").schema
-    costs = {c["architecture"]: macs_per_row(ModelSpec(**c), schema) for c in FIVE_FAMILIES}
+    costs = {c["architecture"]: macs_per_row(build(ModelSpec(**c), schema, seed=0))
+             for c in FIVE_FAMILIES}
     assert sorted(costs, key=costs.get, reverse=True) == ["tempcnn", "lstm", "gru", "mlp", "rnn"]
     parent, trained = _train_log(_recorded_select(tmp_path, path, TWO_LANES + RECORDING_SELECT))
     (lane,) = set(trained) - {parent}

@@ -500,6 +500,38 @@ def test_failing_candidate_recorded_and_grid_continues():
     assert len(failed) == 1 and "kernel" in failed[0].error
 
 
+def test_failed_candidates_stay_in_grid_order():
+    """A build failure is known before any training starts, and a divergence
+    only once its training ends; the failed rows still read in grid order."""
+    splits = three_way_splits()  # T = 2
+    grid = [(ModelSpec(Architecture.MLP, **SMALL), quick_cfg(lr=1e22)),  # diverges
+            (ModelSpec(Architecture.TEMPCNN, **SMALL), quick_cfg()),     # kernel 5 > T
+            (ModelSpec(Architecture.MLP, **SMALL), quick_cfg())]
+    _, report = select_model(grid, splits, seed=0)
+    assert report.best_index == 2
+    failed = [c for c in report.ranking if c.error is not None]
+    assert [c.index for c in failed] == [0, 1]
+    assert "non-finite" in failed[0].error and "kernel 5" in failed[1].error
+
+
+def test_select_builds_each_candidate_once(monkeypatch):
+    splits = three_way_splits()  # one lane (conftest's one_lane)
+    cfg = TrainConfig(max_epochs=3, patience=1, batch_size=16, learning_rate=3e-3)
+    grid = [(ModelSpec(Architecture.MLP, **SMALL), cfg),
+            (ModelSpec(Architecture.TEMPCNN, **SMALL), cfg),  # kernel 5 > T = 2 fails
+            (ModelSpec(Architecture.GRU, **SMALL), cfg)]
+    built = []
+
+    def counting_build(spec, schema, seed):
+        built.append(spec.architecture.value)
+        return build(spec, schema, seed)
+
+    monkeypatch.setattr(training, "build", counting_build)
+    model, report = select_model(grid, splits, seed=0)
+    assert built == ["mlp", "tempcnn", "gru"]
+    assert evaluate(model, splits.validation).value == report.ranking[0].val_metric
+
+
 def test_all_candidates_failing_is_an_error():
     splits = three_way_splits()
     bad = ModelSpec(Architecture.TEMPCNN, **SMALL)
@@ -511,13 +543,13 @@ def test_candidates_train_costliest_first_and_keep_their_grid_indices(monkeypatc
     splits = three_way_splits()  # T = 2, 3 bands, 2 classes
     cfg = TrainConfig(max_epochs=3, patience=1, batch_size=16, learning_rate=3e-3)
     grid = [(ModelSpec(Architecture.MLP, **SMALL), cfg),                   # 128 MACs
-            (ModelSpec(Architecture.TEMPCNN, **SMALL), cfg),               # 236, fails
+            (ModelSpec(Architecture.TEMPCNN, **SMALL), cfg),               # fails
             (ModelSpec(Architecture.LSTM, **SMALL), cfg),                  # 720
             (ModelSpec(Architecture.MLP, **SMALL), replace(cfg, learning_rate=1e-3)),
             (ModelSpec(Architecture.GRU, **SMALL), cfg),                   # 544
             (ModelSpec(Architecture.RNN, **SMALL), cfg)]                   # 192
-    assert [macs_per_row(spec, splits.train.schema) for spec, _ in grid] == \
-           [128, 236, 720, 128, 544, 192]
+    assert [macs_per_row(build(spec, splits.train.schema, seed=0))
+            for spec, _ in grid[:1] + grid[2:]] == [128, 720, 128, 544, 192]
     trained = []
 
     def recording_train(model, train_split, val_split, cfg, seed):
@@ -526,7 +558,7 @@ def test_candidates_train_costliest_first_and_keep_their_grid_indices(monkeypatc
 
     monkeypatch.setattr(training, "train", recording_train)
     _, report = select_model(grid, splits, seed=0)
-    # the tempcnn's kernel 5 > T = 2 fails at build, between the gru and the rnn
+    # the tempcnn's kernel 5 > T = 2 fails at build, so no lane claims it
     assert trained == [("lstm", 3e-3), ("gru", 3e-3), ("rnn", 3e-3),
                        ("mlp", 3e-3), ("mlp", 1e-3)]  # equal costs in grid order
     assert sorted(c.index for c in report.ranking) == list(range(len(grid)))
